@@ -15,6 +15,7 @@ import sys
 
 from . import connection as conn
 from .cover import CoverError, canonicalize, cover_from_json, glue_validate, ideal_residual
+from .exterior import OrdinaryForm
 from .gform import gd
 from .gvector import gv_interior, gv_lie
 from .hamiltonian import (
@@ -53,6 +54,8 @@ def _default_seed(value: int | None) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed = _default_seed(args.seed)
     reports = run_suites(names, args.dim, parse_rational(args.epsilon), args.trials, seed)
@@ -163,8 +166,6 @@ def cmd_connection_thm(args) -> int:
                     "fixture": args.fixture, "case": args.case}
     try:
         if args.case == "i":
-            from .exterior import OrdinaryForm
-
             if "chi" in data:
                 chi = conn.matrix_of_forms_from_json(n, data["chi"])
             else:

@@ -16,11 +16,12 @@ fixtures use metrics whose inverse is polynomial so everything stays exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import OrdinaryForm, VectorField, ext_d, form_from_json, wedge
+from .exterior import OrdinaryForm, Tensor11, VectorField, ext_d, form_from_json, mat_mul, wedge
 from .gform import GenForm, gd, gwedge
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar
@@ -65,34 +66,8 @@ def mat_ext_d(a: FormMatrix) -> FormMatrix:
     return tuple(tuple(ext_d(x) for x in row) for row in a)
 
 
-def mat_gwedge(a: GenMatrix, b: GenMatrix) -> GenMatrix:
-    n = len(a)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = gwedge(a[i][k], b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def mat_wedge(a: FormMatrix, b: FormMatrix) -> FormMatrix:
-    n = len(a)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = wedge(a[i][k], b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _is_identity(m: PolyMatrix) -> bool:
+    return all(x == (1 if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 # -- connection -------------------------------------------------------------------
@@ -141,21 +116,21 @@ class GenConnection:
 
 def curvature(A: GenConnection) -> GenMatrix:
     """F = dA + A A."""
-    return mat_add(mat_gd(A.entries), mat_gwedge(A.entries, A.entries))
+    return mat_add(mat_gd(A.entries), mat_mul(A.entries, A.entries, gwedge))
 
 
 def ordinary_curvature(alpha: FormMatrix) -> FormMatrix:
     """F_cal = d alpha + alpha alpha."""
-    return mat_add(mat_ext_d(alpha), mat_wedge(alpha, alpha))
+    return mat_add(mat_ext_d(alpha), mat_mul(alpha, alpha, wedge))
 
 
 def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> FormMatrix:
     """D t = d t + alpha t - (-1)^p t alpha on (1,1)-valued ordinary p-forms."""
     sign_flip = degree % 2 == 0
-    second = mat_wedge(t, alpha)
+    second = mat_mul(t, alpha, wedge)
     if sign_flip:
         second = mat_neg(second)
-    return mat_add(mat_add(mat_ext_d(t), mat_wedge(alpha, t)), second)
+    return mat_add(mat_add(mat_ext_d(t), mat_mul(alpha, t, wedge)), second)
 
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
@@ -178,7 +153,7 @@ def bianchi_residual(A: GenConnection) -> GenMatrix:
     """dF + A F - F A; identically zero for every connection."""
     F = curvature(A)
     return mat_add(mat_gd(F),
-                   mat_sub(mat_gwedge(A.entries, F), mat_gwedge(F, A.entries)))
+                   mat_sub(mat_mul(A.entries, F, gwedge), mat_mul(F, A.entries, gwedge)))
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
@@ -187,10 +162,10 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
     if len(degrees) > 1:
         raise ConnectionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
-    second = mat_gwedge(P, A.entries)
+    second = mat_mul(P, A.entries, gwedge)
     if p % 2 == 0:
         second = mat_neg(second)
-    return mat_add(mat_add(mat_gd(P), mat_gwedge(A.entries, P)), second)
+    return mat_add(mat_add(mat_gd(P), mat_mul(A.entries, P, gwedge)), second)
 
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
@@ -198,13 +173,9 @@ def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> 
     inverse, which is verified."""
     n = A.dim
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
-    for i in range(n):
-        for j in range(n):
-            want = Polynomial.one(n) if i == j else Polynomial.zero(n)
-            left = sum((G[i][k] * G_inv[k][j] for k in range(n)), Polynomial.zero(n))
-            right = sum((G_inv[i][k] * G[k][j] for k in range(n)), Polynomial.zero(n))
-            if left != want or right != want:
-                raise ConnectionError("G_inv is not an exact inverse of G")
+    if not (_is_identity(mat_mul(G, G_inv, operator.mul))
+            and _is_identity(mat_mul(G_inv, G, operator.mul))):
+        raise ConnectionError("G_inv is not an exact inverse of G")
     rows = []
     for i in range(n):
         row = []
@@ -264,8 +235,6 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
         v.append(comp.body.components.get((), Polynomial.zero(n)))
         rows.append([comp.soul.components.get((s,), Polynomial.zero(n))
                      for s in range(1, n + 1)])
-    from .exterior import Tensor11
-
     return GenVectorField(n, epsilon, VectorField(v), Tensor11(rows))
 
 
@@ -349,15 +318,14 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
     """Symmetry in both parts plus an exact two-sided inverse for gamma."""
     gamma, chi, gamma_inv = _as_tuple(gamma), _as_tuple(chi), _as_tuple(gamma_inv)
     n = len(gamma)
+    product = mat_mul(gamma_inv, gamma, operator.mul)
     for i in range(n):
         for j in range(n):
             if gamma[i][j] != gamma[j][i]:
                 raise ConnectionError(f"gamma not symmetric at ({i + 1},{j + 1})")
             if chi[i][j] != chi[j][i]:
                 raise ConnectionError(f"chi not symmetric at ({i + 1},{j + 1})")
-            want = Polynomial.one(n) if i == j else Polynomial.zero(n)
-            acc = sum((gamma_inv[i][k] * gamma[k][j] for k in range(n)), Polynomial.zero(n))
-            if acc != want:
+            if product[i][j] != (1 if i == j else 0):
                 raise ConnectionError("gamma_inv is not an exact inverse")
     entries = tuple(
         tuple(GenForm(n, epsilon, 0, OrdinaryForm.from_scalar(gamma[i][j]), chi[i][j])
@@ -518,9 +486,9 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     if not mat_is_zero(nonmetricity_ordinary(alpha_lc, g.gamma())):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
-    beta = _raise_first_index(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)))
+    beta = _contract_first_index(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)))
     if beta_tilde is not None:
-        beta = mat_add(beta, _raise_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
+        beta = mat_add(beta, _contract_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -552,7 +520,7 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
-    fcal_low = _lower_first_index(_as_tuple(gamma), fcal)
+    fcal_low = _contract_first_index(_as_tuple(gamma), fcal)
     rows = []
     for i in range(n):
         row = []
@@ -564,7 +532,7 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
         rows.append(tuple(row))
     beta = tuple(rows)
     if beta_tilde is not None:
-        beta = mat_add(beta, _raise_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
+        beta = mat_add(beta, _contract_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
     A = GenConnection.from_parts(alpha, beta, eps)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -576,7 +544,7 @@ def case_i_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     n = A.dim
     fcal = ordinary_curvature(A.alpha())
-    chi_up = _raise_first_index(g.gamma_inv, g.chi())
+    chi_up = _contract_first_index(g.gamma_inv, g.chi())
     rows = []
     for i in range(n):
         row = []
@@ -605,7 +573,7 @@ def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     gamma, gamma_inv = g.gamma(), g.gamma_inv
     alpha = A.alpha()
     fcal = ordinary_curvature(alpha)
-    fcal_low = _lower_first_index(gamma, fcal)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
+    fcal_low = _contract_first_index(gamma, fcal)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
     q = nonmetricity_ordinary(alpha, gamma)
     rows = []
     for i in range(n):
@@ -639,31 +607,18 @@ def _scale_matrix(m, factor):
     return tuple(tuple(x.scale(factor) for x in row) for row in m)
 
 
-def _raise_first_index(gamma_inv: PolyMatrix, lowered: FormMatrix) -> FormMatrix:
-    n = len(gamma_inv)
+def _contract_first_index(metric: PolyMatrix, forms: FormMatrix) -> FormMatrix:
+    """sum_k metric_ik forms_kj: raises the first index with gamma_inv and
+    lowers it with gamma."""
+    n = len(metric)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = OrdinaryForm.zero(n, lowered[0][0].degree)
+            acc = OrdinaryForm.zero(n, forms[0][0].degree)
             for k in range(n):
-                if not gamma_inv[i][k].is_zero():
-                    acc = acc + lowered[k][j].scale(gamma_inv[i][k])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _lower_first_index(gamma: PolyMatrix, raised: FormMatrix) -> FormMatrix:
-    n = len(gamma)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = OrdinaryForm.zero(n, raised[0][0].degree)
-            for k in range(n):
-                if not gamma[i][k].is_zero():
-                    acc = acc + raised[k][j].scale(gamma[i][k])
+                if not metric[i][k].is_zero():
+                    acc = acc + forms[k][j].scale(metric[i][k])
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)

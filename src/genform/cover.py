@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .exterior import OrdinaryForm, ext_d
+
+from .exterior import OrdinaryForm, ext_d, wedge
 from .gform import GenForm
 from .ring import ExpPoly, Polynomial, Scalar, format_rational, parse_rational
 
@@ -53,11 +54,6 @@ class ExpConstant:
         if self.r == 0:
             raise CoverError("zero constant has no inverse")
         return ExpConstant(1 / self.r, -self.s)
-
-    def as_exppoly(self, dim: int) -> ExpPoly:
-        if self.r == 0:
-            return ExpPoly.zero(dim)
-        return ExpPoly.exp(Polynomial.const(dim, self.s), Polynomial.const(dim, self.r))
 
     def __eq__(self, other):
         if not isinstance(other, ExpConstant):
@@ -147,8 +143,6 @@ def general_gd(a: GenForm, theta: ExpPoly, phi: OrdinaryForm) -> GenForm:
         raise CoverError("theta/phi violate the integrability ideal")
     a = lift_genform(a)
     phi = lift_form(phi)
-    from .exterior import wedge
-
     theta_term = a.soul.scale(theta)
     if (a.degree + 1) % 2:
         theta_term = -theta_term

@@ -14,10 +14,12 @@ the chart-gluing module relies on.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, Polynomial, Scalar
+from .ring import Coefficient, Polynomial, Scalar, _add_term
 
 IndexTuple = tuple[int, ...]
 
@@ -94,9 +96,6 @@ class OrdinaryForm:
     def is_zero(self) -> bool:
         return not self.components
 
-    def coefficient(self, idxs: Sequence[int]) -> Coefficient | None:
-        return self.components.get(tuple(idxs))
-
     # -- linear structure ----------------------------------------------------
 
     def _require_compatible(self, other: "OrdinaryForm") -> None:
@@ -113,14 +112,7 @@ class OrdinaryForm:
             return self
         out = dict(self.components)
         for idxs, coeff in other.components.items():
-            if idxs in out:
-                acc = out[idxs] + coeff
-                if acc.is_zero():
-                    del out[idxs]
-                else:
-                    out[idxs] = acc
-            else:
-                out[idxs] = coeff
+            _add_term(out, idxs, coeff)
         return OrdinaryForm(self.dim, self.degree, out)
 
     def __sub__(self, other: "OrdinaryForm") -> "OrdinaryForm":
@@ -216,6 +208,20 @@ class VectorField:
         return f"VectorField({[str(c) for c in self.components]})"
 
 
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], product: Callable) -> tuple[tuple, ...]:
+    """Matrix product (a b)_ij = sum_k product(a_ik, b_kj).
+
+    The caller names the entry product: ``operator.mul`` for polynomials,
+    ``wedge`` for forms, ``gwedge`` for extended forms.  Sums start from the
+    k = 0 term, so no typed zero is needed.
+    """
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("matrix product: inner dimensions differ")
+    columns = tuple(zip(*b))
+    return tuple(tuple(reduce(operator.add, map(product, row, col)) for col in columns)
+                 for row in a)
+
+
 class Tensor11:
     """(1,1) tensor field t^a_b, stored as an n x n polynomial matrix."""
 
@@ -264,17 +270,7 @@ class Tensor11:
         return Tensor11([[c * factor for c in row] for row in self.components])
 
     def matmul(self, other: "Tensor11") -> "Tensor11":
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Polynomial.zero(n)
-                for k in range(n):
-                    acc = acc + self.components[i][k] * other.components[k][j]
-                row.append(acc)
-            rows.append(row)
-        return Tensor11(rows)
+        return Tensor11(mat_mul(self.components, other.components, operator.mul))
 
     def apply(self, v: VectorField) -> VectorField:
         """Contract the down index with a vector field: (t v)^a = t^a_b v^b."""
@@ -311,16 +307,7 @@ def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
                 continue
             sign, idxs = merged
             coeff = ca * cb
-            if sign < 0:
-                coeff = -coeff
-            if idxs in out:
-                acc = out[idxs] + coeff
-                if acc.is_zero():
-                    del out[idxs]
-                else:
-                    out[idxs] = acc
-            else:
-                out[idxs] = coeff
+            _add_term(out, idxs, coeff if sign > 0 else -coeff)
     return OrdinaryForm(a.dim, degree, out)
 
 
@@ -336,16 +323,7 @@ def ext_d(a: OrdinaryForm) -> OrdinaryForm:
             if merged is None:
                 continue
             sign, key = merged
-            if sign < 0:
-                dc = -dc
-            if key in out:
-                acc = out[key] + dc
-                if acc.is_zero():
-                    del out[key]
-                else:
-                    out[key] = acc
-            else:
-                out[key] = dc
+            _add_term(out, key, dc if sign > 0 else -dc)
     return OrdinaryForm(a.dim, a.degree + 1, out)
 
 
@@ -360,17 +338,7 @@ def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
             if comp.is_zero():
                 continue
             term = comp * coeff
-            if pos % 2:
-                term = -term
-            key = idxs[:pos] + idxs[pos + 1:]
-            if key in out:
-                acc = out[key] + term
-                if acc.is_zero():
-                    del out[key]
-                else:
-                    out[key] = acc
-            else:
-                out[key] = term
+            _add_term(out, idxs[:pos] + idxs[pos + 1:], -term if pos % 2 else term)
     return OrdinaryForm(a.dim, a.degree - 1, out)
 
 
@@ -478,11 +446,3 @@ def form_from_json(data: dict) -> OrdinaryForm:
         idxs = tuple(json.loads(key))
         comps[idxs] = Polynomial.parse(dim, text)
     return OrdinaryForm(dim, degree, comps)
-
-
-def vf_to_json(v: VectorField) -> list[str]:
-    return [str(c) for c in v.components]
-
-
-def vf_from_json(dim: int, data: Sequence[str]) -> VectorField:
-    return VectorField([Polynomial.parse(dim, t) for t in data])

@@ -61,12 +61,6 @@ class GenVectorField:
     def pure_part(self) -> "GenVectorField":
         return GenVectorField.pure(self.vt, self.epsilon)
 
-    def ordinary_part(self) -> "GenVectorField":
-        return GenVectorField.ordinary(self.v, self.epsilon)
-
-    def is_ordinary(self) -> bool:
-        return self.vt.is_zero()
-
     def is_pure(self) -> bool:
         return self.v.is_zero()
 

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exterior import OrdinaryForm, Tensor11, VectorField, ext_d, form_from_json, interior
+from .exterior import (
+    OrdinaryForm,
+    Tensor11,
+    VectorField,
+    ext_d,
+    form_from_json,
+    poincare_antiderivative,
+)
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar
@@ -186,8 +193,6 @@ def embedded_consistency_check(s: GenSymplectic, H: GenForm, v0: Polynomial) -> 
 def recover_hamiltonian(s: GenSymplectic, field: GenVectorField) -> GenForm:
     """Invert  i_X s = -dK  for K = h' + k' m by explicit integration on the
     star-shaped chart (homotopy inverse of d); raises if i_X s is not exact."""
-    from .exterior import poincare_antiderivative
-
     w = gv_interior(field, s.s)
     n, eps = s.dim, s.epsilon
     soul_target = -w.soul

@@ -9,10 +9,12 @@ which is what makes suite reports reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
-from .exterior import OrdinaryForm, Tensor11, VectorField
+from .connection import GenConnection
+from .exterior import OrdinaryForm, Tensor11, VectorField, mat_mul
 from .gform import GenForm
 from .gvector import GenVectorField
 from .ring import Polynomial
@@ -102,39 +104,22 @@ class FormRandom:
                 nil[i][j] = entry
         # Neumann series: (I + N)^-1 = I - N + N^2 - ... terminates
         inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        power = [row[:] for row in nil]
+        power = nil
         sign = -1
         for _ in range(n - 1):
             for i in range(n):
                 for j in range(n):
                     inv[i][j] = inv[i][j] + power[i][j] * sign
-            nxt = [[zero] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = zero
-                    for k in range(n):
-                        acc = acc + power[i][k] * nil[k][j]
-                    nxt[i][j] = acc
-            power = nxt
+            power = mat_mul(power, nil, operator.mul)
             sign = -sign
         return tuple(map(tuple, g)), tuple(map(tuple, inv))
 
     def metric_pieces(self) -> tuple[tuple[tuple[Polynomial, ...], ...],
                                      tuple[tuple[Polynomial, ...], ...]]:
         """gamma = L^T L for unipotent L: symmetric with polynomial inverse."""
-        n = self.dim
         l_mat, l_inv = self.unipotent()
-        zero = Polynomial.zero(n)
-
-        def mat_mul(a, b):
-            return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero)
-                               for j in range(n)) for i in range(n))
-
-        def transpose(a):
-            return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
-
-        gamma = mat_mul(transpose(l_mat), l_mat)
-        gamma_inv = mat_mul(l_inv, transpose(l_inv))
+        gamma = mat_mul(tuple(zip(*l_mat)), l_mat, operator.mul)
+        gamma_inv = mat_mul(l_inv, tuple(zip(*l_inv)), operator.mul)
         return gamma, gamma_inv
 
     def symmetric_one_forms(self) -> tuple[tuple[OrdinaryForm, ...], ...]:
@@ -147,9 +132,7 @@ class FormRandom:
                 entries[j][i] = entry
         return tuple(map(tuple, entries))
 
-    def connection(self) -> "tuple":
-        from .connection import GenConnection
-
+    def connection(self) -> GenConnection:
         n = self.dim
         entries = [[GenForm(n, self.epsilon, 1, self.form(1), self.form(2))
                     for _ in range(n)] for _ in range(n)]

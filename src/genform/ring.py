@@ -9,6 +9,12 @@ tuples to rational coefficients (``fractions.Fraction``):
 Zero coefficients are never stored, so equality of canonical forms is plain
 structural equality and every algebraic identity can be checked exactly.
 
+Dropping zeros is the constructors' job alone.  Every sparse container here
+and downstream (``Polynomial``, ``ExpPoly``, ``OrdinaryForm``,
+``SuperFunction``) discards zero entries when it is built, so the operations
+accumulate into a plain dict with ``_add_term`` and let cancelled entries sit
+there until the result is constructed.
+
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
 when their exponents are structurally identical; this syntactic convention is
@@ -19,9 +25,10 @@ r*e^s is representable exactly as the single term (coeff r, exponent s).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -36,6 +43,12 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
+
+
+def _add_term(out: dict, key, value) -> None:
+    """out[key] += value; a zero sum stays until the constructor drops it."""
+    acc = out.get(key)
+    out[key] = value if acc is None else acc + value
 
 
 class Polynomial:
@@ -105,12 +118,7 @@ class Polynomial:
                 if not 1 <= index <= dim:
                     raise ValueError(f"variable x{index} out of range for dim {dim}")
                 exps[index - 1] += int(m.group(2) or 1)
-            key = tuple(exps)
-            coeff = terms.get(key, Fraction(0)) + coeff
-            if coeff == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = coeff
+            _add_term(terms, tuple(exps), coeff)
         return cls(dim, terms)
 
     # -- queries -----------------------------------------------------------
@@ -120,16 +128,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.dim, Fraction(0))
-
-    def total_degree(self) -> int:
-        """Total degree; zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -142,11 +140,7 @@ class Polynomial:
             self._require_same_dim(other)
             out = dict(self.terms)
             for exps, coeff in other.terms.items():
-                acc = out.get(exps, Fraction(0)) + coeff
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
+                _add_term(out, exps, coeff)
             return Polynomial(self.dim, out)
         if isinstance(other, (int, Fraction)):
             return self + Polynomial.const(self.dim, other)
@@ -160,6 +154,11 @@ class Polynomial:
             return self + (-other if isinstance(other, Polynomial) else Fraction(-1) * other)
         return NotImplemented
 
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
+
     def __neg__(self):
         return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
 
@@ -169,12 +168,7 @@ class Polynomial:
             out: dict[Exponent, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(key, Fraction(0)) + c1 * c2
-                    if acc == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             return Polynomial(self.dim, out)
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
@@ -199,18 +193,10 @@ class Polynomial:
         if not 1 <= axis <= self.dim:
             raise ValueError(f"axis {axis} out of range 1..{self.dim}")
         pos = axis - 1
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            key = exps[:pos] + (e - 1,) + exps[pos + 1:]
-            acc = out.get(key, Fraction(0)) + coeff * e
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return Polynomial(self.dim, out)
+        # lowering one exponent maps the surviving monomials one to one
+        return Polynomial(self.dim, {
+            exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]: coeff * exps[pos]
+            for exps, coeff in self.terms.items() if exps[pos]})
 
     def eval_float(self, point: Sequence[float]) -> float:
         if len(point) != self.dim:
@@ -351,11 +337,7 @@ class ExpPoly:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         out = dict(self.terms)
         for q, p in other.terms.items():
-            acc = out.get(q, Polynomial.zero(self.dim)) + p
-            if acc.is_zero():
-                out.pop(q, None)
-            else:
-                out[q] = acc
+            _add_term(out, q, p)
         return ExpPoly(self.dim, out)
 
     def __radd__(self, other):
@@ -385,34 +367,18 @@ class ExpPoly:
         out: dict[Polynomial, Polynomial] = {}
         for q1, p1 in self.terms.items():
             for q2, p2 in other.terms.items():
-                q = q1 + q2
-                acc = out.get(q, Polynomial.zero(self.dim)) + p1 * p2
-                if acc.is_zero():
-                    out.pop(q, None)
-                else:
-                    out[q] = acc
+                _add_term(out, q1 + q2, p1 * p2)
         return ExpPoly(self.dim, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def partial(self, axis: int) -> "ExpPoly":
-        """d(p e^q) = (dp + p dq) e^q, termwise."""
-        out: dict[Polynomial, Polynomial] = {}
-        for q, p in self.terms.items():
-            coeff = p.partial(axis) + p * q.partial(axis)
-            if coeff.is_zero():
-                continue
-            acc = out.get(q, Polynomial.zero(self.dim)) + coeff
-            if acc.is_zero():
-                out.pop(q, None)
-            else:
-                out[q] = acc
-        return ExpPoly(self.dim, out)
+        """d(p e^q) = (dp + p dq) e^q, termwise; the exponents stay distinct."""
+        return ExpPoly(self.dim, {q: p.partial(axis) + p * q.partial(axis)
+                                  for q, p in self.terms.items()})
 
     def eval_float(self, point: Sequence[float]) -> float:
-        import math
-
         return sum(p.eval_float(point) * math.exp(q.eval_float(point))
                    for q, p in self.terms.items())
 
@@ -442,11 +408,3 @@ class ExpPoly:
 
 
 Coefficient = Union[Polynomial, ExpPoly]
-
-
-def coefficients_like(sample: Coefficient, values: Iterable[Coefficient]) -> list[Coefficient]:
-    """Coerce values into the ring of sample (used when Polynomial data feeds
-    ExpPoly computations in the gluing module)."""
-    if isinstance(sample, ExpPoly):
-        return [v if isinstance(v, ExpPoly) else ExpPoly.from_poly(v) for v in values]
-    return list(values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import connection as conn
-from .exterior import VectorField, vf_bracket
+from .exterior import interior, mat_mul, vf_bracket
 from .gform import (
     GenForm,
     gd,
@@ -39,6 +39,7 @@ from .gvector import (
 )
 from .randgen import EPSILON_POOL, FormRandom
 from .superspace import (
+    SuperFunction,
     from_super,
     super_d,
     super_interior,
@@ -159,8 +160,6 @@ def suite_gform(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteRep
                - gwedge(glie_ordinary(v, a), b) - gwedge(a, glie_ordinary(v, b)))
         a0 = rnd.genform(0)
         diff = ginterior_ordinary(v, gd(a0)) - glie_ordinary(v, a0)
-        from .exterior import interior
-
         expected_body = interior(v, a0.soul).scale(-rnd.epsilon)
         _check(report, "degree0_interior_vs_lie", trial, rnd, diff.body - expected_body)
         phi = [rnd.poly() for _ in range(dim)]
@@ -223,15 +222,11 @@ def suite_super(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteRep
 
 
 def _even_part(f):
-    from .superspace import SuperFunction
-
     return SuperFunction(f.dim, f.epsilon,
                          {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == 0})
 
 
 def _odd_part(f):
-    from .superspace import SuperFunction
-
     return SuperFunction(f.dim, f.epsilon,
                          {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == 1})
 
@@ -328,21 +323,11 @@ def suite_connection(dim: int, epsilon: Fraction, trials: int, seed: int) -> Sui
         _check(report, "nonmetricity_expansion", trial, rnd,
                conn.mat_sub(conn.nonmetricity(A, g), conn.nonmetricity_expansion(A, g)))
         g_up = conn.metric_inverse(g)
-        n = dim
-        for left_first in (True, False):
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = None
-                    for k in range(n):
-                        term = (gwedge(g_up[i][k], g.entries[k][j]) if left_first
-                                else gwedge(g.entries[i][k], g_up[k][j]))
-                        acc = term if acc is None else acc + term
-                    want = GenForm.one(n, rnd.epsilon) if i == j else GenForm.zero(n, rnd.epsilon)
-                    row.append(acc - want)
-                rows.append(tuple(row))
-            _check(report, "metric_inverse_two_sided", trial, rnd, tuple(rows))
+        one, zero = GenForm.one(dim, rnd.epsilon), GenForm.zero(dim, rnd.epsilon)
+        eye = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+        for left, right in ((g_up, g.entries), (g.entries, g_up)):
+            _check(report, "metric_inverse_two_sided", trial, rnd,
+                   conn.mat_sub(mat_mul(left, right, gwedge), eye))
     report.wall_time = time.perf_counter() - start
     return report
 

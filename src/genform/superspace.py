@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .exterior import OrdinaryForm
 from .gform import GenForm
-from .ring import Polynomial, Scalar
+from .ring import Polynomial, Scalar, _add_term
 
 
 def blade_mul(mask_a: int, mask_b: int) -> tuple[int, int] | None:
@@ -94,11 +94,7 @@ class SuperFunction:
         self._require_compatible(other)
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
-            acc = out.get(mask, Polynomial.zero(self.dim)) + coeff
-            if acc.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = acc
+            _add_term(out, mask, coeff)
         return SuperFunction(self.dim, self.epsilon, out)
 
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
@@ -126,13 +122,7 @@ class SuperFunction:
                     continue
                 sign, mask = blade
                 coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                acc = out.get(mask, Polynomial.zero(self.dim)) + coeff
-                if acc.is_zero():
-                    out.pop(mask, None)
-                else:
-                    out[mask] = acc
+                _add_term(out, mask, coeff if sign > 0 else -coeff)
         return SuperFunction(self.dim, self.epsilon, out)
 
     def odd_derivative(self, bit_index: int) -> "SuperFunction":

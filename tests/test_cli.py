@@ -142,3 +142,12 @@ def test_cover_broken_triple(tmp_path):
 def test_usage_errors():
     assert run(["identities"]) == 2  # missing --dim
     assert run(["nonsense-command"]) == 2
+
+
+def test_identities_rejects_nonpositive_trials(tmp_path, capsys):
+    for trials in (0, -3):
+        out = tmp_path / f"r{trials}.json"
+        assert run(["identities", "--dim", 2, f"--trials={trials}", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--trials" in err
+        assert not out.exists()

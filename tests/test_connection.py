@@ -107,8 +107,8 @@ def test_cov_ext_d_degree_zero_sign():
                             rnd.form(1)) for _ in range(n)) for _ in range(n))
     got = cov_ext_d_tensor(A, P)
     want = conn.mat_add(conn.mat_gd(P),
-                        conn.mat_sub(conn.mat_gwedge(A.entries, P),
-                                     conn.mat_gwedge(P, A.entries)))
+                        conn.mat_sub(conn.mat_mul(A.entries, P, gwedge),
+                                     conn.mat_mul(P, A.entries, gwedge)))
     assert conn.mat_is_zero(conn.mat_sub(got, want))
 
 

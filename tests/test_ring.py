@@ -167,3 +167,13 @@ def test_as_poly_rejects_exponential():
     with pytest.raises(ValueError):
         ExpPoly.exp(x).as_poly()
     assert ExpPoly.from_poly(x).as_poly() == x
+
+
+def test_scalar_minus_polynomial():
+    x1 = Polynomial.var(2, 1)
+    assert 1 - x1 == Polynomial.parse(2, "1 + -1*x1")
+    assert Fraction(1, 2) - x1 == -(x1 - Fraction(1, 2))
+    assert 3 - Polynomial.const(2, 3) == Polynomial.zero(2)
+    assert Fraction(2, 3) - Polynomial.zero(2) == Polynomial.const(2, Fraction(2, 3))
+    with pytest.raises(TypeError):
+        "1" - x1
