@@ -6,6 +6,12 @@ computed twice where a closed-form expansion exists: once from the matrix
 definition (F = dA + A A, Q = dg - gA - Ag, ...) and once from the expanded
 body/soul component formulas, and the two paths must agree exactly.
 
+Every matrix contraction on both paths is one ``exterior.mat_mul`` (with
+``transpose`` and ``mat_add``/``mat_sub``), so the only code the two paths
+share is that product's summation, which its own test pins.  Their entry
+products differ: ``gwedge`` on the matrix path, ``wedge`` or scaling by a
+polynomial on the component path.  No transpose assumes a symmetric metric.
+
 The compatibility solver realizes both branches of the extended
 Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
 the metric soul (beta_sym = D chi / 2), for eps != 0 the metric soul is fixed
@@ -21,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import OrdinaryForm, Tensor11, VectorField, ext_d, form_from_json, mat_mul, wedge
+from .exterior import (OrdinaryForm, Tensor11, VectorField, ext_d, form_from_json, mat_mul,
+                       transpose, wedge)
 from .gform import GenForm, gd, gwedge
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar
@@ -70,6 +77,35 @@ def _is_identity(m: PolyMatrix) -> bool:
     return all(x == (1 if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
+def _scale_matrix(m, factor):
+    return tuple(tuple(x.scale(factor) for x in row) for row in m)
+
+
+def _scalar_forms(m: PolyMatrix) -> FormMatrix:
+    return tuple(tuple(OrdinaryForm.from_scalar(x) for x in row) for row in m)
+
+
+def _gen_matrix(n: int, epsilon: Scalar, degree: int,
+                body: FormMatrix, soul: FormMatrix) -> GenMatrix:
+    return tuple(tuple(GenForm(n, epsilon, degree, b, s) for b, s in zip(rb, rs))
+                 for rb, rs in zip(body, soul))
+
+
+# Entry products for a polynomial matrix on the left or on the right of a
+# matrix of (extended) forms.
+def _left_scale(p: Polynomial, x):
+    return x.scale(p)
+
+
+def _right_scale(x, p: Polynomial):
+    return x.scale(p)
+
+
+def _raise_both(gamma_inv: PolyMatrix, x: FormMatrix) -> FormMatrix:
+    """x^{mn} = gamma^{mr} x_{rs} gamma^{ns}, i.e. gamma^-1 x gamma^-T."""
+    return mat_mul(mat_mul(gamma_inv, x, _left_scale), transpose(gamma_inv), _right_scale)
+
+
 # -- connection -------------------------------------------------------------------
 
 
@@ -96,11 +132,7 @@ class GenConnection:
 
     @classmethod
     def from_parts(cls, alpha: FormMatrix, beta: FormMatrix, epsilon: Scalar) -> "GenConnection":
-        n = len(alpha)
-        entries = tuple(
-            tuple(GenForm(n, epsilon, 1, alpha[i][j], beta[i][j]) for j in range(n))
-            for i in range(n))
-        return cls.build(entries, epsilon)
+        return cls.build(_gen_matrix(len(alpha), epsilon, 1, alpha, beta), epsilon)
 
     @classmethod
     def zero(cls, dim: int, epsilon: Scalar) -> "GenConnection":
@@ -135,18 +167,9 @@ def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> Form
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
     """Component path: F = F_cal + eps beta + (D beta) m."""
-    n, eps = A.dim, A.epsilon
     alpha, beta = A.alpha(), A.beta()
-    fcal = ordinary_curvature(alpha)
-    dbeta = cov_d_tensor_ordinary(alpha, beta, 2)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            body = fcal[i][j] + beta[i][j].scale(eps)
-            row.append(GenForm(n, eps, 2, body, dbeta[i][j]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    body = mat_add(ordinary_curvature(alpha), _scale_matrix(beta, A.epsilon))
+    return _gen_matrix(A.dim, A.epsilon, 2, body, cov_d_tensor_ordinary(alpha, beta, 2))
 
 
 def bianchi_residual(A: GenConnection) -> GenMatrix:
@@ -171,42 +194,19 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
     """Gauge transport A -> G^-1 dG + G^-1 A G; the caller supplies the exact
     inverse, which is verified."""
-    n = A.dim
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
     if not (_is_identity(mat_mul(G, G_inv, operator.mul))
             and _is_identity(mat_mul(G_inv, G, operator.mul))):
         raise ConnectionError("G_inv is not an exact inverse of G")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = GenForm.zero(n, A.epsilon, 1)
-            for k in range(n):
-                # G^-1 dG part (ordinary one-forms)
-                dg = ext_d(OrdinaryForm.from_scalar(G[k][j]))
-                acc = acc + GenForm.from_ordinary(dg, A.epsilon).scale(G_inv[i][k])
-                for m in range(n):
-                    acc = acc + A.entries[k][m].scale(G_inv[i][k] * G[m][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return GenConnection.build(tuple(rows), A.epsilon)
+    dG = tuple(tuple(GenForm.from_ordinary(dg, A.epsilon) for dg in row)
+               for row in mat_ext_d(_scalar_forms(G)))
+    AG = mat_mul(A.entries, G, _right_scale)
+    return GenConnection.build(mat_mul(G_inv, mat_add(dG, AG), _left_scale), A.epsilon)
 
 
 def conjugate_matrix(F: GenMatrix, G: PolyMatrix, G_inv: PolyMatrix) -> GenMatrix:
     """G^-1 F G entrywise (polynomial scaling)."""
-    n = len(F)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                for m in range(n):
-                    term = F[k][m].scale(G_inv[i][k] * G[m][j])
-                    acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return mat_mul(G_inv, mat_mul(F, G, _right_scale), _left_scale)
 
 
 # -- covariant derivatives of fields ------------------------------------------------
@@ -327,103 +327,50 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
                 raise ConnectionError(f"chi not symmetric at ({i + 1},{j + 1})")
             if product[i][j] != (1 if i == j else 0):
                 raise ConnectionError("gamma_inv is not an exact inverse")
-    entries = tuple(
-        tuple(GenForm(n, epsilon, 0, OrdinaryForm.from_scalar(gamma[i][j]), chi[i][j])
-              for j in range(n)) for i in range(n))
+    entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
     return GenMetric(n, Fraction(epsilon), entries, gamma_inv)
 
 
 def metric_inverse(g: GenMetric) -> GenMatrix:
     """g^{mn} = gamma^{mn} - chi^{mn} m with indices raised by gamma."""
-    n = g.dim
-    chi = g.chi()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            soul = OrdinaryForm.zero(n, 1)
-            for r in range(n):
-                for s in range(n):
-                    factor = g.gamma_inv[i][r] * g.gamma_inv[j][s]
-                    if not factor.is_zero():
-                        soul = soul + chi[r][s].scale(factor)
-            row.append(GenForm(n, g.epsilon, 0,
-                               OrdinaryForm.from_scalar(g.gamma_inv[i][j]), -soul))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _gen_matrix(g.dim, g.epsilon, 0, _scalar_forms(g.gamma_inv),
+                       mat_neg(_raise_both(g.gamma_inv, g.chi())))
 
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
     if A.dim != g.dim or A.epsilon != g.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
-    n = A.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = gd(g.entries[i][j])
-            for k in range(n):
-                acc = acc - gwedge(g.entries[i][k], A.entries[k][j])
-                acc = acc - gwedge(g.entries[k][j], A.entries[k][i])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    gA = mat_mul(g.entries, A.entries, gwedge)
+    gtA = mat_mul(transpose(g.entries), A.entries, gwedge)
+    return mat_sub(mat_sub(mat_gd(g.entries), gA), transpose(gtA))
 
 
 def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
     """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    n = len(gamma)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ext_d(OrdinaryForm.from_scalar(gamma[i][j]))
-            for k in range(n):
-                acc = acc - alpha[k][j].scale(gamma[i][k])
-                acc = acc - alpha[k][i].scale(gamma[k][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    gamma_alpha = mat_mul(gamma, alpha, _left_scale)
+    gammat_alpha = mat_mul(transpose(gamma), alpha, _left_scale)
+    return mat_sub(mat_sub(mat_ext_d(_scalar_forms(gamma)), gamma_alpha), transpose(gammat_alpha))
 
 
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     """D t_{mn} = d t_{mn} - alpha^l_m t_{ln} - alpha^l_n t_{ml} for
     (0,2)-valued forms of any homogeneous degree."""
-    n = len(t)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ext_d(t[i][j])
-            for k in range(n):
-                acc = acc - wedge(alpha[k][i], t[k][j])
-                acc = acc - wedge(alpha[k][j], t[i][k])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    alpha_t = transpose(alpha)
+    first = mat_mul(alpha_t, t, wedge)  # (m, n): alpha^l_m t_{ln}
+    second = mat_mul(alpha_t, transpose(t), wedge)  # (n, m): alpha^l_n t_{ml}
+    return mat_sub(mat_sub(mat_ext_d(t), first), transpose(second))
 
 
 def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Component path: Q = (q - eps chi) + [D chi - (beta_{mn} + beta_{nm})] m
     with beta_{mn} = gamma_{ml} beta^l_n."""
-    n, eps = A.dim, A.epsilon
-    alpha, beta = A.alpha(), A.beta()
+    alpha = A.alpha()
     gamma, chi = g.gamma(), g.chi()
-    q = nonmetricity_ordinary(alpha, gamma)
-    dchi = cov_d_lowered(alpha, chi)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            body = q[i][j] - chi[i][j].scale(eps)
-            soul = dchi[i][j]
-            for k in range(n):
-                soul = soul - beta[k][j].scale(gamma[i][k])
-                soul = soul - beta[k][i].scale(gamma[j][k])
-            row.append(GenForm(n, eps, 1, body, soul))
-        rows.append(tuple(row))
-    return tuple(rows)
+    body = mat_sub(nonmetricity_ordinary(alpha, gamma), _scale_matrix(chi, A.epsilon))
+    beta_low = mat_mul(gamma, A.beta(), _left_scale)
+    soul = mat_sub(mat_sub(cov_d_lowered(alpha, chi), beta_low), transpose(beta_low))
+    return _gen_matrix(A.dim, A.epsilon, 1, body, soul)
 
 
 def torsion(alpha: FormMatrix) -> tuple[OrdinaryForm, ...]:
@@ -486,9 +433,9 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     if not mat_is_zero(nonmetricity_ordinary(alpha_lc, g.gamma())):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
-    beta = _contract_first_index(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)))
+    beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), _left_scale)
     if beta_tilde is not None:
-        beta = mat_add(beta, _contract_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), _left_scale))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -513,26 +460,17 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     if eps == 0:
         raise ConnectionError("this branch needs eps != 0")
     alpha = _as_tuple(alpha)
-    n = len(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):
         raise ConnectionError("alpha has torsion")
     q = nonmetricity_ordinary(alpha, _as_tuple(gamma))
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
-    fcal_low = _contract_first_index(_as_tuple(gamma), fcal)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sym = fcal[i][j]
-            for k in range(n):
-                sym = sym + fcal_low[j][k].scale(g.gamma_inv[i][k])
-            row.append(sym.scale(Fraction(-1, 2) / eps))
-        rows.append(tuple(row))
-    beta = tuple(rows)
+    fcal_low = mat_mul(_as_tuple(gamma), fcal, _left_scale)
+    sym = mat_add(fcal, mat_mul(g.gamma_inv, transpose(fcal_low), _left_scale))
+    beta = _scale_matrix(sym, Fraction(-1, 2) / eps)
     if beta_tilde is not None:
-        beta = mat_add(beta, _contract_first_index(g.gamma_inv, _as_tuple(beta_tilde)))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), _left_scale))
     A = GenConnection.from_parts(alpha, beta, eps)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -542,21 +480,10 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
 def case_i_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
-    n = A.dim
     fcal = ordinary_curvature(A.alpha())
-    chi_up = _contract_first_index(g.gamma_inv, g.chi())
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            soul = OrdinaryForm.zero(n, 3)
-            for k in range(n):
-                soul = soul + wedge(fcal[i][k], chi_up[k][j])
-                soul = soul - wedge(chi_up[i][k], fcal[k][j])
-            row.append(GenForm(n, A.epsilon, 2, fcal[i][j],
-                               soul.scale(Fraction(1, 2))))
-        rows.append(tuple(row))
-    return tuple(rows)
+    chi_up = mat_mul(g.gamma_inv, g.chi(), _left_scale)
+    soul = mat_sub(mat_mul(fcal, chi_up, wedge), mat_mul(chi_up, fcal, wedge))
+    return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
 def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
@@ -569,67 +496,39 @@ def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     The soul sign on the second term follows from expanding D beta with
     D gamma = q; the verification suite pins it against the mechanical F.
     """
-    n, eps = A.dim, A.epsilon
+    eps = A.epsilon
     gamma, gamma_inv = g.gamma(), g.gamma_inv
     alpha = A.alpha()
     fcal = ordinary_curvature(alpha)
-    fcal_low = _contract_first_index(gamma, fcal)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
+    fcal_low = mat_mul(gamma, fcal, _left_scale)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
+    fcal_up = mat_mul(fcal, gamma_inv, _right_scale)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     q = nonmetricity_ordinary(alpha, gamma)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            body = fcal[i][j]
-            for k in range(n):
-                body = body - fcal_low[j][k].scale(gamma_inv[i][k])
-            body = body.scale(Fraction(1, 2))
-            soul = OrdinaryForm.zero(n, 3)
-            for k in range(n):
-                fcal_up = OrdinaryForm.zero(n, 2)
-                for s in range(n):
-                    fcal_up = fcal_up + fcal[k][s].scale(gamma_inv[s][i])
-                soul = soul + wedge(q[j][k], fcal_up)
-                for r in range(n):
-                    for s in range(n):
-                        factor = gamma_inv[i][r] * gamma_inv[k][s]
-                        if not factor.is_zero():
-                            soul = soul - wedge(q[r][s].scale(factor), fcal_low[j][k])
-            soul = soul.scale(Fraction(-1, 2) / eps)
-            row.append(GenForm(n, eps, 2, body, soul))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-# -- small matrix utilities ----------------------------------------------------------
-
-
-def _scale_matrix(m, factor):
-    return tuple(tuple(x.scale(factor) for x in row) for row in m)
-
-
-def _contract_first_index(metric: PolyMatrix, forms: FormMatrix) -> FormMatrix:
-    """sum_k metric_ik forms_kj: raises the first index with gamma_inv and
-    lowers it with gamma."""
-    n = len(metric)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = OrdinaryForm.zero(n, forms[0][0].degree)
-            for k in range(n):
-                if not metric[i][k].is_zero():
-                    acc = acc + forms[k][j].scale(metric[i][k])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    body = mat_sub(fcal, mat_mul(gamma_inv, transpose(fcal_low), _left_scale))
+    # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
+    soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge)),
+                   mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge))
+    return _gen_matrix(A.dim, eps, 2, _scale_matrix(body, Fraction(1, 2)),
+                       _scale_matrix(soul, Fraction(-1, 2) / eps))
 
 
 # -- fixture loading -------------------------------------------------------------------
 
 
+def _square_rows(dim: int, data) -> list:
+    """The rows of a JSON dim x dim matrix; ValueError for any other shape."""
+    if not (isinstance(data, list) and len(data) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in data)):
+        raise ValueError(f"matrix must be {dim} x {dim}")
+    return data
+
+
 def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
-    return tuple(tuple(form_from_json(cell) for cell in row) for row in data)
+    forms = tuple(tuple(form_from_json(cell) for cell in row) for row in _square_rows(dim, data))
+    if any(f.dim != dim for row in forms for f in row):
+        raise ValueError(f"matrix entries must be forms on R^{dim}")
+    return forms
 
 
 def poly_matrix_from_json(dim: int, data) -> PolyMatrix:
-    return tuple(tuple(Polynomial.parse(dim, cell) for cell in row) for row in data)
+    return tuple(tuple(Polynomial.parse(dim, cell) for cell in row)
+                 for row in _square_rows(dim, data))

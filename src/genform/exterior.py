@@ -208,6 +208,11 @@ class VectorField:
         return f"VectorField({[str(c) for c in self.components]})"
 
 
+def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """(m^T)_ij = m_ji."""
+    return tuple(zip(*m))
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], product: Callable) -> tuple[tuple, ...]:
     """Matrix product (a b)_ij = sum_k product(a_ik, b_kj).
 
@@ -217,7 +222,7 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], product: Callable) -> 
     """
     if any(len(row) != len(b) for row in a):
         raise ValueError("matrix product: inner dimensions differ")
-    columns = tuple(zip(*b))
+    columns = transpose(b)
     return tuple(tuple(reduce(operator.add, map(product, row, col)) for col in columns)
                  for row in a)
 

@@ -19,6 +19,7 @@ example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,11 +30,13 @@ from .exterior import (
     VectorField,
     ext_d,
     form_from_json,
+    mat_mul,
     poincare_antiderivative,
+    transpose,
 )
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
-from .ring import Polynomial, Scalar
+from .ring import Polynomial, Scalar, parse_rational
 
 
 class SymplecticError(ValueError):
@@ -94,13 +97,12 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
     inv = tuple(tuple(row) for row in omega_inv)
     if len(inv) != n or any(len(row) != n for row in inv):
         raise SymplecticError("inverse matrix has wrong shape")
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            acc = Polynomial.zero(n)
-            for g in range(1, n + 1):
-                acc = acc + inv[a - 1][g - 1] * _full_antisymmetric_2(s.body, b, g)
-            expected = Polynomial.one(n) if a == b else Polynomial.zero(n)
-            if acc != expected:
+    omega = [[_full_antisymmetric_2(s.body, b, g) for g in range(1, n + 1)]
+             for b in range(1, n + 1)]
+    product = mat_mul(inv, transpose(omega), operator.mul)  # W^{ag} Omega_{bg}
+    for a, row in enumerate(product, start=1):
+        for b, entry in enumerate(row, start=1):
+            if entry != (1 if a == b else 0):
                 raise SymplecticError(f"inverse check failed at entry ({a},{b})")
     return GenSymplectic(s, inv)
 
@@ -151,18 +153,9 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
                 acc = acc + vm * _full_antisymmetric_3(s.s.soul, m, b, g)
         return acc * Fraction(1, 2)
 
-    rows = []
-    for a in range(1, n + 1):
-        row = []
-        for b in range(1, n + 1):
-            acc = Polynomial.zero(n)
-            for g in range(1, n + 1):
-                w = s.omega_inv[a - 1][g - 1]
-                if not w.is_zero():
-                    acc = acc + w * s_lower(b, g)
-            row.append(acc)
-        rows.append(row)
-    field = GenVectorField(n, eps, v, Tensor11(rows))
+    S = [[s_lower(b, g) for g in range(1, n + 1)] for b in range(1, n + 1)]
+    vt = mat_mul(s.omega_inv, transpose(S), operator.mul)  # W^{ag} S_{bg}
+    field = GenVectorField(n, eps, v, Tensor11(vt))
 
     residual = gv_interior(field, s.s) + gd(prob.hamiltonian)
     if not residual.is_zero():
@@ -326,13 +319,15 @@ def problem_from_json(data: dict) -> GenHamiltonianProblem:
     omega_inv (matrix of poly strings), h (poly string), k (list of poly
     strings)."""
     n = int(data["dim"])
-    eps = Fraction(data["epsilon"])
+    eps = parse_rational(data["epsilon"])
     omega = form_from_json(data["omega"])
     upsilon = form_from_json(data["upsilon"]) if "upsilon" in data else OrdinaryForm.zero(n, 3)
     s = GenForm(n, eps, 2, omega, upsilon)
     inv = [[Polynomial.parse(n, t) for t in row] for row in data["omega_inv"]]
     sympl = symplectic_validate(s, inv)
     h = Polynomial.parse(n, data["h"])
+    if not isinstance(data["k"], list) or len(data["k"]) != n:
+        raise ValueError(f"k must list {n} polynomials")
     soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t)
                                for b, t in enumerate(data["k"], start=1)})
     hamiltonian = GenForm(n, eps, 0, OrdinaryForm.from_scalar(h), soul)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .connection import GenConnection
-from .exterior import OrdinaryForm, Tensor11, VectorField, mat_mul
+from .exterior import OrdinaryForm, Tensor11, VectorField, mat_mul, transpose
 from .gform import GenForm
 from .gvector import GenVectorField
 from .ring import Polynomial
@@ -118,8 +118,8 @@ class FormRandom:
                                      tuple[tuple[Polynomial, ...], ...]]:
         """gamma = L^T L for unipotent L: symmetric with polynomial inverse."""
         l_mat, l_inv = self.unipotent()
-        gamma = mat_mul(tuple(zip(*l_mat)), l_mat, operator.mul)
-        gamma_inv = mat_mul(l_inv, tuple(zip(*l_inv)), operator.mul)
+        gamma = mat_mul(transpose(l_mat), l_mat, operator.mul)
+        gamma_inv = mat_mul(l_inv, transpose(l_inv), operator.mul)
         return gamma, gamma_inv
 
     def symmetric_one_forms(self) -> tuple[tuple[OrdinaryForm, ...], ...]:

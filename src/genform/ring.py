@@ -34,11 +34,17 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``int`` or ``int/posint`` into a Fraction."""
-    return Fraction(text.strip())
+    """Parse ``int`` or ``int/posint``, i.e. ``[+-]?digits(/digits)?`` with
+    surrounding whitespace allowed, into a Fraction.  Anything else, a zero
+    denominator included, raises ValueError."""
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None or m.group(2) is not None and int(m.group(2)) == 0:
+        raise ValueError(f"bad rational {text!r}: expected int or int/posint")
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
 def format_rational(value: Fraction) -> str:
@@ -99,6 +105,8 @@ class Polynomial:
 
         Example: ``3/2*x1^2*x2 + -1*x3``.
         """
+        if not isinstance(text, str):
+            raise ValueError(f"polynomial must be a string, got {text!r}")
         text = text.strip()
         if not text:
             raise ValueError("empty polynomial string")

@@ -151,3 +151,36 @@ def test_identities_rejects_nonpositive_trials(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--trials" in err
         assert not out.exists()
+
+
+def _one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    return code == 2 and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_connection_thm_rejects_wrong_shape_matrices(tmp_path, capsys):
+    good = read(FIXTURES / "connection_case_i.json")
+    ragged = dict(good, gamma=[good["gamma"][0][:1], good["gamma"][1]])
+    short_inv = dict(good, gamma_inv=good["gamma_inv"][:1])
+    for name, data in (("ragged", ragged), ("short_inv", short_inv)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code = run(["connection-thm", "--fixture", path, "--case", "i",
+                    "--out", tmp_path / f"{name}.out"])
+        assert _one_line_usage_error(code, capsys), name
+
+
+def test_hamiltonian_rejects_malformed_rationals_and_short_k(tmp_path, capsys):
+    good = read(FIXTURES / "hamiltonian_n2.json")
+    mutations = {
+        "h_number": {"h": 3},
+        "epsilon_null": {"epsilon": None},
+        "zero_denominator": {"h": "1/0*x1"},
+        "decimal": {"h": "1.5*x1*x1"},
+        "short_k": {"k": good["k"][:1]},
+    }
+    for name, change in mutations.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(good, **change)))
+        code = run(["hamiltonian", "--fixture", path, "--out", tmp_path / f"{name}.out"])
+        assert _one_line_usage_error(code, capsys), name

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from genform.exterior import (
     form_to_json,
     interior,
     lie,
+    mat_mul,
     merge_indices,
     poincare_antiderivative,
     pullback,
+    transpose,
     vf_bracket,
     wedge,
 )
@@ -228,3 +231,35 @@ def test_invalid_components_rejected():
         OrdinaryForm(n, 1, {(3,): Polynomial.one(n)})
     with pytest.raises(ValueError):
         OrdinaryForm(n, 2, {(1,): Polynomial.one(n)})
+
+
+def test_mat_mul_matches_explicit_sum():
+    n = 2
+    x1, x2, one = Polynomial.var(n, 1), Polynomial.var(n, 2), Polynomial.one(n)
+    a = ((x1, x2 * 2, one), (x2, x1 * x2, Polynomial.const(n, -3)))  # 2 x 3
+    b = ((x2, x1), (one, x1 * x1), (x1 + x2, Polynomial.zero(n)))  # 3 x 2
+    want = tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+                       for j in range(2)) for i in range(2))
+    assert mat_mul(a, b, operator.mul) == want
+
+
+def test_mat_mul_keeps_entry_product_order():
+    # wedge anticommutes on one-forms, so product(b_kj, a_ik) flips every sign
+    a = ((dx(3, 1), dx(3, 2)),)
+    b = ((dx(3, 3), dx(3, 2)), (dx(3, 1), dx(3, 3)))
+    want = ((dx(3, 1, 3) - dx(3, 1, 2), dx(3, 1, 2) + dx(3, 2, 3)),)
+    got = mat_mul(a, b, wedge)
+    assert got == want
+    assert got != mat_mul(a, b, lambda x, y: wedge(y, x))
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    m = ((Polynomial.one(2), Polynomial.zero(2), Polynomial.one(2)),)  # 1 x 3
+    with pytest.raises(ValueError):
+        mat_mul(m, m, operator.mul)
+
+
+def test_transpose():
+    m = ((1, 2, 3), (4, 5, 6))
+    assert transpose(m) == ((1, 4), (2, 5), (3, 6))
+    assert transpose(transpose(m)) == m

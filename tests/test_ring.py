@@ -177,3 +177,21 @@ def test_scalar_minus_polynomial():
     assert Fraction(2, 3) - Polynomial.zero(2) == Polynomial.const(2, Fraction(2, 3))
     with pytest.raises(TypeError):
         "1" - x1
+
+
+def test_parse_rational_grammar_is_strict():
+    assert parse_rational(" +3/6 ") == Fraction(1, 2)
+    assert parse_rational("0/7") == 0
+    for bad in ("1.5", "1e3", "1/0", "-2/0", "1/-2", "", " ", "1_000", "x1",
+                None, 3, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_polynomial_parse_rejects_non_strings_and_bad_coefficients():
+    for bad in (3, None, ["1*x1"]):
+        with pytest.raises(ValueError):
+            Polynomial.parse(2, bad)
+    for bad in ("1/0*x1", "1.5*x1*x1"):
+        with pytest.raises(ValueError):
+            Polynomial.parse(2, bad)
