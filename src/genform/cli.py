@@ -207,6 +207,7 @@ def cmd_connection_thm(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    epsilon = parse_rational(args.epsilon)
     try:
         with open(args.fixture) as fh:
             cover = cover_from_json(json.load(fh))
@@ -228,7 +229,7 @@ def cmd_cover(args) -> int:
         _emit(report, args.out)
         return EXIT_FAIL
     try:
-        canon = canonicalize(cover, parse_rational(args.epsilon))
+        canon = canonicalize(cover, epsilon)
     except CoverError as exc:
         report["pass"] = False
         report["error"] = str(exc)

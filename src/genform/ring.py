@@ -1,13 +1,24 @@
 """Exact coefficient arithmetic: sparse multivariate polynomials over the
 rationals, and their extension by formal exponentials.
 
-A polynomial in n variables x1..xn is stored as a dictionary mapping exponent
-tuples to rational coefficients (``fractions.Fraction``):
+A polynomial in n variables x1..xn is stored as one positive common
+denominator and a dictionary from packed monomial keys to integer numerators:
 
-    3/2*x1^2*x2 + -1*x3   ->   {(2, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1)}
+    3/2*x1^2*x2 + -1*x3   ->   den 2, {2 + (1 << 16): 3, 1 << 32: -2}
 
-Zero coefficients are never stored, so equality of canonical forms is plain
-structural equality and every algebraic identity can be checked exactly.
+The exponent of x_i sits in bits 16*(i-1) .. 16*i - 1 of the key, so a
+product of monomials is the integer sum of their keys.  The top bit of each
+field is a guard: exponents run from 0 to ``MAX_EXPONENT`` (2**15 - 1), a
+negative or larger exponent is rejected with ValueError when a polynomial is
+built, and a product whose exponent would pass the limit raises ValueError
+instead of carrying into the next variable's field.
+
+The form is canonical: ``den > 0``, zero numerators are never stored, and
+``den`` is coprime with the numerators taken together.  Equality of
+canonical forms is therefore plain structural equality, and every algebraic
+identity can be checked exactly.  ``Polynomial.terms`` decodes the numerators
+into a read-only ``{exponent tuple: Fraction}`` view for the readers that
+want coefficients one by one.
 
 Dropping zeros is the constructors' job alone.  Every sparse container here
 and downstream (``Polynomial``, ``ExpPoly``, ``OrdinaryForm``,
@@ -25,10 +36,13 @@ r*e^s is representable exactly as the single term (coeff r, exponent s).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -57,24 +71,109 @@ def _add_term(out: dict, key, value) -> None:
     out[key] = value if acc is None else acc + value
 
 
+_FIELD_BITS = 16
+_FIELD = (1 << _FIELD_BITS) - 1
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+
+
+@functools.cache
+def _guard_bits(dim: int) -> int:
+    """The top bit of each of dim exponent fields."""
+    return sum((MAX_EXPONENT + 1) << (_FIELD_BITS * i) for i in range(dim))
+
+
+def _pack(exps: Exponent) -> int:
+    key = 0
+    for i, e in enumerate(exps):
+        e = int(e)
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} in {tuple(exps)} outside 0..{MAX_EXPONENT}")
+        key |= e << (_FIELD_BITS * i)
+    return key
+
+
+def _unpack(key: int, dim: int) -> Exponent:
+    return tuple((key >> (_FIELD_BITS * i)) & _FIELD for i in range(dim))
+
+
+class _Terms(Mapping):
+    """Read-only ``{exponent tuple: Fraction}`` view of a Polynomial's
+    numerators, decoded on first access; its length needs no decoding."""
+
+    __slots__ = ("_dim", "_den", "_nums", "_decoded")
+
+    def __init__(self, dim: int, den: int, nums: dict[int, int]):
+        self._dim, self._den, self._nums = dim, den, nums
+        self._decoded: dict[Exponent, Fraction] | None = None
+
+    def _dict(self) -> dict[Exponent, Fraction]:
+        if self._decoded is None:
+            self._decoded = {_unpack(key, self._dim): Fraction(num, self._den)
+                             for key, num in self._nums.items()}
+        return self._decoded
+
+    def __getitem__(self, exps):
+        return self._dict()[exps]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return len(self._nums)
+
+    def items(self):
+        return self._dict().items()
+
+
 class Polynomial:
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial with rational coefficients, stored as
+    integer numerators on packed exponent keys over one denominator."""
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ("dim", "den", "_nums", "_terms", "_hash")
 
-    def __init__(self, dim: int, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        clean: dict[Exponent, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for exps, coeff in terms.items():
             if len(exps) != dim:
                 raise ValueError(f"exponent vector {exps} has length != dim={dim}")
             coeff = Fraction(coeff)
             if coeff != 0:
-                clean[tuple(int(e) for e in exps)] = coeff
+                coeffs[_pack(exps)] = coeff
+        # the lcm of reduced denominators is already coprime with the numerators
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._set(dim, den, {key: c.numerator * (den // c.denominator)
+                             for key, c in coeffs.items()})
+
+    def _set(self, dim: int, den: int, nums: dict[int, int]) -> None:
         self.dim = dim
-        self.terms = clean
+        self.den = den
+        self._nums = nums
+        self._terms: _Terms | None = None
         self._hash: int | None = None
+
+    @classmethod
+    def _canonical(cls, dim: int, den: int, nums: dict[int, int]) -> "Polynomial":
+        """Build from numerators over den > 0: drop zeros, divide out the
+        content shared with den."""
+        if 0 in nums.values():  # a scan is cheaper than rebuilding every result
+            nums = {key: num for key, num in nums.items() if num}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: num // g for key, num in nums.items()}
+        poly = cls.__new__(cls)
+        poly._set(dim, den, nums)
+        return poly
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as a read-only ``{exponent tuple: Fraction}``
+        mapping, in the order the terms were produced."""
+        if self._terms is None:
+            self._terms = _Terms(self.dim, self.den, self._nums)
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -103,7 +202,8 @@ class Polynomial:
     def parse(cls, dim: int, text: str) -> "Polynomial":
         """Parse the grammar ``rational ('*' var ('^' nat)?)* ('+' term)*``.
 
-        Example: ``3/2*x1^2*x2 + -1*x3``.
+        Example: ``3/2*x1^2*x2 + -1*x3``.  An exponent above MAX_EXPONENT,
+        written or reached by repeated factors, raises ValueError.
         """
         if not isinstance(text, str):
             raise ValueError(f"polynomial must be a string, got {text!r}")
@@ -132,10 +232,10 @@ class Polynomial:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(key == 0 for key in self._nums)
 
     # -- ring operations ---------------------------------------------------
 
@@ -146,10 +246,14 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
-            out = dict(self.terms)
-            for exps, coeff in other.terms.items():
-                _add_term(out, exps, coeff)
-            return Polynomial(self.dim, out)
+            # bring both numerators over lcm(den, other.den)
+            g = math.gcd(self.den, other.den)
+            scale, other_scale = other.den // g, self.den // g
+            out = (dict(self._nums) if scale == 1
+                   else {key: num * scale for key, num in self._nums.items()})
+            for key, num in other._nums.items():
+                _add_term(out, key, num * other_scale)
+            return Polynomial._canonical(self.dim, self.den * scale, out)
         if isinstance(other, (int, Fraction)):
             return self + Polynomial.const(self.dim, other)
         return NotImplemented
@@ -168,21 +272,30 @@ class Polynomial:
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(self.dim, self.den,
+                                     {key: -num for key, num in self._nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
-            out: dict[Exponent, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            return Polynomial(self.dim, out)
+            out: dict[int, int] = {}
+            get = out.get
+            right = other._nums.items()
+            # The accumulate step of _add_term, inlined: one call per term
+            # product is what this loop would otherwise spend its time on.
+            for k1, n1 in self._nums.items():
+                for k2, n2 in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + n1 * n2
+            if functools.reduce(operator.or_, out, 0) & _guard_bits(self.dim):
+                raise ValueError(f"exponent overflow: a product needs an exponent "
+                                 f"above {MAX_EXPONENT}")
+            return Polynomial._canonical(self.dim, self.den * other.den, out)
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            if s == 0:
-                return Polynomial.zero(self.dim)
-            return Polynomial(self.dim, {e: c * s for e, c in self.terms.items()})
+            return Polynomial._canonical(self.dim, self.den * s.denominator,
+                                         {key: num * s.numerator
+                                          for key, num in self._nums.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -200,11 +313,12 @@ class Polynomial:
         """Formal partial derivative with respect to x_axis (1-based)."""
         if not 1 <= axis <= self.dim:
             raise ValueError(f"axis {axis} out of range 1..{self.dim}")
-        pos = axis - 1
+        shift = _FIELD_BITS * (axis - 1)
+        unit = 1 << shift
         # lowering one exponent maps the surviving monomials one to one
-        return Polynomial(self.dim, {
-            exps[:pos] + (exps[pos] - 1,) + exps[pos + 1:]: coeff * exps[pos]
-            for exps, coeff in self.terms.items() if exps[pos]})
+        return Polynomial._canonical(self.dim, self.den, {
+            key - unit: num * e for key, num in self._nums.items()
+            if (e := (key >> shift) & _FIELD)})
 
     def eval_float(self, point: Sequence[float]) -> float:
         if len(point) != self.dim:
@@ -249,14 +363,15 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.dim == other.dim and self.terms == other.terms
+            return (self.dim == other.dim and self.den == other.den
+                    and self._nums == other._nums)
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.const(self.dim, other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.terms.items())))
+            self._hash = hash((self.dim, self.den, frozenset(self._nums.items())))
         return self._hash
 
     def __str__(self):

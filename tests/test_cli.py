@@ -2,6 +2,7 @@ import json
 import pathlib
 
 from genform.cli import main
+from genform.ring import MAX_EXPONENT
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -182,5 +183,25 @@ def test_hamiltonian_rejects_malformed_rationals_and_short_k(tmp_path, capsys):
     for name, change in mutations.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(dict(good, **change)))
+        code = run(["hamiltonian", "--fixture", path, "--out", tmp_path / f"{name}.out"])
+        assert _one_line_usage_error(code, capsys), name
+
+
+def test_cover_rejects_bad_epsilon_before_gluing(tmp_path, capsys):
+    # broken_triple fails to glue; a bad --epsilon must still read as bad input
+    for fixture in ("two_chart.json", "broken_triple.json"):
+        out = tmp_path / f"{fixture}.out"
+        code = run(["cover", "--fixture", FIXTURES / fixture, "--epsilon", "0.5",
+                    "--out", out])
+        assert _one_line_usage_error(code, capsys), fixture
+        assert not out.exists()
+
+
+def test_exponent_beyond_the_limit_is_a_usage_error(tmp_path, capsys):
+    good = read(FIXTURES / "hamiltonian_n2.json")
+    for name, h in (("written", f"1*x1^{MAX_EXPONENT + 1}"),
+                    ("repeated", f"1*x1^{MAX_EXPONENT}*x1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(good, h=h)))
         code = run(["hamiltonian", "--fixture", path, "--out", tmp_path / f"{name}.out"])
         assert _one_line_usage_error(code, capsys), name

@@ -1,9 +1,10 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
-from genform.ring import ExpPoly, Polynomial, format_rational, parse_rational
+from genform.ring import MAX_EXPONENT, ExpPoly, Polynomial, format_rational, parse_rational
 
 
 def test_difference_of_squares():
@@ -195,3 +196,40 @@ def test_polynomial_parse_rejects_non_strings_and_bad_coefficients():
     for bad in ("1/0*x1", "1.5*x1*x1"):
         with pytest.raises(ValueError):
             Polynomial.parse(2, bad)
+
+
+def test_terms_is_a_read_only_mapping_view():
+    p = Polynomial.parse(3, "3/2*x1^2*x2 + -1*x3")
+    assert isinstance(p.terms, Mapping)
+    assert len(p.terms) == 2
+    assert len(Polynomial.zero(3).terms) == 0
+    x1 = Polynomial.var(3, 1)
+    assert len(((x1 + 1) * (x1 - 1)).terms) == 2
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 2)] = Fraction(1)
+    assert p.terms == {(2, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1)}
+    assert p == Polynomial.parse(3, "3/2*x1^2*x2 + -1*x3")
+
+
+def test_negative_exponents_are_rejected():
+    for exps in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            Polynomial(2, {exps: 1})
+
+
+def test_exponent_limit():
+    top = Polynomial(2, {(MAX_EXPONENT, 0): 1})
+    assert top == Polynomial.parse(2, f"1*x1^{MAX_EXPONENT}")
+    assert Polynomial.parse(2, f"1*x1^{MAX_EXPONENT - 1}") * Polynomial.var(2, 1) == top
+    # an overflow raises; it never carries into x2's field
+    with pytest.raises(ValueError):
+        top * Polynomial.var(2, 1)
+    with pytest.raises(ValueError):
+        (top + Polynomial.var(2, 2)) * (Polynomial.var(2, 1) + 1)
+    with pytest.raises(ValueError):
+        Polynomial.parse(2, f"1*x1^{MAX_EXPONENT // 2 + 1}") ** 2
+    for text in (f"1*x1^{MAX_EXPONENT + 1}", f"1*x2^{MAX_EXPONENT}*x2"):
+        with pytest.raises(ValueError):
+            Polynomial.parse(2, text)
+    with pytest.raises(ValueError):
+        Polynomial(2, {(0, MAX_EXPONENT + 1): 1})
