@@ -85,9 +85,9 @@ def _guard_bits(dim: int) -> int:
 def _pack(exps: Exponent) -> int:
     key = 0
     for i, e in enumerate(exps):
-        e = int(e)
-        if not 0 <= e <= MAX_EXPONENT:
-            raise ValueError(f"exponent {e} in {tuple(exps)} outside 0..{MAX_EXPONENT}")
+        if not (isinstance(e, int) and 0 <= e <= MAX_EXPONENT):
+            raise ValueError(f"exponent {e!r} in {tuple(exps)} is not an int in "
+                             f"0..{MAX_EXPONENT}")
         key |= e << (_FIELD_BITS * i)
     return key
 
@@ -122,6 +122,7 @@ class _Terms(Mapping):
         return len(self._nums)
 
     def items(self):
+        # the decoded dict's own view: Mapping's default looks each key up again
         return self._dict().items()
 
 

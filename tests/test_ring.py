@@ -211,8 +211,8 @@ def test_terms_is_a_read_only_mapping_view():
     assert p == Polynomial.parse(3, "3/2*x1^2*x2 + -1*x3")
 
 
-def test_negative_exponents_are_rejected():
-    for exps in ((-1, 0), (0, -2)):
+def test_bad_exponents_are_rejected():
+    for exps in ((-1, 0), (0, -2), (1.5, 0), (0, "1")):
         with pytest.raises(ValueError):
             Polynomial(2, {exps: 1})
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
