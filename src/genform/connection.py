@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import (OrdinaryForm, Tensor11, VectorField, ext_d, form_from_json, mat_mul,
-                       transpose, wedge)
+from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, ext_d, form_from_json,
+                       mat_mul, transpose, wedge)
 from .gform import GenForm, gd, gwedge
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar
@@ -514,16 +514,8 @@ def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
 # -- fixture loading -------------------------------------------------------------------
 
 
-def _square_rows(dim: int, data) -> list:
-    """The rows of a JSON dim x dim matrix; ValueError for any other shape."""
-    if not (isinstance(data, list) and len(data) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in data)):
-        raise ValueError(f"matrix must be {dim} x {dim}")
-    return data
-
-
 def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
-    forms = tuple(tuple(form_from_json(cell) for cell in row) for row in _square_rows(dim, data))
+    forms = tuple(tuple(form_from_json(cell) for cell in row) for row in _json_rows(dim, data))
     if any(f.dim != dim for row in forms for f in row):
         raise ValueError(f"matrix entries must be forms on R^{dim}")
     return forms
@@ -531,4 +523,4 @@ def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
 
 def poly_matrix_from_json(dim: int, data) -> PolyMatrix:
     return tuple(tuple(Polynomial.parse(dim, cell) for cell in row)
-                 for row in _square_rows(dim, data))
+                 for row in _json_rows(dim, data))

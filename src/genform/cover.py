@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exterior import OrdinaryForm, ext_d, wedge
+from .exterior import OrdinaryForm, _json_dim, _json_field, ext_d, wedge
 from .gform import GenForm
 from .ring import ExpPoly, Polynomial, Scalar, format_rational, parse_rational
 
@@ -298,18 +298,32 @@ def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:
 # -- fixture loading ----------------------------------------------------------------
 
 
+def _string_triples(data, key: str) -> list[tuple[str, str, str]]:
+    """The optional array ``data[key]`` of three-string arrays."""
+    rows = _json_field(data, key, list, [])
+    if not all(isinstance(row, list) and len(row) == 3
+               and all(isinstance(x, str) for x in row) for row in rows):
+        raise ValueError(f"{key!r} must be an array of three-string arrays")
+    return [tuple(row) for row in rows]
+
+
 def cover_from_json(data: dict) -> CoverData:
     """Schema: {"dim": n, "charts": [{"id", "xi", "tau": {"r", "s"}}],
-    "overlaps": [[I, J, rational]], "triples": [[I, J, K]]}."""
-    dim = int(data["dim"])
-    charts = tuple(
-        ChartData(str(c["id"]), Polynomial.parse(dim, c["xi"]),
-                  ExpConstant(parse_rational(c["tau"]["r"]), parse_rational(c["tau"]["s"])))
-        for c in data["charts"])
+    "overlaps": [[I, J, rational]], "triples": [[I, J, K]]}, every leaf a
+    string; overlaps and triples may be left out."""
+    dim = _json_dim(data)
+    charts = []
+    for c in _json_field(data, "charts", list):
+        tau = _json_field(c, "tau", dict)
+        charts.append(ChartData(
+            _json_field(c, "id", str), Polynomial.parse(dim, _json_field(c, "xi", str)),
+            ExpConstant(parse_rational(_json_field(tau, "r", str)),
+                        parse_rational(_json_field(tau, "s", str)))))
+    if not charts:
+        raise CoverError("a cover needs at least one chart")
     ids = [c.id for c in charts]
     if len(set(ids)) != len(ids):
         raise CoverError("chart ids must be distinct")
-    overlaps = tuple((str(i), str(j), parse_rational(t))
-                     for i, j, t in data.get("overlaps", []))
-    triples = tuple((str(i), str(j), str(k)) for i, j, k in data.get("triples", []))
-    return CoverData(dim, charts, overlaps, triples)
+    overlaps = tuple((i, j, parse_rational(t)) for i, j, t in _string_triples(data, "overlaps"))
+    triples = tuple(_string_triples(data, "triples"))
+    return CoverData(dim, tuple(charts), overlaps, triples)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
 
 from .ring import Coefficient, Polynomial, Scalar, _add_term
@@ -24,9 +24,11 @@ from .ring import Coefficient, Polynomial, Scalar, _add_term
 IndexTuple = tuple[int, ...]
 
 
+@cache
 def merge_indices(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] | None:
     """Merge two increasing index tuples; return (sign, merged) or None if a
-    repeated index kills the product."""
+    repeated index kills the product.  Memoized: at dim n there are at most
+    4^n distinct pairs."""
     merged: list[int] = []
     sign = 1
     i = j = 0
@@ -69,6 +71,20 @@ class OrdinaryForm:
                 if not coeff.is_zero():
                     clean[idxs] = coeff
         self.components = clean
+
+    @classmethod
+    def _canonical(cls, dim: int, degree: int,
+                   components: dict[IndexTuple, Coefficient]) -> "OrdinaryForm":
+        """Build an operation's result, whose index tuples are increasing and
+        in range by construction: only drop zero coefficients and keep the
+        zero form outside 0 <= degree <= dim.  Outside input goes through the
+        validating constructor."""
+        form = cls.__new__(cls)
+        form.dim = dim
+        form.degree = degree
+        form.components = ({idxs: c for idxs, c in components.items() if not c.is_zero()}
+                           if 0 <= degree <= dim else {})
+        return form
 
     # -- constructors ------------------------------------------------------
 
@@ -113,21 +129,21 @@ class OrdinaryForm:
         out = dict(self.components)
         for idxs, coeff in other.components.items():
             _add_term(out, idxs, coeff)
-        return OrdinaryForm(self.dim, self.degree, out)
+        return OrdinaryForm._canonical(self.dim, self.degree, out)
 
     def __sub__(self, other: "OrdinaryForm") -> "OrdinaryForm":
         return self + (-other)
 
     def __neg__(self) -> "OrdinaryForm":
-        return OrdinaryForm(self.dim, self.degree, {i: -c for i, c in self.components.items()})
+        return OrdinaryForm._canonical(self.dim, self.degree,
+                                       {i: -c for i, c in self.components.items()})
 
     def scale(self, factor: Coefficient | Scalar) -> "OrdinaryForm":
-        out = {}
-        for idxs, coeff in self.components.items():
-            scaled = factor * coeff if not isinstance(factor, (int, Fraction)) else coeff * factor
-            if not scaled.is_zero():
-                out[idxs] = scaled
-        return OrdinaryForm(self.dim, self.degree, out)
+        if isinstance(factor, (int, Fraction)):
+            out = {idxs: coeff * factor for idxs, coeff in self.components.items()}
+        else:
+            out = {idxs: factor * coeff for idxs, coeff in self.components.items()}
+        return OrdinaryForm._canonical(self.dim, self.degree, out)
 
     def __eq__(self, other):
         if not isinstance(other, OrdinaryForm):
@@ -313,7 +329,7 @@ def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
             sign, idxs = merged
             coeff = ca * cb
             _add_term(out, idxs, coeff if sign > 0 else -coeff)
-    return OrdinaryForm(a.dim, degree, out)
+    return OrdinaryForm._canonical(a.dim, degree, out)
 
 
 def ext_d(a: OrdinaryForm) -> OrdinaryForm:
@@ -329,7 +345,7 @@ def ext_d(a: OrdinaryForm) -> OrdinaryForm:
                 continue
             sign, key = merged
             _add_term(out, key, dc if sign > 0 else -dc)
-    return OrdinaryForm(a.dim, a.degree + 1, out)
+    return OrdinaryForm._canonical(a.dim, a.degree + 1, out)
 
 
 def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
@@ -344,7 +360,7 @@ def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
                 continue
             term = comp * coeff
             _add_term(out, idxs[:pos] + idxs[pos + 1:], -term if pos % 2 else term)
-    return OrdinaryForm(a.dim, a.degree - 1, out)
+    return OrdinaryForm._canonical(a.dim, a.degree - 1, out)
 
 
 def lie(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
@@ -443,11 +459,52 @@ def form_to_json(a: OrdinaryForm) -> dict:
     return {"dim": a.dim, "degree": a.degree, "components": comps}
 
 
+_REQUIRED = object()
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def _json_field(data, key: str, kind: type, default=_REQUIRED):
+    """``data[key]`` of a JSON object, checked to be a ``kind`` (a JSON
+    integer is an ``int`` but not a boolean).  ValueError when data is not an
+    object, a key without default is missing or the value has another type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _json_dim(data) -> int:
+    """The positive integer ``data["dim"]``."""
+    dim = _json_field(data, "dim", int)
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return dim
+
+
+def _json_rows(dim: int, data) -> list:
+    """The rows of a JSON dim x dim matrix; ValueError for any other shape."""
+    if not (isinstance(data, list) and len(data) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in data)):
+        raise ValueError(f"matrix must be {dim} x {dim}")
+    return data
+
+
 def form_from_json(data: dict) -> OrdinaryForm:
-    dim = int(data["dim"])
-    degree = int(data["degree"])
+    dim = _json_dim(data)
+    degree = _json_field(data, "degree", int)
     comps = {}
-    for key, text in data.get("components", {}).items():
-        idxs = tuple(json.loads(key))
-        comps[idxs] = Polynomial.parse(dim, text)
+    for key, text in _json_field(data, "components", dict).items():
+        idxs = json.loads(key)
+        if not (isinstance(idxs, list)
+                and all(isinstance(i, int) and not isinstance(i, bool) for i in idxs)):
+            raise ValueError(f"component key {key!r} is not an array of integers")
+        comps[tuple(idxs)] = Polynomial.parse(dim, text)
+    if comps and not 0 <= degree <= dim:
+        raise ValueError(f"a {degree}-form on R^{dim} has no components")
     return OrdinaryForm(dim, degree, comps)

@@ -16,6 +16,8 @@ from typing import Sequence
 from .exterior import (
     OrdinaryForm,
     VectorField,
+    _json_dim,
+    _json_field,
     ext_d,
     form_from_json,
     form_to_json,
@@ -198,9 +200,9 @@ def genform_to_json(a: GenForm) -> dict:
 
 def genform_from_json(data: dict) -> GenForm:
     return GenForm(
-        int(data["dim"]),
-        parse_rational(data["epsilon"]),
-        int(data["degree"]),
-        form_from_json(data["body"]),
-        form_from_json(data["soul"]),
+        _json_dim(data),
+        parse_rational(_json_field(data, "epsilon", str)),
+        _json_field(data, "degree", int),
+        form_from_json(_json_field(data, "body", dict)),
+        form_from_json(_json_field(data, "soul", dict)),
     )

@@ -28,6 +28,9 @@ from .exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
+    _json_dim,
+    _json_field,
+    _json_rows,
     coordinate_partial,
     ext_d,
     interior,
@@ -349,7 +352,8 @@ def gvf_to_json(V: GenVectorField) -> dict:
 
 
 def gvf_from_json(data: dict) -> GenVectorField:
-    dim = int(data["dim"])
-    v = VectorField([Polynomial.parse(dim, t) for t in data["v"]])
-    vt = Tensor11([[Polynomial.parse(dim, t) for t in row] for row in data["vt"]])
-    return GenVectorField(dim, parse_rational(data["epsilon"]), v, vt)
+    dim = _json_dim(data)
+    v = VectorField([Polynomial.parse(dim, t) for t in _json_field(data, "v", list)])
+    vt = Tensor11([[Polynomial.parse(dim, t) for t in row]
+                   for row in _json_rows(dim, _json_field(data, "vt", list))])
+    return GenVectorField(dim, parse_rational(_json_field(data, "epsilon", str)), v, vt)

@@ -28,6 +28,9 @@ from .exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
+    _json_dim,
+    _json_field,
+    _json_rows,
     ext_d,
     form_from_json,
     mat_mul,
@@ -275,18 +278,20 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
 
 def oscillator_closed_form(epsilon: Scalar, v0: Scalar,
                            q0: float, p0: float) -> Callable[[float], float]:
-    """Solution of q'' - 2 a q' + q = 0, a = eps*v0, |a| < 1, with q(0) = q0,
-    q'(0) = p0."""
+    """Solution of q'' - 2 a q' + q = 0, a = eps*v0, with q(0) = q0,
+    q'(0) = p0: underdamped for |a| < 1, critical for |a| = 1 (decided
+    exactly) and overdamped for |a| > 1."""
+    a_exact = abs(Fraction(epsilon) * Fraction(v0))
     a = float(Fraction(epsilon)) * float(Fraction(v0))
-    if abs(a) >= 1:
-        raise ValueError("closed form implemented for |eps*v0| < 1 only")
+    if a_exact == 1:
+        return lambda t: math.exp(a * t) * (q0 + (p0 - a * q0) * t)
+    if a_exact > 1:
+        omega = math.sqrt(a * a - 1.0)
+        return lambda t: math.exp(a * t) * (q0 * math.cosh(omega * t)
+                                            + (p0 - a * q0) / omega * math.sinh(omega * t))
     omega = math.sqrt(1.0 - a * a)
-
-    def q(t: float) -> float:
-        return math.exp(a * t) * (q0 * math.cos(omega * t)
-                                  + (p0 - a * q0) / omega * math.sin(omega * t))
-
-    return q
+    return lambda t: math.exp(a * t) * (q0 * math.cos(omega * t)
+                                        + (p0 - a * q0) / omega * math.sin(omega * t))
 
 
 def max_abs_error(traj: Trajectory, reference: Callable[[float], float],
@@ -318,17 +323,18 @@ def problem_from_json(data: dict) -> GenHamiltonianProblem:
     """Schema: dim, epsilon, omega (form JSON), upsilon (form JSON),
     omega_inv (matrix of poly strings), h (poly string), k (list of poly
     strings)."""
-    n = int(data["dim"])
-    eps = parse_rational(data["epsilon"])
-    omega = form_from_json(data["omega"])
+    n = _json_dim(data)
+    eps = parse_rational(_json_field(data, "epsilon", str))
+    omega = form_from_json(_json_field(data, "omega", dict))
     upsilon = form_from_json(data["upsilon"]) if "upsilon" in data else OrdinaryForm.zero(n, 3)
     s = GenForm(n, eps, 2, omega, upsilon)
-    inv = [[Polynomial.parse(n, t) for t in row] for row in data["omega_inv"]]
+    inv = [[Polynomial.parse(n, t) for t in row]
+           for row in _json_rows(n, _json_field(data, "omega_inv", list))]
     sympl = symplectic_validate(s, inv)
-    h = Polynomial.parse(n, data["h"])
-    if not isinstance(data["k"], list) or len(data["k"]) != n:
+    h = Polynomial.parse(n, _json_field(data, "h", str))
+    k = _json_field(data, "k", list)
+    if len(k) != n:
         raise ValueError(f"k must list {n} polynomials")
-    soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t)
-                               for b, t in enumerate(data["k"], start=1)})
+    soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t) for b, t in enumerate(k, start=1)})
     hamiltonian = GenForm(n, eps, 0, OrdinaryForm.from_scalar(h), soul)
     return GenHamiltonianProblem(sympl, hamiltonian)

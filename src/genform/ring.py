@@ -24,7 +24,10 @@ Dropping zeros is the constructors' job alone.  Every sparse container here
 and downstream (``Polynomial``, ``ExpPoly``, ``OrdinaryForm``,
 ``SuperFunction``) discards zero entries when it is built, so the operations
 accumulate into a plain dict with ``_add_term`` and let cancelled entries sit
-there until the result is constructed.
+there until the result is constructed.  Results of the ring operations go
+through ``Polynomial._canonical`` and results of the exterior operations
+through ``OrdinaryForm._canonical``: both drop zeros but skip the checks of
+the public constructors, which outside input still passes.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
@@ -130,7 +133,7 @@ class Polynomial:
     """Immutable sparse polynomial with rational coefficients, stored as
     integer numerators on packed exponent keys over one denominator."""
 
-    __slots__ = ("dim", "den", "_nums", "_terms", "_hash")
+    __slots__ = ("dim", "den", "_nums", "_terms", "_float_plan", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         if dim < 1:
@@ -152,6 +155,7 @@ class Polynomial:
         self.den = den
         self._nums = nums
         self._terms: _Terms | None = None
+        self._float_plan: tuple | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -322,14 +326,22 @@ class Polynomial:
             if (e := (key >> shift) & _FIELD)})
 
     def eval_float(self, point: Sequence[float]) -> float:
+        """Evaluate in floating point from a plan built on first use: per
+        term, the coefficient times the powers in variable order, summed in
+        term order (the order the golden oscillator CSVs pin)."""
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dim {self.dim}")
+        if self._float_plan is None:
+            # int / int is correctly rounded, so num / den == float(Fraction(num, den))
+            self._float_plan = tuple(
+                (num / self.den,
+                 tuple((i, e) for i in range(self.dim)
+                       if (e := (key >> (_FIELD_BITS * i)) & _FIELD)))
+                for key, num in self._nums.items())
         total = 0.0
-        for exps, coeff in self.terms.items():
-            value = float(coeff)
-            for x, e in zip(point, exps):
-                if e:
-                    value *= float(x) ** e
+        for value, powers in self._float_plan:
+            for i, e in powers:
+                value *= float(point[i]) ** e
             total += value
         return total
 

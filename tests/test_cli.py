@@ -1,7 +1,7 @@
 import json
 import pathlib
 
-from genform.cli import main
+from genform.cli import build_parser, main
 from genform.ring import MAX_EXPONENT
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -152,6 +152,21 @@ def test_identities_rejects_nonpositive_trials(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--trials" in err
         assert not out.exists()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = tmp_path / "report.json"
+    good = ["cover", "--fixture", FIXTURES / "two_chart.json", "--epsilon", "2", "--out", out]
+    assert run(good) == 0
+    first = out.read_text()
+    out.unlink()
+    assert run(["cover", "--fixture", FIXTURES / "case_i_cover.json", "--epsilon", "0",
+                "--out", out, "--bogus"]) == 2
+    assert not out.exists()
+    assert run(good) == 0
+    assert out.read_text() == first
+    capsys.readouterr()
 
 
 def _one_line_usage_error(code, capsys):

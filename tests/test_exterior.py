@@ -26,6 +26,21 @@ from genform.randgen import FormRandom
 from genform.ring import Polynomial
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_operation_results_pass_the_validating_constructor(dim):
+    """Results built by the internal constructor keep increasing, in-range
+    index tuples and no zero coefficients, as outside input must."""
+    rnd = FormRandom(dim, dim, Fraction(0))
+    for _ in range(6):
+        p, q = rnd.rng.randint(0, dim), rnd.rng.randint(0, dim)
+        a, b, c = rnd.form(p), rnd.form(p), rnd.form(q)
+        results = [a + b, a - b, a - a, -a, a.scale(rnd.poly()), a.scale(Fraction(-3, 2)),
+                   a.scale(0), wedge(a, c), wedge(c, a), ext_d(a), interior(rnd.vector_field(), a)]
+        for r in results:
+            rebuilt = OrdinaryForm(r.dim, r.degree, r.components)
+            assert (rebuilt.degree, rebuilt.components) == (r.degree, r.components)
+
+
 def dx(n, *idxs):
     return OrdinaryForm.basis(n, idxs)
 
@@ -231,6 +246,16 @@ def test_invalid_components_rejected():
         OrdinaryForm(n, 1, {(3,): Polynomial.one(n)})
     with pytest.raises(ValueError):
         OrdinaryForm(n, 2, {(1,): Polynomial.one(n)})
+
+
+@pytest.mark.parametrize("change", [{"dim": 2.0}, {"dim": -1}, {"degree": 1.5}, {"degree": None},
+                                    {"degree": 3}, {"components": None},
+                                    {"components": {"1": "1"}}, {"components": {"[1]": 1}}])
+def test_form_json_type_errors(change):
+    data = {"dim": 2, "degree": 1, "components": {"[1]": "1*x2"}}
+    assert form_from_json(data) == OrdinaryForm.basis(2, (1,), Polynomial.var(2, 2))
+    with pytest.raises(ValueError):
+        form_from_json(dict(data, **change))
 
 
 def test_mat_mul_matches_explicit_sum():

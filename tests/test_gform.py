@@ -226,3 +226,11 @@ def test_genform_json_round_trip():
     for degree in range(-1, 3):
         a = rnd.genform(degree)
         assert genform_from_json(genform_to_json(a)) == a
+
+
+@pytest.mark.parametrize("change", [{"dim": 1.5}, {"dim": None}, {"dim": 0}, {"degree": "1"},
+                                    {"epsilon": 1}, {"body": 5}, {"soul": None}])
+def test_genform_json_type_errors(change):
+    data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
+    with pytest.raises(ValueError):
+        genform_from_json(dict(data, **change))

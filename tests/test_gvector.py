@@ -361,3 +361,11 @@ def test_gvf_json_round_trip():
     rnd = FormRandom(19, 3, Fraction(-2))
     V = rnd.gen_vector_field()
     assert gvf_from_json(gvf_to_json(V)) == V
+
+
+@pytest.mark.parametrize("change", [{"dim": 1.5}, {"dim": True}, {"v": 5}, {"v": ["1"]},
+                                    {"vt": [5, 5, 5]}, {"vt": None}, {"epsilon": None}])
+def test_gvf_json_type_errors(change):
+    data = gvf_to_json(FormRandom(19, 3, Fraction(-2)).gen_vector_field())
+    with pytest.raises(ValueError):
+        gvf_from_json(dict(data, **change))

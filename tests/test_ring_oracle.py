@@ -3,7 +3,9 @@
 sympy is an outside oracle here and nowhere else: genform never imports it.
 Hypothesis draws the polynomials; every operation is computed by both and the
 results compared term by term, so a ring kernel that miscounts a coefficient,
-an exponent or a sign on any drawn input fails.
+an exponent or a sign on any drawn input fails.  ``eval_float`` is compared
+with a reference loop that decodes each coefficient to a Fraction; the two
+must give the same float, not merely a close one.
 """
 
 from fractions import Fraction
@@ -124,6 +126,32 @@ def test_equal_values_hash_equal(pair, scalar):
                   (p * 7 + q) - (q + p * 6)):
         assert other == p
         assert hash(other) == hash(p)
+
+
+def eval_float_reference(p: Polynomial, point) -> float:
+    """Per term float(coefficient) times float(x) ** e in variable order,
+    summed in term order."""
+    total = 0.0
+    for exps, coeff in p.terms.items():
+        value = float(coeff)
+        for x, e in zip(point, exps):
+            if e:
+                value *= float(x) ** e
+        total += value
+    return total
+
+
+@ORACLE
+@given(st.data())
+def test_eval_float_is_bit_identical_to_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    keys = st.tuples(*[st.integers(0, 3)] * dim)
+    p = Polynomial(dim, data.draw(st.dictionaries(keys, coeffs, max_size=6)))
+    coords = st.floats(min_value=-5, max_value=5, allow_nan=False)
+    for _ in range(3):  # the first call builds the cached plan, the others reuse it
+        point = data.draw(st.lists(coords, min_size=dim, max_size=dim))
+        assert p.eval_float(point) == eval_float_reference(p, point)
 
 
 @ORACLE
