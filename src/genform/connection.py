@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, ext_d, form_from_json,
-                       mat_mul, transpose, wedge)
+                       mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
+                       wedge)
 from .gform import GenForm, gd, gwedge
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar
@@ -49,32 +50,12 @@ def _as_tuple(matrix) -> tuple:
     return tuple(tuple(row) for row in matrix)
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_is_zero(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 def mat_gd(a: GenMatrix) -> GenMatrix:
     return tuple(tuple(gd(x) for x in row) for row in a)
 
 
 def mat_ext_d(a: FormMatrix) -> FormMatrix:
     return tuple(tuple(ext_d(x) for x in row) for row in a)
-
-
-def _is_identity(m: PolyMatrix) -> bool:
-    return all(x == (1 if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _scale_matrix(m, factor):
@@ -195,8 +176,8 @@ def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> 
     """Gauge transport A -> G^-1 dG + G^-1 A G; the caller supplies the exact
     inverse, which is verified."""
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
-    if not (_is_identity(mat_mul(G, G_inv, operator.mul))
-            and _is_identity(mat_mul(G_inv, G, operator.mul))):
+    eye = mat_identity(A.dim, 1, 0)
+    if mat_mul(G, G_inv, operator.mul) != eye or mat_mul(G_inv, G, operator.mul) != eye:
         raise ConnectionError("G_inv is not an exact inverse of G")
     dG = tuple(tuple(GenForm.from_ordinary(dg, A.epsilon) for dg in row)
                for row in mat_ext_d(_scalar_forms(G)))
@@ -318,15 +299,14 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
     """Symmetry in both parts plus an exact two-sided inverse for gamma."""
     gamma, chi, gamma_inv = _as_tuple(gamma), _as_tuple(chi), _as_tuple(gamma_inv)
     n = len(gamma)
-    product = mat_mul(gamma_inv, gamma, operator.mul)
     for i in range(n):
         for j in range(n):
             if gamma[i][j] != gamma[j][i]:
                 raise ConnectionError(f"gamma not symmetric at ({i + 1},{j + 1})")
             if chi[i][j] != chi[j][i]:
                 raise ConnectionError(f"chi not symmetric at ({i + 1},{j + 1})")
-            if product[i][j] != (1 if i == j else 0):
-                raise ConnectionError("gamma_inv is not an exact inverse")
+    if mat_mul(gamma_inv, gamma, operator.mul) != mat_identity(n, 1, 0):
+        raise ConnectionError("gamma_inv is not an exact inverse")
     entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
     return GenMetric(n, Fraction(epsilon), entries, gamma_inv)
 

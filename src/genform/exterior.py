@@ -224,6 +224,30 @@ class VectorField:
         return f"VectorField({[str(c) for c in self.components]})"
 
 
+# -- matrices: row tuples of polynomials, ordinary or extended forms ----------------
+
+
+def mat_identity(n: int, one, zero) -> tuple[tuple, ...]:
+    """The n x n matrix with ``one`` on the diagonal and ``zero`` elsewhere."""
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_neg(a: Sequence[Sequence]) -> tuple[tuple, ...]:
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def mat_is_zero(a: Sequence[Sequence]) -> bool:
+    return all(x.is_zero() for row in a for x in row)
+
+
 def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
     """(m^T)_ij = m_ji."""
     return tuple(zip(*m))
@@ -244,7 +268,8 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], product: Callable) -> 
 
 
 class Tensor11:
-    """(1,1) tensor field t^a_b, stored as an n x n polynomial matrix."""
+    """(1,1) tensor field t^a_b: a shape-checked n x n polynomial matrix
+    whose arithmetic is the matrix helpers above."""
 
     __slots__ = ("dim", "components")
 
@@ -260,32 +285,29 @@ class Tensor11:
 
     @classmethod
     def zero(cls, dim: int) -> "Tensor11":
-        z = Polynomial.zero(dim)
-        return cls([[z] * dim for _ in range(dim)])
+        return cls.identity(dim, 0)
 
     @classmethod
     def identity(cls, dim: int, scalar: Polynomial | Scalar = 1) -> "Tensor11":
         if not isinstance(scalar, Polynomial):
             scalar = Polynomial.const(dim, scalar)
-        z = Polynomial.zero(dim)
-        return cls([[scalar if i == j else z for j in range(dim)] for i in range(dim)])
+        return cls(mat_identity(dim, scalar, Polynomial.zero(dim)))
 
     def entry(self, up: int, down: int) -> Polynomial:
         """t^up_down with 1-based indices."""
         return self.components[up - 1][down - 1]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.components for c in row)
+        return mat_is_zero(self.components)
 
     def __add__(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11([[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.components, other.components)])
+        return Tensor11(mat_add(self.components, other.components))
 
     def __neg__(self) -> "Tensor11":
-        return Tensor11([[-c for c in row] for row in self.components])
+        return Tensor11(mat_neg(self.components))
 
     def __sub__(self, other: "Tensor11") -> "Tensor11":
-        return self + (-other)
+        return Tensor11(mat_sub(self.components, other.components))
 
     def scale(self, factor: Polynomial | Scalar) -> "Tensor11":
         return Tensor11([[c * factor for c in row] for row in self.components])
@@ -295,13 +317,8 @@ class Tensor11:
 
     def apply(self, v: VectorField) -> VectorField:
         """Contract the down index with a vector field: (t v)^a = t^a_b v^b."""
-        comps = []
-        for row in self.components:
-            acc = Polynomial.zero(self.dim)
-            for t, vb in zip(row, v.components):
-                acc = acc + t * vb
-            comps.append(acc)
-        return VectorField(comps)
+        column = transpose((v.components,))
+        return VectorField(transpose(mat_mul(self.components, column, operator.mul))[0])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor11):

@@ -212,6 +212,20 @@ class IntegrationError(RuntimeError):
     pass
 
 
+MAX_STEPS = 1_000_000  # steps of one integration, every state kept in memory
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt), the number of fixed steps: ValueError unless t_end
+    and dt are positive and finite and the count is in 1..MAX_STEPS."""
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError("dt and t_end must be positive and finite")
+    ratio = t_end / dt
+    if not 0.5 < ratio <= MAX_STEPS + 0.5:  # round: 0.5 -> 0, MAX_STEPS + 0.5 -> even MAX_STEPS
+        raise ValueError(f"t_end / dt = {ratio:.6g} does not round to 1..{MAX_STEPS} steps")
+    return round(ratio)
+
+
 @dataclass
 class Trajectory:
     l: int
@@ -241,8 +255,7 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
                        t_end: float, dt: float,
                        h: Polynomial | None = None) -> Trajectory:
     """Classical fixed-step RK4 for dq = dh/dp, dp = -(dh/dq - 2 eps v0 p)."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    steps = step_count(t_end, dt)
     if len(q0) != l or len(p0) != l:
         raise ValueError("initial state length mismatch")
     n = 2 * l
@@ -258,7 +271,6 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
         dp = [-dh[a].eval_float(state) + damping * state[l + a] for a in range(l)]
         return dq + dp
 
-    steps = int(round(t_end / dt))
     state = list(q0) + list(p0)
     times = [0.0]
     states = [tuple(state)]
@@ -301,13 +313,16 @@ def max_abs_error(traj: Trajectory, reference: Callable[[float], float],
 
 
 def rk4_order_estimate(epsilon: Scalar, v0: Scalar, q0: float, p0: float,
-                       t_end: float, dt: float) -> float:
-    """log2 of the error ratio under dt halving; ~4 for RK4."""
+                       t_end: float, dt: float) -> float | None:
+    """log2 of the error ratio between steps dt and dt / 2, ~4 for RK4; None
+    when either error is exactly 0, which leaves no ratio to take."""
     ref = oscillator_closed_form(epsilon, v0, q0, p0)
     err_coarse = max_abs_error(
         integrate_hamilton(epsilon, v0, 1, [q0], [p0], t_end, dt), ref)
     err_fine = max_abs_error(
         integrate_hamilton(epsilon, v0, 1, [q0], [p0], t_end, dt / 2), ref)
+    if err_coarse == 0 or err_fine == 0:
+        return None
     return math.log2(err_coarse / err_fine)
 
 

@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 
 from .connection import GenConnection
-from .exterior import OrdinaryForm, Tensor11, VectorField, mat_mul, transpose
+from .exterior import (OrdinaryForm, Tensor11, VectorField, mat_add, mat_identity, mat_mul,
+                       mat_sub, transpose)
 from .gform import GenForm
 from .gvector import GenVectorField
 from .ring import Polynomial
@@ -94,25 +95,17 @@ class FormRandom:
                                  tuple[tuple[Polynomial, ...], ...]]:
         """Upper unitriangular polynomial matrix with its exact inverse."""
         n = self.dim
-        one, zero = Polynomial.one(n), Polynomial.zero(n)
-        g = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        zero = Polynomial.zero(n)
+        eye = mat_identity(n, Polynomial.one(n), zero)
         nil = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                entry = self.poly()
-                g[i][j] = g[i][j] + entry
-                nil[i][j] = entry
-        # Neumann series: (I + N)^-1 = I - N + N^2 - ... terminates
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        power = nil
-        sign = -1
+                nil[i][j] = self.poly()
+        # (I + N)^-1 = I - N (I - N (I - ...)), which ends because N^n = 0
+        inv = eye
         for _ in range(n - 1):
-            for i in range(n):
-                for j in range(n):
-                    inv[i][j] = inv[i][j] + power[i][j] * sign
-            power = mat_mul(power, nil, operator.mul)
-            sign = -sign
-        return tuple(map(tuple, g)), tuple(map(tuple, inv))
+            inv = mat_sub(eye, mat_mul(nil, inv, operator.mul))
+        return mat_add(eye, nil), inv
 
     def metric_pieces(self) -> tuple[tuple[tuple[Polynomial, ...], ...],
                                      tuple[tuple[Polynomial, ...], ...]]:

@@ -9,12 +9,14 @@ run covers every degree and every sign regime deterministically.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import connection as conn
-from .exterior import interior, mat_mul, vf_bracket
+from .exterior import interior, mat_identity, mat_is_zero, mat_mul, mat_sub, vf_bracket
 from .gform import (
     GenForm,
     gd,
@@ -97,194 +99,176 @@ def _record(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residua
     })
 
 
-def _check(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residual) -> None:
-    zero = residual.is_zero() if hasattr(residual, "is_zero") else conn.mat_is_zero(residual)
-    if not zero:
+def _check(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residual,
+           is_zero: Callable) -> None:
+    if not is_zero(residual):
         _record(report, case, trial, rnd, residual)
+
+
+def _suite(name: str, is_zero: Callable = operator.methodcaller("is_zero")):
+    """Decorator: make the per-trial body ``body(rnd, degree, check)``, which
+    builds a trial's inputs from ``rnd`` and passes each residual to
+    ``check(case, residual)``, into the suite ``(dim, epsilon, trials, seed)
+    -> SuiteReport``.  The suite owns the report, the timer, the trial loop and
+    the failure records; ``is_zero`` is its one test of a residual."""
+    def make(body: Callable) -> Callable[[int, Fraction, int, int], SuiteReport]:
+        def run(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+            report = SuiteReport(name, trials)
+            start = time.perf_counter()
+            for trial in range(trials):
+                rnd, degree = _trial_setup(dim, epsilon, seed, trial)
+
+                def check(case: str, residual) -> None:
+                    _check(report, case, trial, rnd, residual, is_zero)
+
+                body(rnd, degree, check)
+            report.wall_time = time.perf_counter() - start
+            return report
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+    return make
 
 
 # -- suites ------------------------------------------------------------------------
 
 
-def suite_cartan(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+@_suite("cartan")
+def suite_cartan(rnd: FormRandom, degree: int, check: Callable) -> None:
     """The four commutation identities for ordinary fields v, w acting on
     degree-extended forms."""
-    report = SuiteReport("cartan", trials)
-    start = time.perf_counter()
-    for trial in range(trials):
-        rnd, degree = _trial_setup(dim, epsilon, seed, trial)
-        a = rnd.genform(degree)
-        v, w = rnd.vector_field(), rnd.vector_field()
-        vw = vf_bracket(v, w)
-        _check(report, "interior_anticommute", trial, rnd,
-               ginterior_ordinary(v, ginterior_ordinary(w, a))
-               + ginterior_ordinary(w, ginterior_ordinary(v, a)))
-        _check(report, "d_lie_commute", trial, rnd,
-               gd(glie_ordinary(v, a)) - glie_ordinary(v, gd(a)))
-        _check(report, "lie_lie_bracket", trial, rnd,
-               glie_ordinary(v, glie_ordinary(w, a))
-               - glie_ordinary(w, glie_ordinary(v, a)) - glie_ordinary(vw, a))
-        _check(report, "lie_interior_bracket", trial, rnd,
-               glie_ordinary(v, ginterior_ordinary(w, a))
-               - ginterior_ordinary(w, glie_ordinary(v, a)) - ginterior_ordinary(vw, a))
-    report.wall_time = time.perf_counter() - start
-    return report
+    a = rnd.genform(degree)
+    v, w = rnd.vector_field(), rnd.vector_field()
+    vw = vf_bracket(v, w)
+    check("interior_anticommute",
+          ginterior_ordinary(v, ginterior_ordinary(w, a))
+          + ginterior_ordinary(w, ginterior_ordinary(v, a)))
+    check("d_lie_commute", gd(glie_ordinary(v, a)) - glie_ordinary(v, gd(a)))
+    check("lie_lie_bracket",
+          glie_ordinary(v, glie_ordinary(w, a))
+          - glie_ordinary(w, glie_ordinary(v, a)) - glie_ordinary(vw, a))
+    check("lie_interior_bracket",
+          glie_ordinary(v, ginterior_ordinary(w, a))
+          - ginterior_ordinary(w, glie_ordinary(v, a)) - ginterior_ordinary(vw, a))
 
 
-def suite_gform(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+@_suite("gform")
+def suite_gform(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Algebra and derivative laws of the extended forms themselves."""
-    report = SuiteReport("gform", trials)
-    start = time.perf_counter()
-    for trial in range(trials):
-        rnd, degree = _trial_setup(dim, epsilon, seed, trial)
-        a = rnd.genform(degree)
-        b = rnd.genform()
-        c = rnd.genform()
-        v = rnd.vector_field()
-        _check(report, "d_squared", trial, rnd, gd(gd(a)))
-        lhs = gd(gwedge(a, b)) - gwedge(gd(a), b)
-        rhs = gwedge(a, gd(b))
-        if a.degree % 2:
-            rhs = -rhs
-        _check(report, "antiderivation", trial, rnd, lhs - rhs)
-        ba = gwedge(b, a)
-        if (a.degree * b.degree) % 2:
-            ba = -ba
-        _check(report, "graded_commutativity", trial, rnd, gwedge(a, b) - ba)
-        _check(report, "associativity", trial, rnd,
-               gwedge(gwedge(a, b), c) - gwedge(a, gwedge(b, c)))
-        _check(report, "lie_componentwise", trial, rnd,
-               glie_ordinary(v, a) - glie_componentwise(v, a))
-        _check(report, "lie_leibniz", trial, rnd,
-               glie_ordinary(v, gwedge(a, b))
-               - gwedge(glie_ordinary(v, a), b) - gwedge(a, glie_ordinary(v, b)))
-        a0 = rnd.genform(0)
-        diff = ginterior_ordinary(v, gd(a0)) - glie_ordinary(v, a0)
-        expected_body = interior(v, a0.soul).scale(-rnd.epsilon)
-        _check(report, "degree0_interior_vs_lie", trial, rnd, diff.body - expected_body)
-        phi = [rnd.poly() for _ in range(dim)]
-        _check(report, "pullback_morphism", trial, rnd,
-               gpullback(phi, gwedge(a, b)) - gwedge(gpullback(phi, a), gpullback(phi, b)))
-        _check(report, "pullback_d_commute", trial, rnd,
-               gpullback(phi, gd(a)) - gd(gpullback(phi, a)))
-        m = GenForm.minus_one(dim, rnd.epsilon)
-        _check(report, "pullback_preserves_m", trial, rnd, gpullback(phi, m) - m)
-        _check(report, "unit", trial, rnd, gwedge(a, GenForm.one(dim, rnd.epsilon)) - a)
-        _check(report, "m_squared", trial, rnd, gwedge(m, m))
-        _check(report, "interior_kills_m", trial, rnd, ginterior_ordinary(v, m))
-        _check(report, "lie_kills_m", trial, rnd, glie_ordinary(v, m))
-    report.wall_time = time.perf_counter() - start
-    return report
+    dim = rnd.dim
+    a = rnd.genform(degree)
+    b = rnd.genform()
+    c = rnd.genform()
+    v = rnd.vector_field()
+    check("d_squared", gd(gd(a)))
+    lhs = gd(gwedge(a, b)) - gwedge(gd(a), b)
+    rhs = gwedge(a, gd(b))
+    if a.degree % 2:
+        rhs = -rhs
+    check("antiderivation", lhs - rhs)
+    ba = gwedge(b, a)
+    if (a.degree * b.degree) % 2:
+        ba = -ba
+    check("graded_commutativity", gwedge(a, b) - ba)
+    check("associativity", gwedge(gwedge(a, b), c) - gwedge(a, gwedge(b, c)))
+    check("lie_componentwise", glie_ordinary(v, a) - glie_componentwise(v, a))
+    check("lie_leibniz",
+          glie_ordinary(v, gwedge(a, b))
+          - gwedge(glie_ordinary(v, a), b) - gwedge(a, glie_ordinary(v, b)))
+    a0 = rnd.genform(0)
+    diff = ginterior_ordinary(v, gd(a0)) - glie_ordinary(v, a0)
+    expected_body = interior(v, a0.soul).scale(-rnd.epsilon)
+    check("degree0_interior_vs_lie", diff.body - expected_body)
+    phi = [rnd.poly() for _ in range(dim)]
+    check("pullback_morphism",
+          gpullback(phi, gwedge(a, b)) - gwedge(gpullback(phi, a), gpullback(phi, b)))
+    check("pullback_d_commute", gpullback(phi, gd(a)) - gd(gpullback(phi, a)))
+    m = GenForm.minus_one(dim, rnd.epsilon)
+    check("pullback_preserves_m", gpullback(phi, m) - m)
+    check("unit", gwedge(a, GenForm.one(dim, rnd.epsilon)) - a)
+    check("m_squared", gwedge(m, m))
+    check("interior_kills_m", ginterior_ordinary(v, m))
+    check("lie_kills_m", glie_ordinary(v, m))
 
 
-def suite_super(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+@_suite("super")
+def suite_super(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Round-trip soundness of the Grassmann representation for all six
     operations, plus the internal algebra of the representation itself."""
-    report = SuiteReport("super", trials)
-    start = time.perf_counter()
-    for trial in range(trials):
-        rnd, degree = _trial_setup(dim, epsilon, seed, trial)
-        a = rnd.genform(degree)
-        b = rnd.genform()
-        v = rnd.vector_field()
-        V = rnd.gen_vector_field()
-        V_ord = GenVectorField.ordinary(v, rnd.epsilon)
-        _check(report, "roundtrip", trial, rnd, from_super(to_super(a)) - a)
-        _check(report, "dict_product", trial, rnd,
-               from_super(to_super(a).mul(to_super(b))) - gwedge(a, b))
-        _check(report, "dict_d", trial, rnd, from_super(super_d(to_super(a))) - gd(a))
-        _check(report, "dict_interior_ordinary", trial, rnd,
-               from_super(super_interior(V_ord, to_super(a))) - ginterior_ordinary(v, a))
-        _check(report, "dict_lie_ordinary", trial, rnd,
-               from_super(super_lie(V_ord, to_super(a))) - glie_ordinary(v, a))
-        _check(report, "dict_gv_interior", trial, rnd,
-               from_super(super_interior(V, to_super(a))) - gv_interior(V, a))
-        _check(report, "dict_gv_lie", trial, rnd,
-               from_super(super_lie(V, to_super(a))) - gv_lie(V, a))
-        f = rnd.superfunction()
-        _check(report, "lie_expansion", trial, rnd,
-               super_lie(V, f) - super_lie_expansion(V, f))
-        _check(report, "lie_expansion_ordinary", trial, rnd,
-               super_lie(V_ord, f) - super_lie_expansion(V_ord, f))
-        g = rnd.superfunction()
-        h = rnd.superfunction()
-        _check(report, "grassmann_associativity", trial, rnd,
-               f.mul(g).mul(h) - f.mul(g.mul(h)))
-        fe = _even_part(f)
-        go = _odd_part(g)
-        _check(report, "grassmann_commutativity", trial, rnd,
-               fe.mul(go) - go.mul(fe))
-        fo = _odd_part(f)
-        _check(report, "grassmann_anticommutativity", trial, rnd,
-               fo.mul(go) + go.mul(fo))
-    report.wall_time = time.perf_counter() - start
-    return report
+    a = rnd.genform(degree)
+    b = rnd.genform()
+    v = rnd.vector_field()
+    V = rnd.gen_vector_field()
+    V_ord = GenVectorField.ordinary(v, rnd.epsilon)
+    check("roundtrip", from_super(to_super(a)) - a)
+    check("dict_product", from_super(to_super(a).mul(to_super(b))) - gwedge(a, b))
+    check("dict_d", from_super(super_d(to_super(a))) - gd(a))
+    check("dict_interior_ordinary",
+          from_super(super_interior(V_ord, to_super(a))) - ginterior_ordinary(v, a))
+    check("dict_lie_ordinary", from_super(super_lie(V_ord, to_super(a))) - glie_ordinary(v, a))
+    check("dict_gv_interior", from_super(super_interior(V, to_super(a))) - gv_interior(V, a))
+    check("dict_gv_lie", from_super(super_lie(V, to_super(a))) - gv_lie(V, a))
+    f = rnd.superfunction()
+    check("lie_expansion", super_lie(V, f) - super_lie_expansion(V, f))
+    check("lie_expansion_ordinary", super_lie(V_ord, f) - super_lie_expansion(V_ord, f))
+    g = rnd.superfunction()
+    h = rnd.superfunction()
+    check("grassmann_associativity", f.mul(g).mul(h) - f.mul(g.mul(h)))
+    fe = _part(f, 0)
+    go = _part(g, 1)
+    check("grassmann_commutativity", fe.mul(go) - go.mul(fe))
+    fo = _part(f, 1)
+    check("grassmann_anticommutativity", fo.mul(go) + go.mul(fo))
 
 
-def _even_part(f):
+def _part(f: SuperFunction, parity: int) -> SuperFunction:
+    """The even (parity 0) or odd (parity 1) monomials of f."""
     return SuperFunction(f.dim, f.epsilon,
-                         {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == 0})
+                         {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == parity})
 
 
-def _odd_part(f):
-    return SuperFunction(f.dim, f.epsilon,
-                         {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == 1})
-
-
-def suite_gvector(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+@_suite("gvector")
+def suite_gvector(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Interior, Lie and bracket laws for degree-extended vector fields."""
-    report = SuiteReport("gvector", trials)
-    start = time.perf_counter()
-    for trial in range(trials):
-        rnd, degree = _trial_setup(dim, epsilon, seed, trial)
-        a = rnd.genform(degree)
-        b = rnd.genform()
-        V = rnd.gen_vector_field()
-        W = rnd.gen_vector_field()
-        U = rnd.gen_vector_field()
-        lhs = gv_interior(V, gwedge(a, b)) - gwedge(gv_interior(V, a), b)
-        rhs = gwedge(a, gv_interior(V, b))
-        if a.degree % 2:
-            rhs = -rhs
-        _check(report, "interior_leibniz", trial, rnd, lhs - rhs)
-        _check(report, "anticommutator_closed_form", trial, rnd,
-               gv_anticommutator(V, W, a) - gv_anticommutator_closed_form(V, W, a))
-        xi = [rnd.form(2) for _ in range(dim)]
-        Vx, Wx = xi_type_pair(rnd.vector_field(), rnd.vector_field(), xi, rnd.epsilon)
-        _check(report, "xi_pair_anticommute", trial, rnd, gv_anticommutator(Vx, Wx, a))
-        _check(report, "bracket_defining_relation", trial, rnd,
-               gv_lie(V, gv_lie(W, a)) - gv_lie(W, gv_lie(V, a))
-               - gv_lie(gv_bracket(V, W), a))
-        jac = (gv_bracket(U, gv_bracket(V, W)) + gv_bracket(V, gv_bracket(W, U))
-               + gv_bracket(W, gv_bracket(U, V)))
-        if not jac.is_zero():
-            _record(report, "jacobi", trial, rnd, jac)
-        _check(report, "lie_leibniz", trial, rnd,
-               gv_lie(V, gwedge(a, b)) - gwedge(gv_lie(V, a), b) - gwedge(a, gv_lie(V, b)))
-        _check(report, "lie_expansion", trial, rnd, gv_lie(V, a) - gv_lie_expansion(V, a))
-        v = rnd.vector_field()
-        V_ord = GenVectorField.ordinary(v, rnd.epsilon)
-        _check(report, "reduces_to_ordinary_interior", trial, rnd,
-               gv_interior(V_ord, a) - ginterior_ordinary(v, a))
-        _check(report, "reduces_to_ordinary_lie", trial, rnd,
-               gv_lie(V_ord, a) - glie_ordinary(v, a))
-        w = rnd.vector_field()
-        W_ord = GenVectorField.ordinary(w, rnd.epsilon)
-        bracket = gv_bracket(V_ord, W_ord)
-        if not (bracket.vt.is_zero() and bracket.v == vf_bracket(v, w)):
-            _record(report, "reduces_to_ordinary_bracket", trial, rnd, bracket)
-        d0, d1 = d_split(a)
-        _check(report, "d_split_recomposition", trial, rnd,
-               gd(a) - d0 - d1.scale(rnd.epsilon))
-        Ve = embed_generalized(v, rnd.poly(), rnd.epsilon)
-        _check(report, "modified_lie_scalar_case", trial, rnd,
-               modified_lie(Ve, a)
-               - (gv_lie(Ve, a) - _cartan_d0(Ve.pure_part(), a)))
-        V0 = embed_generalized(v, 0, rnd.epsilon)
-        _check(report, "embed_zero_reduces", trial, rnd,
-               modified_lie(V0, a) - glie_ordinary(v, a))
-    report.wall_time = time.perf_counter() - start
-    return report
+    a = rnd.genform(degree)
+    b = rnd.genform()
+    V = rnd.gen_vector_field()
+    W = rnd.gen_vector_field()
+    U = rnd.gen_vector_field()
+    lhs = gv_interior(V, gwedge(a, b)) - gwedge(gv_interior(V, a), b)
+    rhs = gwedge(a, gv_interior(V, b))
+    if a.degree % 2:
+        rhs = -rhs
+    check("interior_leibniz", lhs - rhs)
+    check("anticommutator_closed_form",
+          gv_anticommutator(V, W, a) - gv_anticommutator_closed_form(V, W, a))
+    xi = [rnd.form(2) for _ in range(rnd.dim)]
+    Vx, Wx = xi_type_pair(rnd.vector_field(), rnd.vector_field(), xi, rnd.epsilon)
+    check("xi_pair_anticommute", gv_anticommutator(Vx, Wx, a))
+    check("bracket_defining_relation",
+          gv_lie(V, gv_lie(W, a)) - gv_lie(W, gv_lie(V, a)) - gv_lie(gv_bracket(V, W), a))
+    check("jacobi",
+          gv_bracket(U, gv_bracket(V, W)) + gv_bracket(V, gv_bracket(W, U))
+          + gv_bracket(W, gv_bracket(U, V)))
+    check("lie_leibniz",
+          gv_lie(V, gwedge(a, b)) - gwedge(gv_lie(V, a), b) - gwedge(a, gv_lie(V, b)))
+    check("lie_expansion", gv_lie(V, a) - gv_lie_expansion(V, a))
+    v = rnd.vector_field()
+    V_ord = GenVectorField.ordinary(v, rnd.epsilon)
+    check("reduces_to_ordinary_interior", gv_interior(V_ord, a) - ginterior_ordinary(v, a))
+    check("reduces_to_ordinary_lie", gv_lie(V_ord, a) - glie_ordinary(v, a))
+    w = rnd.vector_field()
+    W_ord = GenVectorField.ordinary(w, rnd.epsilon)
+    check("reduces_to_ordinary_bracket",
+          gv_bracket(V_ord, W_ord) - GenVectorField.ordinary(vf_bracket(v, w), rnd.epsilon))
+    d0, d1 = d_split(a)
+    check("d_split_recomposition", gd(a) - d0 - d1.scale(rnd.epsilon))
+    Ve = embed_generalized(v, rnd.poly(), rnd.epsilon)
+    check("modified_lie_scalar_case",
+          modified_lie(Ve, a) - (gv_lie(Ve, a) - _cartan_d0(Ve.pure_part(), a)))
+    V0 = embed_generalized(v, 0, rnd.epsilon)
+    check("embed_zero_reduces", modified_lie(V0, a) - glie_ordinary(v, a))
 
 
 def _cartan_d0(pure: GenVectorField, a: GenForm) -> GenForm:
@@ -293,52 +277,37 @@ def _cartan_d0(pure: GenVectorField, a: GenForm) -> GenForm:
     return d_split(inner)[0] + gv_interior(pure, d0a)
 
 
-def suite_connection(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
+@_suite("connection", mat_is_zero)
+def suite_connection(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Curvature, Bianchi, covariant-derivative and metric-compatibility
-    identities, each computed along two independent paths."""
-    report = SuiteReport("connection", trials)
-    start = time.perf_counter()
-    for trial in range(trials):
-        rnd, _ = _trial_setup(dim, epsilon, seed, trial)
-        A = rnd.connection()
-        F = conn.curvature(A)
-        _check(report, "curvature_expansion", trial, rnd,
-               conn.mat_sub(F, conn.curvature_expansion(A)))
-        _check(report, "bianchi", trial, rnd, conn.bianchi_residual(A))
-        _check(report, "bianchi_via_cov_d", trial, rnd, conn.cov_ext_d_tensor(A, F))
-        G, G_inv = rnd.unipotent()
-        A2 = conn.transform_connection(A, G, G_inv)
-        _check(report, "curvature_conjugation", trial, rnd,
-               conn.mat_sub(conn.curvature(A2), conn.conjugate_matrix(F, G, G_inv)))
-        V = rnd.gen_vector_field()
-        direct = conn.cov_deriv_vf(A, V)
-        expanded = conn.cov_deriv_vf_expansion(A, V)
-        residual = [d - e for d, e in zip(direct, expanded)]
-        if any(not r.is_zero() for r in residual):
-            _record(report, "cov_deriv_expansion", trial, rnd,
-                    [str(r) for r in residual])
-        gamma, gamma_inv = rnd.metric_pieces()
-        chi = rnd.symmetric_one_forms()
-        g = conn.metric_validate(gamma, chi, gamma_inv, rnd.epsilon)
-        _check(report, "nonmetricity_expansion", trial, rnd,
-               conn.mat_sub(conn.nonmetricity(A, g), conn.nonmetricity_expansion(A, g)))
-        g_up = conn.metric_inverse(g)
-        one, zero = GenForm.one(dim, rnd.epsilon), GenForm.zero(dim, rnd.epsilon)
-        eye = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-        for left, right in ((g_up, g.entries), (g.entries, g_up)):
-            _check(report, "metric_inverse_two_sided", trial, rnd,
-                   conn.mat_sub(mat_mul(left, right, gwedge), eye))
-    report.wall_time = time.perf_counter() - start
-    return report
+    identities, each computed along two independent paths; every residual is
+    a matrix."""
+    dim = rnd.dim
+    A = rnd.connection()
+    F = conn.curvature(A)
+    check("curvature_expansion", mat_sub(F, conn.curvature_expansion(A)))
+    check("bianchi", conn.bianchi_residual(A))
+    check("bianchi_via_cov_d", conn.cov_ext_d_tensor(A, F))
+    G, G_inv = rnd.unipotent()
+    A2 = conn.transform_connection(A, G, G_inv)
+    check("curvature_conjugation",
+          mat_sub(conn.curvature(A2), conn.conjugate_matrix(F, G, G_inv)))
+    V = rnd.gen_vector_field()
+    check("cov_deriv_expansion",
+          mat_sub((conn.cov_deriv_vf(A, V),), (conn.cov_deriv_vf_expansion(A, V),)))
+    gamma, gamma_inv = rnd.metric_pieces()
+    chi = rnd.symmetric_one_forms()
+    g = conn.metric_validate(gamma, chi, gamma_inv, rnd.epsilon)
+    check("nonmetricity_expansion",
+          mat_sub(conn.nonmetricity(A, g), conn.nonmetricity_expansion(A, g)))
+    g_up = conn.metric_inverse(g)
+    eye = mat_identity(dim, GenForm.one(dim, rnd.epsilon), GenForm.zero(dim, rnd.epsilon))
+    for left, right in ((g_up, g.entries), (g.entries, g_up)):
+        check("metric_inverse_two_sided", mat_sub(mat_mul(left, right, gwedge), eye))
 
 
-SUITES = {
-    "cartan": suite_cartan,
-    "gform": suite_gform,
-    "super": suite_super,
-    "gvector": suite_gvector,
-    "connection": suite_connection,
-}
+SUITES = dict(zip(SUITE_NAMES, (suite_cartan, suite_gform, suite_super, suite_gvector,
+                                suite_connection)))
 
 
 def run_suites(names, dim: int, epsilon: Fraction, trials: int, seed: int) -> list[SuiteReport]:

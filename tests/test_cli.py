@@ -220,3 +220,15 @@ def test_exponent_beyond_the_limit_is_a_usage_error(tmp_path, capsys):
         path.write_text(json.dumps(dict(good, h=h)))
         code = run(["hamiltonian", "--fixture", path, "--out", tmp_path / f"{name}.out"])
         assert _one_line_usage_error(code, capsys), name
+
+
+def test_oscillator_without_error_reports_null_order(tmp_path):
+    # q0 = p0 = 0 stays exactly 0: no error ratio, so max_err alone decides
+    rep = tmp_path / "rep.json"
+    code = run(["oscillator", "--epsilon", "0", "--v0", "1", "--q0", "0", "--p0", "0",
+                "--t-end", "3", "--dt", "0.01", "--report", rep])
+    assert code == 0
+    report = read(rep)
+    assert report["max_err"] == 0
+    assert report["order_estimate"] is None
+    assert report["pass"] is True

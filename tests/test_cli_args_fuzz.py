@@ -1,0 +1,117 @@
+"""Numeric-flag fuzz test of the CLI's exit-code contract.
+
+Every numeric flag of ``oscillator``, ``identities`` and ``cover`` is given
+each of ``0``, ``-1``, ``nan``, ``inf``, ``-inf``, ``1e308``, ``1/0``, ``x``
+and ``""`` on a short base run.  Every run must return an exit code instead
+of raising: ``cli.main`` turns argparse's own exit into 2.  A value the flag
+does not accept must exit 2; a value it accepts must give a verdict, 0 or 1,
+unless ``EXIT`` names another documented result.
+"""
+
+import pathlib
+
+import pytest
+
+from genform import cli
+from genform.hamiltonian import MAX_STEPS, integrate_hamilton, step_count
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1/0", "x", "")
+
+# Every flag is passed as --flag=value, so that argparse never reads a value
+# starting with '-' as an option.
+BASE = {
+    "identities": ["identities", "--dim=2", "--trials=1", "--seed=0", "--epsilon=1",
+                   "--suite=cartan"],
+    "oscillator": ["oscillator", "--epsilon=0", "--v0=1", "--l=1", "--t-end=2", "--dt=0.05",
+                   "--q0=1", "--p0=0", "--tol=1e-3"],
+    "cover": ["cover", f"--fixture={FIXTURES / 'two_chart.json'}", "--epsilon=2"],
+}
+FLAGS = {
+    "identities": ("--dim", "--trials", "--seed", "--epsilon"),
+    "oscillator": ("--epsilon", "--v0", "--l", "--t-end", "--dt", "--tol", "--q0", "--p0"),
+    "cover": ("--epsilon",),
+}
+
+# The values each flag accepts; every other value must exit 2.
+ACCEPTED = {
+    ("identities", "--seed"): {"0", "-1"},
+    ("identities", "--epsilon"): {"0", "-1"},
+    ("oscillator", "--epsilon"): {"0", "-1"},
+    ("oscillator", "--v0"): {"0", "-1"},
+    ("oscillator", "--tol"): {"1e308"},
+    ("oscillator", "--q0"): {"0", "-1", "1e308"},
+    ("oscillator", "--p0"): {"0", "-1", "1e308"},
+    ("cover", "--epsilon"): {"0", "-1"},
+}
+
+# Accepted values whose documented result is not a verdict, and why.
+EXIT = {
+    # the state leaves the floats in the first step: "integration failed"
+    ("oscillator", "--q0", "1e308"): 2,
+    ("oscillator", "--p0", "1e308"): 2,
+}
+
+# Rejections that cli checks itself: one stderr line that names the flag.
+NAMED = {
+    ("oscillator", "--t-end", "inf"), ("oscillator", "--tol", "nan"),
+    ("oscillator", "--tol", "-1"), ("oscillator", "--q0", "nan"),
+    ("oscillator", "--p0", "inf"), ("identities", "--dim", "-1"),
+}
+
+CASES = [(command, flag) for command, flags in FLAGS.items() for flag in flags]
+
+
+def _argv(command: str, flag: str, value: str) -> list[str]:
+    return [f"{flag}={value}" if arg.startswith(flag + "=") else arg for arg in BASE[command]]
+
+
+def _expected(command: str, flag: str, value: str) -> set[int]:
+    if (command, flag, value) in EXIT:
+        return {EXIT[command, flag, value]}
+    return {0, 1} if value in ACCEPTED.get((command, flag), ()) else {2}
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # allowed, but only with the usage code
+        assert exc.code == 2, argv
+        return 2
+
+
+@pytest.mark.parametrize("command,flag", CASES)
+def test_numeric_flag_exits_as_documented(command, flag, tmp_path, capsys):
+    assert sum(arg.startswith(flag + "=") for arg in BASE[command]) == 1
+    wrong = []
+    for value in VALUES:
+        argv = _argv(command, flag, value)
+        argv += ["--report" if command == "oscillator" else "--out", str(tmp_path / "r.json")]
+        code = _run(argv)  # an exception here is the traceback the CLI must not show
+        err = capsys.readouterr().err
+        if code not in _expected(command, flag, value):
+            wrong.append((value, code, err))
+        if (command, flag, value) in NAMED:
+            lines = err.strip().splitlines()
+            if len(lines) != 1 or flag not in lines[0]:
+                wrong.append((value, "stderr", err))
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("t_end,dt", [("1", "0.5"), ("1", "2"), ("1e308", "1e-300")])
+def test_oscillator_step_count_out_of_range_exits_2(t_end, dt, capsys):
+    # zero steps at 8 * dt (nothing checked), or a step count past every bound
+    code = _run(["oscillator", "--epsilon=0", "--v0=1", f"--t-end={t_end}", f"--dt={dt}"])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_step_cap_rejects_before_integrating():
+    # Only counts the cap rejects are tried, and only step_count sees a finite
+    # one: a broken cap must fail this test, not start a long integration.
+    assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+    for t_end, dt in ((MAX_STEPS + 1, 1.0), (1.0, 1e-12), (1e308, 1e-300)):
+        with pytest.raises(ValueError, match="steps"):
+            step_count(t_end, dt)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_hamilton(0, 1, 1, [1.0], [0.0], 1e308, 1e-300)

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from genform import cli, suites
+from genform.exterior import mat_identity, vf_bracket
 from genform.suites import SUITE_NAMES, SUITES, run_suites
 
 
@@ -45,3 +48,77 @@ def test_report_shape():
     assert report["suite"] == "cartan"
     assert report["pass"] is True
     assert report["failures"] == []
+
+
+# _check calls per trial; each is one identity checked on the trial's inputs.
+CHECKS_PER_TRIAL = {"cartan": 4, "gform": 14, "super": 12, "gvector": 13, "connection": 8}
+
+
+def test_hooks_mark_each_trial_and_count_each_check(monkeypatch):
+    # the benchmark wraps these module globals to mark trials and count checks
+    counts = []  # checks per trial, in trial order
+    trial_setup, check = suites._trial_setup, suites._check
+
+    def counted_setup(*args):
+        counts.append(0)
+        return trial_setup(*args)
+
+    def counted_check(*args):
+        counts[-1] += 1  # IndexError for a check before the first trial starts
+        return check(*args)
+
+    monkeypatch.setattr(suites, "_trial_setup", counted_setup)
+    monkeypatch.setattr(suites, "_check", counted_check)
+    assert set(CHECKS_PER_TRIAL) == set(SUITE_NAMES)
+    for name in SUITE_NAMES:
+        counts.clear()
+        assert SUITES[name](2, Fraction(1), 3, 5).passed
+        assert counts == [CHECKS_PER_TRIAL[name]] * 3, name
+
+
+def _broken_bracket(v, w):
+    return vf_bracket(w, v)
+
+
+def _broken_identity(n, one, zero):
+    return mat_identity(n, zero, zero)
+
+
+# A suite's module global swapped for a wrong one, and the cases it breaks.
+BREAKS = {
+    "cartan": ("vf_bracket", _broken_bracket, {"lie_lie_bracket", "lie_interior_bracket"}),
+    "gvector": ("vf_bracket", _broken_bracket, {"reduces_to_ordinary_bracket"}),
+    "connection": ("mat_identity", _broken_identity, {"metric_inverse_two_sided"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_broken_operation_fails_with_replayable_records(name, monkeypatch, tmp_path, capsys):
+    attr, broken, cases = BREAKS[name]
+    monkeypatch.setattr(suites, attr, broken)
+    recorded = []  # cases, as the benchmark's _record hook sees them
+    record = suites._record
+
+    def counted_record(*args):
+        recorded.append(args[1])
+        record(*args)
+
+    monkeypatch.setattr(suites, "_record", counted_record)
+    trials, seed = 4, 3
+    report = SUITES[name](2, Fraction(1), trials, seed).to_json()
+    assert report["pass"] is False
+    failures = report["failures"]
+    assert failures and recorded == [f["case"] for f in failures]
+    assert {f["case"] for f in failures} == cases
+    for f in failures:
+        assert set(f) == {"case", "trial", "inputs", "residual"}
+        assert 0 <= f["trial"] < trials
+        rnd, _ = suites._trial_setup(2, Fraction(1), seed, f["trial"])
+        assert f["inputs"] == {"epsilon": str(rnd.epsilon), "dim": 2}
+        assert f["residual"] not in ("", "0")
+    out = tmp_path / "report.json"
+    argv = ["identities", "--dim", "2", "--trials", str(trials), "--seed", str(seed),
+            "--suite", name, "--out", str(out)]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    assert json.loads(out.read_text())["pass"] is False
