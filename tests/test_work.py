@@ -1,0 +1,89 @@
+"""Ring work pinned for fixed runs: an algorithmic regression fails here
+without any timing.
+
+Each run counts the ``Polynomial.__mul__`` calls it makes and their term
+products (len x len for two polynomials, len x 1 for a rational factor, as
+``perfbench`` counts them) and compares both numbers exactly with
+``tests/golden/work.json``.  The runs are every identity suite at dim 2
+(seed 7, 20 trials), the connection suite at dim 3 (seed 0, 3 trials) and the
+two ``hamiltonian`` fixture commands.
+
+Re-record when a change of work is intended, from the repository root, and
+show the diff of ``work.json`` with the change:
+
+    PYTHONPATH=src python tests/test_work.py --record
+"""
+
+import json
+import os
+import pathlib
+import sys
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+from genform import cli
+from genform.ring import Polynomial
+from genform.suites import SUITE_NAMES, SUITES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORK = ROOT / "tests" / "golden" / "work.json"
+
+# run name -> argv of a fixture command, or (suite, dim, trials, seed)
+RUNS = {f"{name}_d2": (name, 2, 20, 7) for name in SUITE_NAMES}
+RUNS["connection_d3"] = ("connection", 3, 3, 0)
+RUNS.update({f"hamiltonian_{n}": ["hamiltonian", "--fixture", f"fixtures/hamiltonian_{n}.json"]
+             for n in ("n2", "n4")})
+
+
+def _execute(run) -> None:
+    if isinstance(run, tuple):
+        name, dim, trials, seed = run
+        assert SUITES[name](dim, Fraction(1), trials, seed).passed
+        return
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli.main(run + ["--out", os.path.join(tmp, "report.json")]) == 0
+    finally:
+        os.chdir(cwd)
+
+
+def measure(name: str, monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """{"mul_calls", "term_products"} of one run, counted by a wrapper that
+    ``monkeypatch`` puts on ``Polynomial.__mul__``."""
+    work = {"mul_calls": 0, "term_products": 0}
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        out = mul(self, other)
+        if out is not NotImplemented:
+            work["mul_calls"] += 1
+            work["term_products"] += len(self._nums) * (
+                len(other._nums) if isinstance(other, Polynomial) else 1)
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    _execute(RUNS[name])
+    return work
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_ring_work(name, monkeypatch):
+    assert measure(name, monkeypatch) == json.loads(WORK.read_text())[name]
+
+
+def record() -> None:
+    work = {}
+    for name in sorted(RUNS):
+        with pytest.MonkeyPatch.context() as mp:
+            work[name] = measure(name, mp)
+    WORK.write_text(json.dumps(work, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_work.py --record")
+    record()
