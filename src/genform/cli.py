@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import connection as conn
 from .cover import CoverError, canonicalize, cover_from_json, glue_validate, ideal_residual
@@ -48,6 +49,14 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """parse_rational(text), its ValueError naming ``flag``."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -61,7 +70,7 @@ def cmd_identities(args) -> int:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed = _default_seed(args.seed)
-    reports = run_suites(names, args.dim, parse_rational(args.epsilon), args.trials, seed)
+    reports = run_suites(names, args.dim, _rational("--epsilon", args.epsilon), args.trials, seed)
     report = {
         "schema": SCHEMA_VERSION,
         "command": "identities",
@@ -86,6 +95,8 @@ def _initial_values(flag: str, text: str | None, default: float, l: int) -> list
         values = []
     if not (values and all(map(math.isfinite, values))):
         raise ValueError(f"{flag} must be comma-separated finite numbers, got {text!r}")
+    if len(values) not in (1, l):
+        raise ValueError(f"{flag} must list 1 or --l = {l} numbers, got {len(values)}")
     return values * l if len(values) == 1 else values
 
 
@@ -98,7 +109,7 @@ def cmd_oscillator(args) -> int:
     if args.t_end <= 4 * args.dt:
         raise ValueError("--t-end must be more than 4 * --dt: the order estimate's run "
                          "at 8 * --dt would take no step")
-    epsilon, v0 = parse_rational(args.epsilon), parse_rational(args.v0)
+    epsilon, v0 = _rational("--epsilon", args.epsilon), _rational("--v0", args.v0)
     q0 = _initial_values("--q0", args.q0, 1.0, args.l)
     p0 = _initial_values("--p0", args.p0, 0.0, args.l)
     try:
@@ -229,7 +240,7 @@ def cmd_connection_thm(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    epsilon = parse_rational(args.epsilon)
+    epsilon = _rational("--epsilon", args.epsilon)
     try:
         with open(args.fixture) as fh:
             cover = cover_from_json(json.load(fh))

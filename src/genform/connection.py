@@ -193,67 +193,48 @@ def conjugate_matrix(F: GenMatrix, G: PolyMatrix, G_inv: PolyMatrix) -> GenMatri
 # -- covariant derivatives of fields ------------------------------------------------
 
 
+def _column(entries: Sequence) -> tuple[tuple, ...]:
+    """The n x 1 matrix with the given entries."""
+    return transpose((tuple(entries),))
+
+
 def field_components(V: GenVectorField) -> tuple[GenForm, ...]:
-    """The degree-0 extended components v^m + v^m_n dx^n m."""
-    n = V.dim
-    comps = []
-    for m in range(1, n + 1):
-        soul = OrdinaryForm(n, 1, {(s,): V.vt.entry(m, s) for s in range(1, n + 1)
-                                   if not V.vt.entry(m, s).is_zero()})
-        comps.append(GenForm(n, V.epsilon, 0,
-                             OrdinaryForm.from_scalar(V.v.component(m)), soul))
-    return tuple(comps)
+    """The degree-0 extended components v^m + theta^m m, with theta^m =
+    v^m_n dx^n the row one-forms of the tensor part."""
+    return tuple(GenForm(V.dim, V.epsilon, 0, OrdinaryForm.from_scalar(c), theta)
+                 for c, theta in zip(V.v.components, V.vt.row_forms()))
 
 
 def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVectorField:
     """Inverse of field_components; the inputs must be degree-0."""
-    n = comps[0].dim
-    v = []
-    rows = []
     for comp in comps:
         if not comp.is_zero() and comp.degree != 0:
             raise ConnectionError(f"component of degree {comp.degree}, expected 0")
-        v.append(comp.body.components.get((), Polynomial.zero(n)))
-        rows.append([comp.soul.components.get((s,), Polynomial.zero(n))
-                     for s in range(1, n + 1)])
-    return GenVectorField(n, epsilon, VectorField(v), Tensor11(rows))
+    zero = Polynomial.zero(comps[0].dim)
+    v = VectorField([comp.body.components.get((), zero) for comp in comps])
+    return GenVectorField(v.dim, epsilon, v, Tensor11.from_row_forms([c.soul for c in comps]))
 
 
 def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
     """Dv^m = d v^m + A^m_n v^n, one degree-1 extended form per index."""
     if A.dim != V.dim or A.epsilon != V.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
-    comps = field_components(V)
-    out = []
-    for m in range(A.dim):
-        acc = gd(comps[m])
-        for nn in range(A.dim):
-            acc = acc + gwedge(A.entries[m][nn], comps[nn])
-        out.append(acc)
-    return tuple(out)
+    comps = _column(field_components(V))
+    return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge)))[0]
 
 
 def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
-    """Component path:
-    body = D v^m - eps v^m_n dx^n,  soul = D(v^m_n dx^n) + beta^m_n v^n,
+    """Component path, with theta^m = v^m_n dx^n:
+    body = D v^m - eps theta^m,  soul = D theta^m + beta^m_n v^n,
     where D is covariant with respect to alpha."""
-    n, eps = A.dim, A.epsilon
+    v = _column(V.v.components)
+    theta = _column(V.vt.row_forms())
     alpha, beta = A.alpha(), A.beta()
-    out = []
-    for m in range(1, n + 1):
-        body = ext_d(OrdinaryForm.from_scalar(V.v.component(m)))
-        tensor_row = OrdinaryForm(n, 1, {(s,): V.vt.entry(m, s) for s in range(1, n + 1)
-                                         if not V.vt.entry(m, s).is_zero()})
-        body = body - tensor_row.scale(eps)
-        soul = ext_d(tensor_row)
-        for k in range(1, n + 1):
-            body = body + alpha[m - 1][k - 1].scale(V.v.component(k))
-            soul = soul + beta[m - 1][k - 1].scale(V.v.component(k))
-            k_row = OrdinaryForm(n, 1, {(s,): V.vt.entry(k, s) for s in range(1, n + 1)
-                                        if not V.vt.entry(k, s).is_zero()})
-            soul = soul + wedge(alpha[m - 1][k - 1], k_row)
-        out.append(GenForm(n, eps, 1, body, soul))
-    return tuple(out)
+    body = mat_sub(mat_add(mat_ext_d(_scalar_forms(v)), mat_mul(alpha, v, _right_scale)),
+                   _scale_matrix(theta, A.epsilon))
+    soul = mat_add(mat_add(mat_ext_d(theta), mat_mul(alpha, theta, wedge)),
+                   mat_mul(beta, v, _right_scale))
+    return transpose(_gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
 
 
 def cov_deriv_vf_along(A: GenConnection, W: GenVectorField, V: GenVectorField) -> GenVectorField:
@@ -357,13 +338,8 @@ def torsion(alpha: FormMatrix) -> tuple[OrdinaryForm, ...]:
     """T^m = alpha^m_n ^ dx^n; zero in the coordinate frame iff the
     Christoffel array is symmetric in its lower indices."""
     n = len(alpha)
-    out = []
-    for i in range(n):
-        acc = OrdinaryForm.zero(n, 2)
-        for j in range(1, n + 1):
-            acc = acc + wedge(alpha[i][j - 1], OrdinaryForm.basis(n, (j,)))
-        out.append(acc)
-    return tuple(out)
+    dx = _column(OrdinaryForm.basis(n, (j,)) for j in range(1, n + 1))
+    return transpose(mat_mul(alpha, dx, wedge))[0]
 
 
 def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatrix:

@@ -200,6 +200,10 @@ class VectorField:
     def component(self, index: int) -> Polynomial:
         return self.components[index - 1]
 
+    def derivative(self, p: Polynomial) -> Polynomial:
+        """The directional derivative v(p) = v^b d_b p."""
+        return reduce(operator.add, (c * p.partial(b) for b, c in enumerate(self.components, 1)))
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -292,6 +296,20 @@ class Tensor11:
         if not isinstance(scalar, Polynomial):
             scalar = Polynomial.const(dim, scalar)
         return cls(mat_identity(dim, scalar, Polynomial.zero(dim)))
+
+    @classmethod
+    def from_row_forms(cls, rows: Sequence[OrdinaryForm]) -> "Tensor11":
+        """Inverse of ``row_forms``: t^a_b is the dx^b coefficient of rows[a]."""
+        dim = len(rows)
+        if any(not row.is_zero() and row.degree != 1 for row in rows):
+            raise ValueError("tensor rows must be one-forms")
+        zero = Polynomial.zero(dim)
+        return cls([[row.components.get((b,), zero) for b in range(1, dim + 1)] for row in rows])
+
+    def row_forms(self) -> tuple[OrdinaryForm, ...]:
+        """theta^a = t^a_b dx^b, one one-form per up index."""
+        return tuple(OrdinaryForm._canonical(self.dim, 1, {(b,): c for b, c in enumerate(row, 1)})
+                     for row in self.components)
 
     def entry(self, up: int, down: int) -> Polynomial:
         """t^up_down with 1-based indices."""
@@ -386,17 +404,11 @@ def lie(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[v, w]^c = v^b d_b w^c - w^b d_b v^c."""
+    """[v, w]^c = v(w^c) - w(v^c)."""
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    comps = []
-    for c in range(1, v.dim + 1):
-        acc = Polynomial.zero(v.dim)
-        for b in range(1, v.dim + 1):
-            acc = acc + v.component(b) * w.component(c).partial(b)
-            acc = acc - w.component(b) * v.component(c).partial(b)
-        comps.append(acc)
-    return VectorField(comps)
+    return VectorField([v.derivative(wc) - w.derivative(vc)
+                        for vc, wc in zip(v.components, w.components)])
 
 
 def coordinate_partial(a: OrdinaryForm, axis: int) -> OrdinaryForm:

@@ -35,6 +35,8 @@ from .exterior import (
     ext_d,
     interior,
     lie,
+    mat_mul,
+    transpose,
     vf_bracket,
     wedge,
 )
@@ -116,33 +118,32 @@ def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) 
 # -- interior product ----------------------------------------------------------
 
 
-def _gamma_term(vt: Tensor11, rho: OrdinaryForm) -> OrdinaryForm:
-    """(-1)^(p-1) v^a_b dx^b ^ (i_{d/dx^a} rho) for a p-form rho."""
-    n = rho.dim
-    result = OrdinaryForm.zero(n, rho.degree)
-    for a in range(1, n + 1):
-        contracted = interior(VectorField.coordinate(n, a), rho)
-        if contracted.is_zero():
-            continue
-        for b in range(1, n + 1):
-            coeff = vt.entry(a, b)
-            if coeff.is_zero():
-                continue
-            dxb = OrdinaryForm.basis(n, (b,), coeff)
-            result = result + wedge(dxb, contracted)
-    if (rho.degree - 1) % 2:
-        result = -result
-    return result
+def _wedge_sum(row: Sequence[OrdinaryForm], column: Sequence[OrdinaryForm]) -> OrdinaryForm:
+    """sum_a row[a] ^ column[a]: a row of forms times a column, under wedge.
+    With the row one-forms theta^a of a tensor vt and column i_{d/dx^a} rho
+    this is v^a_b dx^b ^ i_{d/dx^a} rho."""
+    return mat_mul((row,), transpose((column,)), wedge)[0][0]
+
+
+def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
+    """i_{d/dx^a} rho for a = 1..n."""
+    return [interior(VectorField.coordinate(rho.dim, a), rho) for a in range(1, rho.dim + 1)]
+
+
+def _signed(p: int, form: OrdinaryForm) -> OrdinaryForm:
+    """(-1)^p form."""
+    return -form if p % 2 else form
 
 
 def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
-    """i_V a = i_v(body) + [i_v(soul) + gamma(vt, body)] m."""
+    """i_V a = i_v(body) + [i_v(soul) + (-1)^(p-1) theta^a ^ i_{d/dx^a}(body)] m."""
     if V.dim != a.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
     if V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
     body = interior(V.v, a.body)
-    soul = interior(V.v, a.soul) + _gamma_term(V.vt, a.body)
+    hook = _wedge_sum(V.vt.row_forms(), _hooks(a.body))
+    soul = interior(V.v, a.soul) + _signed(a.degree - 1, hook)
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 
 
@@ -152,35 +153,21 @@ def gv_anticommutator(V: GenVectorField, W: GenVectorField, a: GenForm) -> GenFo
 
 
 def gv_anticommutator_closed_form(V: GenVectorField, W: GenVectorField, a: GenForm) -> GenForm:
-    """Closed form of the same operator:
-    (-1)^(p-1) [v^a_b w^b + w^a_b v^b] (i_{d/dx^a} body) m."""
+    """Closed form of the same operator: (-1)^(p-1) i_u(body) m with
+    u^a = v^a_b w^b + w^a_b v^b."""
     V._require_compatible(W)
     u = V.vt.apply(W.v) + W.vt.apply(V.v)
-    n = a.dim
-    soul = OrdinaryForm.zero(n, a.degree - 1)
-    for idx in range(1, n + 1):
-        comp = u.component(idx)
-        if comp.is_zero():
-            continue
-        soul = soul + interior(VectorField.coordinate(n, idx), a.body).scale(comp)
-    if (a.degree - 1) % 2:
-        soul = -soul
-    return GenForm(a.dim, a.epsilon, a.degree - 2, OrdinaryForm.zero(n, a.degree - 2), soul)
+    return GenForm(a.dim, a.epsilon, a.degree - 2,
+                   soul=_signed(a.degree - 1, interior(u, a.body)))
 
 
 def xi_type_pair(v: VectorField, w: VectorField,
                  xi: Sequence[OrdinaryForm], epsilon: Scalar) -> tuple[GenVectorField, GenVectorField]:
     """Fields whose tensor parts are contractions of one vector-valued
-    two-form: vt^a_b = components of i_v Xi^a; such pairs anticommute."""
-    n = v.dim
-
+    two-form: the row one-forms of vt are i_v Xi^a; such pairs anticommute."""
     def build(u: VectorField) -> GenVectorField:
-        rows = []
-        for a in range(n):
-            one_form = interior(u, xi[a])
-            rows.append([one_form.components.get((b,), Polynomial.zero(n))
-                         for b in range(1, n + 1)])
-        return GenVectorField(n, epsilon, u, Tensor11(rows))
+        return GenVectorField(u.dim, epsilon, u,
+                              Tensor11.from_row_forms([interior(u, x) for x in xi]))
 
     return build(v), build(w)
 
@@ -194,92 +181,58 @@ def gv_lie(V: GenVectorField, a: GenForm) -> GenForm:
 
 
 def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
-    """Independent expansion of L_V a in terms of body/soul:
+    """Independent expansion of L_V a in terms of body/soul, with theta^a the
+    row one-forms of vt:
 
-        body' = L_v(body) - eps v^a_b dx^b ^ i_{d/dx^a}(body)
-        soul' = L_v(soul) + (-1)^p v^a_b dx^b ^ d_a(body)
-                + (-1)^(p-1) (d_c v^a_b) dx^c dx^b ^ i_{d/dx^a}(body)
-                - eps v^a_b dx^b ^ i_{d/dx^a}(soul)
+        body' = L_v(body) - eps theta^a ^ i_{d/dx^a}(body)
+        soul' = L_v(soul) + (-1)^p theta^a ^ d_a(body)
+                + (-1)^(p-1) d(theta^a) ^ i_{d/dx^a}(body)
+                - eps theta^a ^ i_{d/dx^a}(soul)
     """
     if V.dim != a.dim or V.epsilon != a.epsilon:
         raise ValueError("dimension/epsilon mismatch")
     n, p, eps = a.dim, a.degree, a.epsilon
-
-    def vt_hook(rho: OrdinaryForm) -> OrdinaryForm:
-        out = OrdinaryForm.zero(n, rho.degree)
-        for aa in range(1, n + 1):
-            contracted = interior(VectorField.coordinate(n, aa), rho)
-            if contracted.is_zero():
-                continue
-            for bb in range(1, n + 1):
-                coeff = V.vt.entry(aa, bb)
-                if not coeff.is_zero():
-                    out = out + wedge(OrdinaryForm.basis(n, (bb,), coeff), contracted)
-        return out
-
-    body = lie(V.v, a.body) - vt_hook(a.body).scale(eps)
-
-    soul = lie(V.v, a.soul) - vt_hook(a.soul).scale(eps)
-    grad = OrdinaryForm.zero(n, p + 1)
-    for aa in range(1, n + 1):
-        d_body = coordinate_partial(a.body, aa)
-        if d_body.is_zero():
-            continue
-        for bb in range(1, n + 1):
-            coeff = V.vt.entry(aa, bb)
-            if not coeff.is_zero():
-                grad = grad + wedge(OrdinaryForm.basis(n, (bb,), coeff), d_body)
-    if p % 2:
-        grad = -grad
-    soul = soul + grad
-    dvt = OrdinaryForm.zero(n, p + 1)
-    for aa in range(1, n + 1):
-        contracted = interior(VectorField.coordinate(n, aa), a.body)
-        if contracted.is_zero():
-            continue
-        for bb in range(1, n + 1):
-            for cc in range(1, n + 1):
-                coeff = V.vt.entry(aa, bb).partial(cc)
-                if coeff.is_zero():
-                    continue
-                two_form = wedge(OrdinaryForm.basis(n, (cc,), coeff),
-                                 OrdinaryForm.basis(n, (bb,), 1))
-                dvt = dvt + wedge(two_form, contracted)
-    if (p - 1) % 2:
-        dvt = -dvt
-    soul = soul + dvt
+    theta, hooks = V.vt.row_forms(), _hooks(a.body)
+    body = lie(V.v, a.body) - _wedge_sum(theta, hooks).scale(eps)
+    grad = _wedge_sum(theta, [coordinate_partial(a.body, axis) for axis in range(1, n + 1)])
+    dtheta = _wedge_sum([ext_d(t) for t in theta], hooks)
+    soul = (lie(V.v, a.soul) - _wedge_sum(theta, _hooks(a.soul)).scale(eps)
+            + _signed(p, grad) + _signed(p - 1, dtheta))
     return GenForm(n, eps, p, body, soul)
 
 
 # -- bracket -------------------------------------------------------------------
 
 
+def _derivative(v: VectorField, t: Tensor11) -> Tensor11:
+    """v(t)^c_a = v^b d_b t^c_a."""
+    return Tensor11([[v.derivative(x) for x in row] for row in t.components])
+
+
+def _jacobian(v: VectorField) -> Tensor11:
+    """J(v)^c_a = d_a v^c."""
+    return Tensor11([[c.partial(a) for a in range(1, v.dim + 1)] for c in v.components])
+
+
+def _commutator(s: Tensor11, t: Tensor11) -> Tensor11:
+    return s.matmul(t) - t.matmul(s)
+
+
 def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     """[V, W]: ordinary part [v, w]; tensor part
 
-    T^c_a = v^b d_b w^c_a - w^b d_b v^c_a + w^c_b d_a v^b - v^c_b d_a w^b
-            + v^b_a d_b w^c - w^b_a d_b v^c + eps (v^c_b w^b_a - w^c_b v^b_a).
+    v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt],
+
+    with v(t) the entrywise directional derivative, J(v)^c_a = d_a v^c the
+    Jacobian and [s, t] = s t - t s the matrix commutator.
     """
     V._require_compatible(W)
-    n, eps = V.dim, V.epsilon
-    rows = []
-    for c in range(1, n + 1):
-        row = []
-        for a in range(1, n + 1):
-            acc = Polynomial.zero(n)
-            for b in range(1, n + 1):
-                acc = acc + V.v.component(b) * W.vt.entry(c, a).partial(b)
-                acc = acc - W.v.component(b) * V.vt.entry(c, a).partial(b)
-                acc = acc + W.vt.entry(c, b) * V.v.component(b).partial(a)
-                acc = acc - V.vt.entry(c, b) * W.v.component(b).partial(a)
-                acc = acc + V.vt.entry(b, a) * W.v.component(c).partial(b)
-                acc = acc - W.vt.entry(b, a) * V.v.component(c).partial(b)
-                if eps != 0:
-                    acc = acc + eps * (V.vt.entry(c, b) * W.vt.entry(b, a)
-                                       - W.vt.entry(c, b) * V.vt.entry(b, a))
-            row.append(acc)
-        rows.append(row)
-    return GenVectorField(n, eps, vf_bracket(V.v, W.v), Tensor11(rows))
+    v, w = V.v, W.v
+    vt = (_derivative(v, W.vt) - _derivative(w, V.vt)
+          + _commutator(_jacobian(w), V.vt) - _commutator(_jacobian(v), W.vt))
+    if V.epsilon != 0:
+        vt = vt + _commutator(V.vt, W.vt).scale(V.epsilon)
+    return GenVectorField(V.dim, V.epsilon, vf_bracket(v, w), vt)
 
 
 # -- splitting of d and the modified Lie derivative ------------------------------

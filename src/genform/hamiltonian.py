@@ -8,9 +8,11 @@ V_H solves  i_{V_H} s = -dH  modulo kernel fields; in components
     v^a_b = W^{ag} S_{bg},   S_{bg} = (v^m Y_{mbg} + d_b k_g - d_g k_b) / 2
 
 with W the inverse of Omega (convention W^{ag} Omega_{bg} = delta^a_b) and
-Y the totally antisymmetric coefficient array of Upsilon.  The returned
-representative has zero kernel component (v^a_b Omega_{ag} antisymmetric in
-b, g); the defining relation is re-verified exactly after construction.
+Y the totally antisymmetric coefficient array of Upsilon.  So eps k - dh is
+the body of -dH, and S is the antisymmetric coefficient matrix of the two-form
+(i_v Upsilon + dk) / 2.  The returned representative has zero kernel
+component (v^a_b Omega_{ag} antisymmetric in b, g); the defining relation is
+re-verified exactly after construction.
 
 The numeric side integrates the reduced equations of the scalar-extension
 example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4.
@@ -33,6 +35,7 @@ from .exterior import (
     _json_rows,
     ext_d,
     form_from_json,
+    interior,
     mat_mul,
     poincare_antiderivative,
     transpose,
@@ -46,29 +49,14 @@ class SymplecticError(ValueError):
     pass
 
 
-def _full_antisymmetric_2(form: OrdinaryForm, a: int, b: int) -> Polynomial:
-    """Coefficient T_ab of a 2-form stored on the increasing basis, extended
-    antisymmetrically."""
-    if a == b:
-        return Polynomial.zero(form.dim)
-    if a < b:
-        return form.components.get((a, b), Polynomial.zero(form.dim))
-    c = form.components.get((b, a))
-    return -c if c is not None else Polynomial.zero(form.dim)
-
-
-def _full_antisymmetric_3(form: OrdinaryForm, a: int, b: int, c: int) -> Polynomial:
-    idxs = (a, b, c)
-    if len(set(idxs)) < 3:
-        return Polynomial.zero(form.dim)
-    order = tuple(sorted(idxs))
-    coeff = form.components.get(order)
-    if coeff is None:
-        return Polynomial.zero(form.dim)
-    # parity of the permutation taking sorted order to (a, b, c)
-    perm = [order.index(i) for i in idxs]
-    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-    return -coeff if inversions % 2 else coeff
+def _antisymmetric_matrix(form: OrdinaryForm) -> list[list[Polynomial]]:
+    """The coefficient matrix T_ab of a 2-form stored on the increasing basis,
+    extended antisymmetrically."""
+    n = form.dim
+    rows = [[Polynomial.zero(n)] * n for _ in range(n)]
+    for (a, b), coeff in form.components.items():
+        rows[a - 1][b - 1], rows[b - 1][a - 1] = coeff, -coeff
+    return rows
 
 
 @dataclass(frozen=True)
@@ -100,8 +88,7 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
     inv = tuple(tuple(row) for row in omega_inv)
     if len(inv) != n or any(len(row) != n for row in inv):
         raise SymplecticError("inverse matrix has wrong shape")
-    omega = [[_full_antisymmetric_2(s.body, b, g) for g in range(1, n + 1)]
-             for b in range(1, n + 1)]
+    omega = _antisymmetric_matrix(s.body)
     product = mat_mul(inv, transpose(omega), operator.mul)  # W^{ag} Omega_{bg}
     for a, row in enumerate(product, start=1):
         for b, entry in enumerate(row, start=1):
@@ -135,32 +122,15 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
     defining relation i_{V_H} s + dH = 0 exactly."""
     s = prob.symplectic
     n = s.dim
-    eps = s.epsilon
-    h = prob.hamiltonian.body.components.get((), Polynomial.zero(n))
-    k = [prob.hamiltonian.soul.components.get((b,), Polynomial.zero(n))
-         for b in range(1, n + 1)]
-
-    v_comps = []
-    for a in range(1, n + 1):
-        acc = Polynomial.zero(n)
-        for b in range(1, n + 1):
-            acc = acc + s.omega_inv[a - 1][b - 1] * (eps * k[b - 1] - h.partial(b))
-        v_comps.append(acc)
-    v = VectorField(v_comps)
-
-    def s_lower(b: int, g: int) -> Polynomial:
-        acc = k[g - 1].partial(b) - k[b - 1].partial(g)
-        for m in range(1, n + 1):
-            vm = v_comps[m - 1]
-            if not vm.is_zero():
-                acc = acc + vm * _full_antisymmetric_3(s.s.soul, m, b, g)
-        return acc * Fraction(1, 2)
-
-    S = [[s_lower(b, g) for g in range(1, n + 1)] for b in range(1, n + 1)]
+    dH = gd(prob.hamiltonian)  # body dh - eps k, soul dk
+    zero = Polynomial.zero(n)
+    v = Tensor11(s.omega_inv).apply(
+        VectorField([-dH.body.components.get((b,), zero) for b in range(1, n + 1)]))
+    S = _antisymmetric_matrix((interior(v, s.s.soul) + dH.soul).scale(Fraction(1, 2)))
     vt = mat_mul(s.omega_inv, transpose(S), operator.mul)  # W^{ag} S_{bg}
-    field = GenVectorField(n, eps, v, Tensor11(vt))
+    field = GenVectorField(n, s.epsilon, v, Tensor11(vt))
 
-    residual = gv_interior(field, s.s) + gd(prob.hamiltonian)
+    residual = gv_interior(field, s.s) + dH
     if not residual.is_zero():
         raise SymplecticError(f"defining relation violated: residual {residual}")
     return field

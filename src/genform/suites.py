@@ -264,17 +264,16 @@ def suite_gvector(rnd: FormRandom, degree: int, check: Callable) -> None:
           gv_bracket(V_ord, W_ord) - GenVectorField.ordinary(vf_bracket(v, w), rnd.epsilon))
     d0, d1 = d_split(a)
     check("d_split_recomposition", gd(a) - d0 - d1.scale(rnd.epsilon))
-    Ve = embed_generalized(v, rnd.poly(), rnd.epsilon)
+    # closed form for vt = v0 * identity: L^hat_V a = L_v a - eps v0 (p body
+    # + (p + 1) soul m), from linearity in V and dx^r ^ i_{d/dx^r} rho = deg(rho) rho
+    v0 = rnd.poly()
+    p = a.degree
+    weighted = GenForm(rnd.dim, rnd.epsilon, p, a.body.scale(p), a.soul.scale(p + 1))
     check("modified_lie_scalar_case",
-          modified_lie(Ve, a) - (gv_lie(Ve, a) - _cartan_d0(Ve.pure_part(), a)))
+          modified_lie(embed_generalized(v, v0, rnd.epsilon), a)
+          - (glie_ordinary(v, a) - weighted.scale(v0 * rnd.epsilon)))
     V0 = embed_generalized(v, 0, rnd.epsilon)
     check("embed_zero_reduces", modified_lie(V0, a) - glie_ordinary(v, a))
-
-
-def _cartan_d0(pure: GenVectorField, a: GenForm) -> GenForm:
-    d0a = d_split(a)[0]
-    inner = gv_interior(pure, a)
-    return d_split(inner)[0] + gv_interior(pure, d0a)
 
 
 @_suite("connection", mat_is_zero)

@@ -53,11 +53,15 @@ EXIT = {
 }
 
 # Rejections that cli checks itself: one stderr line that names the flag.
+# Every rejected value of a rational flag is one of them.
+RATIONAL = (("identities", "--epsilon"), ("oscillator", "--epsilon"), ("oscillator", "--v0"),
+            ("cover", "--epsilon"))
 NAMED = {
     ("oscillator", "--t-end", "inf"), ("oscillator", "--tol", "nan"),
     ("oscillator", "--tol", "-1"), ("oscillator", "--q0", "nan"),
     ("oscillator", "--p0", "inf"), ("identities", "--dim", "-1"),
-}
+} | {(command, flag, value) for command, flag in RATIONAL
+     for value in VALUES if value not in ACCEPTED[command, flag]}
 
 CASES = [(command, flag) for command, flags in FLAGS.items() for flag in flags]
 
@@ -96,6 +100,17 @@ def test_numeric_flag_exits_as_documented(command, flag, tmp_path, capsys):
             if len(lines) != 1 or flag not in lines[0]:
                 wrong.append((value, "stderr", err))
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize("flag", ["--q0", "--p0"])
+@pytest.mark.parametrize("values", ["1,2,3", "1,2,3,4"])
+def test_initial_values_of_another_length_exit_2_naming_the_flag(flag, values, capsys):
+    # one value for all components or one per component (--l = 2), nothing else
+    code = _run(["oscillator", "--epsilon=0", "--v0=1", "--l=2", "--t-end=1", "--dt=0.05",
+                 f"{flag}={values}"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and flag in lines[0], lines
 
 
 @pytest.mark.parametrize("t_end,dt", [("1", "0.5"), ("1", "2"), ("1e308", "1e-300")])

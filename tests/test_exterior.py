@@ -231,6 +231,27 @@ def test_tensor_matmul_and_apply():
     assert t.matmul(Tensor11.identity(n)) == t
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tensor_row_forms_round_trip(dim):
+    rnd = FormRandom(40 + dim, dim, Fraction(0))
+    for _ in range(10):
+        t = rnd.tensor()
+        rows = t.row_forms()
+        assert all(row.degree == 1 for row in rows)
+        assert [[row.components.get((b,), Polynomial.zero(dim)) for b in range(1, dim + 1)]
+                for row in rows] == [list(r) for r in t.components]
+        assert Tensor11.from_row_forms(rows) == t
+    with pytest.raises(ValueError):
+        Tensor11.from_row_forms([OrdinaryForm.constant(dim, 1)] * dim)
+
+
+def test_vector_field_derivative_is_lie_on_functions():
+    rnd = FormRandom(43, 3, Fraction(0))
+    for _ in range(10):
+        v, p = rnd.vector_field(), rnd.poly()
+        assert OrdinaryForm.from_scalar(v.derivative(p)) == lie(v, OrdinaryForm.from_scalar(p))
+
+
 def test_form_json_round_trip():
     rnd = FormRandom(23, 3, Fraction(0))
     for degree in range(4):

@@ -52,15 +52,16 @@ def test_interior_degree_zero_uses_only_ordinary_part():
     assert got == GenForm(n, eps, -1, soul=OrdinaryForm.from_scalar(x1))
 
 
-def test_interior_gamma_term_example():
+def test_interior_theta_hook_example():
     # pure fields contract through the tensor hook: v^a_b dx^b ^ i_{da}(body)
     n = 2
     eps = Fraction(1)
     V = GenVectorField.pure(elementary_tensor(n, 2, 1), eps)
     a = GenForm.from_ordinary(OrdinaryForm.basis(n, (1,)), eps)
     got = gv_interior(V, a)
-    # gamma = (+1) v^a_b dx^b i_{da}(dx1) = v^2_1 dx1 * 0 ... only a=1 contributes
-    # here i_{d2}(dx1) = 0 so result must vanish; flip to v^1_2 for the nonzero case
+    # theta^a ^ i_{da}(dx1) with theta^1 = 0, theta^2 = dx1: only i_{d1}(dx1)
+    # is nonzero, and theta^1 = 0, so the result must vanish; flip to v^1_2
+    # for the nonzero case
     assert got.is_zero()
     V2 = GenVectorField.pure(elementary_tensor(n, 1, 2), eps)
     got2 = gv_interior(V2, a)
@@ -323,18 +324,18 @@ def test_modified_lie_zero_scalar_reduces_to_ordinary():
 
 
 def test_modified_lie_differs_by_cartan_piece():
-    # pure scalar field with v0 = 1 on an ordinary form
+    # for vt = v0 * identity the Cartan piece removed from L_V leaves
+    # L^hat_V a = L_v a - eps v0 (p body + (p + 1) soul m), by linearity in V
+    # and dx^r ^ i_{d/dx^r} rho = deg(rho) rho
     n = 2
-    eps = Fraction(1)
-    rnd = FormRandom(17, n, eps)
-    V = embed_generalized(VectorField.zero(n), Fraction(1), eps)
-    pure = V.pure_part()
-    for degree in range(0, n + 1):
-        a = GenForm.from_ordinary(rnd.form(degree), eps)
-        d0a = d_split(a)[0]
-        inner = gv_interior(pure, a)
-        correction = d_split(inner)[0] + gv_interior(pure, d0a)
-        assert modified_lie(V, a) == gv_lie(V, a) - correction
+    for eps in EPSILONS:
+        rnd = FormRandom(17, n, eps)
+        for degree in range(-1, n + 1):
+            a = rnd.genform(degree)
+            v, v0 = rnd.vector_field(), rnd.poly()
+            weighted = GenForm(n, eps, degree, a.body.scale(degree), a.soul.scale(degree + 1))
+            want = glie_ordinary(v, a) - weighted.scale(v0 * eps)
+            assert modified_lie(embed_generalized(v, v0, eps), a) == want
 
 
 def test_modified_lie_on_m():
