@@ -60,8 +60,7 @@ def test_interior_theta_hook_example():
     a = GenForm.from_ordinary(OrdinaryForm.basis(n, (1,)), eps)
     got = gv_interior(V, a)
     # theta^a ^ i_{da}(dx1) with theta^1 = 0, theta^2 = dx1: only i_{d1}(dx1)
-    # is nonzero, and theta^1 = 0, so the result must vanish; flip to v^1_2
-    # for the nonzero case
+    # is nonzero, so the result must vanish; flip to v^1_2 for the nonzero case
     assert got.is_zero()
     V2 = GenVectorField.pure(elementary_tensor(n, 1, 2), eps)
     got2 = gv_interior(V2, a)
