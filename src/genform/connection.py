@@ -7,10 +7,14 @@ definition (F = dA + A A, Q = dg - gA - Ag, ...) and once from the expanded
 body/soul component formulas, and the two paths must agree exactly.
 
 Every matrix contraction on both paths is one ``exterior.mat_mul`` (with
-``transpose`` and ``mat_add``/``mat_sub``), so the only code the two paths
-share is that product's summation, which its own test pins.  Their entry
-products differ: ``gwedge`` on the matrix path, ``wedge`` or scaling by a
-polynomial on the component path.  No transpose assumes a symmetric metric.
+``transpose`` and ``mat_add``/``mat_sub``) under a row-times-column sum
+that accumulates each entry's coefficients once: ``gform.gwedge_dot`` on the
+matrix path, ``exterior.wedge_dot`` or ``gform.scale_dot`` (a polynomial
+matrix on either side of a matrix of forms) on the component path, and
+``ring.poly_dot`` for polynomial matrices.  The two paths share that
+summation and the ring kernel ``Polynomial.sum_products`` under it, which
+their own tests compare with one product at a time.  No transpose assumes a
+symmetric metric.
 
 The compatibility solver realizes both branches of the extended
 Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
@@ -22,17 +26,16 @@ fixtures use metrics whose inverse is polynomial so everything stays exact.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, ext_d, form_from_json,
                        mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
-                       wedge)
-from .gform import GenForm, gd, gwedge
+                       wedge_dot)
+from .gform import GenForm, gd, gwedge_dot, scale_dot
 from .gvector import GenVectorField, gv_interior
-from .ring import Polynomial, Scalar
+from .ring import Polynomial, Scalar, poly_dot
 
 FormMatrix = tuple[tuple[OrdinaryForm, ...], ...]
 GenMatrix = tuple[tuple[GenForm, ...], ...]
@@ -72,19 +75,9 @@ def _gen_matrix(n: int, epsilon: Scalar, degree: int,
                  for rb, rs in zip(body, soul))
 
 
-# Entry products for a polynomial matrix on the left or on the right of a
-# matrix of (extended) forms.
-def _left_scale(p: Polynomial, x):
-    return x.scale(p)
-
-
-def _right_scale(x, p: Polynomial):
-    return x.scale(p)
-
-
 def _raise_both(gamma_inv: PolyMatrix, x: FormMatrix) -> FormMatrix:
     """x^{mn} = gamma^{mr} x_{rs} gamma^{ns}, i.e. gamma^-1 x gamma^-T."""
-    return mat_mul(mat_mul(gamma_inv, x, _left_scale), transpose(gamma_inv), _right_scale)
+    return mat_mul(mat_mul(gamma_inv, x, scale_dot), transpose(gamma_inv), scale_dot)
 
 
 # -- connection -------------------------------------------------------------------
@@ -129,21 +122,21 @@ class GenConnection:
 
 def curvature(A: GenConnection) -> GenMatrix:
     """F = dA + A A."""
-    return mat_add(mat_gd(A.entries), mat_mul(A.entries, A.entries, gwedge))
+    return mat_add(mat_gd(A.entries), mat_mul(A.entries, A.entries, gwedge_dot))
 
 
 def ordinary_curvature(alpha: FormMatrix) -> FormMatrix:
     """F_cal = d alpha + alpha alpha."""
-    return mat_add(mat_ext_d(alpha), mat_mul(alpha, alpha, wedge))
+    return mat_add(mat_ext_d(alpha), mat_mul(alpha, alpha, wedge_dot))
 
 
 def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> FormMatrix:
     """D t = d t + alpha t - (-1)^p t alpha on (1,1)-valued ordinary p-forms."""
     sign_flip = degree % 2 == 0
-    second = mat_mul(t, alpha, wedge)
+    second = mat_mul(t, alpha, wedge_dot)
     if sign_flip:
         second = mat_neg(second)
-    return mat_add(mat_add(mat_ext_d(t), mat_mul(alpha, t, wedge)), second)
+    return mat_add(mat_add(mat_ext_d(t), mat_mul(alpha, t, wedge_dot)), second)
 
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
@@ -157,7 +150,7 @@ def bianchi_residual(A: GenConnection) -> GenMatrix:
     """dF + A F - F A; identically zero for every connection."""
     F = curvature(A)
     return mat_add(mat_gd(F),
-                   mat_sub(mat_mul(A.entries, F, gwedge), mat_mul(F, A.entries, gwedge)))
+                   mat_sub(mat_mul(A.entries, F, gwedge_dot), mat_mul(F, A.entries, gwedge_dot)))
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
@@ -166,10 +159,10 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
     if len(degrees) > 1:
         raise ConnectionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
-    second = mat_mul(P, A.entries, gwedge)
+    second = mat_mul(P, A.entries, gwedge_dot)
     if p % 2 == 0:
         second = mat_neg(second)
-    return mat_add(mat_add(mat_gd(P), mat_mul(A.entries, P, gwedge)), second)
+    return mat_add(mat_add(mat_gd(P), mat_mul(A.entries, P, gwedge_dot)), second)
 
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
@@ -177,17 +170,17 @@ def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> 
     inverse, which is verified."""
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
     eye = mat_identity(A.dim, 1, 0)
-    if mat_mul(G, G_inv, operator.mul) != eye or mat_mul(G_inv, G, operator.mul) != eye:
+    if mat_mul(G, G_inv, poly_dot) != eye or mat_mul(G_inv, G, poly_dot) != eye:
         raise ConnectionError("G_inv is not an exact inverse of G")
     dG = tuple(tuple(GenForm.from_ordinary(dg, A.epsilon) for dg in row)
                for row in mat_ext_d(_scalar_forms(G)))
-    AG = mat_mul(A.entries, G, _right_scale)
-    return GenConnection.build(mat_mul(G_inv, mat_add(dG, AG), _left_scale), A.epsilon)
+    AG = mat_mul(A.entries, G, scale_dot)
+    return GenConnection.build(mat_mul(G_inv, mat_add(dG, AG), scale_dot), A.epsilon)
 
 
 def conjugate_matrix(F: GenMatrix, G: PolyMatrix, G_inv: PolyMatrix) -> GenMatrix:
     """G^-1 F G entrywise (polynomial scaling)."""
-    return mat_mul(G_inv, mat_mul(F, G, _right_scale), _left_scale)
+    return mat_mul(G_inv, mat_mul(F, G, scale_dot), scale_dot)
 
 
 # -- covariant derivatives of fields ------------------------------------------------
@@ -220,7 +213,7 @@ def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
     if A.dim != V.dim or A.epsilon != V.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
     comps = _column(field_components(V))
-    return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge)))[0]
+    return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge_dot)))[0]
 
 
 def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
@@ -230,10 +223,10 @@ def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm
     v = _column(V.v.components)
     theta = _column(V.vt.row_forms())
     alpha, beta = A.alpha(), A.beta()
-    body = mat_sub(mat_add(mat_ext_d(_scalar_forms(v)), mat_mul(alpha, v, _right_scale)),
+    body = mat_sub(mat_add(mat_ext_d(_scalar_forms(v)), mat_mul(alpha, v, scale_dot)),
                    _scale_matrix(theta, A.epsilon))
-    soul = mat_add(mat_add(mat_ext_d(theta), mat_mul(alpha, theta, wedge)),
-                   mat_mul(beta, v, _right_scale))
+    soul = mat_add(mat_add(mat_ext_d(theta), mat_mul(alpha, theta, wedge_dot)),
+                   mat_mul(beta, v, scale_dot))
     return transpose(_gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
 
 
@@ -286,7 +279,7 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
                 raise ConnectionError(f"gamma not symmetric at ({i + 1},{j + 1})")
             if chi[i][j] != chi[j][i]:
                 raise ConnectionError(f"chi not symmetric at ({i + 1},{j + 1})")
-    if mat_mul(gamma_inv, gamma, operator.mul) != mat_identity(n, 1, 0):
+    if mat_mul(gamma_inv, gamma, poly_dot) != mat_identity(n, 1, 0):
         raise ConnectionError("gamma_inv is not an exact inverse")
     entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
     return GenMetric(n, Fraction(epsilon), entries, gamma_inv)
@@ -302,15 +295,15 @@ def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
     if A.dim != g.dim or A.epsilon != g.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
-    gA = mat_mul(g.entries, A.entries, gwedge)
-    gtA = mat_mul(transpose(g.entries), A.entries, gwedge)
+    gA = mat_mul(g.entries, A.entries, gwedge_dot)
+    gtA = mat_mul(transpose(g.entries), A.entries, gwedge_dot)
     return mat_sub(mat_sub(mat_gd(g.entries), gA), transpose(gtA))
 
 
 def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
     """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    gamma_alpha = mat_mul(gamma, alpha, _left_scale)
-    gammat_alpha = mat_mul(transpose(gamma), alpha, _left_scale)
+    gamma_alpha = mat_mul(gamma, alpha, scale_dot)
+    gammat_alpha = mat_mul(transpose(gamma), alpha, scale_dot)
     return mat_sub(mat_sub(mat_ext_d(_scalar_forms(gamma)), gamma_alpha), transpose(gammat_alpha))
 
 
@@ -318,8 +311,8 @@ def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     """D t_{mn} = d t_{mn} - alpha^l_m t_{ln} - alpha^l_n t_{ml} for
     (0,2)-valued forms of any homogeneous degree."""
     alpha_t = transpose(alpha)
-    first = mat_mul(alpha_t, t, wedge)  # (m, n): alpha^l_m t_{ln}
-    second = mat_mul(alpha_t, transpose(t), wedge)  # (n, m): alpha^l_n t_{ml}
+    first = mat_mul(alpha_t, t, wedge_dot)  # (m, n): alpha^l_m t_{ln}
+    second = mat_mul(alpha_t, transpose(t), wedge_dot)  # (n, m): alpha^l_n t_{ml}
     return mat_sub(mat_sub(mat_ext_d(t), first), transpose(second))
 
 
@@ -329,7 +322,7 @@ def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
     alpha = A.alpha()
     gamma, chi = g.gamma(), g.chi()
     body = mat_sub(nonmetricity_ordinary(alpha, gamma), _scale_matrix(chi, A.epsilon))
-    beta_low = mat_mul(gamma, A.beta(), _left_scale)
+    beta_low = mat_mul(gamma, A.beta(), scale_dot)
     soul = mat_sub(mat_sub(cov_d_lowered(alpha, chi), beta_low), transpose(beta_low))
     return _gen_matrix(A.dim, A.epsilon, 1, body, soul)
 
@@ -339,7 +332,7 @@ def torsion(alpha: FormMatrix) -> tuple[OrdinaryForm, ...]:
     Christoffel array is symmetric in its lower indices."""
     n = len(alpha)
     dx = _column(OrdinaryForm.basis(n, (j,)) for j in range(1, n + 1))
-    return transpose(mat_mul(alpha, dx, wedge))[0]
+    return transpose(mat_mul(alpha, dx, wedge_dot))[0]
 
 
 def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatrix:
@@ -389,9 +382,9 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     if not mat_is_zero(nonmetricity_ordinary(alpha_lc, g.gamma())):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
-    beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), _left_scale)
+    beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), scale_dot)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), _left_scale))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -422,11 +415,11 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
-    fcal_low = mat_mul(_as_tuple(gamma), fcal, _left_scale)
-    sym = mat_add(fcal, mat_mul(g.gamma_inv, transpose(fcal_low), _left_scale))
+    fcal_low = mat_mul(_as_tuple(gamma), fcal, scale_dot)
+    sym = mat_add(fcal, mat_mul(g.gamma_inv, transpose(fcal_low), scale_dot))
     beta = _scale_matrix(sym, Fraction(-1, 2) / eps)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), _left_scale))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
     if not mat_is_zero(nonmetricity(A, g)):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
@@ -437,8 +430,8 @@ def case_i_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     fcal = ordinary_curvature(A.alpha())
-    chi_up = mat_mul(g.gamma_inv, g.chi(), _left_scale)
-    soul = mat_sub(mat_mul(fcal, chi_up, wedge), mat_mul(chi_up, fcal, wedge))
+    chi_up = mat_mul(g.gamma_inv, g.chi(), scale_dot)
+    soul = mat_sub(mat_mul(fcal, chi_up, wedge_dot), mat_mul(chi_up, fcal, wedge_dot))
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
@@ -456,13 +449,13 @@ def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     gamma, gamma_inv = g.gamma(), g.gamma_inv
     alpha = A.alpha()
     fcal = ordinary_curvature(alpha)
-    fcal_low = mat_mul(gamma, fcal, _left_scale)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
-    fcal_up = mat_mul(fcal, gamma_inv, _right_scale)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
+    fcal_low = mat_mul(gamma, fcal, scale_dot)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
+    fcal_up = mat_mul(fcal, gamma_inv, scale_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     q = nonmetricity_ordinary(alpha, gamma)
-    body = mat_sub(fcal, mat_mul(gamma_inv, transpose(fcal_low), _left_scale))
+    body = mat_sub(fcal, mat_mul(gamma_inv, transpose(fcal_low), scale_dot))
     # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
-    soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge)),
-                   mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge))
+    soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge_dot)),
+                   mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge_dot))
     return _gen_matrix(A.dim, eps, 2, _scale_matrix(body, Fraction(1, 2)),
                        _scale_matrix(soul, Fraction(-1, 2) / eps))
 

@@ -14,12 +14,11 @@ the chart-gluing module relies on.
 from __future__ import annotations
 
 import json
-import operator
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, Polynomial, Scalar, _add_term
+from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, poly_dot
 
 IndexTuple = tuple[int, ...]
 
@@ -202,7 +201,7 @@ class VectorField:
 
     def derivative(self, p: Polynomial) -> Polynomial:
         """The directional derivative v(p) = v^b d_b p."""
-        return reduce(operator.add, (c * p.partial(b) for b, c in enumerate(self.components, 1)))
+        return poly_dot(self.components, [p.partial(b) for b in range(1, self.dim + 1)])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -257,18 +256,19 @@ def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*m))
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], product: Callable) -> tuple[tuple, ...]:
-    """Matrix product (a b)_ij = sum_k product(a_ik, b_kj).
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], dot: Callable) -> tuple[tuple, ...]:
+    """Matrix product (a b)_ij = dot(row i of a, column j of b).
 
-    The caller names the entry product: ``operator.mul`` for polynomials,
-    ``wedge`` for forms, ``gwedge`` for extended forms.  Sums start from the
-    k = 0 term, so no typed zero is needed.
+    The caller names the row-times-column sum: ``ring.poly_dot`` for
+    polynomials, ``wedge_dot`` for forms, ``gform.gwedge_dot`` for extended
+    forms and ``gform.scale_dot`` for a polynomial matrix times a matrix of
+    (extended) forms, on either side.  Each dot accumulates its entry once,
+    so no typed zero and no intermediate product is needed.
     """
     if any(len(row) != len(b) for row in a):
         raise ValueError("matrix product: inner dimensions differ")
     columns = transpose(b)
-    return tuple(tuple(reduce(operator.add, map(product, row, col)) for col in columns)
-                 for row in a)
+    return tuple(tuple(dot(row, col) for col in columns) for row in a)
 
 
 class Tensor11:
@@ -331,12 +331,12 @@ class Tensor11:
         return Tensor11([[c * factor for c in row] for row in self.components])
 
     def matmul(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_mul(self.components, other.components, operator.mul))
+        return Tensor11(mat_mul(self.components, other.components, poly_dot))
 
     def apply(self, v: VectorField) -> VectorField:
         """Contract the down index with a vector field: (t v)^a = t^a_b v^b."""
         column = transpose((v.components,))
-        return VectorField(transpose(mat_mul(self.components, column, operator.mul))[0])
+        return VectorField(transpose(mat_mul(self.components, column, poly_dot))[0])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor11):
@@ -350,21 +350,77 @@ class Tensor11:
 # -- exterior operations ------------------------------------------------------
 
 
-def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
-    """Exterior product; zero form when the degree leaves [0, n]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    degree = a.degree + b.degree
-    out: dict[IndexTuple, Coefficient] = {}
+_Triple = tuple[int, Coefficient, Coefficient]
+
+
+def _sum_products(triples: Sequence[_Triple]) -> Coefficient:
+    """sum of s * a * b over (s, a, b) triples: the integer kernel
+    ``Polynomial.sum_products`` when every operand is a Polynomial, else
+    ``ExpPoly.sum_products``."""
+    for _, a, b in triples:
+        if type(a) is not Polynomial or type(b) is not Polynomial:
+            return ExpPoly.sum_products(triples)
+    return Polynomial.sum_products(triples)
+
+
+def _add_pairs(groups: dict[IndexTuple, list[_Triple]], sign: int,
+              a: OrdinaryForm, b: OrdinaryForm) -> bool:
+    """Append the triple (sign * merge sign, ca, cb) of every component pair
+    of a ^ b whose index tuples merge to the group of the merged tuple;
+    True when any pair merged."""
+    merged_any = False
+    b_items = b.components.items()
     for idx_a, ca in a.components.items():
-        for idx_b, cb in b.components.items():
+        for idx_b, cb in b_items:
             merged = merge_indices(idx_a, idx_b)
             if merged is None:
                 continue
-            sign, idxs = merged
-            coeff = ca * cb
-            _add_term(out, idxs, coeff if sign > 0 else -coeff)
-    return OrdinaryForm._canonical(a.dim, degree, out)
+            merge_sign, idxs = merged
+            groups.setdefault(idxs, []).append((sign * merge_sign, ca, cb))
+            merged_any = True
+    return merged_any
+
+
+def _sum_groups(groups: Mapping[IndexTuple, Sequence[_Triple]]) -> dict[IndexTuple, Coefficient]:
+    """{index tuple: sum of its group}, zero sums left out."""
+    return {idxs: c for idxs, triples in groups.items()
+            if not (c := _sum_products(triples)).is_zero()}
+
+
+def _common_degree(degree: int | None, term_degree: int) -> int:
+    """The degree shared by the nonzero terms of a sum so far; ValueError
+    when a term of another degree joins."""
+    if degree is not None and degree != term_degree:
+        raise ValueError(f"degree mismatch: {degree} vs {term_degree}")
+    return term_degree
+
+
+def wedge_dot(row: Sequence[OrdinaryForm], col: Sequence[OrdinaryForm]) -> OrdinaryForm:
+    """sum_k row[k] ^ col[k], each output coefficient accumulated once: the
+    signed coefficient pairs of every k are grouped by merged index tuple
+    and each group is summed by one kernel call.
+
+    The result is the left fold of + over the wedges: of the terms' common
+    degree when nonzero, of the last term's degree when zero.  ValueError on
+    a dimension mismatch, on rows of different length, and when two terms
+    whose components merge have different degrees.
+    """
+    dim = row[0].dim
+    groups: dict[IndexTuple, list[_Triple]] = {}
+    degree = None
+    for a, b in zip(row, col, strict=True):
+        if a.dim != dim or b.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {b.dim if a.dim == dim else a.dim}")
+        if _add_pairs(groups, 1, a, b):
+            degree = _common_degree(degree, a.degree + b.degree)
+    components = _sum_groups(groups)
+    return OrdinaryForm._canonical(
+        dim, degree if components else row[-1].degree + col[-1].degree, components)
+
+
+def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
+    """Exterior product; zero form when the degree leaves [0, n]."""
+    return wedge_dot((a,), (b,))
 
 
 def ext_d(a: OrdinaryForm) -> OrdinaryForm:

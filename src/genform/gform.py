@@ -14,17 +14,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (
+    IndexTuple,
     OrdinaryForm,
     VectorField,
+    _add_pairs,
+    _common_degree,
     _json_dim,
     _json_field,
+    _sum_groups,
+    _Triple,
     ext_d,
     form_from_json,
     form_to_json,
     interior,
     lie,
     pullback,
-    wedge,
 )
 from .ring import Polynomial, Scalar, format_rational, parse_rational
 
@@ -49,6 +53,21 @@ class GenForm:
             raise ValueError(f"soul degree {soul.degree} != {degree + 1}")
         self.body = body
         self.soul = soul
+
+    @classmethod
+    def _canonical(cls, dim: int, epsilon: Fraction, degree: int,
+                   body: OrdinaryForm, soul: OrdinaryForm) -> "GenForm":
+        """Build an operation's result from parts of the right dimension and
+        degree by construction and an epsilon that is already a Fraction: no
+        conversion and no part checks.  Outside input goes through the
+        validating constructor."""
+        form = cls.__new__(cls)
+        form.dim = dim
+        form.epsilon = epsilon
+        form.degree = degree
+        form.body = body
+        form.soul = soul
+        return form
 
     # -- constructors ------------------------------------------------------
 
@@ -92,18 +111,18 @@ class GenForm:
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return GenForm(self.dim, self.epsilon, self.degree,
-                       self.body + other.body, self.soul + other.soul)
+        return GenForm._canonical(self.dim, self.epsilon, self.degree,
+                                  self.body + other.body, self.soul + other.soul)
 
     def __sub__(self, other: "GenForm") -> "GenForm":
         return self + (-other)
 
     def __neg__(self) -> "GenForm":
-        return GenForm(self.dim, self.epsilon, self.degree, -self.body, -self.soul)
+        return GenForm._canonical(self.dim, self.epsilon, self.degree, -self.body, -self.soul)
 
     def scale(self, factor: Polynomial | Scalar) -> "GenForm":
-        return GenForm(self.dim, self.epsilon, self.degree,
-                       self.body.scale(factor), self.soul.scale(factor))
+        return GenForm._canonical(self.dim, self.epsilon, self.degree,
+                                  self.body.scale(factor), self.soul.scale(factor))
 
     def __eq__(self, other):
         if not isinstance(other, GenForm):
@@ -135,16 +154,83 @@ class GenForm:
 # -- algebra -------------------------------------------------------------------
 
 
+def _gen_sum(first: GenForm, degree: int | None, last_degree: int,
+             body: dict[IndexTuple, list[_Triple]],
+             soul: dict[IndexTuple, list[_Triple]]) -> GenForm:
+    """The extended form with the summed body and soul groups: of the terms'
+    common degree when nonzero, of the last term's degree when zero, as the
+    left fold of + gives."""
+    body_components, soul_components = _sum_groups(body), _sum_groups(soul)
+    if not (body_components or soul_components):
+        degree = last_degree
+    return GenForm._canonical(first.dim, first.epsilon, degree,
+                              OrdinaryForm._canonical(first.dim, degree, body_components),
+                              OrdinaryForm._canonical(first.dim, degree + 1, soul_components))
+
+
+def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
+    """sum_k row[k] col[k] of the products
+
+        (alpha + alpha'm)(beta + beta'm) = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,
+
+    q = deg beta, with each body and soul coefficient accumulated once (see
+    ``exterior.wedge_dot``).  ValueError on a dimension or epsilon mismatch,
+    on rows of different length, and when two terms whose components merge
+    have different degrees.
+    """
+    first = row[0]
+    body: dict[IndexTuple, list[_Triple]] = {}
+    soul: dict[IndexTuple, list[_Triple]] = {}
+    degree = None
+    for a, b in zip(row, col, strict=True):
+        first._require_compatible(a)
+        first._require_compatible(b)
+        merged = _add_pairs(body, 1, a.body, b.body)
+        merged |= _add_pairs(soul, 1, a.body, b.soul)
+        merged |= _add_pairs(soul, -1 if b.degree % 2 else 1, a.soul, b.body)
+        if merged:
+            degree = _common_degree(degree, a.degree + b.degree)
+    return _gen_sum(first, degree, row[-1].degree + col[-1].degree, body, soul)
+
+
 def gwedge(a: GenForm, b: GenForm) -> GenForm:
     """Product (alpha + alpha'm)(beta + beta'm)
     = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,  q = deg b."""
-    a._require_compatible(b)
-    body = wedge(a.body, b.body)
-    cross = wedge(a.soul, b.body)
-    if b.degree % 2:
-        cross = -cross
-    soul = wedge(a.body, b.soul) + cross
-    return GenForm(a.dim, a.epsilon, a.degree + b.degree, body, soul)
+    return gwedge_dot((a,), (b,))
+
+
+def scale_dot(row: Sequence, col: Sequence) -> OrdinaryForm | GenForm:
+    """sum_k p_k x_k for polynomials p_k and ordinary or extended forms x_k,
+    the polynomials in either argument: the row-times-column function of a
+    polynomial matrix times a matrix of forms, on either side.  Each
+    coefficient is accumulated once, with p_k the left operand of every
+    product as in ``x.scale(p)``.  Zero results and errors as for
+    ``gwedge_dot``.
+    """
+    polys, forms = (row, col) if isinstance(col[0], (OrdinaryForm, GenForm)) else (col, row)
+    first = forms[0]
+    extended = isinstance(first, GenForm)
+    body: dict[IndexTuple, list[_Triple]] = {}
+    soul: dict[IndexTuple, list[_Triple]] = {}
+    degree = None
+    for p, x in zip(polys, forms, strict=True):
+        if extended:
+            first._require_compatible(x)
+            parts = ((body, x.body), (soul, x.soul))
+        elif x.dim != first.dim:
+            raise ValueError(f"dimension mismatch: {first.dim} vs {x.dim}")
+        else:
+            parts = ((body, x),)
+        for groups, part in parts:
+            for idxs, c in part.components.items():
+                groups.setdefault(idxs, []).append((1, p, c))
+        if not (p.is_zero() or x.is_zero()):
+            degree = _common_degree(degree, x.degree)
+    if extended:
+        return _gen_sum(first, degree, forms[-1].degree, body, soul)
+    components = _sum_groups(body)
+    return OrdinaryForm._canonical(first.dim, degree if components else forms[-1].degree,
+                                   components)
 
 
 def gd(a: GenForm) -> GenForm:
@@ -156,7 +242,7 @@ def gd(a: GenForm) -> GenForm:
         if (a.degree + 1) % 2:
             eps_term = -eps_term
         body = body + eps_term
-    return GenForm(a.dim, a.epsilon, a.degree + 1, body, ext_d(a.soul))
+    return GenForm._canonical(a.dim, a.epsilon, a.degree + 1, body, ext_d(a.soul))
 
 
 def gpullback(phi: Sequence[Polynomial], a: GenForm) -> GenForm:

@@ -35,10 +35,8 @@ from .exterior import (
     ext_d,
     interior,
     lie,
-    mat_mul,
-    transpose,
     vf_bracket,
-    wedge,
+    wedge_dot,
 )
 from .gform import GenForm, gd
 from .ring import Polynomial, Scalar, format_rational, parse_rational
@@ -118,13 +116,6 @@ def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) 
 # -- interior product ----------------------------------------------------------
 
 
-def _wedge_sum(row: Sequence[OrdinaryForm], column: Sequence[OrdinaryForm]) -> OrdinaryForm:
-    """sum_a row[a] ^ column[a]: a row of forms times a column, under wedge.
-    With the row one-forms theta^a of a tensor vt and column i_{d/dx^a} rho
-    this is v^a_b dx^b ^ i_{d/dx^a} rho."""
-    return mat_mul((row,), transpose((column,)), wedge)[0][0]
-
-
 def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
     """i_{d/dx^a} rho for a = 1..n."""
     return [interior(VectorField.coordinate(rho.dim, a), rho) for a in range(1, rho.dim + 1)]
@@ -142,7 +133,7 @@ def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
     if V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
     body = interior(V.v, a.body)
-    hook = _wedge_sum(V.vt.row_forms(), _hooks(a.body))
+    hook = wedge_dot(V.vt.row_forms(), _hooks(a.body))
     soul = interior(V.v, a.soul) + _signed(a.degree - 1, hook)
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 
@@ -193,10 +184,10 @@ def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
         raise ValueError("dimension/epsilon mismatch")
     n, p, eps = a.dim, a.degree, a.epsilon
     theta, hooks = V.vt.row_forms(), _hooks(a.body)
-    body = lie(V.v, a.body) - _wedge_sum(theta, hooks).scale(eps)
-    grad = _wedge_sum(theta, [coordinate_partial(a.body, axis) for axis in range(1, n + 1)])
-    dtheta = _wedge_sum([ext_d(t) for t in theta], hooks)
-    soul = (lie(V.v, a.soul) - _wedge_sum(theta, _hooks(a.soul)).scale(eps)
+    body = lie(V.v, a.body) - wedge_dot(theta, hooks).scale(eps)
+    grad = wedge_dot(theta, [coordinate_partial(a.body, axis) for axis in range(1, n + 1)])
+    dtheta = wedge_dot([ext_d(t) for t in theta], hooks)
+    soul = (lie(V.v, a.soul) - wedge_dot(theta, _hooks(a.soul)).scale(eps)
             + _signed(p, grad) + _signed(p - 1, dtheta))
     return GenForm(n, eps, p, body, soul)
 

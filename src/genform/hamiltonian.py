@@ -21,7 +21,6 @@ example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -42,7 +41,7 @@ from .exterior import (
 )
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
-from .ring import Polynomial, Scalar, parse_rational
+from .ring import Polynomial, Scalar, parse_rational, poly_dot
 
 
 class SymplecticError(ValueError):
@@ -89,7 +88,7 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
     if len(inv) != n or any(len(row) != n for row in inv):
         raise SymplecticError("inverse matrix has wrong shape")
     omega = _antisymmetric_matrix(s.body)
-    product = mat_mul(inv, transpose(omega), operator.mul)  # W^{ag} Omega_{bg}
+    product = mat_mul(inv, transpose(omega), poly_dot)  # W^{ag} Omega_{bg}
     for a, row in enumerate(product, start=1):
         for b, entry in enumerate(row, start=1):
             if entry != (1 if a == b else 0):
@@ -127,7 +126,7 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
     v = Tensor11(s.omega_inv).apply(
         VectorField([-dH.body.components.get((b,), zero) for b in range(1, n + 1)]))
     S = _antisymmetric_matrix((interior(v, s.s.soul) + dH.soul).scale(Fraction(1, 2)))
-    vt = mat_mul(s.omega_inv, transpose(S), operator.mul)  # W^{ag} S_{bg}
+    vt = mat_mul(s.omega_inv, transpose(S), poly_dot)  # W^{ag} S_{bg}
     field = GenVectorField(n, s.epsilon, v, Tensor11(vt))
 
     residual = gv_interior(field, s.s) + dH

@@ -9,7 +9,6 @@ which is what makes suite reports reproducible.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .exterior import (OrdinaryForm, Tensor11, VectorField, mat_add, mat_identit
                        mat_sub, transpose)
 from .gform import GenForm
 from .gvector import GenVectorField
-from .ring import Polynomial
+from .ring import Polynomial, poly_dot
 from .superspace import SuperFunction
 
 COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -104,15 +103,15 @@ class FormRandom:
         # (I + N)^-1 = I - N (I - N (I - ...)), which ends because N^n = 0
         inv = eye
         for _ in range(n - 1):
-            inv = mat_sub(eye, mat_mul(nil, inv, operator.mul))
+            inv = mat_sub(eye, mat_mul(nil, inv, poly_dot))
         return mat_add(eye, nil), inv
 
     def metric_pieces(self) -> tuple[tuple[tuple[Polynomial, ...], ...],
                                      tuple[tuple[Polynomial, ...], ...]]:
         """gamma = L^T L for unipotent L: symmetric with polynomial inverse."""
         l_mat, l_inv = self.unipotent()
-        gamma = mat_mul(transpose(l_mat), l_mat, operator.mul)
-        gamma_inv = mat_mul(l_inv, transpose(l_inv), operator.mul)
+        gamma = mat_mul(transpose(l_mat), l_mat, poly_dot)
+        gamma_inv = mat_mul(l_inv, transpose(l_inv), poly_dot)
         return gamma, gamma_inv
 
     def symmetric_one_forms(self) -> tuple[tuple[OrdinaryForm, ...], ...]:

@@ -23,11 +23,19 @@ want coefficients one by one.
 Dropping zeros is the constructors' job alone.  Every sparse container here
 and downstream (``Polynomial``, ``ExpPoly``, ``OrdinaryForm``,
 ``SuperFunction``) discards zero entries when it is built, so the operations
-accumulate into a plain dict with ``_add_term`` and let cancelled entries sit
-there until the result is constructed.  Results of the ring operations go
-through ``Polynomial._canonical`` and results of the exterior operations
-through ``OrdinaryForm._canonical``: both drop zeros but skip the checks of
-the public constructors, which outside input still passes.
+accumulate into a plain dict and let cancelled entries sit there until the
+result is constructed.  Results of the ring operations go through
+``Polynomial._canonical`` and results of the exterior operations through
+``OrdinaryForm._canonical``: both drop zeros but skip the checks of the
+public constructors, which outside input still passes.
+
+One kernel does every polynomial product: ``Polynomial.sum_products`` sums
+s*a*b over (s, a, b) triples with s = +-1 into a single integer dict over the
+lcm of the pairs' denominators, checks the exponent guard bits once and
+canonicalizes once.  ``a * b`` is its one-triple case.  A row-times-column
+sum of forms (``exterior.wedge_dot`` and its relatives) hands each output
+coefficient's triples to one kernel call, so no intermediate product is
+ever built as a ``Polynomial`` of its own.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
@@ -251,13 +259,18 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_dim(other)
+            if not other._nums:
+                return self
+            if not self._nums:
+                return other
             # bring both numerators over lcm(den, other.den)
             g = math.gcd(self.den, other.den)
             scale, other_scale = other.den // g, self.den // g
             out = (dict(self._nums) if scale == 1
                    else {key: num * scale for key, num in self._nums.items()})
+            get = out.get
             for key, num in other._nums.items():
-                _add_term(out, key, num * other_scale)
+                out[key] = get(key, 0) + num * other_scale
             return Polynomial._canonical(self.dim, self.den * scale, out)
         if isinstance(other, (int, Fraction)):
             return self + Polynomial.const(self.dim, other)
@@ -280,22 +293,50 @@ class Polynomial:
         return Polynomial._canonical(self.dim, self.den,
                                      {key: -num for key, num in self._nums.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._require_same_dim(other)
-            out: dict[int, int] = {}
-            get = out.get
-            right = other._nums.items()
-            # The accumulate step of _add_term, inlined: one call per term
-            # product is what this loop would otherwise spend its time on.
-            for k1, n1 in self._nums.items():
+    @staticmethod
+    def sum_products(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
+        """sum of s * a * b over at least one (s, a, b) triple, s = +1 or -1,
+        all polynomials of one dimension.
+
+        Every term product accumulates into one integer dict over the lcm of
+        the pairs' denominators; a pair with a zero operand adds nothing.
+        The exponent guard bits are checked and the result canonicalized
+        once, at the end.  Per pair, a's terms run in the outer loop and b's
+        in the inner one: that fixes the term order of a * b, the one-triple
+        case, which ``eval_float`` sums in.
+        """
+        if not terms:
+            raise ValueError("sum_products needs at least one (s, a, b) triple")
+        dim = terms[0][1].dim
+        den = 1
+        for _, a, b in terms:
+            if a.dim != dim or b.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs "
+                                 f"{b.dim if a.dim == dim else a.dim}")
+            if a._nums and b._nums:
+                den = math.lcm(den, a.den * b.den)
+        out: dict[int, int] = {}
+        get = out.get
+        for s, a, b in terms:
+            if not (a._nums and b._nums):
+                continue
+            scale = s * (den // (a.den * b.den))
+            right = b._nums.items()
+            # The accumulate step inlined: a call per term product is what
+            # this loop would otherwise spend its time on.
+            for k1, n1 in a._nums.items():
+                n1 *= scale
                 for k2, n2 in right:
                     key = k1 + k2
                     out[key] = get(key, 0) + n1 * n2
-            if functools.reduce(operator.or_, out, 0) & _guard_bits(self.dim):
-                raise ValueError(f"exponent overflow: a product needs an exponent "
-                                 f"above {MAX_EXPONENT}")
-            return Polynomial._canonical(self.dim, self.den * other.den, out)
+        if functools.reduce(operator.or_, out, 0) & _guard_bits(dim):
+            raise ValueError(f"exponent overflow: a product needs an exponent "
+                             f"above {MAX_EXPONENT}")
+        return Polynomial._canonical(dim, den, out)
+
+    def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            return Polynomial.sum_products(((1, self, other),))
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
             return Polynomial._canonical(self.dim, self.den * s.denominator,
@@ -406,6 +447,12 @@ class Polynomial:
         return f"Polynomial({self.dim}, {str(self)!r})"
 
 
+def poly_dot(row: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial:
+    """sum_k row[k] * col[k] in one kernel call: the row-times-column
+    function of polynomial matrices for ``exterior.mat_mul``."""
+    return Polynomial.sum_products([(1, a, b) for a, b in zip(row, col, strict=True)])
+
+
 class ExpPoly:
     """Finite sum  p_i * exp(q_i)  of polynomial-coefficient exponential terms.
 
@@ -508,6 +555,18 @@ class ExpPoly:
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    @staticmethod
+    def sum_products(terms: Sequence[tuple[int, Coefficient, Coefficient]]) -> Coefficient:
+        """sum of s * a * b over at least one (s, a, b) triple, s = +1 or -1,
+        of Polynomial or ExpPoly operands, by their own ``*`` and ``+``."""
+        total = None
+        for s, a, b in terms:
+            product = a * b if s > 0 else -(a * b)
+            total = product if total is None else total + product
+        if total is None:
+            raise ValueError("sum_products needs at least one (s, a, b) triple")
+        return total
 
     def partial(self, axis: int) -> "ExpPoly":
         """d(p e^q) = (dp + p dq) e^q, termwise; the exponents stay distinct."""

@@ -25,6 +25,7 @@ from .gform import (
     glie_ordinary,
     gpullback,
     gwedge,
+    gwedge_dot,
 )
 from .gvector import (
     GenVectorField,
@@ -302,7 +303,7 @@ def suite_connection(rnd: FormRandom, degree: int, check: Callable) -> None:
     g_up = conn.metric_inverse(g)
     eye = mat_identity(dim, GenForm.one(dim, rnd.epsilon), GenForm.zero(dim, rnd.epsilon))
     for left, right in ((g_up, g.entries), (g.entries, g_up)):
-        check("metric_inverse_two_sided", mat_sub(mat_mul(left, right, gwedge), eye))
+        check("metric_inverse_two_sided", mat_sub(mat_mul(left, right, gwedge_dot), eye))
 
 
 SUITES = dict(zip(SUITE_NAMES, (suite_cartan, suite_gform, suite_super, suite_gvector,

@@ -31,7 +31,7 @@ from genform.connection import (
     transform_connection,
 )
 from genform.exterior import OrdinaryForm, Tensor11, VectorField
-from genform.gform import GenForm, gwedge
+from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
 from genform.ring import Polynomial
@@ -107,8 +107,8 @@ def test_cov_ext_d_degree_zero_sign():
                             rnd.form(1)) for _ in range(n)) for _ in range(n))
     got = cov_ext_d_tensor(A, P)
     want = conn.mat_add(conn.mat_gd(P),
-                        conn.mat_sub(conn.mat_mul(A.entries, P, gwedge),
-                                     conn.mat_mul(P, A.entries, gwedge)))
+                        conn.mat_sub(conn.mat_mul(A.entries, P, gwedge_dot),
+                                     conn.mat_mul(P, A.entries, gwedge_dot)))
     assert conn.mat_is_zero(conn.mat_sub(got, want))
 
 

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -21,9 +22,10 @@ from genform.exterior import (
     transpose,
     vf_bracket,
     wedge,
+    wedge_dot,
 )
 from genform.randgen import FormRandom
-from genform.ring import Polynomial
+from genform.ring import ExpPoly, Polynomial, poly_dot
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -286,7 +288,7 @@ def test_mat_mul_matches_explicit_sum():
     b = ((x2, x1), (one, x1 * x1), (x1 + x2, Polynomial.zero(n)))  # 3 x 2
     want = tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
                        for j in range(2)) for i in range(2))
-    assert mat_mul(a, b, operator.mul) == want
+    assert mat_mul(a, b, poly_dot) == want
 
 
 def test_mat_mul_keeps_entry_product_order():
@@ -294,15 +296,113 @@ def test_mat_mul_keeps_entry_product_order():
     a = ((dx(3, 1), dx(3, 2)),)
     b = ((dx(3, 3), dx(3, 2)), (dx(3, 1), dx(3, 3)))
     want = ((dx(3, 1, 3) - dx(3, 1, 2), dx(3, 1, 2) + dx(3, 2, 3)),)
-    got = mat_mul(a, b, wedge)
+    got = mat_mul(a, b, wedge_dot)
     assert got == want
-    assert got != mat_mul(a, b, lambda x, y: wedge(y, x))
+    assert got != mat_mul(a, b, lambda row, col: wedge_dot(col, row))
+
+
+def reference_dot(product):
+    """The row-times-column sum as a left fold of + over the entry products,
+    which is how mat_mul summed before the dots: the reference path."""
+    return lambda row, col: reduce(operator.add, map(product, row, col))
+
+
+def reference_wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
+    """The exterior product one coefficient product at a time."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    out = {}
+    for idx_a, ca in a.components.items():
+        for idx_b, cb in b.components.items():
+            merged = merge_indices(idx_a, idx_b)
+            if merged is not None:
+                sign, idxs = merged
+                term = ca * cb if sign > 0 else -(ca * cb)
+                out[idxs] = out[idxs] + term if idxs in out else term
+    return OrdinaryForm(a.dim, a.degree + b.degree,
+                        out if 0 <= a.degree + b.degree <= a.dim else {})
+
+
+def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
+    """form with every other coefficient c replaced by c exp(q) + exp(q')."""
+    comps = {}
+    for k, (idxs, c) in enumerate(form.components.items()):
+        comps[idxs] = (c if k % 2 else
+                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(rnd.poly(allow_zero=False)))
+    return OrdinaryForm(form.dim, form.degree, comps)
+
+
+def random_entry(rnd: FormRandom, degree: int) -> OrdinaryForm:
+    """A random form of the given degree, or a zero form of any degree from
+    -1 to dim + 1, or one with ExpPoly coefficients."""
+    draw = rnd.rng.random()
+    if draw < 0.25:
+        return OrdinaryForm.zero(rnd.dim, rnd.rng.randint(-1, rnd.dim + 1))
+    form = rnd.form(degree)
+    return with_exp_coefficients(form, rnd) if draw < 0.45 else form
+
+
+def random_row_and_column(rnd: FormRandom, left, right) -> tuple[list, list]:
+    """A row of left(rnd, p) and a column of right(rnd, q) entries of equal
+    length 1-4.  Sometimes the pairs are repeated with the column negated,
+    so that the sum cancels, and then followed by a pair whose column entry
+    is a zero of any degree, which sets the degree of the zero sum."""
+    p, q = rnd.rng.randint(-1, rnd.dim), rnd.rng.randint(-1, rnd.dim)
+    length = rnd.rng.randint(1, 4)
+    row = [left(rnd, p) for _ in range(length)]
+    col = [right(rnd, q) for _ in range(length)]
+    if rnd.rng.random() < 0.4:
+        row += row
+        col += [-c for c in col[:length]]
+        if rnd.rng.random() < 0.5:
+            row.append(left(rnd, p))
+            zero = right(rnd, rnd.rng.randint(-1, rnd.dim + 1))
+            col.append(OrdinaryForm.zero(zero.dim, zero.degree))
+    return row, col
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_wedge_dot_matches_the_fold_of_wedges(dim):
+    rnd = FormRandom(40 + dim, dim, Fraction(0))
+    reference = reference_dot(reference_wedge)
+    for _ in range(25):
+        row, col = random_row_and_column(rnd, random_entry, random_entry)
+        got, want = wedge_dot(row, col), reference(row, col)
+        assert (got.dim, got.degree, got.components) == (want.dim, want.degree, want.components)
+        for a, b in zip(row, col):
+            got, want = wedge(a, b), reference_wedge(a, b)
+            assert (got.degree, got.components) == (want.degree, want.components)
+
+
+def test_wedge_dot_raises_where_the_fold_raises():
+    dx1, dx2, dx12, dx3 = dx(3, 1), dx(3, 2), dx(3, 1, 2), dx(3, 3)
+    cases = [
+        ((dx1, dx1), (dx2, dx(2, 2))),  # entries of two dimensions
+        ((dx1, dx12), (dx2, dx3)),  # terms of degrees 2 and 3
+        ((dx1,), (dx2, dx3)),  # a column longer than the row
+    ]
+    for row, col in cases:
+        with pytest.raises(ValueError):
+            wedge_dot(row, col)
+    with pytest.raises(ValueError):
+        wedge(dx(2, 1), dx3)
+    for row, col in cases[:2]:
+        with pytest.raises(ValueError):
+            reference_dot(reference_wedge)(row, col)
+
+
+def test_poly_dot_matches_the_fold_of_products():
+    rnd = FormRandom(9, 3, Fraction(0))
+    for length in range(1, 6):
+        row = [rnd.poly() for _ in range(length)]
+        col = [rnd.poly() for _ in range(length)]
+        assert poly_dot(row, col) == reference_dot(operator.mul)(row, col)
 
 
 def test_mat_mul_rejects_mismatched_inner_dimensions():
     m = ((Polynomial.one(2), Polynomial.zero(2), Polynomial.one(2)),)  # 1 x 3
     with pytest.raises(ValueError):
-        mat_mul(m, m, operator.mul)
+        mat_mul(m, m, poly_dot)
 
 
 def test_transpose():

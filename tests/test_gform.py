@@ -1,8 +1,10 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from genform.exterior import OrdinaryForm, VectorField, interior
+from genform.exterior import OrdinaryForm, VectorField, interior, wedge
 from genform.gform import (
     GenForm,
     gd,
@@ -13,9 +15,11 @@ from genform.gform import (
     glie_ordinary,
     gpullback,
     gwedge,
+    gwedge_dot,
+    scale_dot,
 )
 from genform.randgen import FormRandom
-from genform.ring import Polynomial
+from genform.ring import ExpPoly, Polynomial
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -234,3 +238,144 @@ def test_genform_json_type_errors(change):
     data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
     with pytest.raises(ValueError):
         genform_from_json(dict(data, **change))
+
+
+def stored(x: GenForm | OrdinaryForm) -> tuple:
+    """Everything a form stores, the nominal degrees of zero parts too."""
+    if isinstance(x, GenForm):
+        return (x.dim, x.epsilon, x.degree, stored(x.body), stored(x.soul))
+    return (x.dim, x.degree, x.components)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_operation_results_pass_the_validating_constructor(dim):
+    """Results built by GenForm._canonical have parts of the right
+    dimension and degree, as the public constructor demands."""
+    for eps in EPSILONS:
+        rnd = FormRandom(70 + dim, dim, eps)
+        for _ in range(4):
+            p, q = rnd.rng.randint(-1, dim), rnd.rng.randint(-1, dim)
+            a, b, c = rnd.genform(p), rnd.genform(p), rnd.genform(q)
+            results = [a + b, a - b, a - a, -a, a.scale(rnd.poly()), a.scale(Fraction(-3, 2)),
+                       gwedge(a, c), gwedge(c, a), gwedge_dot((a, b), (c, c)), gd(a),
+                       scale_dot((rnd.poly(), rnd.poly()), (a, b))]
+            for r in results:
+                assert stored(GenForm(r.dim, r.epsilon, r.degree, r.body, r.soul)) == stored(r)
+
+
+def reference_dot(product):
+    """The row-times-column sum as a left fold of + over the entry products:
+    the reference path for the dots."""
+    return lambda row, col: reduce(operator.add, map(product, row, col))
+
+
+def reference_gwedge(a: GenForm, b: GenForm) -> GenForm:
+    """The extended product from three ordinary wedges."""
+    a._require_compatible(b)
+    cross = wedge(a.soul, b.body)
+    soul = wedge(a.body, b.soul) + (-cross if b.degree % 2 else cross)
+    return GenForm(a.dim, a.epsilon, a.degree + b.degree, wedge(a.body, b.body), soul)
+
+
+def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
+    """form with every other coefficient c replaced by c exp(q) + exp(q')."""
+    comps = {}
+    for k, (idxs, c) in enumerate(form.components.items()):
+        comps[idxs] = (c if k % 2 else
+                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(rnd.poly(allow_zero=False)))
+    return OrdinaryForm(form.dim, form.degree, comps)
+
+
+def random_entry(rnd: FormRandom, degree: int) -> GenForm:
+    """A random extended form of the given degree, or a zero one of any
+    degree from -1 to dim + 1, or one with ExpPoly coefficients."""
+    draw = rnd.rng.random()
+    if draw < 0.25:
+        return GenForm.zero(rnd.dim, rnd.epsilon, rnd.rng.randint(-1, rnd.dim + 1))
+    a = rnd.genform(degree)
+    if draw < 0.45:
+        return GenForm(a.dim, a.epsilon, a.degree, with_exp_coefficients(a.body, rnd),
+                       with_exp_coefficients(a.soul, rnd))
+    return a
+
+
+def zero_like(x: GenForm | OrdinaryForm) -> GenForm | OrdinaryForm:
+    if isinstance(x, GenForm):
+        return GenForm.zero(x.dim, x.epsilon, x.degree)
+    return OrdinaryForm.zero(x.dim, x.degree)
+
+
+def random_row_and_column(rnd: FormRandom, left, right) -> tuple[list, list]:
+    """A row of left(rnd, p) and a column of right(rnd, q) entries of equal
+    length 1-4.  Sometimes the pairs are repeated with the column negated,
+    so that the sum cancels, and then followed by a pair whose column entry
+    is a zero of any degree, which sets the degree of the zero sum."""
+    p, q = rnd.rng.randint(-1, rnd.dim), rnd.rng.randint(-1, rnd.dim)
+    length = rnd.rng.randint(1, 4)
+    row = [left(rnd, p) for _ in range(length)]
+    col = [right(rnd, q) for _ in range(length)]
+    if rnd.rng.random() < 0.4:
+        row += row
+        col += [-c for c in col[:length]]
+        if rnd.rng.random() < 0.5:
+            row.append(left(rnd, p))
+            col.append(zero_like(right(rnd, rnd.rng.randint(-1, rnd.dim + 1))))
+    return row, col
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_gwedge_dot_matches_the_fold_of_products(dim):
+    rnd = FormRandom(50 + dim, dim, EPSILONS[dim % len(EPSILONS)])
+    reference = reference_dot(reference_gwedge)
+    for _ in range(20):
+        row, col = random_row_and_column(rnd, random_entry, random_entry)
+        assert stored(gwedge_dot(row, col)) == stored(reference(row, col))
+        for a, b in zip(row, col):
+            assert stored(gwedge(a, b)) == stored(reference_gwedge(a, b))
+
+
+def random_poly(rnd: FormRandom, _degree: int) -> Polynomial:
+    return Polynomial.zero(rnd.dim) if rnd.rng.random() < 0.2 else rnd.poly()
+
+
+def random_ordinary_entry(rnd: FormRandom, degree: int) -> OrdinaryForm:
+    return random_entry(rnd, degree).body
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_scale_dot_matches_the_fold_of_scalings(dim):
+    rnd = FormRandom(60 + dim, dim, EPSILONS[dim % len(EPSILONS)])
+    left = reference_dot(lambda p, x: x.scale(p))
+    right = reference_dot(lambda x, p: x.scale(p))
+    for entry in (random_entry, random_ordinary_entry):
+        for _ in range(10):
+            polys, forms = random_row_and_column(rnd, random_poly, entry)
+            assert stored(scale_dot(polys, forms)) == stored(left(polys, forms))
+            assert stored(scale_dot(forms, polys)) == stored(right(forms, polys))
+    # a zero polynomial makes its term zero, whatever the degree of its form
+    polys = (Polynomial.zero(dim), Polynomial.one(dim))
+    for forms in ((rnd.form(1), rnd.form(0)), (rnd.genform(-1), rnd.genform(0))):
+        assert stored(scale_dot(polys, forms)) == stored(left(polys, forms))
+
+
+def test_dots_raise_where_the_fold_raises():
+    eps = Fraction(1)
+    dx1, dx2 = (GenForm.from_ordinary(OrdinaryForm.basis(2, (i,)), eps) for i in (1, 2))
+    one = Polynomial.one(2)
+    cases = [
+        ((dx1, GenForm.one(3, eps)), (dx2, GenForm.one(3, eps))),  # two dimensions
+        ((dx1, GenForm.one(2, 2)), (dx2, GenForm.one(2, 2))),  # two epsilons
+        ((dx1, dx1), (dx2, GenForm.one(2, eps))),  # terms of degrees 2 and 1
+    ]
+    for row, col in cases:
+        for dot in (gwedge_dot, reference_dot(reference_gwedge)):
+            with pytest.raises(ValueError):
+                dot(row, col)
+    with pytest.raises(ValueError):
+        gwedge_dot((dx1,), (dx2, dx1))
+    for forms in ((dx1, GenForm.one(3, eps)), (dx1, GenForm.one(2, 2)), (dx1, GenForm.one(2, eps)),
+                  (dx1.body, OrdinaryForm.constant(3, 1)), (dx1.body, OrdinaryForm.constant(2, 1))):
+        polys = (one, Polynomial.one(forms[1].dim))
+        for dot in (scale_dot, reference_dot(lambda p, x: x.scale(p))):
+            with pytest.raises(ValueError):
+                dot(polys, forms)

@@ -228,6 +228,10 @@ def test_exponent_limit():
         (top + Polynomial.var(2, 2)) * (Polynomial.var(2, 1) + 1)
     with pytest.raises(ValueError):
         Polynomial.parse(2, f"1*x1^{MAX_EXPONENT // 2 + 1}") ** 2
+    # in a sum of products too, even when the overflowing terms cancel
+    x1 = Polynomial.var(2, 1)
+    with pytest.raises(ValueError):
+        Polynomial.sum_products([(1, x1, x1), (1, top, x1), (-1, x1, top)])
     for text in (f"1*x1^{MAX_EXPONENT + 1}", f"1*x2^{MAX_EXPONENT}*x2"):
         with pytest.raises(ValueError):
             Polynomial.parse(2, text)

@@ -65,6 +65,41 @@ def test_add_sub_mul_match_sympy(pair):
     assert_same(-a, -sa)
 
 
+@st.composite
+def signed_triples(draw):
+    """1-6 triples (s, a, b) of one dimension with s = +-1, zero operands
+    mixed in."""
+    dim = draw(st.integers(1, 3))
+    operand = st.one_of(st.just(Polynomial.zero(dim)), _poly(dim))
+    return [(draw(st.sampled_from((1, -1))), draw(operand), draw(operand))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@ORACLE
+@given(signed_triples())
+def test_sum_products_matches_sympy(terms):
+    got = Polynomial.sum_products(terms)
+    want = sympy.Poly(0, *_gens(got.dim), domain=QQ)
+    for s, a, b in terms:
+        want += to_sympy(a) * to_sympy(b) * s
+    assert_same(got, want)
+    # canonical: structurally equal to the sum built one product at a time
+    folded = Polynomial.zero(got.dim)
+    for s, a, b in terms:
+        folded = folded + (a * b if s > 0 else -(a * b))
+    assert (got.den, got._nums) == (folded.den, folded._nums)
+
+
+def test_sum_products_rejects_no_terms_and_mixed_dimensions():
+    x = Polynomial.var(2, 1)
+    with pytest.raises(ValueError):
+        Polynomial.sum_products([])
+    with pytest.raises(ValueError):
+        Polynomial.sum_products([(1, x, x), (1, x, Polynomial.var(3, 1))])
+    with pytest.raises(ValueError):
+        Polynomial.sum_products([(1, Polynomial.zero(3), x)])
+
+
 @ORACLE
 @given(same_dim(1), rationals)
 def test_scalar_mul_matches_sympy(single, scalar):

@@ -1,10 +1,13 @@
 """Ring work pinned for fixed runs: an algorithmic regression fails here
 without any timing.
 
-Each run counts the ``Polynomial.__mul__`` calls it makes and their term
-products (len x len for two polynomials, len x 1 for a rational factor, as
-``perfbench`` counts them) and compares both numbers exactly with
-``tests/golden/work.json``.  The runs are every identity suite at dim 2
+Each run counts the polynomial products it makes and their term products
+and compares both numbers exactly with ``tests/golden/work.json``.  Every
+product of two polynomials goes through the kernel ``Polynomial.sum_products``
+(``a * b`` is its one-triple case), so each (s, a, b) triple the kernel
+receives counts as one product of len(a) x len(b) term products, a triple with
+a zero operand included; the scalar branch of ``Polynomial.__mul__`` counts
+as one product of len x 1.  The runs are every identity suite at dim 2
 (seed 7, 20 trials), the connection suite at dim 3 (seed 0, 3 trials) and the
 two ``hamiltonian`` fixture commands.
 
@@ -52,20 +55,27 @@ def _execute(run) -> None:
 
 
 def measure(name: str, monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
-    """{"mul_calls", "term_products"} of one run, counted by a wrapper that
-    ``monkeypatch`` puts on ``Polynomial.__mul__``."""
+    """{"mul_calls", "term_products"} of one run, counted by wrappers that
+    ``monkeypatch`` puts on ``Polynomial.sum_products`` and on the scalar
+    branch of ``Polynomial.__mul__``."""
     work = {"mul_calls": 0, "term_products": 0}
-    mul = Polynomial.__mul__
+    mul, sum_products = Polynomial.__mul__, Polynomial.sum_products
 
-    def counted(self, other):
+    def counted_mul(self, other):
         out = mul(self, other)
-        if out is not NotImplemented:
+        if isinstance(other, (int, Fraction)):
             work["mul_calls"] += 1
-            work["term_products"] += len(self._nums) * (
-                len(other._nums) if isinstance(other, Polynomial) else 1)
+            work["term_products"] += len(self._nums)
         return out
 
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    def counted_sum_products(terms):
+        out = sum_products(terms)
+        work["mul_calls"] += len(terms)
+        work["term_products"] += sum(len(a._nums) * len(b._nums) for _, a, b in terms)
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "sum_products", staticmethod(counted_sum_products))
     _execute(RUNS[name])
     return work
 
