@@ -117,8 +117,13 @@ def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) 
 
 
 def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
-    """i_{d/dx^a} rho for a = 1..n."""
-    return [interior(VectorField.coordinate(rho.dim, a), rho) for a in range(1, rho.dim + 1)]
+    """i_{d/dx^a} rho for a = 1..n, by selection: the components whose index
+    tuple holds a at position pos, with a removed and sign (-1)^pos."""
+    hooks: list[dict] = [{} for _ in range(rho.dim)]
+    for idxs, coeff in rho.components.items():
+        for pos, a in enumerate(idxs):
+            hooks[a - 1][idxs[:pos] + idxs[pos + 1:]] = -coeff if pos % 2 else coeff
+    return [OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook) for hook in hooks]
 
 
 def _signed(p: int, form: OrdinaryForm) -> OrdinaryForm:

@@ -30,12 +30,16 @@ result is constructed.  Results of the ring operations go through
 public constructors, which outside input still passes.
 
 One kernel does every polynomial product: ``Polynomial.sum_products`` sums
-s*a*b over (s, a, b) triples with s = +-1 into a single integer dict over the
-lcm of the pairs' denominators, checks the exponent guard bits once and
-canonicalizes once.  ``a * b`` is its one-triple case.  A row-times-column
-sum of forms (``exterior.wedge_dot`` and its relatives) hands each output
-coefficient's triples to one kernel call, so no intermediate product is
-ever built as a ``Polynomial`` of its own.
+s*a*b over (s, a, b) triples with s = +-1 over the lcm of the pairs'
+denominators and canonicalizes once.  ``a * b`` is its one-triple case.  A
+row-times-column sum of forms (``exterior.wedge_dot`` and its relatives)
+hands each output coefficient's triples to one kernel call, so no
+intermediate product is ever built as a ``Polynomial`` of its own.  A size rule
+sends small calls through a schoolbook loop into one integer dict, and large
+calls whose result is dense in a small box of exponents through Kronecker
+substitution: one big-integer multiply per pair, in 32- or 64-bit slots.
+Both give the same den and numerators; only the schoolbook loop fixes the
+term order of a * b, which ``eval_float`` sums in.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
@@ -48,9 +52,12 @@ r*e^s is representable exactly as the single term (coeff r, exponent s).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
+import sys
+from array import array
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Sequence, Union
@@ -105,6 +112,68 @@ def _pack(exps: Exponent) -> int:
 
 def _unpack(key: int, dim: int) -> Exponent:
     return tuple((key >> (_FIELD_BITS * i)) & _FIELD for i in range(dim))
+
+
+_OVERFLOW = f"exponent overflow: a product needs an exponent above {MAX_EXPONENT}"
+
+# The size rule of ``Polynomial.sum_products``.  Below 4 term products per
+# slot the encoding costs more than the loop it replaces; past the slot cap
+# the big multiplies grow faster than the loop.
+_KRONECKER_MIN_PRODUCTS = 1000
+_KRONECKER_DENSITY = 4
+_KRONECKER_MAX_SLOTS = 4096
+_SLOT_CODES = {array(code).itemsize * 8: code for code in "QLI"}
+
+
+def _extent(p: "Polynomial") -> tuple[list[int], int]:
+    """The largest exponent of each variable in p, and its largest |numerator|."""
+    keys, nums, top = p._nums.keys(), p._nums.values(), _FIELD_BITS * (p.dim - 1)
+    # a key mod 2**(16 * i) keeps the fields of x_1..x_i, so the largest such
+    # value holds the largest exponent of x_i in its top field
+    exps = [max(map(operator.mod, keys, itertools.repeat(1 << (shift + _FIELD_BITS)))) >> shift
+            for shift in range(0, top, _FIELD_BITS)]
+    return exps + [max(keys) >> top], max(max(nums), -min(nums))
+
+
+def _kronecker_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int,
+                   box: list[int], width: int) -> dict[int, int]:
+    """The numerators over den of sum s * a * b, by Kronecker substitution:
+    each operand becomes one integer with a width-bit slot per monomial of the
+    box (exponent of x_i up to box[i], x_1 running fastest), so one integer
+    multiply adds up every term product of a pair.  Every slot of the sum must
+    lie within +-2**(width - 1); an offset of half a slot makes each
+    non-negative for decoding."""
+    code, order, size = _SLOT_CODES[width], sys.byteorder, width // 8
+    slot_keys = [0]
+    for shift, e in zip(range(0, _FIELD_BITS * len(box), _FIELD_BITS), box):
+        slot_keys = [key + x for x in range(0, (e + 1) << shift, 1 << shift) for key in slot_keys]
+    slot_of = dict(zip(slot_keys, itertools.count()))
+    encoded: dict[int, int] = {}
+
+    def encode(p: "Polynomial") -> int:
+        value = encoded.get(id(p))
+        if value is None:
+            slots = list(map(slot_of.__getitem__, p._nums))
+            empty = bytes(size * (max(slots) + 1))
+            pos, neg = array(code, empty), array(code, empty)
+            for slot, num in zip(slots, p._nums.values()):
+                if num > 0:
+                    pos[slot] = num
+                else:
+                    neg[slot] = -num
+            value = encoded[id(p)] = int.from_bytes(pos, order) - int.from_bytes(neg, order)
+        return value
+
+    total = 0
+    for s, a, b in terms:
+        if a._nums and b._nums:
+            total += s * (den // (a.den * b.den)) * encode(a) * encode(b)
+    half = 1 << (width - 1)
+    total += int.from_bytes(array(code, [half]) * len(slot_keys), order)
+    values = array(code, total.to_bytes(size * len(slot_keys), order))
+    keep = list(map(operator.ne, values, itertools.repeat(half)))
+    return dict(zip(itertools.compress(slot_keys, keep),
+                    map(operator.sub, itertools.compress(values, keep), itertools.repeat(half))))
 
 
 class _Terms(Mapping):
@@ -298,23 +367,54 @@ class Polynomial:
         """sum of s * a * b over at least one (s, a, b) triple, s = +1 or -1,
         all polynomials of one dimension.
 
-        Every term product accumulates into one integer dict over the lcm of
-        the pairs' denominators; a pair with a zero operand adds nothing.
-        The exponent guard bits are checked and the result canonicalized
-        once, at the end.  Per pair, a's terms run in the outer loop and b's
-        in the inner one: that fixes the term order of a * b, the one-triple
-        case, which ``eval_float`` sums in.
+        The numerators are summed over the lcm of the pairs' denominators; a
+        pair with a zero operand adds nothing, and the result is canonicalized
+        once.  A product whose exponent would pass MAX_EXPONENT raises
+        ValueError on either of two branches, chosen by a size rule:
+
+        - Schoolbook: every term product accumulates into one integer dict,
+          a's terms in the outer loop and b's in the inner one.  This fixes
+          the term order of a * b, the one-triple case, which ``eval_float``
+          sums in.
+        - Kronecker (``_kronecker_sum``): when the call has at least
+          _KRONECKER_MIN_PRODUCTS term products, at least _KRONECKER_DENSITY
+          per slot of the output box (the largest exponent of each variable
+          that a term product writes), the box has at most
+          _KRONECKER_MAX_SLOTS slots, and the bound on any output numerator
+          fits a 32-bit slot (below 2**31) or a 64-bit slot (below 2**63).
+          The den and numerators are those of the schoolbook branch; only
+          their order differs, so the term order above holds below the rule.
         """
         if not terms:
             raise ValueError("sum_products needs at least one (s, a, b) triple")
         dim = terms[0][1].dim
-        den = 1
+        den, products = 1, 0
         for _, a, b in terms:
             if a.dim != dim or b.dim != dim:
                 raise ValueError(f"dimension mismatch: {dim} vs "
                                  f"{b.dim if a.dim == dim else a.dim}")
             if a._nums and b._nums:
                 den = math.lcm(den, a.den * b.den)
+                products += len(a._nums) * len(b._nums)
+        if products >= _KRONECKER_MIN_PRODUCTS:
+            # box[i]: the largest exponent of x_i that any term product writes;
+            # bound: no output numerator exceeds it, since at most
+            # min(len a, len b) term products of a pair land on one monomial
+            extents: dict[int, tuple[list[int], int]] = {}
+            box, bound = [0] * dim, 0
+            for _, a, b in terms:
+                if a._nums and b._nums:
+                    (ea, ma), (eb, mb) = (extents.get(id(p)) or extents.setdefault(id(p), _extent(p))
+                                          for p in (a, b))
+                    box = list(map(max, box, map(operator.add, ea, eb)))
+                    bound += (den // (a.den * b.den)) * ma * mb * min(len(a._nums), len(b._nums))
+            if max(box) > MAX_EXPONENT:
+                raise ValueError(_OVERFLOW)
+            slots = math.prod(e + 1 for e in box)
+            if (products >= _KRONECKER_DENSITY * slots and slots <= _KRONECKER_MAX_SLOTS
+                    and bound < 1 << 63):
+                return Polynomial._canonical(
+                    dim, den, _kronecker_sum(terms, den, box, 32 if bound < 1 << 31 else 64))
         out: dict[int, int] = {}
         get = out.get
         for s, a, b in terms:
@@ -330,8 +430,7 @@ class Polynomial:
                     key = k1 + k2
                     out[key] = get(key, 0) + n1 * n2
         if functools.reduce(operator.or_, out, 0) & _guard_bits(dim):
-            raise ValueError(f"exponent overflow: a product needs an exponent "
-                             f"above {MAX_EXPONENT}")
+            raise ValueError(_OVERFLOW)
         return Polynomial._canonical(dim, den, out)
 
     def __mul__(self, other):

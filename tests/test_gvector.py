@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, vf_bracket
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, interior, vf_bracket
 from genform.gform import GenForm, gd, ginterior_ordinary, glie_ordinary, gwedge
 from genform.gvector import (
     GenVectorField,
+    _hooks,
     d_split,
     embed_generalized,
     gv_anticommutator,
@@ -22,7 +23,7 @@ from genform.gvector import (
     xi_type_pair,
 )
 from genform.randgen import FormRandom
-from genform.ring import Polynomial
+from genform.ring import ExpPoly, Polynomial
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -70,6 +71,23 @@ def test_interior_theta_hook_example():
     from genform.superspace import from_super, super_interior, to_super
 
     assert from_super(super_interior(V2, to_super(a))) == got2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hooks_are_contractions_with_the_coordinate_fields(n):
+    """The hooks are selected from the components; the reference contracts
+    with d/dx^a, one ring product per coefficient."""
+    rnd = FormRandom(n, n, Fraction(1))
+    x1 = Polynomial.var(n, 1)
+    for degree in range(n + 1):
+        forms = [rnd.form(degree) for _ in range(3)]
+        forms.append(OrdinaryForm(n, degree, {idxs: ExpPoly.exp(x1, c) for idxs, c
+                                              in forms[0].components.items()}))
+        for rho in forms:
+            want = [interior(VectorField.coordinate(n, a), rho) for a in range(1, n + 1)]
+            got = _hooks(rho)
+            assert got == want
+            assert [h.degree for h in got] == [h.degree for h in want]
 
 
 def test_interior_leibniz():

@@ -6,8 +6,15 @@ results compared term by term, so a ring kernel that miscounts a coefficient,
 an exponent or a sign on any drawn input fails.  ``eval_float`` is compared
 with a reference loop that decodes each coefficient to a Fraction; the two
 must give the same float, not merely a close one.
+
+``Polynomial.sum_products`` has two branches, schoolbook and Kronecker, chosen
+by a size rule on module constants; the kernel tests force the rule each way
+by patching those constants and require both branches to give the oracle's
+result with the same den and numerators.
 """
 
+import contextlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +24,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from genform.ring import ExpPoly, Polynomial  # noqa: E402
+from genform import ring  # noqa: E402
+from genform.ring import MAX_EXPONENT, ExpPoly, Polynomial  # noqa: E402
 
 QQ = sympy.QQ
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -88,6 +96,111 @@ def test_sum_products_matches_sympy(terms):
     for s, a, b in terms:
         folded = folded + (a * b if s > 0 else -(a * b))
     assert (got.den, got._nums) == (folded.den, folded._nums)
+
+
+# The size rule forced each way: no call passes the schoolbook one's minimum,
+# and every call with a product and a coefficient bound below 2**63 passes the
+# Kronecker one's.
+RULES = {
+    "schoolbook": {"_KRONECKER_MIN_PRODUCTS": math.inf},
+    "kronecker": {"_KRONECKER_MIN_PRODUCTS": 1, "_KRONECKER_DENSITY": 0,
+                  "_KRONECKER_MAX_SLOTS": 1 << 16},
+}
+
+
+@contextlib.contextmanager
+def forced(rule: str):
+    """Run under the rule forced one way; yields the list of slot widths of
+    the calls that took the Kronecker branch."""
+    widths: list[int] = []
+    kronecker_sum = ring._kronecker_sum
+
+    def recorded(terms, den, box, width):
+        widths.append(width)
+        return kronecker_sum(terms, den, box, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in RULES[rule].items():
+            mp.setattr(ring, name, value)
+        mp.setattr(ring, "_kronecker_sum", recorded)
+        yield widths
+
+
+def both_branches(terms) -> Polynomial:
+    """The kernel's result, after checking that both branches give the same
+    den and numerators and that the schoolbook one took no other branch."""
+    with forced("schoolbook") as widths:
+        school = Polynomial.sum_products(terms)
+    assert widths == []
+    with forced("kronecker"):
+        kron = Polynomial.sum_products(terms)
+    assert (kron.den, kron._nums) == (school.den, school._nums)
+    return kron
+
+
+def sympy_sum(terms, dim: int) -> "sympy.Poly":
+    want = sympy.Poly(0, *_gens(dim), domain=QQ)
+    for s, a, b in terms:
+        want += to_sympy(a) * to_sympy(b) * s
+    return want
+
+
+@st.composite
+def kernel_calls(draw):
+    """1-17 triples (s, a, b) at dims 1-4 with numerators up to 6, 2**15,
+    2**27 or 2**30 over denominators up to 6, about one operand in five zero;
+    one time in three followed by the same products negated, so that
+    everything cancels.  The numerator sizes lead to 32-bit slots, 64-bit slots and
+    bounds above 2**63."""
+    dim = draw(st.integers(1, 4))
+    top = draw(st.sampled_from((6, 1 << 15, 1 << 27, 1 << 30)))
+    nums = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, top - 1, 1 - top)))
+    keys = st.tuples(*[st.integers(0, 3)] * dim)
+    coeffs = st.builds(Fraction, nums, st.integers(1, 6))
+    nonzero = st.dictionaries(keys, coeffs, min_size=1, max_size=6).map(lambda t: Polynomial(dim, t))
+    operand = st.one_of(nonzero, nonzero, nonzero, nonzero, st.just(Polynomial.zero(dim)))
+    terms = [(draw(st.sampled_from((1, -1))), draw(operand), draw(operand))
+             for _ in range(draw(st.integers(1, 17)))]
+    if draw(st.sampled_from((False, False, True))):
+        terms += [(-s, b, a) for s, a, b in terms]
+    return terms
+
+
+@ORACLE
+@given(kernel_calls())
+def test_sum_products_branches_match_sympy(terms):
+    got = both_branches(terms)
+    assert_same(got, sympy_sum(terms, got.dim))
+
+
+@pytest.mark.parametrize("num, pairs, width", [
+    ((1 << 15) - 1, 1, 32),   # bound 2 * num**2 just below 2**31
+    (1 << 15, 1, 64),         # ... at 2**31
+    (1 << 30, 3, 64),         # 3 * 2**61, below 2**63
+    (1 << 30, 4, None),       # 2**63: the schoolbook loop
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_slot_width_follows_the_coefficient_bound(num, pairs, width, sign):
+    """The middle coefficient of each (num*x1 + num*x2)**2 is 2 * num**2, the
+    bound of its pair, so the sum reaches the bound in one slot."""
+    a = Polynomial(2, {(1, 0): num, (0, 1): num})
+    terms = [(sign, a, a)] * pairs
+    with forced("kronecker") as widths:
+        got = Polynomial.sum_products(terms)
+    assert widths == ([width] if width else [])
+    assert got._nums[1 + (1 << 16)] == sign * pairs * 2 * num * num
+    assert_same(both_branches(terms), sympy_sum(terms, 2))
+
+
+def test_exponent_overflow_raises_on_the_kronecker_branch():
+    top, x1 = Polynomial(2, {(MAX_EXPONENT, 0): 1}), Polynomial.var(2, 1)
+    with forced("kronecker") as widths:
+        for terms in ([(1, top, x1)], [(1, x1, x1), (1, top, x1), (-1, x1, top)]):
+            with pytest.raises(ValueError, match="exponent overflow"):
+                Polynomial.sum_products(terms)
+        assert widths == []
+        assert Polynomial(2, {(MAX_EXPONENT - 1, 0): 1}) * x1 == top
+        assert widths == [32]
 
 
 def test_sum_products_rejects_no_terms_and_mixed_dimensions():

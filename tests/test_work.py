@@ -11,6 +11,11 @@ as one product of len x 1.  The runs are every identity suite at dim 2
 (seed 7, 20 trials), the connection suite at dim 3 (seed 0, 3 trials) and the
 two ``hamiltonian`` fixture commands.
 
+The same runs pin where the Kronecker branch of the kernel is taken: on the
+dim-3 connection run, and never on the fixture commands of the benchmark's
+``cli-mix`` workload, whose term order (summed by ``eval_float`` into the
+oscillator CSVs) the branch would not keep.
+
 Re-record when a change of work is intended, from the repository root, and
 show the diff of ``work.json`` with the change:
 
@@ -26,7 +31,7 @@ from fractions import Fraction
 
 import pytest
 
-from genform import cli
+from genform import cli, ring
 from genform.ring import Polynomial
 from genform.suites import SUITE_NAMES, SUITES
 
@@ -40,7 +45,24 @@ RUNS.update({f"hamiltonian_{n}": ["hamiltonian", "--fixture", f"fixtures/hamilto
              for n in ("n2", "n4")})
 
 
-def _execute(run) -> None:
+# The fixture commands of ``cli-mix``, with their exit codes; the oscillator
+# at both l and two of its epsilons.
+FIXTURE_COMMANDS = [
+    (RUNS["hamiltonian_n2"], 0),
+    (RUNS["hamiltonian_n4"], 0),
+    *[(["connection-thm", "--case", case, "--fixture", f"fixtures/{name}.json"], 0)
+      for case, name in (("i", "connection_case_i"), ("ii", "connection_case_ii"),
+                         ("ii", "connection_case_ii_ordinary"))],
+    *[(["cover", "--fixture", "fixtures/two_chart.json", f"--epsilon={eps}"], 0)
+      for eps in ("1", "-1", "2", "1/2", "-3/2")],
+    (["cover", "--fixture", "fixtures/case_i_cover.json", "--epsilon", "0"], 0),
+    (["cover", "--fixture", "fixtures/broken_triple.json", "--epsilon", "1"], 1),
+    *[(["oscillator", f"--epsilon={eps}", "--v0=3/2", f"--l={l}", "--q0=1", "--p0=0",
+        "--t-end", "3", "--dt", "0.01"], 0) for eps in ("1/2", "-1/3") for l in (1, 2)],
+]
+
+
+def _execute(run, code: int = 0) -> None:
     if isinstance(run, tuple):
         name, dim, trials, seed = run
         assert SUITES[name](dim, Fraction(1), trials, seed).passed
@@ -49,7 +71,7 @@ def _execute(run) -> None:
     os.chdir(ROOT)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            assert cli.main(run + ["--out", os.path.join(tmp, "report.json")]) == 0
+            assert cli.main(run + ["--out", os.path.join(tmp, "report.json")]) == code
     finally:
         os.chdir(cwd)
 
@@ -83,6 +105,32 @@ def measure(name: str, monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_ring_work(name, monkeypatch):
     assert measure(name, monkeypatch) == json.loads(WORK.read_text())[name]
+
+
+def _kronecker_dispatches(run, code: int, monkeypatch: pytest.MonkeyPatch) -> int:
+    """How many kernel calls of one run, which must exit with code, take the
+    Kronecker branch."""
+    calls = 0
+    kronecker_sum = ring._kronecker_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kronecker_sum(*args)
+
+    monkeypatch.setattr(ring, "_kronecker_sum", counted)
+    _execute(run, code)
+    return calls
+
+
+def test_kronecker_branch_runs_on_connection_d3(monkeypatch):
+    assert _kronecker_dispatches(RUNS["connection_d3"], 0, monkeypatch) > 0
+
+
+@pytest.mark.parametrize("run, code", FIXTURE_COMMANDS,
+                         ids=[" ".join(run) for run, _ in FIXTURE_COMMANDS])
+def test_kronecker_branch_never_runs_on_fixture_commands(run, code, monkeypatch):
+    assert _kronecker_dispatches(run, code, monkeypatch) == 0
 
 
 def record() -> None:
