@@ -22,13 +22,20 @@ the metric soul (beta_sym = D chi / 2), for eps != 0 the metric soul is fixed
 by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact.
+Both constructions return a ``MetricConnection``: A and g together with the
+pieces they computed on the way, the ordinary curvature F_cal, the ordinary
+non-metricity q, gamma F_cal (eps != 0) and the non-metricity Q of the
+result, which they verified to be zero.  The closed-form curvature formulas
+and the ``connection-thm`` command read these pieces instead of computing
+them again; the mechanical ``curvature(A)`` that the formulas are compared
+with is still computed from A alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, ext_d, form_from_json,
                        mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
@@ -363,10 +370,30 @@ def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatr
 # -- the compatibility constructions -------------------------------------------------
 
 
+class MetricConnection(NamedTuple):
+    """A compatibility construction's result with the pieces it computed on
+    the way, for the curvature formulas and the CLI to read instead of
+    recomputing."""
+
+    A: GenConnection
+    g: GenMetric
+    fcal: FormMatrix  # F_cal = d alpha + alpha alpha
+    q: FormMatrix  # ordinary non-metricity of alpha, zero for eps = 0
+    Q: GenMatrix  # non-metricity of A in g, verified zero
+    fcal_low: FormMatrix | None  # F_cal_{nl} = gamma_{ns} F_cal^s_l; eps != 0 only
+
+
+def _verified(A: GenConnection, g: GenMetric, fcal: FormMatrix, q: FormMatrix,
+              fcal_low: FormMatrix | None) -> MetricConnection:
+    Q = nonmetricity(A, g)
+    if not mat_is_zero(Q):
+        raise ConnectionError("construction failed: non-metricity residual nonzero")
+    return MetricConnection(A, g, fcal, q, Q, fcal_low)
+
+
 def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMatrix,
                            gamma_inv: PolyMatrix,
-                           beta_tilde: FormMatrix | None = None
-                           ) -> tuple[GenConnection, GenMetric]:
+                           beta_tilde: FormMatrix | None = None) -> MetricConnection:
     """eps = 0 branch: A = alpha + (beta_tilde^m_n + D chi^m_n / 2) m.
 
     alpha_lc must be torsion free with q = 0 (the Levi-Civita connection of
@@ -375,26 +402,23 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     non-metricity.
     """
     g = metric_validate(gamma, chi, gamma_inv, 0)
-    n = g.dim
     alpha_lc = _as_tuple(alpha_lc)
     if not all(t.is_zero() for t in torsion(alpha_lc)):
         raise ConnectionError("alpha_lc has torsion")
-    if not mat_is_zero(nonmetricity_ordinary(alpha_lc, g.gamma())):
+    q = nonmetricity_ordinary(alpha_lc, g.gamma())
+    if not mat_is_zero(q):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
     beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), scale_dot)
     if beta_tilde is not None:
         beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
-    if not mat_is_zero(nonmetricity(A, g)):
-        raise ConnectionError("construction failed: non-metricity residual nonzero")
-    return A, g
+    return _verified(A, g, ordinary_curvature(alpha_lc), q, None)
 
 
 def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
                           gamma_inv: PolyMatrix, epsilon: Scalar,
-                          beta_tilde: FormMatrix | None = None
-                          ) -> tuple[GenConnection, GenMetric]:
+                          beta_tilde: FormMatrix | None = None) -> MetricConnection:
     """eps != 0 branch: chi is forced to q / eps and
 
         A^m_n = alpha^m_n + [beta_tilde^m_n
@@ -421,21 +445,19 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     if beta_tilde is not None:
         beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
-    if not mat_is_zero(nonmetricity(A, g)):
-        raise ConnectionError("construction failed: non-metricity residual nonzero")
-    return A, g
+    return _verified(A, g, fcal, q, fcal_low)
 
 
-def case_i_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
+def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
-    fcal = ordinary_curvature(A.alpha())
+    A, g, fcal = mc.A, mc.g, mc.fcal
     chi_up = mat_mul(g.gamma_inv, g.chi(), scale_dot)
     soul = mat_sub(mat_mul(fcal, chi_up, wedge_dot), mat_mul(chi_up, fcal, wedge_dot))
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
-def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
+def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps != 0 canonical construction:
 
         body = (F_cal^m_n - gamma^{ml} F_cal_{n l}) / 2
@@ -445,19 +467,14 @@ def case_ii_curvature_formula(A: GenConnection, g: GenMetric) -> GenMatrix:
     The soul sign on the second term follows from expanding D beta with
     D gamma = q; the verification suite pins it against the mechanical F.
     """
-    eps = A.epsilon
-    gamma, gamma_inv = g.gamma(), g.gamma_inv
-    alpha = A.alpha()
-    fcal = ordinary_curvature(alpha)
-    fcal_low = mat_mul(gamma, fcal, scale_dot)  # F_cal_{nl} = gamma_{ns} F_cal^s_l
+    A, gamma_inv, fcal, fcal_low, q = mc.A, mc.g.gamma_inv, mc.fcal, mc.fcal_low, mc.q
     fcal_up = mat_mul(fcal, gamma_inv, scale_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
-    q = nonmetricity_ordinary(alpha, gamma)
     body = mat_sub(fcal, mat_mul(gamma_inv, transpose(fcal_low), scale_dot))
     # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
     soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge_dot)),
                    mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge_dot))
-    return _gen_matrix(A.dim, eps, 2, _scale_matrix(body, Fraction(1, 2)),
-                       _scale_matrix(soul, Fraction(-1, 2) / eps))
+    return _gen_matrix(A.dim, A.epsilon, 2, _scale_matrix(body, Fraction(1, 2)),
+                       _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
 
 
 # -- fixture loading -------------------------------------------------------------------

@@ -16,10 +16,19 @@ re-verified exactly after construction.
 
 The numeric side integrates the reduced equations of the scalar-extension
 example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4.
+What does not change during an integration is built once before the loop:
+the float plans (``Polynomial.float_plan``) of the 2l partials of h, the step
+constants dt / 2 and dt / 6 and a float copy of the initial state.  Each stage
+is then one loop over the rows in ``eval_float``'s arithmetic, so the states
+are bit for bit those of per-component evaluation.  ``oscillator_hamiltonian``
+is built once per l.  The order estimate compares the errors of two step
+sizes and gives no order when the finer error is below that run's rounding
+floor (steps times the ulp of its largest |state|).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,8 +219,10 @@ class Trajectory:
         return lines
 
 
+@functools.cache
 def oscillator_hamiltonian(l: int) -> Polynomial:
-    """h = sum over a of ((q^a)^2 + (p_a)^2) / 2 in coordinates q1..ql,p1..pl."""
+    """h = sum over a of ((q^a)^2 + (p_a)^2) / 2 in coordinates q1..ql,p1..pl,
+    built once per l (a Polynomial is immutable)."""
     n = 2 * l
     h = Polynomial.zero(n)
     for i in range(1, n + 1):
@@ -223,7 +234,9 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
                        q0: Sequence[float], p0: Sequence[float],
                        t_end: float, dt: float,
                        h: Polynomial | None = None) -> Trajectory:
-    """Classical fixed-step RK4 for dq = dh/dp, dp = -(dh/dq - 2 eps v0 p)."""
+    """Classical fixed-step RK4 for dq = dh/dp, dp = -(dh/dq - 2 eps v0 p),
+    each stage one loop over the float plans of the rows dh/dp_a, then
+    dh/dq_a (see the module docstring)."""
     steps = step_count(t_end, dt)
     if len(q0) != l or len(p0) != l:
         raise ValueError("initial state length mismatch")
@@ -233,24 +246,31 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
     if h.dim != n:
         raise ValueError(f"hamiltonian dimension {h.dim} != {n}")
     damping = 2.0 * float(Fraction(epsilon)) * float(Fraction(v0))
-    dh = [h.partial(i) for i in range(1, n + 1)]
+    plans = [h.partial(i).float_plan for i in (*range(l + 1, n + 1), *range(1, l + 1))]
 
-    def rhs(state: Sequence[float]) -> list[float]:
-        dq = [dh[l + a].eval_float(state) for a in range(l)]
-        dp = [-dh[a].eval_float(state) + damping * state[l + a] for a in range(l)]
-        return dq + dp
+    def rhs(x: list[float]) -> list[float]:
+        k = []
+        for row, plan in enumerate(plans):
+            total = 0.0
+            for value, powers in plan:
+                for i, e in powers:
+                    value *= x[i] if e == 1 else x[i] ** e  # x ** 1 is x for every float
+                total += value
+            k.append(total if row < l else -total + damping * x[row])
+        return k
 
-    state = list(q0) + list(p0)
+    half, sixth = 0.5 * dt, dt / 6.0  # 0.5 * dt * d is (0.5 * dt) * d
+    state = [float(x) for x in (*q0, *p0)]
     times = [0.0]
     states = [tuple(state)]
     for step in range(steps):
         k1 = rhs(state)
-        k2 = rhs([s + 0.5 * dt * d for s, d in zip(state, k1)])
-        k3 = rhs([s + 0.5 * dt * d for s, d in zip(state, k2)])
+        k2 = rhs([s + half * d for s, d in zip(state, k1)])
+        k3 = rhs([s + half * d for s, d in zip(state, k2)])
         k4 = rhs([s + dt * d for s, d in zip(state, k3)])
-        state = [s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        state = [s + sixth * (a + 2 * b + 2 * c + d)
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if not all(math.isfinite(x) for x in state):
+        if not all(map(math.isfinite, state)):
             raise IntegrationError(f"state overflow at t = {(step + 1) * dt:.6g}")
         times.append((step + 1) * dt)
         states.append(tuple(state))
@@ -283,14 +303,20 @@ def max_abs_error(traj: Trajectory, reference: Callable[[float], float],
 
 def rk4_order_estimate(epsilon: Scalar, v0: Scalar, q0: float, p0: float,
                        t_end: float, dt: float) -> float | None:
-    """log2 of the error ratio between steps dt and dt / 2, ~4 for RK4; None
-    when either error is exactly 0, which leaves no ratio to take."""
+    """log2 of the error ratio between steps dt and dt / 2, ~4 for RK4.
+
+    None when the fine run's error is below its rounding floor, its step
+    count times the ulp of its largest |state| (subnormal states included):
+    errors that small are rounding, not truncation, and their ratio says
+    nothing about the order.  An exactly zero error, or a zero coarse one,
+    leaves no ratio either."""
     ref = oscillator_closed_form(epsilon, v0, q0, p0)
     err_coarse = max_abs_error(
         integrate_hamilton(epsilon, v0, 1, [q0], [p0], t_end, dt), ref)
-    err_fine = max_abs_error(
-        integrate_hamilton(epsilon, v0, 1, [q0], [p0], t_end, dt / 2), ref)
-    if err_coarse == 0 or err_fine == 0:
+    fine = integrate_hamilton(epsilon, v0, 1, [q0], [p0], t_end, dt / 2)
+    err_fine = max_abs_error(fine, ref)
+    floor = (len(fine.times) - 1) * math.ulp(max(abs(x) for state in fine.states for x in state))
+    if err_fine < floor or err_coarse == 0:
         return None
     return math.log2(err_coarse / err_fine)
 

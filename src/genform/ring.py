@@ -41,6 +41,12 @@ substitution: one big-integer multiply per pair, in 32- or 64-bit slots.
 Both give the same den and numerators; only the schoolbook loop fixes the
 term order of a * b, which ``eval_float`` sums in.
 
+Floating-point evaluation reads one plan per polynomial, built on first use:
+``Polynomial.float_plan`` lists each term's float coefficient and its
+(variable, exponent) powers in term order.  ``eval_float`` evaluates it, and
+so does the RK4 loop of ``hamiltonian``, which reads the plans of its partials
+once per integration instead of calling ``eval_float`` per component.
+
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
 when their exponents are structurally identical; this syntactic convention is
@@ -465,12 +471,16 @@ class Polynomial:
             key - unit: num * e for key, num in self._nums.items()
             if (e := (key >> shift) & _FIELD)})
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        """Evaluate in floating point from a plan built on first use: per
-        term, the coefficient times the powers in variable order, summed in
-        term order (the order the golden oscillator CSVs pin)."""
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
+    @property
+    def float_plan(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """The read-only plan ``eval_float`` evaluates, built on first use and
+        kept: one ``(coefficient, powers)`` pair per term in term order, the
+        coefficient num / den as a float and ``powers`` the (0-based variable
+        index, exponent) pairs of the term's nonzero exponents in variable
+        order.  The value at a point x is the sum, from 0.0 in plan order, of
+        each coefficient multiplied left to right by x[i] ** e over its
+        powers; a reader that keeps this arithmetic gets ``eval_float``'s
+        floats bit for bit."""
         if self._float_plan is None:
             # int / int is correctly rounded, so num / den == float(Fraction(num, den))
             self._float_plan = tuple(
@@ -478,8 +488,16 @@ class Polynomial:
                  tuple((i, e) for i in range(self.dim)
                        if (e := (key >> (_FIELD_BITS * i)) & _FIELD)))
                 for key, num in self._nums.items())
+        return self._float_plan
+
+    def eval_float(self, point: Sequence[float]) -> float:
+        """Evaluate in floating point from ``float_plan``: per term, the
+        coefficient times the powers in variable order, summed in term order
+        (the order the golden oscillator CSVs pin)."""
+        if len(point) != self.dim:
+            raise ValueError(f"point length {len(point)} != dim {self.dim}")
         total = 0.0
-        for value, powers in self._float_plan:
+        for value, powers in self.float_plan:
             for i, e in powers:
                 value *= float(point[i]) ** e
             total += value

@@ -132,10 +132,10 @@ def test_criterion_09_fundamental_theorem():
     gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
     chi = conn.matrix_of_forms_from_json(n, data["chi"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    A, g = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-    ok = ok and conn.mat_is_zero(conn.nonmetricity(A, g))
-    ok = ok and conn.mat_is_zero(conn.mat_sub(conn.curvature(A),
-                                              conn.case_i_curvature_formula(A, g)))
+    mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+    ok = ok and conn.mat_is_zero(conn.nonmetricity(mc.A, mc.g))
+    ok = ok and conn.mat_is_zero(conn.mat_sub(conn.curvature(mc.A),
+                                              conn.case_i_curvature_formula(mc)))
 
     with open(FIXTURES / "connection_case_ii.json") as fh:
         data = json.load(fh)
@@ -144,8 +144,8 @@ def test_criterion_09_fundamental_theorem():
     gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     eps = Fraction(data["epsilon"])
-    A2, g2 = conn.metric_connection_eps(gamma, alpha, gamma_inv, eps)
-    ok = ok and conn.mat_is_zero(conn.nonmetricity(A2, g2))
+    mc2 = conn.metric_connection_eps(gamma, alpha, gamma_inv, eps)
+    ok = ok and conn.mat_is_zero(conn.nonmetricity(mc2.A, mc2.g))
 
     with open(FIXTURES / "connection_case_ii_ordinary.json") as fh:
         data = json.load(fh)
@@ -153,8 +153,9 @@ def test_criterion_09_fundamental_theorem():
     gamma = conn.poly_matrix_from_json(n, data["gamma"])
     gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.levi_civita_connection(gamma, gamma_inv)
-    A3, g3 = conn.metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
-    ok = ok and conn.mat_is_zero(conn.nonmetricity(A3, g3))
+    mc3 = conn.metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
+    A3 = mc3.A
+    ok = ok and conn.mat_is_zero(conn.nonmetricity(A3, mc3.g))
     ok = ok and all(e.soul.is_zero() for row in A3.entries for e in row)
     F = conn.curvature(A3)
     fcal = conn.ordinary_curvature(alpha)

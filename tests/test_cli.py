@@ -1,7 +1,11 @@
 import json
 import pathlib
 
+import pytest
+
+from genform import hamiltonian
 from genform.cli import build_parser, main
+from genform.hamiltonian import Trajectory, step_count
 from genform.ring import MAX_EXPONENT
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -232,3 +236,48 @@ def test_oscillator_without_error_reports_null_order(tmp_path):
     assert report["max_err"] == 0
     assert report["order_estimate"] is None
     assert report["pass"] is True
+
+
+ROUNDING_LEVEL_RUNS = [
+    # order runs at steps 8e-4 and 4e-4: errors 2.8e-14 and 1.1e-14, rounding only
+    ["--epsilon", "1/2", "--v0", "1", "--t-end", "3", "--dt", "0.0001"],
+    # a subnormal start: every error is a few subnormal ulps
+    ["--epsilon", "1/2", "--v0", "1", "--q0", "1e-320", "--t-end", "3", "--dt", "0.01"],
+]
+
+
+@pytest.mark.parametrize("options", ROUNDING_LEVEL_RUNS, ids=["fine-dt", "subnormal-q0"])
+def test_oscillator_errors_below_rounding_floor_report_null_order(tmp_path, options):
+    rep = tmp_path / "rep.json"
+    assert run(["oscillator", *options, "--report", rep]) == 0
+    report = read(rep)
+    assert report["order_estimate"] is None
+    assert report["max_err"] < 1e-6
+    assert report["pass"] is True
+
+
+def heun(epsilon, v0, l, q0, p0, t_end, dt, h=None):
+    """Heun's second-order method for the scalar damped oscillator, standing
+    in for RK4: its order estimate must come out near 2."""
+    a = 2.0 * float(epsilon) * float(v0)
+    q, p = float(q0[0]), float(p0[0])
+    times, states = [0.0], [(q, p)]
+    for step in range(step_count(t_end, dt)):
+        dq1, dp1 = p, -q + a * p
+        dq2, dp2 = p + dt * dp1, -(q + dt * dq1) + a * (p + dt * dp1)
+        q, p = q + dt / 2 * (dq1 + dq2), p + dt / 2 * (dp1 + dp2)
+        times.append((step + 1) * dt)
+        states.append((q, p))
+    return Trajectory(1, times, states)
+
+
+@pytest.mark.parametrize("dt", ["0.0001", "0.01"])
+def test_oscillator_lower_order_step_still_fails(tmp_path, monkeypatch, dt):
+    # the order runs use Heun, the reported trajectory RK4: only the order fails
+    monkeypatch.setattr(hamiltonian, "integrate_hamilton", heun)
+    rep = tmp_path / "rep.json"
+    assert run(["oscillator", "--epsilon", "1/2", "--v0", "1", "--t-end", "3",
+                "--dt", dt, "--report", rep]) == 1
+    report = read(rep)
+    assert report["max_err"] < 1e-6
+    assert 1.8 < report["order_estimate"] < 2.2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import genform.connection as conn
+from genform import cli
 from genform.connection import (
     ConnectionError,
     GenConnection,
@@ -31,7 +32,7 @@ from genform.connection import (
     transform_connection,
 )
 from genform.exterior import OrdinaryForm, Tensor11, VectorField
-from genform.gform import GenForm, gwedge, gwedge_dot
+from genform.gform import GenForm, gwedge, gwedge_dot, scale_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
 from genform.ring import Polynomial
@@ -325,10 +326,10 @@ def test_case_i_construction_and_curvature():
         gamma, gamma_inv = rnd.metric_pieces()
         alpha = levi_civita_connection(gamma, gamma_inv)
         chi = rnd.symmetric_one_forms()
-        A, g = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-        assert conn.mat_is_zero(nonmetricity(A, g))
-        assert conn.mat_is_zero(conn.mat_sub(curvature(A),
-                                             case_i_curvature_formula(A, g)))
+        mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+        assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
+        assert conn.mat_is_zero(conn.mat_sub(curvature(mc.A),
+                                             case_i_curvature_formula(mc)))
 
 
 def test_case_i_trivial_examples():
@@ -337,15 +338,15 @@ def test_case_i_trivial_examples():
     eye = ((one, zero), (zero, one))
     chi0 = tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n))
     alpha0 = tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n))
-    A, g = metric_connection_eps0(eye, chi0, alpha0, eye)
+    A = metric_connection_eps0(eye, chi0, alpha0, eye).A
     assert conn.mat_is_zero(A.entries)
     assert conn.mat_is_zero(curvature(A))
     # constant symmetric chi: D chi = 0 so A = 0 still
     dx1 = OrdinaryForm.basis(n, (1,))
     chi_const = ((dx1, OrdinaryForm.zero(n, 1)), (OrdinaryForm.zero(n, 1), dx1))
-    A2, g2 = metric_connection_eps0(eye, chi_const, alpha0, eye)
-    assert conn.mat_is_zero(A2.entries)
-    assert conn.mat_is_zero(nonmetricity(A2, g2))
+    mc = metric_connection_eps0(eye, chi_const, alpha0, eye)
+    assert conn.mat_is_zero(mc.A.entries)
+    assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
 
 
 def test_case_i_free_antisymmetric_part():
@@ -357,8 +358,8 @@ def test_case_i_free_antisymmetric_part():
     chi = rnd.symmetric_one_forms()
     bt = rnd.form(2)
     beta_tilde = ((OrdinaryForm.zero(n, 2), bt), (-bt, OrdinaryForm.zero(n, 2)))
-    A, g = metric_connection_eps0(gamma, chi, alpha, gamma_inv, beta_tilde)
-    assert conn.mat_is_zero(nonmetricity(A, g))
+    mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv, beta_tilde)
+    assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
 
 
 def test_case_i_rejects_non_metric_alpha():
@@ -379,10 +380,10 @@ def test_case_ii_construction_and_curvature():
         for _ in range(5):
             gamma, gamma_inv = rnd.metric_pieces()
             alpha = rnd.torsion_free_alpha()
-            A, g = metric_connection_eps(gamma, alpha, gamma_inv, eps)
-            assert conn.mat_is_zero(nonmetricity(A, g))
-            assert conn.mat_is_zero(conn.mat_sub(curvature(A),
-                                                 case_ii_curvature_formula(A, g)))
+            mc = metric_connection_eps(gamma, alpha, gamma_inv, eps)
+            assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
+            assert conn.mat_is_zero(conn.mat_sub(curvature(mc.A),
+                                                 case_ii_curvature_formula(mc)))
 
 
 def test_case_ii_requires_nonzero_epsilon_and_torsion_free():
@@ -406,7 +407,8 @@ def test_case_ii_ordinary_metric_corollary():
     for _ in range(4):
         gamma, gamma_inv = rnd.metric_pieces()
         alpha = levi_civita_connection(gamma, gamma_inv)
-        A, g = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
+        mc = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
+        A, g = mc.A, mc.g
         assert all(e.soul.is_zero() for row in A.entries for e in row)
         assert all(e.soul.is_zero() for row in g.entries for e in row)
         F = curvature(A)
@@ -422,7 +424,7 @@ def test_trivial_flat_case_ii():
     one, zero = Polynomial.one(n), Polynomial.zero(n)
     eye = ((one, zero), (zero, one))
     alpha0 = tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n))
-    A, g = metric_connection_eps(eye, alpha0, eye, Fraction(1))
+    A = metric_connection_eps(eye, alpha0, eye, Fraction(1)).A
     assert conn.mat_is_zero(A.entries)
     assert conn.mat_is_zero(curvature(A))
 
@@ -435,8 +437,8 @@ def test_bundled_fixtures_load_and_verify():
     gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
     chi = conn.matrix_of_forms_from_json(n, data["chi"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    A, g = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-    assert conn.mat_is_zero(nonmetricity(A, g))
+    mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+    assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
 
     with open(FIXTURES / "connection_case_ii.json") as fh:
         data = json.load(fh)
@@ -444,7 +446,83 @@ def test_bundled_fixtures_load_and_verify():
     gamma = conn.poly_matrix_from_json(n, data["gamma"])
     gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    A, g = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
-    assert conn.mat_is_zero(nonmetricity(A, g))
+    mc = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
+    assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
     q = nonmetricity_ordinary(alpha, gamma)
     assert not conn.mat_is_zero(q)
+
+
+# -- the pieces a construction returns --------------------------------------------
+
+
+def _fixture_construction(name):
+    """Run the construction of ``fixtures/<name>.json`` as ``connection-thm``
+    does: alpha defaults to the Levi-Civita connection and chi to zero."""
+    with open(FIXTURES / f"{name}.json") as fh:
+        data = json.load(fh)
+    n = data["dim"]
+    gamma = conn.poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    alpha = (conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data
+             else levi_civita_connection(gamma, gamma_inv))
+    if data["case"] == "i":
+        chi = conn.matrix_of_forms_from_json(n, data["chi"])
+        return metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+    return metric_connection_eps(gamma, alpha, gamma_inv, Fraction(data["epsilon"]))
+
+
+def _random_constructions():
+    rnd = FormRandom(21, 2, Fraction(0))
+    for _ in range(3):
+        gamma, gamma_inv = rnd.metric_pieces()
+        yield metric_connection_eps0(gamma, rnd.symmetric_one_forms(),
+                                     levi_civita_connection(gamma, gamma_inv), gamma_inv)
+    for eps in (Fraction(1), Fraction(-1, 2)):
+        rnd = FormRandom(22, 2, eps)
+        for _ in range(3):
+            gamma, gamma_inv = rnd.metric_pieces()
+            yield metric_connection_eps(gamma, rnd.torsion_free_alpha(), gamma_inv, eps)
+
+
+@pytest.mark.parametrize("name", ["connection_case_i", "connection_case_ii",
+                                  "connection_case_ii_ordinary", "random"])
+def test_construction_pieces_are_what_they_claim(name):
+    results = (list(_random_constructions()) if name == "random"
+               else [_fixture_construction(name)])
+    for mc in results:
+        alpha, gamma = mc.A.alpha(), mc.g.gamma()
+        assert mc.fcal == ordinary_curvature(alpha)
+        assert mc.q == nonmetricity_ordinary(alpha, gamma)
+        assert mc.Q == nonmetricity(mc.A, mc.g)
+        assert conn.mat_is_zero(mc.Q)
+        if mc.A.epsilon == 0:
+            assert mc.fcal_low is None
+        else:
+            assert mc.fcal_low == conn.mat_mul(gamma, mc.fcal, scale_dot)
+
+
+def _broken_construction(monkeypatch, case: str) -> None:
+    """Make the soul of the constructed connection wrong: D chi doubled for
+    case i, F_cal doubled inside the beta of case ii."""
+    if case == "i":
+        cov_d_lowered = conn.cov_d_lowered
+        monkeypatch.setattr(conn, "cov_d_lowered",
+                            lambda alpha, t: conn._scale_matrix(cov_d_lowered(alpha, t), 2))
+    else:
+        ordinary = conn.ordinary_curvature
+        monkeypatch.setattr(conn, "ordinary_curvature",
+                            lambda alpha: conn._scale_matrix(ordinary(alpha), 2))
+
+
+@pytest.mark.parametrize("case, name", [("i", "connection_case_i"),
+                                        ("ii", "connection_case_ii")])
+def test_nonzero_residual_still_raises_and_fails_the_command(case, name, monkeypatch, tmp_path):
+    _broken_construction(monkeypatch, case)
+    with pytest.raises(ConnectionError, match="non-metricity residual nonzero"):
+        _fixture_construction(name)
+    out = tmp_path / "report.json"
+    assert cli.main(["connection-thm", "--fixture", str(FIXTURES / f"{name}.json"),
+                     "--case", case, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert "non-metricity residual nonzero" in report["error"]

@@ -1,15 +1,18 @@
 import json
 import math
 import pathlib
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genform.exterior import OrdinaryForm, Tensor11, VectorField, ext_d
 from genform.gform import GenForm, gd
 from genform.gvector import GenVectorField, gv_bracket, gv_interior, gv_lie
 from genform.hamiltonian import (
     GenHamiltonianProblem,
+    IntegrationError,
     SymplecticError,
     embedded_consistency_check,
     energy,
@@ -23,6 +26,7 @@ from genform.hamiltonian import (
     problem_from_json,
     recover_hamiltonian,
     rk4_order_estimate,
+    step_count,
     symplectic_validate,
 )
 from genform.randgen import FormRandom
@@ -299,3 +303,80 @@ def test_general_polynomial_hamiltonian_rhs():
     e0 = 0.25 * traj.states[0][0] ** 4 + 0.5 * traj.states[0][1] ** 2
     e1 = 0.25 * traj.states[-1][0] ** 4 + 0.5 * traj.states[-1][1] ** 2
     assert abs(e1 - e0) < 1e-9
+
+
+# -- the RK4 loop against the per-component evaluation it replaced ----------------
+
+
+def integrate_hamilton_reference(epsilon, v0, l, q0, p0, t_end, dt, h):
+    """RK4 as it was before the rows were evaluated from prebuilt float plans:
+    every stage calls ``Polynomial.eval_float`` once per component."""
+    steps = step_count(t_end, dt)
+    n = 2 * l
+    damping = 2.0 * float(Fraction(epsilon)) * float(Fraction(v0))
+    dh = [h.partial(i) for i in range(1, n + 1)]
+
+    def rhs(state):
+        dq = [dh[l + a].eval_float(state) for a in range(l)]
+        dp = [-dh[a].eval_float(state) + damping * state[l + a] for a in range(l)]
+        return dq + dp
+
+    state = list(q0) + list(p0)
+    times = [0.0]
+    states = [tuple(state)]
+    for step in range(steps):
+        k1 = rhs(state)
+        k2 = rhs([s + 0.5 * dt * d for s, d in zip(state, k1)])
+        k3 = rhs([s + 0.5 * dt * d for s, d in zip(state, k2)])
+        k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+        state = [s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if not all(math.isfinite(x) for x in state):
+            raise IntegrationError(f"state overflow at t = {(step + 1) * dt:.6g}")
+        times.append((step + 1) * dt)
+        states.append(tuple(state))
+    return times, states
+
+
+def _outcome(integrate, *args):
+    """Times and the exact bits of every state (the sign of zero included),
+    or the exception's type and message."""
+    try:
+        times, states = integrate(*args)
+    except (IntegrationError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return times, [struct.pack(f"<{len(s)}d", *s) for s in states]
+
+
+def _integrate(*args):
+    traj = integrate_hamilton(*args)
+    return traj.times, traj.states
+
+
+coords = st.one_of(st.sampled_from((0, 0.0, -0.0)), st.integers(-2, 2),
+                   st.floats(-2, 2, allow_nan=False))
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rk4_is_bit_identical_to_per_component_reference(data):
+    l = data.draw(st.sampled_from((1, 2)))
+    n = 2 * l
+    if data.draw(st.booleans()):
+        h = oscillator_hamiltonian(l)
+    else:
+        keys = st.tuples(*[st.integers(0, 3)] * n)
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        h = Polynomial(n, data.draw(st.dictionaries(keys, coeffs, max_size=6)))
+    epsilon, v0 = data.draw(small_rationals), data.draw(small_rationals)
+    q0 = data.draw(st.lists(coords, min_size=l, max_size=l))
+    p0 = data.draw(st.lists(coords, min_size=l, max_size=l))
+    dt = data.draw(st.sampled_from((0.01, 0.05, 0.1, 0.25)))
+    t_end = data.draw(st.integers(1, 12)) * dt
+    args = (epsilon, v0, l, q0, p0, t_end, dt, h)
+    assert _outcome(_integrate, *args) == _outcome(integrate_hamilton_reference, *args)
+
+
+def test_oscillator_hamiltonian_is_built_once_per_l():
+    assert oscillator_hamiltonian(2) is oscillator_hamiltonian(2)

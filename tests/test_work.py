@@ -8,8 +8,10 @@ product of two polynomials goes through the kernel ``Polynomial.sum_products``
 receives counts as one product of len(a) x len(b) term products, a triple with
 a zero operand included; the scalar branch of ``Polynomial.__mul__`` counts
 as one product of len x 1.  The runs are every identity suite at dim 2
-(seed 7, 20 trials), the connection suite at dim 3 (seed 0, 3 trials) and the
-two ``hamiltonian`` fixture commands.
+(seed 7, 20 trials), the connection suite at dim 3 (seed 0, 3 trials), the
+two ``hamiltonian`` fixture commands and the three ``connection-thm`` ones,
+whose counts show that each command forms F_cal, q and the non-metricity Q
+once.
 
 The same runs pin where the Kronecker branch of the kernel is taken: on the
 dim-3 connection run, and never on the fixture commands of the benchmark's
@@ -43,6 +45,10 @@ RUNS = {f"{name}_d2": (name, 2, 20, 7) for name in SUITE_NAMES}
 RUNS["connection_d3"] = ("connection", 3, 3, 0)
 RUNS.update({f"hamiltonian_{n}": ["hamiltonian", "--fixture", f"fixtures/hamiltonian_{n}.json"]
              for n in ("n2", "n4")})
+RUNS.update({f"connection_thm_{name}": ["connection-thm", "--case", case,
+                                        "--fixture", f"fixtures/connection_{name}.json"]
+             for case, name in (("i", "case_i"), ("ii", "case_ii"),
+                                ("ii", "case_ii_ordinary"))})
 
 
 # The fixture commands of ``cli-mix``, with their exit codes; the oscillator
@@ -50,9 +56,7 @@ RUNS.update({f"hamiltonian_{n}": ["hamiltonian", "--fixture", f"fixtures/hamilto
 FIXTURE_COMMANDS = [
     (RUNS["hamiltonian_n2"], 0),
     (RUNS["hamiltonian_n4"], 0),
-    *[(["connection-thm", "--case", case, "--fixture", f"fixtures/{name}.json"], 0)
-      for case, name in (("i", "connection_case_i"), ("ii", "connection_case_ii"),
-                         ("ii", "connection_case_ii_ordinary"))],
+    *[(RUNS[f"connection_thm_{name}"], 0) for name in ("case_i", "case_ii", "case_ii_ordinary")],
     *[(["cover", "--fixture", "fixtures/two_chart.json", f"--epsilon={eps}"], 0)
       for eps in ("1", "-1", "2", "1/2", "-3/2")],
     (["cover", "--fixture", "fixtures/case_i_cover.json", "--epsilon", "0"], 0),
