@@ -24,8 +24,8 @@ ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact.
 Both constructions return a ``MetricConnection``: A and g together with the
 pieces they computed on the way, the ordinary curvature F_cal, the ordinary
-non-metricity q, gamma F_cal (eps != 0) and the non-metricity Q of the
-result, which they verified to be zero.  The closed-form curvature formulas
+non-metricity q, gamma F_cal and its gamma-adjoint (eps != 0) and the
+non-metricity Q of the result, which they verified to be zero.  The closed-form curvature formulas
 and the ``connection-thm`` command read these pieces instead of computing
 them again; the mechanical ``curvature(A)`` that the formulas are compared
 with is still computed from A alone.
@@ -381,14 +381,15 @@ class MetricConnection(NamedTuple):
     q: FormMatrix  # ordinary non-metricity of alpha, zero for eps = 0
     Q: GenMatrix  # non-metricity of A in g, verified zero
     fcal_low: FormMatrix | None  # F_cal_{nl} = gamma_{ns} F_cal^s_l; eps != 0 only
+    fcal_adj: FormMatrix | None  # gamma^{ml} F_cal_{nl}, F_cal's gamma-adjoint; eps != 0 only
 
 
 def _verified(A: GenConnection, g: GenMetric, fcal: FormMatrix, q: FormMatrix,
-              fcal_low: FormMatrix | None) -> MetricConnection:
+              fcal_low: FormMatrix | None, fcal_adj: FormMatrix | None) -> MetricConnection:
     Q = nonmetricity(A, g)
     if not mat_is_zero(Q):
         raise ConnectionError("construction failed: non-metricity residual nonzero")
-    return MetricConnection(A, g, fcal, q, Q, fcal_low)
+    return MetricConnection(A, g, fcal, q, Q, fcal_low, fcal_adj)
 
 
 def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMatrix,
@@ -413,7 +414,7 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     if beta_tilde is not None:
         beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
-    return _verified(A, g, ordinary_curvature(alpha_lc), q, None)
+    return _verified(A, g, ordinary_curvature(alpha_lc), q, None, None)
 
 
 def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
@@ -440,12 +441,12 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
     fcal_low = mat_mul(_as_tuple(gamma), fcal, scale_dot)
-    sym = mat_add(fcal, mat_mul(g.gamma_inv, transpose(fcal_low), scale_dot))
-    beta = _scale_matrix(sym, Fraction(-1, 2) / eps)
+    fcal_adj = mat_mul(g.gamma_inv, transpose(fcal_low), scale_dot)
+    beta = _scale_matrix(mat_add(fcal, fcal_adj), Fraction(-1, 2) / eps)
     if beta_tilde is not None:
         beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
-    return _verified(A, g, fcal, q, fcal_low)
+    return _verified(A, g, fcal, q, fcal_low, fcal_adj)
 
 
 def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
@@ -469,7 +470,7 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """
     A, gamma_inv, fcal, fcal_low, q = mc.A, mc.g.gamma_inv, mc.fcal, mc.fcal_low, mc.q
     fcal_up = mat_mul(fcal, gamma_inv, scale_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
-    body = mat_sub(fcal, mat_mul(gamma_inv, transpose(fcal_low), scale_dot))
+    body = mat_sub(fcal, mc.fcal_adj)
     # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
     soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge_dot)),
                    mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge_dot))

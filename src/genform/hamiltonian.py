@@ -236,7 +236,8 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
                        h: Polynomial | None = None) -> Trajectory:
     """Classical fixed-step RK4 for dq = dh/dp, dp = -(dh/dq - 2 eps v0 p),
     each stage one loop over the float plans of the rows dh/dp_a, then
-    dh/dq_a (see the module docstring)."""
+    dh/dq_a (see the module docstring).  A step whose state, or a power
+    inside it, leaves the float range raises IntegrationError."""
     steps = step_count(t_end, dt)
     if len(q0) != l or len(p0) != l:
         raise ValueError("initial state length mismatch")
@@ -264,13 +265,17 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
     times = [0.0]
     states = [tuple(state)]
     for step in range(steps):
-        k1 = rhs(state)
-        k2 = rhs([s + half * d for s, d in zip(state, k1)])
-        k3 = rhs([s + half * d for s, d in zip(state, k2)])
-        k4 = rhs([s + dt * d for s, d in zip(state, k3)])
-        state = [s + sixth * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, state)):
+        try:
+            k1 = rhs(state)
+            k2 = rhs([s + half * d for s, d in zip(state, k1)])
+            k3 = rhs([s + half * d for s, d in zip(state, k2)])
+            k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+            state = [s + sixth * (a + 2 * b + 2 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            finite = all(map(math.isfinite, state))
+        except OverflowError:  # x ** e past the float range, for e >= 2
+            finite = False
+        if not finite:
             raise IntegrationError(f"state overflow at t = {(step + 1) * dt:.6g}")
         times.append((step + 1) * dt)
         states.append(tuple(state))

@@ -36,8 +36,8 @@ row-times-column sum of forms (``exterior.wedge_dot`` and its relatives)
 hands each output coefficient's triples to one kernel call, so no
 intermediate product is ever built as a ``Polynomial`` of its own.  A size rule
 sends small calls through a schoolbook loop into one integer dict, and large
-calls whose result is dense in a small box of exponents through Kronecker
-substitution: one big-integer multiply per pair, in 32- or 64-bit slots.
+calls through Kronecker substitution on fibers, dense in x1 and x2 and sparse
+in the rest: one big-integer multiply per pair of fibers, in 32- or 64-bit slots.
 Both give the same den and numerators; only the schoolbook loop fixes the
 term order of a * b, which ``eval_float`` sums in.
 
@@ -122,13 +122,13 @@ def _unpack(key: int, dim: int) -> Exponent:
 
 _OVERFLOW = f"exponent overflow: a product needs an exponent above {MAX_EXPONENT}"
 
-# The size rule of ``Polynomial.sum_products``.  Below 4 term products per
-# slot the encoding costs more than the loop it replaces; past the slot cap
-# the big multiplies grow faster than the loop.
-_KRONECKER_MIN_PRODUCTS = 1000
-_KRONECKER_DENSITY = 4
-_KRONECKER_MAX_SLOTS = 4096
-_SLOT_CODES = {array(code).itemsize * 8: code for code in "QLI"}
+# The size rule of ``Polynomial.sum_products``.  Below the minimum the encoding costs more
+# than the loop it replaces; past the slot cap a fiber's multiplies grow faster than the loop.
+_FIBER_MIN_PRODUCTS = 1000
+_FIBER_MAX_SLOTS = 4096
+# slot width in bits -> (signed, unsigned) array typecodes
+_SLOT_CODES = {array(code).itemsize * 8: (code, code.upper()) for code in "qli"}
+_LOW_BITS, _LOW = 2 * _FIELD_BITS, (1 << 2 * _FIELD_BITS) - 1  # the fields of x1, x2 in a key
 
 
 def _extent(p: "Polynomial") -> tuple[list[int], int]:
@@ -141,45 +141,57 @@ def _extent(p: "Polynomial") -> tuple[list[int], int]:
     return exps + [max(keys) >> top], max(max(nums), -min(nums))
 
 
-def _kronecker_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int,
-                   box: list[int], width: int) -> dict[int, int]:
-    """The numerators over den of sum s * a * b, by Kronecker substitution:
-    each operand becomes one integer with a width-bit slot per monomial of the
-    box (exponent of x_i up to box[i], x_1 running fastest), so one integer
-    multiply adds up every term product of a pair.  Every slot of the sum must
-    lie within +-2**(width - 1); an offset of half a slot makes each
-    non-negative for decoding."""
-    code, order, size = _SLOT_CODES[width], sys.byteorder, width // 8
-    slot_keys = [0]
-    for shift, e in zip(range(0, _FIELD_BITS * len(box), _FIELD_BITS), box):
-        slot_keys = [key + x for x in range(0, (e + 1) << shift, 1 << shift) for key in slot_keys]
-    slot_of = dict(zip(slot_keys, itertools.count()))
-    encoded: dict[int, int] = {}
+def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int,
+               box: list[int], width: int) -> dict[int, int]:
+    """The numerators over den of sum s * a * b, dense in x1 and x2 and
+    sparse in the rest: each operand is split by its exponents of x3..xn into
+    fibers, each one integer with a width-bit slot per monomial x1^e1 x2^e2
+    of the box (e1 running fastest), so one integer multiply per pair of
+    fibers adds up all their term products.  Every slot of the sum must lie
+    within +-2**(width - 1); an offset of half a slot makes each non-negative
+    for decoding."""
+    (signed, unsigned), order, size = _SLOT_CODES[width], sys.byteorder, width // 8
+    top1, top2 = (*box, 0)[:2]
+    slot_keys = [e1 + (e2 << _FIELD_BITS) for e2 in range(top2 + 1) for e1 in range(top1 + 1)]
+    slot_of, slots = dict(zip(slot_keys, itertools.count())), len(slot_keys)
+    half = 1 << (width - 1)
+    offset = int.from_bytes(array(unsigned, [half]) * slots, order)
+    encoded: dict[int, dict[int, int]] = {}
 
-    def encode(p: "Polynomial") -> int:
-        value = encoded.get(id(p))
-        if value is None:
-            slots = list(map(slot_of.__getitem__, p._nums))
-            empty = bytes(size * (max(slots) + 1))
-            pos, neg = array(code, empty), array(code, empty)
-            for slot, num in zip(slots, p._nums.values()):
-                if num > 0:
-                    pos[slot] = num
-                else:
-                    neg[slot] = -num
-            value = encoded[id(p)] = int.from_bytes(pos, order) - int.from_bytes(neg, order)
-        return value
+    def encode(p: "Polynomial") -> dict[int, int]:
+        fibers = encoded.get(id(p))
+        if fibers is None:
+            # each fiber's slots in flat, by the fields of x3..xn of its keys
+            highs = map(operator.rshift, p._nums, itertools.repeat(_LOW_BITS))
+            starts = dict(zip(dict.fromkeys(highs), itertools.count(0, slots)))
+            flat = array(signed, bytes(size * slots * len(starts)))
+            for key, num in p._nums.items():
+                flat[starts[key >> _LOW_BITS] + slot_of[key & _LOW]] = num
+            fibers = encoded[id(p)] = {}
+            for high, start in starts.items():
+                # read unsigned, each negative slot has borrowed 2**width from the next
+                value = int.from_bytes(flat[start:start + slots], order)
+                fibers[high << _LOW_BITS] = value - ((value & offset) << 1)
+        return fibers
 
-    total = 0
+    sums: dict[int, int] = {}
+    get = sums.get
     for s, a, b in terms:
         if a._nums and b._nums:
-            total += s * (den // (a.den * b.den)) * encode(a) * encode(b)
-    half = 1 << (width - 1)
-    total += int.from_bytes(array(code, [half]) * len(slot_keys), order)
-    values = array(code, total.to_bytes(size * len(slot_keys), order))
-    keep = list(map(operator.ne, values, itertools.repeat(half)))
-    return dict(zip(itertools.compress(slot_keys, keep),
-                    map(operator.sub, itertools.compress(values, keep), itertools.repeat(half))))
+            scale, right = s * (den // (a.den * b.den)), encode(b).items()
+            for r1, v1 in encode(a).items():
+                v1 *= scale
+                for r2, v2 in right:
+                    sums[r1 + r2] = get(r1 + r2, 0) + v1 * v2
+    out: dict[int, int] = {}
+    for rest, total in sums.items():
+        if total:  # a fiber that cancels to zero writes nothing
+            values = array(unsigned, (total + offset).to_bytes(size * slots, order))
+            keep = list(map(operator.ne, values, itertools.repeat(half)))
+            out.update(zip(
+                map(operator.add, itertools.compress(slot_keys, keep), itertools.repeat(rest)),
+                map(operator.sub, itertools.compress(values, keep), itertools.repeat(half))))
+    return out
 
 
 class _Terms(Mapping):
@@ -382,14 +394,14 @@ class Polynomial:
           a's terms in the outer loop and b's in the inner one.  This fixes
           the term order of a * b, the one-triple case, which ``eval_float``
           sums in.
-        - Kronecker (``_kronecker_sum``): when the call has at least
-          _KRONECKER_MIN_PRODUCTS term products, at least _KRONECKER_DENSITY
-          per slot of the output box (the largest exponent of each variable
-          that a term product writes), the box has at most
-          _KRONECKER_MAX_SLOTS slots, and the bound on any output numerator
-          fits a 32-bit slot (below 2**31) or a 64-bit slot (below 2**63).
-          The den and numerators are those of the schoolbook branch; only
-          their order differs, so the term order above holds below the rule.
+        - Fiber (``_fiber_sum``): when the call has at least
+          _FIBER_MIN_PRODUCTS term products, the bound on any output
+          numerator is below 2**63 (32-bit slots below 2**31, else 64-bit),
+          and the output box of x1 and x2 (the largest exponents of x1 and
+          x2 that a term product writes) has at most _FIBER_MAX_SLOTS
+          monomials.  The den and numerators are those of the schoolbook
+          branch; only their order differs, so the term order above holds
+          below the rule.
         """
         if not terms:
             raise ValueError("sum_products needs at least one (s, a, b) triple")
@@ -402,7 +414,7 @@ class Polynomial:
             if a._nums and b._nums:
                 den = math.lcm(den, a.den * b.den)
                 products += len(a._nums) * len(b._nums)
-        if products >= _KRONECKER_MIN_PRODUCTS:
+        if products >= _FIBER_MIN_PRODUCTS:
             # box[i]: the largest exponent of x_i that any term product writes;
             # bound: no output numerator exceeds it, since at most
             # min(len a, len b) term products of a pair land on one monomial
@@ -416,11 +428,9 @@ class Polynomial:
                     bound += (den // (a.den * b.den)) * ma * mb * min(len(a._nums), len(b._nums))
             if max(box) > MAX_EXPONENT:
                 raise ValueError(_OVERFLOW)
-            slots = math.prod(e + 1 for e in box)
-            if (products >= _KRONECKER_DENSITY * slots and slots <= _KRONECKER_MAX_SLOTS
-                    and bound < 1 << 63):
+            if math.prod(e + 1 for e in box[:2]) <= _FIBER_MAX_SLOTS and bound < 1 << 63:
                 return Polynomial._canonical(
-                    dim, den, _kronecker_sum(terms, den, box, 32 if bound < 1 << 31 else 64))
+                    dim, den, _fiber_sum(terms, den, box, 32 if bound < 1 << 31 else 64))
         out: dict[int, int] = {}
         get = out.get
         for s, a, b in terms:

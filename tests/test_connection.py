@@ -496,9 +496,12 @@ def test_construction_pieces_are_what_they_claim(name):
         assert mc.Q == nonmetricity(mc.A, mc.g)
         assert conn.mat_is_zero(mc.Q)
         if mc.A.epsilon == 0:
-            assert mc.fcal_low is None
+            assert mc.fcal_low is None and mc.fcal_adj is None
         else:
             assert mc.fcal_low == conn.mat_mul(gamma, mc.fcal, scale_dot)
+            # gamma^{ml} F_cal_{nl} = (gamma^-1 F_cal^T gamma)^m_n
+            assert mc.fcal_adj == conn.mat_mul(
+                conn.mat_mul(mc.g.gamma_inv, conn.transpose(mc.fcal), scale_dot), gamma, scale_dot)
 
 
 def _broken_construction(monkeypatch, case: str) -> None:

@@ -7,14 +7,16 @@ an exponent or a sign on any drawn input fails.  ``eval_float`` is compared
 with a reference loop that decodes each coefficient to a Fraction; the two
 must give the same float, not merely a close one.
 
-``Polynomial.sum_products`` has two branches, schoolbook and Kronecker, chosen
-by a size rule on module constants; the kernel tests force the rule each way
-by patching those constants and require both branches to give the oracle's
+``Polynomial.sum_products`` has two branches, schoolbook and fiber (Kronecker
+substitution dense in x1 and x2, sparse in the other variables), chosen by a
+size rule on module constants; the kernel tests force the rule each way by
+patching those constants and require both branches to give the oracle's
 result with the same den and numerators.
 """
 
 import contextlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,29 +102,29 @@ def test_sum_products_matches_sympy(terms):
 
 # The size rule forced each way: no call passes the schoolbook one's minimum,
 # and every call with a product and a coefficient bound below 2**63 passes the
-# Kronecker one's.
+# fiber one's.
 RULES = {
-    "schoolbook": {"_KRONECKER_MIN_PRODUCTS": math.inf},
-    "kronecker": {"_KRONECKER_MIN_PRODUCTS": 1, "_KRONECKER_DENSITY": 0,
-                  "_KRONECKER_MAX_SLOTS": 1 << 16},
+    "schoolbook": {"_FIBER_MIN_PRODUCTS": math.inf},
+    "fiber": {"_FIBER_MIN_PRODUCTS": 1, "_FIBER_MAX_SLOTS": 1 << 16},
+    "default": {},
 }
 
 
 @contextlib.contextmanager
 def forced(rule: str):
-    """Run under the rule forced one way; yields the list of slot widths of
-    the calls that took the Kronecker branch."""
+    """Run under the rule forced one way, or as it stands; yields the list of
+    slot widths of the calls that took the fiber branch."""
     widths: list[int] = []
-    kronecker_sum = ring._kronecker_sum
+    fiber_sum = ring._fiber_sum
 
     def recorded(terms, den, box, width):
         widths.append(width)
-        return kronecker_sum(terms, den, box, width)
+        return fiber_sum(terms, den, box, width)
 
     with pytest.MonkeyPatch.context() as mp:
         for name, value in RULES[rule].items():
             mp.setattr(ring, name, value)
-        mp.setattr(ring, "_kronecker_sum", recorded)
+        mp.setattr(ring, "_fiber_sum", recorded)
         yield widths
 
 
@@ -132,10 +134,10 @@ def both_branches(terms) -> Polynomial:
     with forced("schoolbook") as widths:
         school = Polynomial.sum_products(terms)
     assert widths == []
-    with forced("kronecker"):
-        kron = Polynomial.sum_products(terms)
-    assert (kron.den, kron._nums) == (school.den, school._nums)
-    return kron
+    with forced("fiber"):
+        fiber = Polynomial.sum_products(terms)
+    assert (fiber.den, fiber._nums) == (school.den, school._nums)
+    return fiber
 
 
 def sympy_sum(terms, dim: int) -> "sympy.Poly":
@@ -185,22 +187,99 @@ def test_slot_width_follows_the_coefficient_bound(num, pairs, width, sign):
     bound of its pair, so the sum reaches the bound in one slot."""
     a = Polynomial(2, {(1, 0): num, (0, 1): num})
     terms = [(sign, a, a)] * pairs
-    with forced("kronecker") as widths:
+    with forced("fiber") as widths:
         got = Polynomial.sum_products(terms)
     assert widths == ([width] if width else [])
     assert got._nums[1 + (1 << 16)] == sign * pairs * 2 * num * num
     assert_same(both_branches(terms), sympy_sum(terms, 2))
 
 
-def test_exponent_overflow_raises_on_the_kronecker_branch():
+def test_exponent_overflow_raises_on_the_fiber_branch():
     top, x1 = Polynomial(2, {(MAX_EXPONENT, 0): 1}), Polynomial.var(2, 1)
-    with forced("kronecker") as widths:
+    with forced("fiber") as widths:
         for terms in ([(1, top, x1)], [(1, x1, x1), (1, top, x1), (-1, x1, top)]):
             with pytest.raises(ValueError, match="exponent overflow"):
                 Polynomial.sum_products(terms)
         assert widths == []
         assert Polynomial(2, {(MAX_EXPONENT - 1, 0): 1}) * x1 == top
         assert widths == [32]
+
+
+def test_exponent_overflow_in_a_sparse_variable_raises_on_the_fiber_branch():
+    """The box that raises covers x3..xn too, not only the dense x1 and x2."""
+    top, x3 = Polynomial(3, {(1, 0, MAX_EXPONENT): 1}), Polynomial.var(3, 3)
+    with forced("fiber") as widths:
+        with pytest.raises(ValueError, match="exponent overflow"):
+            Polynomial.sum_products([(1, x3, x3), (1, top, x3)])
+        assert widths == []
+        assert Polynomial(3, {(1, 0, MAX_EXPONENT - 1): 1}) * x3 == top
+        assert widths == [32]
+
+
+def _spread(dim: int, count: int, top: int, seed: int) -> Polynomial:
+    """count draws of a term with exponents 0..top and an integer numerator in
+    -99..99 (zero draws dropped)."""
+    rnd = random.Random(seed)
+    return Polynomial(dim, {tuple(rnd.randint(0, top) for _ in range(dim)): rnd.randint(-99, 99)
+                            for _ in range(count)})
+
+
+def _lift(p: Polynomial, dim: int, first: int) -> Polynomial:
+    """p in two variables, put at x_first and x_(first + 1) of dim variables."""
+    pad = (0,) * (first - 1), (0,) * (dim - first - 1)
+    return Polynomial(dim, {(*pad[0], *e, *pad[1]): c for e, c in p.terms.items()})
+
+
+def _fibers(p: Polynomial) -> int:
+    """The number of distinct exponents of x3..xn among p's terms."""
+    return len({key >> 32 for key in p._nums})
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_operands_of_several_fibers_take_the_fiber_branch(dim):
+    terms = [(1, _spread(dim, 60, 3, 1), _spread(dim, 60, 3, 2)),
+             (-1, _spread(dim, 50, 3, 3), _spread(dim, 40, 3, 4))]
+    assert sum(len(a._nums) * len(b._nums) for _, a, b in terms) >= ring._FIBER_MIN_PRODUCTS
+    assert all(_fibers(p) > 2 for _, a, b in terms for p in (a, b))
+    with forced("default") as widths:
+        got = Polynomial.sum_products(terms)
+    assert widths == [32]
+    assert _fibers(got) > 4
+    checked = both_branches(terms)
+    assert (got.den, got._nums) == (checked.den, checked._nums)
+    assert_same(got, sympy_sum(terms, dim))
+
+
+def test_an_output_fiber_that_cancels_to_zero_writes_nothing():
+    """(q + x3 p) b - (x3 p) b: the x3 fiber of the sum is exactly zero, the
+    x3-free fiber is q b."""
+    q, p, b = (_lift(_spread(2, 40, 5, seed), 3, 1) for seed in (5, 6, 7))
+    x3p = Polynomial.var(3, 3) * p
+    terms = [(1, q + x3p, b), (-1, x3p, b)]
+    assert sum(len(a._nums) * len(b._nums) for _, a, b in terms) >= ring._FIBER_MIN_PRODUCTS
+    with forced("default") as widths:
+        got = Polynomial.sum_products(terms)
+    assert widths == [32]
+    assert _fibers(got) == 1 and not got.is_zero()
+    with forced("schoolbook"):
+        assert (got.den, got._nums) == ((q * b).den, (q * b)._nums)
+    assert_same(both_branches(terms), sympy_sum(terms, 3))
+
+
+@pytest.mark.parametrize("top, width", [(32, 32), (33, None)])
+def test_a_fiber_box_above_the_cap_falls_back_to_the_schoolbook_loop(top, width):
+    """x1 and x2 reach 31 in a and top in b: a box of 64 x 64 = 4096 slots
+    takes the fiber branch, 65 x 64 = 4160 the schoolbook loop.  Moved to x3
+    and x4, the same exponents are sparse and do not count."""
+    a = Polynomial(2, {(k, k): k + 1 for k in range(32)})
+    b = Polynomial(2, {(k, 32 - k): 1 for k in range(33)} | {(top, 0): 1})
+    with forced("default") as widths:
+        got = a * b
+    assert widths == ([width] if width else [])
+    assert_same(both_branches([(1, a, b)]), sympy_sum([(1, a, b)], 2))
+    with forced("default") as widths:
+        assert _lift(a, 4, 3) * _lift(b, 4, 3) == _lift(got, 4, 3)
+    assert widths == [32]
 
 
 def test_sum_products_rejects_no_terms_and_mixed_dimensions():

@@ -13,7 +13,7 @@ two ``hamiltonian`` fixture commands and the three ``connection-thm`` ones,
 whose counts show that each command forms F_cal, q and the non-metricity Q
 once.
 
-The same runs pin where the Kronecker branch of the kernel is taken: on the
+The same runs pin where the fiber branch of the kernel is taken: on the
 dim-3 connection run, and never on the fixture commands of the benchmark's
 ``cli-mix`` workload, whose term order (summed by ``eval_float`` into the
 oscillator CSVs) the branch would not keep.
@@ -111,30 +111,30 @@ def test_ring_work(name, monkeypatch):
     assert measure(name, monkeypatch) == json.loads(WORK.read_text())[name]
 
 
-def _kronecker_dispatches(run, code: int, monkeypatch: pytest.MonkeyPatch) -> int:
+def _fiber_dispatches(run, code: int, monkeypatch: pytest.MonkeyPatch) -> int:
     """How many kernel calls of one run, which must exit with code, take the
-    Kronecker branch."""
+    fiber branch."""
     calls = 0
-    kronecker_sum = ring._kronecker_sum
+    fiber_sum = ring._fiber_sum
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return kronecker_sum(*args)
+        return fiber_sum(*args)
 
-    monkeypatch.setattr(ring, "_kronecker_sum", counted)
+    monkeypatch.setattr(ring, "_fiber_sum", counted)
     _execute(run, code)
     return calls
 
 
-def test_kronecker_branch_runs_on_connection_d3(monkeypatch):
-    assert _kronecker_dispatches(RUNS["connection_d3"], 0, monkeypatch) > 0
+def test_fiber_branch_runs_on_connection_d3(monkeypatch):
+    assert _fiber_dispatches(RUNS["connection_d3"], 0, monkeypatch) > 0
 
 
 @pytest.mark.parametrize("run, code", FIXTURE_COMMANDS,
                          ids=[" ".join(run) for run, _ in FIXTURE_COMMANDS])
-def test_kronecker_branch_never_runs_on_fixture_commands(run, code, monkeypatch):
-    assert _kronecker_dispatches(run, code, monkeypatch) == 0
+def test_fiber_branch_never_runs_on_fixture_commands(run, code, monkeypatch):
+    assert _fiber_dispatches(run, code, monkeypatch) == 0
 
 
 def record() -> None:
