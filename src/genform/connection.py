@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, ext_d, form_from_json,
-                       mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
-                       wedge_dot)
+from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordinate_partial, ext_d,
+                       form_from_json, mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg,
+                       mat_sub, transpose, wedge_dot)
 from .gform import GenForm, gd, gwedge_dot, scale_dot
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar, poly_dot
@@ -343,28 +343,19 @@ def torsion(alpha: FormMatrix) -> tuple[OrdinaryForm, ...]:
 
 
 def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatrix:
-    """Christoffel one-forms of gamma; polynomial whenever gamma_inv is."""
-    gamma, gamma_inv = _as_tuple(gamma), _as_tuple(gamma_inv)
+    """Christoffel one-forms alpha = gamma^{-1} Gamma_low of gamma, where
+
+        Gamma_low_{s nu} = (d_nu theta_s + d gamma_{s nu} - d_s theta_nu) / 2
+
+    are those of the first kind and theta_s = gamma_{sl} dx^l are the row
+    one-forms of gamma; polynomial whenever gamma_inv is."""
+    gamma = _as_tuple(gamma)
     n = len(gamma)
-    half = Fraction(1, 2)
-    rows = []
-    for m in range(1, n + 1):
-        row = []
-        for nu in range(1, n + 1):
-            comps: dict[tuple[int, ...], Polynomial] = {}
-            for lam in range(1, n + 1):
-                acc = Polynomial.zero(n)
-                for s in range(1, n + 1):
-                    term = (gamma[s - 1][lam - 1].partial(nu)
-                            + gamma[s - 1][nu - 1].partial(lam)
-                            - gamma[nu - 1][lam - 1].partial(s))
-                    acc = acc + gamma_inv[m - 1][s - 1] * term
-                acc = acc * half
-                if not acc.is_zero():
-                    comps[(lam,)] = acc
-            row.append(OrdinaryForm(n, 1, comps))
-        rows.append(tuple(row))
-    return tuple(rows)
+    # (s, nu): d_nu theta_s, so its transpose holds d_s theta_nu
+    grad = tuple(tuple(coordinate_partial(theta, axis) for axis in range(1, n + 1))
+                 for theta in Tensor11(gamma).row_forms())
+    low = mat_sub(mat_add(grad, mat_ext_d(_scalar_forms(gamma))), transpose(grad))
+    return mat_mul(_as_tuple(gamma_inv), _scale_matrix(low, Fraction(1, 2)), scale_dot)
 
 
 # -- the compatibility constructions -------------------------------------------------

@@ -127,12 +127,8 @@ def lift_genform(a: GenForm) -> GenForm:
 
 def ideal_residual(theta: ExpPoly, phi: OrdinaryForm) -> tuple[OrdinaryForm, OrdinaryForm]:
     """(d theta + theta phi, d phi); both vanish iff d^2 m = 0."""
-    dim = theta.dim
     phi = lift_form(phi)
-    dtheta = OrdinaryForm(dim, 1, {(axis,): theta.partial(axis)
-                                   for axis in range(1, dim + 1)
-                                   if not theta.partial(axis).is_zero()})
-    return dtheta + phi.scale(theta), ext_d(phi)
+    return ext_d(OrdinaryForm.from_scalar(theta)) + phi.scale(theta), ext_d(phi)
 
 
 def general_gd(a: GenForm, theta: ExpPoly, phi: OrdinaryForm) -> GenForm:

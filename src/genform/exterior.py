@@ -439,19 +439,51 @@ def ext_d(a: OrdinaryForm) -> OrdinaryForm:
     return OrdinaryForm._canonical(a.dim, a.degree + 1, out)
 
 
+def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
+    """i_{d/dx^a} rho for a = 1..n, by selection: the components whose index
+    tuple holds a at position pos, with a removed and sign (-1)^pos.  The one
+    index-removal rule; every interior product is built on it."""
+    hooks: list[dict] = [{} for _ in range(rho.dim)]
+    for idxs, coeff in rho.components.items():
+        for pos, a in enumerate(idxs):
+            hooks[a - 1][idxs[:pos] + idxs[pos + 1:]] = -coeff if pos % 2 else coeff
+    return [OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook) for hook in hooks]
+
+
+def _add_scaled(groups: dict[IndexTuple, list[_Triple]], p: Polynomial, x: OrdinaryForm) -> None:
+    """Append the triple (1, p, c) of every component c of x to the group of
+    its index tuple; nothing for p = 0."""
+    if not p.is_zero():
+        for idxs, c in x.components.items():
+            groups.setdefault(idxs, []).append((1, p, c))
+
+
+def scale_dot_forms(polys: Sequence[Polynomial], forms: Sequence[OrdinaryForm]) -> OrdinaryForm:
+    """sum_k p_k x_k for polynomials p_k and ordinary forms x_k, each output
+    coefficient accumulated once with p_k the left operand of every product,
+    as in ``x.scale(p)``; a zero p_k adds no product.  Zero results and
+    errors as for ``wedge_dot``.
+    """
+    first = forms[0]
+    groups: dict[IndexTuple, list[_Triple]] = {}
+    degree = None
+    for p, x in zip(polys, forms, strict=True):
+        if x.dim != first.dim:
+            raise ValueError(f"dimension mismatch: {first.dim} vs {x.dim}")
+        _add_scaled(groups, p, x)
+        if not (p.is_zero() or x.is_zero()):
+            degree = _common_degree(degree, x.degree)
+    components = _sum_groups(groups)
+    return OrdinaryForm._canonical(first.dim, degree if components else forms[-1].degree,
+                                   components)
+
+
 def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
-    """Left contraction i_v a; zero on 0-forms."""
+    """Left contraction i_v a = sum_r v^r i_{d/dx^r} a over the hooks of a;
+    zero on 0-forms."""
     if v.dim != a.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
-    out: dict[IndexTuple, Coefficient] = {}
-    for idxs, coeff in a.components.items():
-        for pos, idx in enumerate(idxs):
-            comp = v.components[idx - 1]
-            if comp.is_zero():
-                continue
-            term = comp * coeff
-            _add_term(out, idxs[:pos] + idxs[pos + 1:], -term if pos % 2 else term)
-    return OrdinaryForm._canonical(a.dim, a.degree - 1, out)
+    return scale_dot_forms(v.components, _hooks(a))
 
 
 def lie(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
@@ -509,26 +541,20 @@ def poincare_antiderivative(a: OrdinaryForm) -> OrdinaryForm:
     """Homotopy inverse of d on the star-shaped chart: for closed a of degree
     p >= 1 returns b with d b = a.
 
-    Splits a into scaling-homogeneous pieces and applies i_E / (|monomial| + p)
-    with E the Euler field; exact because coefficients are polynomials.
+    b = i_E a_w with E = x^k d/dx^k the Euler field and a_w the form a with
+    each monomial divided by its scaling weight |monomial| + p; exact because
+    coefficients are polynomials.
     """
     if a.degree < 1:
         raise ValueError("antiderivative defined for degree >= 1")
-    result = OrdinaryForm.zero(a.dim, a.degree - 1)
+    weighted = {}
     for idxs, coeff in a.components.items():
         if not isinstance(coeff, Polynomial):
             raise TypeError("homotopy inverse needs polynomial coefficients")
-        for exps, value in coeff.terms.items():
-            weight = sum(exps) + a.degree
-            mono = Polynomial(a.dim, {exps: value / weight})
-            # i_E (mono dx^I) with E = x^k d/dx^k
-            for pos, idx in enumerate(idxs):
-                piece = mono * Polynomial.var(a.dim, idx)
-                if pos % 2:
-                    piece = -piece
-                key = idxs[:pos] + idxs[pos + 1:]
-                result = result + OrdinaryForm(a.dim, a.degree - 1, {key: piece})
-    return result
+        weighted[idxs] = Polynomial(a.dim, {exps: value / (sum(exps) + a.degree)
+                                            for exps, value in coeff.terms.items()})
+    euler = VectorField([Polynomial.var(a.dim, k) for k in range(1, a.dim + 1)])
+    return interior(euler, OrdinaryForm._canonical(a.dim, a.degree, weighted))
 
 
 # -- JSON encoding -------------------------------------------------------------

@@ -18,6 +18,7 @@ from .exterior import (
     OrdinaryForm,
     VectorField,
     _add_pairs,
+    _add_scaled,
     _common_degree,
     _json_dim,
     _json_field,
@@ -29,6 +30,7 @@ from .exterior import (
     interior,
     lie,
     pullback,
+    scale_dot_forms,
 )
 from .ring import Polynomial, Scalar, format_rational, parse_rational
 
@@ -202,35 +204,26 @@ def gwedge(a: GenForm, b: GenForm) -> GenForm:
 def scale_dot(row: Sequence, col: Sequence) -> OrdinaryForm | GenForm:
     """sum_k p_k x_k for polynomials p_k and ordinary or extended forms x_k,
     the polynomials in either argument: the row-times-column function of a
-    polynomial matrix times a matrix of forms, on either side.  Each
-    coefficient is accumulated once, with p_k the left operand of every
-    product as in ``x.scale(p)``.  Zero results and errors as for
-    ``gwedge_dot``.
+    polynomial matrix times a matrix of forms, on either side.  Ordinary
+    forms go to ``exterior.scale_dot_forms``; extended ones are grouped the
+    same way per part, each coefficient accumulated once, with p_k the left
+    operand of every product as in ``x.scale(p)`` and a zero p_k adding no
+    product.  Zero results and errors as for ``gwedge_dot``.
     """
     polys, forms = (row, col) if isinstance(col[0], (OrdinaryForm, GenForm)) else (col, row)
     first = forms[0]
-    extended = isinstance(first, GenForm)
+    if not isinstance(first, GenForm):
+        return scale_dot_forms(polys, forms)
     body: dict[IndexTuple, list[_Triple]] = {}
     soul: dict[IndexTuple, list[_Triple]] = {}
     degree = None
     for p, x in zip(polys, forms, strict=True):
-        if extended:
-            first._require_compatible(x)
-            parts = ((body, x.body), (soul, x.soul))
-        elif x.dim != first.dim:
-            raise ValueError(f"dimension mismatch: {first.dim} vs {x.dim}")
-        else:
-            parts = ((body, x),)
-        for groups, part in parts:
-            for idxs, c in part.components.items():
-                groups.setdefault(idxs, []).append((1, p, c))
+        first._require_compatible(x)
+        _add_scaled(body, p, x.body)
+        _add_scaled(soul, p, x.soul)
         if not (p.is_zero() or x.is_zero()):
             degree = _common_degree(degree, x.degree)
-    if extended:
-        return _gen_sum(first, degree, forms[-1].degree, body, soul)
-    components = _sum_groups(body)
-    return OrdinaryForm._canonical(first.dim, degree if components else forms[-1].degree,
-                                   components)
+    return _gen_sum(first, degree, forms[-1].degree, body, soul)
 
 
 def gd(a: GenForm) -> GenForm:
@@ -246,10 +239,10 @@ def gd(a: GenForm) -> GenForm:
 
 
 def gpullback(phi: Sequence[Polynomial], a: GenForm) -> GenForm:
-    """Pull back both parts along a polynomial map; m is preserved."""
-    source_dim = phi[0].dim
-    return GenForm(source_dim, a.epsilon, a.degree,
-                   pullback(phi, a.body), pullback(phi, a.soul))
+    """Pull back both parts along a polynomial map; m is preserved.
+    ValueError from ``pullback`` for a map of the wrong length."""
+    body = pullback(phi, a.body)
+    return GenForm(body.dim, a.epsilon, a.degree, body, pullback(phi, a.soul))
 
 
 def ginterior_ordinary(v: VectorField, a: GenForm) -> GenForm:

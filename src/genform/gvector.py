@@ -3,9 +3,11 @@
     V = (v^r + v^r_s dx^s m) d/dx^r
 
 i.e. an ordinary vector field v plus a (1,1) tensor field vt.  The interior
-product lowers degree by one and acquires an extra soul term from vt; the Lie
-derivative is the anticommutator with d; the bracket is fixed by requiring
-[L_V, L_W] = L_[V,W] on every form.
+product lowers degree by one and acquires an extra soul term from vt.  It is
+built on the hooks i_{d/dx^a} of ``exterior``, the one index-removal rule:
+the body contracts them with v^a, the soul wedges them with the row one-forms
+of vt.  The Lie derivative is the anticommutator with d; the bracket is
+fixed by requiring [L_V, L_W] = L_[V,W] on every form.
 
 The special case vt = v0 * identity recovers the scalar-extended vector fields
 of the Hamiltonian example, including their modified Lie derivative built from
@@ -28,6 +30,7 @@ from .exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
+    _hooks,
     _json_dim,
     _json_field,
     _json_rows,
@@ -35,6 +38,7 @@ from .exterior import (
     ext_d,
     interior,
     lie,
+    scale_dot_forms,
     vf_bracket,
     wedge_dot,
 )
@@ -116,30 +120,24 @@ def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) 
 # -- interior product ----------------------------------------------------------
 
 
-def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
-    """i_{d/dx^a} rho for a = 1..n, by selection: the components whose index
-    tuple holds a at position pos, with a removed and sign (-1)^pos."""
-    hooks: list[dict] = [{} for _ in range(rho.dim)]
-    for idxs, coeff in rho.components.items():
-        for pos, a in enumerate(idxs):
-            hooks[a - 1][idxs[:pos] + idxs[pos + 1:]] = -coeff if pos % 2 else coeff
-    return [OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook) for hook in hooks]
-
-
 def _signed(p: int, form: OrdinaryForm) -> OrdinaryForm:
     """(-1)^p form."""
     return -form if p % 2 else form
 
 
 def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
-    """i_V a = i_v(body) + [i_v(soul) + (-1)^(p-1) theta^a ^ i_{d/dx^a}(body)] m."""
+    """i_V a = i_v(body) + [i_v(soul) + (-1)^(p-1) theta^a ^ i_{d/dx^a}(body)] m.
+
+    The hooks i_{d/dx^a}(body) are built once: contracted with the components
+    v^a for the body, and wedged with the row one-forms theta^a for the soul.
+    """
     if V.dim != a.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
     if V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
-    body = interior(V.v, a.body)
-    hook = wedge_dot(V.vt.row_forms(), _hooks(a.body))
-    soul = interior(V.v, a.soul) + _signed(a.degree - 1, hook)
+    hooks = _hooks(a.body)
+    body = scale_dot_forms(V.v.components, hooks)
+    soul = interior(V.v, a.soul) + _signed(a.degree - 1, wedge_dot(V.vt.row_forms(), hooks))
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 
 

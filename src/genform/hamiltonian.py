@@ -178,7 +178,7 @@ def recover_hamiltonian(s: GenSymplectic, field: GenVectorField) -> GenForm:
         raise SymplecticError("body candidate is not closed")
     h_prime = poincare_antiderivative(body_target)
     K = GenForm(n, eps, 0, h_prime, k_prime)
-    if not (gv_interior(field, s.s) + gd(K)).is_zero():
+    if not (w + gd(K)).is_zero():
         raise SymplecticError("recovered zero-form fails the defining relation")
     return K
 

@@ -130,3 +130,14 @@ def test_step_cap_rejects_before_integrating():
             step_count(t_end, dt)
     with pytest.raises(ValueError, match="steps"):
         integrate_hamilton(0, 1, 1, [1.0], [0.0], 1e308, 1e-300)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/2", "nan"])
+def test_bad_seed_environment_variable_exits_2_naming_it(value, monkeypatch, tmp_path, capsys):
+    # without --seed the seed comes from GENFORM_SEED; its error must say so
+    monkeypatch.setenv("GENFORM_SEED", value)
+    code = _run(["identities", "--dim=1", "--trials=1", "--suite=cartan",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "GENFORM_SEED" in lines[0], lines

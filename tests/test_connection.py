@@ -320,6 +320,40 @@ def test_levi_civita_properties():
         assert conn.mat_is_zero(nonmetricity_ordinary(alpha, gamma))
 
 
+def christoffel_reference(gamma, gamma_inv):
+    """alpha^m_nu = Gamma^m_{nu lam} dx^lam, one index at a time:
+    Gamma^m_{nu lam} = gamma^{ms} (d_nu gamma_{s lam} + d_lam gamma_{s nu}
+    - d_s gamma_{nu lam}) / 2."""
+    n = len(gamma)
+    rows = []
+    for m in range(1, n + 1):
+        row = []
+        for nu in range(1, n + 1):
+            comps = {}
+            for lam in range(1, n + 1):
+                acc = Polynomial.zero(n)
+                for s in range(1, n + 1):
+                    term = (gamma[s - 1][lam - 1].partial(nu)
+                            + gamma[s - 1][nu - 1].partial(lam)
+                            - gamma[nu - 1][lam - 1].partial(s))
+                    acc = acc + gamma_inv[m - 1][s - 1] * term
+                acc = acc * Fraction(1, 2)
+                if not acc.is_zero():
+                    comps[(lam,)] = acc
+            row.append(OrdinaryForm(n, 1, comps))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_levi_civita_matches_the_christoffel_index_loop(dim):
+    rnd = FormRandom(70 + dim, dim, Fraction(0))
+    for _ in range(3 if dim < 4 else 1):
+        # a symmetric metric, and an unsymmetric matrix (no step may assume symmetry)
+        for gamma, gamma_inv in (rnd.metric_pieces(), rnd.unipotent()):
+            assert levi_civita_connection(gamma, gamma_inv) == christoffel_reference(gamma, gamma_inv)
+
+
 def test_case_i_construction_and_curvature():
     rnd = FormRandom(12, 2, Fraction(0))
     for _ in range(5):

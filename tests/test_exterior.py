@@ -224,6 +224,39 @@ def test_poincare_antiderivative_inverts_d():
         assert ext_d(eta) == closed
 
 
+def test_poincare_antiderivative_example_and_errors():
+    # a = 3 x1^2 dx1 ^ dx2 has weight 2 + 2: b = (3/4) x1^2 (x1 dx2 - x2 dx1)
+    n = 2
+    x1, x2 = Polynomial.var(n, 1), Polynomial.var(n, 2)
+    a = OrdinaryForm(n, 2, {(1, 2): x1 * x1 * 3})
+    coeff = x1 * x1 * Fraction(3, 4)
+    assert poincare_antiderivative(a) == OrdinaryForm(n, 1, {(1,): -(coeff * x2),
+                                                             (2,): coeff * x1})
+    with pytest.raises(ValueError):
+        poincare_antiderivative(OrdinaryForm.constant(n, 1))
+    with pytest.raises(TypeError):
+        poincare_antiderivative(OrdinaryForm(n, 1, {(1,): ExpPoly.exp(x1)}))
+
+
+def test_interior_hands_the_kernel_no_zero_component(monkeypatch):
+    n = 3
+    rnd = FormRandom(56, n, Fraction(0))
+    v = VectorField([rnd.poly(False), Polynomial.zero(n), rnd.poly(False)])
+    a = rnd.form(2)
+    want = reduce(operator.add, (interior(VectorField.coordinate(n, r), a).scale(v.component(r))
+                                 for r in range(1, n + 1)))
+    seen = []
+    sum_products = Polynomial.sum_products
+
+    def recorded(terms):
+        seen.extend(terms)
+        return sum_products(terms)
+
+    monkeypatch.setattr(Polynomial, "sum_products", staticmethod(recorded))
+    assert interior(v, a) == want
+    assert seen and all(not x.is_zero() for _, x, _ in seen)
+
+
 def test_tensor_matmul_and_apply():
     n = 2
     x1 = Polynomial.var(n, 1)

@@ -115,6 +115,14 @@ def test_pullback_curve_example():
                           OrdinaryForm.basis(1, (1,), t * 2))
 
 
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_pullback_along_a_map_of_the_wrong_length_raises_value_error(length):
+    # the map has one component per coordinate of the form's space, here 2
+    a = GenForm(2, Fraction(1), 0, OrdinaryForm.constant(2, 1), OrdinaryForm.basis(2, (2,)))
+    with pytest.raises(ValueError, match="components"):
+        gpullback([Polynomial.var(1, 1)] * length, a)
+
+
 def test_interior_kills_minus_one_forms():
     eps = Fraction(1)
     m = GenForm.minus_one(3, eps)

@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, interior, vf_bracket
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, _hooks, vf_bracket, wedge_dot
 from genform.gform import GenForm, gd, ginterior_ordinary, glie_ordinary, gwedge
 from genform.gvector import (
     GenVectorField,
-    _hooks,
     d_split,
     embed_generalized,
     gv_anticommutator,
@@ -24,6 +23,7 @@ from genform.gvector import (
 )
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
+from genform.superspace import from_super, super_interior, super_lie, to_super
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -68,26 +68,34 @@ def test_interior_theta_hook_example():
     assert got2 == GenForm(n, eps, 0, OrdinaryForm.zero(n, 0),
                            OrdinaryForm.basis(n, (2,)))
     # superspace path agrees
-    from genform.superspace import from_super, super_interior, to_super
-
     assert from_super(super_interior(V2, to_super(a))) == got2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hooks_are_contractions_with_the_coordinate_fields(n):
-    """The hooks are selected from the components; the reference contracts
-    with d/dx^a, one ring product per coefficient."""
-    rnd = FormRandom(n, n, Fraction(1))
+    """The hooks are selected from the components.  Two references that do
+    not use them: for polynomial forms, the superspace interior product with
+    d/dx^a, which differentiates by the odd generator z^a; for every form,
+    the Euler identity sum_a dx^a ^ i_{d/dx^a} rho = deg(rho) rho."""
+    eps = Fraction(1)
+    rnd = FormRandom(n, n, eps)
     x1 = Polynomial.var(n, 1)
+    dx = [OrdinaryForm.basis(n, (a,)) for a in range(1, n + 1)]
     for degree in range(n + 1):
         forms = [rnd.form(degree) for _ in range(3)]
+        for rho in forms:
+            super_rho = to_super(GenForm.from_ordinary(rho, eps))
+            want = [from_super(super_interior(
+                GenVectorField.ordinary(VectorField.coordinate(n, a), eps), super_rho))
+                for a in range(1, n + 1)]
+            assert _hooks(rho) == [w.body for w in want]
+            assert all(w.soul.is_zero() for w in want)
         forms.append(OrdinaryForm(n, degree, {idxs: ExpPoly.exp(x1, c) for idxs, c
                                               in forms[0].components.items()}))
         for rho in forms:
-            want = [interior(VectorField.coordinate(n, a), rho) for a in range(1, n + 1)]
-            got = _hooks(rho)
-            assert got == want
-            assert [h.degree for h in got] == [h.degree for h in want]
+            hooks = _hooks(rho)
+            assert [h.degree for h in hooks] == [degree - 1] * n
+            assert wedge_dot(dx, hooks) == rho.scale(degree)
 
 
 def test_interior_leibniz():
@@ -166,8 +174,6 @@ def test_lie_degree_zero_expansion_example():
     want = GenForm(n, eps, 0, OrdinaryForm.zero(n, 0), OrdinaryForm.basis(n, (2,)))
     assert gv_lie(V, a) == want
     assert gv_lie_expansion(V, a) == want
-    from genform.superspace import from_super, super_lie, to_super
-
     assert from_super(super_lie(V, to_super(a))) == want
 
 

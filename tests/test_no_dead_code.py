@@ -1,10 +1,16 @@
-"""Every function, method and class defined in the package must be used.
+"""Every function, method and class defined in the package must be used,
+and every name a package module imports.
 
 A definition counts as used when its name is referenced anywhere in ``src/``
 or ``tests/`` other than its own ``def``/``class`` line: as a bare name, an
 attribute, or an imported name.  Dunder methods are exempt, since Python
 calls them implicitly.  The match is by name only, so it can miss dead code
 that shares a name with live code, but it never flags live code.
+
+An imported name counts as used when its module reads it as a bare name
+(an attribute access ``conn.x`` reads ``conn``), or when it is listed in the
+module's ``__all__``, the package's re-exports.  ``from __future__`` imports
+are exempt.
 """
 
 import ast
@@ -48,3 +54,36 @@ def unreferenced_definitions() -> list[str]:
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports() -> list[str]:
+    unused: list[str] = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: dict[str, int] = {}
+        read = _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in sorted(imported.items(), key=lambda item: item[1])
+                   if name not in read]
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
