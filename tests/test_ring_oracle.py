@@ -282,6 +282,63 @@ def test_a_fiber_box_above_the_cap_falls_back_to_the_schoolbook_loop(top, width)
     assert widths == [32]
 
 
+# Each polynomial keeps its extent and its fiber encodings, one per (stride,
+# width), across kernel calls.  These calls reuse the same operand objects, so
+# an encoding read under the wrong stride or width gives a wrong sum here.
+
+
+def fiber_call(terms, width: int) -> Polynomial:
+    """One call forced onto the fiber branch, after checking its slot width
+    and that it gives the schoolbook branch's den and numerators and sympy's
+    sum."""
+    with forced("fiber") as widths:
+        got = Polynomial.sum_products(terms)
+    assert widths == [width]
+    with forced("schoolbook"):
+        school = Polynomial.sum_products(terms)
+    assert (got.den, got._nums) == (school.den, school._nums)
+    assert_same(got, sympy_sum(terms, got.dim))
+    return got
+
+
+def test_kept_encodings_follow_the_slot_width():
+    """a in a 32-bit call, a 64-bit one at the same stride, and a 32-bit one
+    again: big has b's exponents, so only the width tells the calls apart."""
+    a, b = _spread(3, 12, 3, 11), _spread(3, 12, 3, 12)
+    big = b * (1 << 24)
+    first = fiber_call([(1, a, b)], 32)
+    fiber_call([(1, a, big), (-1, b, a)], 64)
+    assert fiber_call([(1, a, b)], 32) == first
+
+
+def test_kept_encodings_follow_the_stride():
+    """a against operands whose x1 reaches 1 and 6: three calls at strides
+    5, 10 and 5 again."""
+    a, narrow = _spread(3, 12, 3, 21), _spread(3, 12, 1, 22)
+    wide = narrow + Polynomial(3, {(6, 1, 0): 5, (6, 0, 2): -7})
+    first = fiber_call([(1, a, narrow)], 32)
+    fiber_call([(1, a, wide), (1, narrow, a)], 32)
+    assert fiber_call([(1, narrow, a)], 32) == first
+
+
+def test_one_operand_in_several_triples_of_one_call():
+    a, b, c = (_spread(3, 10, 2, seed) for seed in (31, 32, 33))
+    fiber_call([(1, a, b), (-1, c, a), (1, a, a), (1, b, c), (-1, a, c)], 32)
+
+
+def test_kept_kernel_data_leaves_value_hash_terms_and_plan_alone():
+    a, b = _spread(3, 12, 3, 41), _spread(3, 12, 2, 42)
+    twins = [Polynomial(3, dict(p.terms)) for p in (a, b)]
+    fiber_call([(1, a, b)], 32)
+    fiber_call([(1, a, a * (1 << 24))], 64)
+    assert a._kernel is not None and b._kernel is not None
+    for p, twin in zip((a, b), twins):
+        assert twin._kernel is None
+        assert p == twin and hash(p) == hash(twin)
+        assert list(p.terms.items()) == list(twin.terms.items())
+        assert p.float_plan == twin.float_plan
+
+
 def test_sum_products_rejects_no_terms_and_mixed_dimensions():
     x = Polynomial.var(2, 1)
     with pytest.raises(ValueError):

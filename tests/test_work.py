@@ -16,7 +16,8 @@ once.
 The same runs pin where the fiber branch of the kernel is taken: on the
 dim-3 connection run, and never on the fixture commands of the benchmark's
 ``cli-mix`` workload, whose term order (summed by ``eval_float`` into the
-oscillator CSVs) the branch would not keep.
+oscillator CSVs) the branch would not keep.  On the dim-3 connection run no
+operand is encoded twice for the same stride and slot width.
 
 Re-record when a change of work is intended, from the repository root, and
 show the diff of ``work.json`` with the change:
@@ -24,6 +25,7 @@ show the diff of ``work.json`` with the change:
     PYTHONPATH=src python tests/test_work.py --record
 """
 
+import collections
 import json
 import os
 import pathlib
@@ -129,6 +131,23 @@ def _fiber_dispatches(run, code: int, monkeypatch: pytest.MonkeyPatch) -> int:
 
 def test_fiber_branch_runs_on_connection_d3(monkeypatch):
     assert _fiber_dispatches(RUNS["connection_d3"], 0, monkeypatch) > 0
+
+
+def test_connection_d3_encodes_each_fiber_operand_once(monkeypatch):
+    """No (polynomial, stride, width) is encoded twice: each polynomial keeps
+    its fiber encodings.  The wrapper keeps every encoded operand alive, so no
+    id is reused by a later polynomial."""
+    encodings, operands = collections.Counter(), []
+    encode = ring._encode
+
+    def counted(p, stride, width):
+        operands.append(p)
+        encodings[id(p), stride, width] += 1
+        return encode(p, stride, width)
+
+    monkeypatch.setattr(ring, "_encode", counted)
+    _execute(RUNS["connection_d3"])
+    assert encodings and max(encodings.values()) == 1
 
 
 @pytest.mark.parametrize("run, code", FIXTURE_COMMANDS,
