@@ -20,7 +20,7 @@ from . import connection as conn
 from .cover import CoverError, canonicalize, cover_from_json, glue_validate, ideal_residual
 from .exterior import OrdinaryForm, _json_dim, _json_field, mat_is_zero, mat_sub
 from .gform import gd
-from .gvector import gv_lie
+from .gvector import gv_interior
 from .hamiltonian import (
     IntegrationError,
     SymplecticError,
@@ -28,9 +28,11 @@ from .hamiltonian import (
     hamiltonian_vf,
     integrate_hamilton,
     max_abs_error,
+    max_l,
     oscillator_closed_form,
     problem_from_json,
     rk4_order_estimate,
+    step_count,
 )
 from .ring import Polynomial, format_rational, parse_rational
 from .suites import SCHEMA_VERSION, SUITE_NAMES, run_suites
@@ -114,6 +116,9 @@ def cmd_oscillator(args) -> int:
     if args.t_end <= 4 * args.dt:
         raise ValueError("--t-end must be more than 4 * --dt: the order estimate's run "
                          "at 8 * --dt would take no step")
+    steps = step_count(args.t_end, args.dt)
+    if args.l > max_l(steps):
+        raise ValueError(f"--l must be at most {max_l(steps)} for {steps} steps, got {args.l}")
     epsilon, v0 = _rational("--epsilon", args.epsilon), _rational("--v0", args.v0)
     q0 = _initial_values("--q0", args.q0, 1.0, args.l)
     p0 = _initial_values("--p0", args.p0, 0.0, args.l)
@@ -164,10 +169,12 @@ def cmd_hamiltonian(args) -> int:
         report["error"] = str(exc)
         _emit(report, args.out)
         return EXIT_FAIL
-    lie_s = gv_lie(field, prob.symplectic.s)
+    # hamiltonian_vf verified i_V s = -dH, so L_V s = d i_V s + i_V ds = d(-dH) + i_V ds
+    dH = gd(prob.hamiltonian)
+    lie_s = gd(-dH) + gv_interior(field, gd(prob.symplectic.s))
     shifted = gauge_shift(prob, Polynomial.var(prob.symplectic.dim, 1))
-    # the shift keeps s, so i_V s + dH' = dH' - dH by the relation verified above
-    gauge_residual = gd(shifted.hamiltonian) - gd(prob.hamiltonian)
+    # the shift keeps s, so i_V s + dH' = dH' - dH by the same relation
+    gauge_residual = gd(shifted.hamiltonian) - dH
     report["defining_relation_zero"] = True  # hamiltonian_vf verified i_V s + dH = 0
     report["lie_derivative_of_s_zero"] = lie_s.is_zero()
     report["gauge_shift_ok"] = gauge_residual.is_zero()

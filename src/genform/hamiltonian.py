@@ -16,14 +16,15 @@ re-verified exactly after construction.
 
 The numeric side integrates the reduced equations of the scalar-extension
 example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4.
-What does not change during an integration is built once before the loop:
-the float plans (``Polynomial.float_plan``) of the 2l partials of h, the step
-constants dt / 2 and dt / 6 and a float copy of the initial state.  Each stage
-is then one loop over the rows in ``eval_float``'s arithmetic, so the states
-are bit for bit those of per-component evaluation.  ``oscillator_hamiltonian``
-is built once per l.  The order estimate compares the errors of two step
-sizes and gives no order when the finer error is below that run's rounding
-floor (steps times the ulp of its largest |state|).
+One step is straight-line Python generated from the float plans
+(``Polynomial.float_plan``) of the 2l partials of h and compiled once per h
+(``_rk4_step``): one statement per term in ``eval_float``'s arithmetic, so the
+states are bit for bit those of per-component evaluation.  The loop calls it
+once per step with the constants dt / 2 and dt / 6.  ``oscillator_hamiltonian``
+is built once per l, and ``max_l`` bounds l by the memory of the longest
+l = 1 run.  The order estimate compares the errors of two step sizes and
+gives no order when the finer error is below that run's rounding floor
+(steps times the ulp of its largest |state|).
 """
 
 from __future__ import annotations
@@ -204,6 +205,15 @@ def step_count(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
+def max_l(steps: int) -> int:
+    """The largest l of an oscillator run of ``steps`` steps that fits the
+    memory of the longest l = 1 run, 2 * (MAX_STEPS + 1) floats.  The run
+    keeps (steps + 1) states of 2l floats; h and its 2l partials keep 4l
+    monomials packing 2l 16-bit exponents each, at most the size of 2 l^2
+    floats, so l is also at most isqrt(MAX_STEPS + 1)."""
+    return min((MAX_STEPS + 1) // (steps + 1), math.isqrt(MAX_STEPS + 1))
+
+
 @dataclass
 class Trajectory:
     l: int
@@ -213,10 +223,8 @@ class Trajectory:
     def csv_lines(self) -> list[str]:
         header = "t," + ",".join(f"q{i + 1}" for i in range(self.l)) \
             + "," + ",".join(f"p{i + 1}" for i in range(self.l))
-        lines = [header]
-        for t, state in zip(self.times, self.states):
-            lines.append(",".join([f"{t:.10g}"] + [f"{x:.12g}" for x in state]))
-        return lines
+        row = "%.10g" + ",%.12g" * (2 * self.l)
+        return [header] + [row % (t, *state) for t, state in zip(self.times, self.states)]
 
 
 @functools.cache
@@ -230,14 +238,64 @@ def oscillator_hamiltonian(l: int) -> Polynomial:
     return h
 
 
+def _row_lines(target: str, plan, x: str, dq: bool, row: int) -> list[str]:
+    """Statements that bind ``target`` to one row of the right-hand side at
+    the point named x0, x1, ... (prefix ``x``): ``float_plan``'s sum from 0.0,
+    one accumulate statement per term, each term its coefficient times x[i]
+    (e = 1) or x[i] ** e left to right; a dp row is then -total +
+    damping * x[row]."""
+    total = target if dq else "t"
+    lines, partial_sum = [], "0.0"
+    for value, powers in plan:
+        factors = "".join(f" * {x}{i}" if e == 1 else f" * {x}{i} ** {e}" for i, e in powers)
+        lines.append(f"{total} = {partial_sum} + {value!r}{factors}")
+        partial_sum = total
+    if not lines:
+        lines.append(f"{total} = 0.0")
+    if not dq:
+        lines.append(f"{target} = -t + damping * {x}{row}")
+    return lines
+
+
+def _rk4_source(h: Polynomial) -> str:
+    """Source of ``step(x0, .., x{n-1}, half, dt, sixth, damping)``, one
+    classical RK4 step of dq = dh/dp, dp = -(dh/dq - damping p) written out
+    from the float plans of h's partials: the dq rows dh/dp_a first, then the
+    dp rows dh/dq_a.  Stage k's slopes are k0, k1, .. (k in a, b, c, d); each
+    stage input s + half * k or s + dt * k is bound once, to y0, y1, .."""
+    n = h.dim
+    l = n // 2
+    plans = [h.partial(i).float_plan for i in (*range(l + 1, n + 1), *range(1, l + 1))]
+    args = ", ".join(f"x{i}" for i in range(n))
+    lines = [f"def step({args}, half, dt, sixth, damping):"]
+    point = "x"
+    for stage, scale in (("a", "half"), ("b", "half"), ("c", "dt"), ("d", None)):
+        for row, plan in enumerate(plans):
+            lines += _row_lines(f"{stage}{row}", plan, point, row < l, row)
+        if scale:
+            lines += [f"y{i} = x{i} + {scale} * {stage}{i}" for i in range(n)]
+            point = "y"
+    updates = ", ".join(f"x{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(n))
+    lines.append(f"return ({updates},)")
+    return "\n    ".join(lines) + "\n"
+
+
+@functools.cache
+def _rk4_step(h: Polynomial) -> Callable[..., tuple[float, ...]]:
+    """The RK4 step of ``_rk4_source(h)``, compiled once per h."""
+    namespace: dict = {}
+    exec(compile(_rk4_source(h), "<rk4 step>", "exec"), namespace)
+    return namespace["step"]
+
+
 def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
                        q0: Sequence[float], p0: Sequence[float],
                        t_end: float, dt: float,
                        h: Polynomial | None = None) -> Trajectory:
     """Classical fixed-step RK4 for dq = dh/dp, dp = -(dh/dq - 2 eps v0 p),
-    each stage one loop over the float plans of the rows dh/dp_a, then
-    dh/dq_a (see the module docstring).  A step whose state, or a power
-    inside it, leaves the float range raises IntegrationError."""
+    each step one call of h's compiled step (see the module docstring).  A
+    step whose state, or a power inside it, leaves the float range raises
+    IntegrationError."""
     steps = step_count(t_end, dt)
     if len(q0) != l or len(p0) != l:
         raise ValueError("initial state length mismatch")
@@ -247,38 +305,21 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
     if h.dim != n:
         raise ValueError(f"hamiltonian dimension {h.dim} != {n}")
     damping = 2.0 * float(Fraction(epsilon)) * float(Fraction(v0))
-    plans = [h.partial(i).float_plan for i in (*range(l + 1, n + 1), *range(1, l + 1))]
-
-    def rhs(x: list[float]) -> list[float]:
-        k = []
-        for row, plan in enumerate(plans):
-            total = 0.0
-            for value, powers in plan:
-                for i, e in powers:
-                    value *= x[i] if e == 1 else x[i] ** e  # x ** 1 is x for every float
-                total += value
-            k.append(total if row < l else -total + damping * x[row])
-        return k
-
+    step = _rk4_step(h)
     half, sixth = 0.5 * dt, dt / 6.0  # 0.5 * dt * d is (0.5 * dt) * d
-    state = [float(x) for x in (*q0, *p0)]
+    state = tuple(float(x) for x in (*q0, *p0))
     times = [0.0]
-    states = [tuple(state)]
-    for step in range(steps):
+    states = [state]
+    for count in range(1, steps + 1):
         try:
-            k1 = rhs(state)
-            k2 = rhs([s + half * d for s, d in zip(state, k1)])
-            k3 = rhs([s + half * d for s, d in zip(state, k2)])
-            k4 = rhs([s + dt * d for s, d in zip(state, k3)])
-            state = [s + sixth * (a + 2 * b + 2 * c + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            state = step(*state, half, dt, sixth, damping)
             finite = all(map(math.isfinite, state))
         except OverflowError:  # x ** e past the float range, for e >= 2
             finite = False
         if not finite:
-            raise IntegrationError(f"state overflow at t = {(step + 1) * dt:.6g}")
-        times.append((step + 1) * dt)
-        states.append(tuple(state))
+            raise IntegrationError(f"state overflow at t = {count * dt:.6g}")
+        times.append(count * dt)
+        states.append(state)
     return Trajectory(l, times, states)
 
 

@@ -45,8 +45,8 @@ term order of a * b, which ``eval_float`` sums in.
 Floating-point evaluation reads one plan per polynomial, built on first use:
 ``Polynomial.float_plan`` lists each term's float coefficient and its
 (variable, exponent) powers in term order.  ``eval_float`` evaluates it, and
-so does the RK4 loop of ``hamiltonian``, which reads the plans of its partials
-once per integration instead of calling ``eval_float`` per component.
+``hamiltonian`` writes the plans of h's partials out as the source of one RK4
+step, compiled once per h, in the same arithmetic.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only

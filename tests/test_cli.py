@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from genform import hamiltonian
+from genform import cli, gvector, hamiltonian
 from genform.cli import build_parser, main
 from genform.hamiltonian import Trajectory, step_count
 from genform.ring import MAX_EXPONENT
@@ -82,6 +82,23 @@ def test_hamiltonian_fixtures(tmp_path):
         assert report["defining_relation_zero"]
         assert report["lie_derivative_of_s_zero"]
         assert report["gauge_shift_ok"]
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_n2.json", "hamiltonian_n4.json"])
+def test_hamiltonian_contracts_the_field_with_s_once(name, tmp_path, monkeypatch):
+    # hamiltonian_vf's residual contracts V with s; L_V s reuses that -dH
+    s = hamiltonian.problem_from_json(read(FIXTURES / name)).symplectic.s
+    forms = []
+    contract = gvector.gv_interior
+
+    def counted(V, a):
+        forms.append(a)
+        return contract(V, a)
+
+    for module in (gvector, hamiltonian, cli):
+        monkeypatch.setattr(module, "gv_interior", counted)
+    assert run(["hamiltonian", "--fixture", FIXTURES / name, "--out", tmp_path / "r.json"]) == 0
+    assert sum(a == s for a in forms) == 1
 
 
 def test_hamiltonian_missing_fixture():

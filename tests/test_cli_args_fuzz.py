@@ -12,8 +12,8 @@ import pathlib
 
 import pytest
 
-from genform import cli
-from genform.hamiltonian import MAX_STEPS, integrate_hamilton, step_count
+from genform import cli, hamiltonian
+from genform.hamiltonian import MAX_STEPS, integrate_hamilton, max_l, step_count
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1/0", "x", "")
@@ -130,6 +130,31 @@ def test_step_cap_rejects_before_integrating():
             step_count(t_end, dt)
     with pytest.raises(ValueError, match="steps"):
         integrate_hamilton(0, 1, 1, [1.0], [0.0], 1e308, 1e-300)
+
+
+@pytest.mark.parametrize("t_end,dt,l", [("0.1", "0.01", "2000"), ("1000000", "1", "2"),
+                                        ("1", "0.01", "100000000000000000000")])
+def test_oscillator_l_past_the_memory_bound_exits_2_before_building(t_end, dt, l,
+                                                                     monkeypatch, capsys):
+    # a broken bound must fail here, not start building a large h
+    def unbuilt(l):
+        raise AssertionError(f"h built for l = {l}")
+
+    monkeypatch.setattr(hamiltonian, "oscillator_hamiltonian", unbuilt)
+    code = _run(["oscillator", "--epsilon=0", "--v0=1", f"--l={l}", f"--t-end={t_end}",
+                 f"--dt={dt}"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "--l" in lines[0], lines
+
+
+def test_l_bound_fits_the_memory_of_the_longest_l_1_run():
+    budget = 2 * (MAX_STEPS + 1)  # the floats of the longest l = 1 run
+    assert max_l(MAX_STEPS) == 1 and max_l(300) == 1000 and max_l(2000) == 499
+    for steps in (1, 10, 300, 2000, 12345, MAX_STEPS):
+        l = max_l(steps)
+        assert (steps + 1) * 2 * l <= budget and 2 * l * l <= budget
+        assert (steps + 1) * 2 * (l + 1) > budget or 2 * (l + 1) ** 2 > budget
 
 
 @pytest.mark.parametrize("value", ["abc", "1/2", "nan"])

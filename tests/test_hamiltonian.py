@@ -1,7 +1,11 @@
+import io
 import json
 import math
 import pathlib
+import re
 import struct
+import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -14,6 +18,8 @@ from genform.hamiltonian import (
     GenHamiltonianProblem,
     IntegrationError,
     SymplecticError,
+    _rk4_source,
+    _rk4_step,
     embedded_consistency_check,
     energy,
     gauge_shift,
@@ -359,26 +365,63 @@ def _integrate(*args):
 coords = st.one_of(st.sampled_from((0, 0.0, -0.0)), st.integers(-2, 2),
                    st.floats(-2, 2, allow_nan=False))
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+# Coefficients whose floats are subnormal or near the largest float: their
+# reprs in the compiled step must give back the same floats.  A partial
+# multiplies by an exponent of at most 3, so each stays a finite float.
+EXTREME = (Fraction(1, 10 ** 320), Fraction(-3, 10 ** 321), Fraction(5, 2 ** 1074),
+           Fraction(5 * 10 ** 307), Fraction(-(2 ** 1023), 3), Fraction(sys.float_info.max) / 3)
+coefficients = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                         st.sampled_from(EXTREME))
+
+
+def _assert_bit_identical(epsilon, v0, l, q0, p0, t_end, dt, h):
+    args = (epsilon, v0, l, q0, p0, t_end, dt, h)
+    assert _outcome(_integrate, *args) == _outcome(integrate_hamilton_reference, *args)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_rk4_is_bit_identical_to_per_component_reference(data):
-    l = data.draw(st.sampled_from((1, 2)))
+    l = data.draw(st.sampled_from((1, 2, 3)))
     n = 2 * l
     if data.draw(st.booleans()):
         h = oscillator_hamiltonian(l)
     else:
         keys = st.tuples(*[st.integers(0, 3)] * n)
-        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-        h = Polynomial(n, data.draw(st.dictionaries(keys, coeffs, max_size=6)))
+        h = Polynomial(n, data.draw(st.dictionaries(keys, coefficients, max_size=6)))
     epsilon, v0 = data.draw(small_rationals), data.draw(small_rationals)
     q0 = data.draw(st.lists(coords, min_size=l, max_size=l))
     p0 = data.draw(st.lists(coords, min_size=l, max_size=l))
     dt = data.draw(st.sampled_from((0.01, 0.05, 0.1, 0.25)))
     t_end = data.draw(st.integers(1, 12)) * dt
-    args = (epsilon, v0, l, q0, p0, t_end, dt, h)
-    assert _outcome(_integrate, *args) == _outcome(integrate_hamilton_reference, *args)
+    _assert_bit_identical(epsilon, v0, l, q0, p0, t_end, dt, h)
+
+
+def test_rk4_is_bit_identical_on_a_row_of_more_than_200_terms():
+    """dh/dq has 17 * 18 = 306 terms: one nested expression per row would
+    pass the parser's nesting limit, one statement per term does not."""
+    h = Polynomial(2, {(i, j): Fraction((-1) ** (i * j), (i + 1) * (j + 2))
+                       for i in range(18) for j in range(18)})
+    assert len(h.partial(1).float_plan) > 200
+    _assert_bit_identical(Fraction(1, 3), Fraction(1, 2), 1, [0.3], [-0.2], 1.0, 0.05, h)
+
+
+def test_rk4_step_is_compiled_once_per_hamiltonian():
+    h = Polynomial.var(4, 1) ** 3 * Fraction(1, 3) + Polynomial.var(4, 4) ** 2
+    twin = Polynomial.parse(4, "1/3*x1^3 + 1*x4^2")  # equal, built apart
+    assert twin is not h and _rk4_step(h) is _rk4_step(h) is _rk4_step(twin)
+
+
+def test_rk4_source_holds_only_floats_generated_names_and_exponents():
+    h = Polynomial(4, {(2, 0, 1, 0): Fraction(-1, 3), (0, 1, 0, 3): Fraction(1, 10 ** 320)})
+    floats = {0.0} | {abs(value) for i in range(1, 5) for value, _ in h.partial(i).float_plan}
+    source = _rk4_source(h)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            assert re.fullmatch(r"def|return|step|half|dt|sixth|damping|t|[xyabcd]\d+",
+                                token.string), token
+        elif token.type == tokenize.NUMBER:  # integers: exponents and the 2 of RK4
+            assert token.string.isdigit() or float(token.string) in floats, token
 
 
 def test_overflow_inside_a_power_raises_integration_error():
