@@ -42,13 +42,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _finish(report: dict, out: str | None) -> int:
+    """Write the report to ``out`` (stdout when None); EXIT_PASS if it passed."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -88,8 +90,7 @@ def cmd_identities(args) -> int:
         "suites": [r.to_json() for r in reports],
         "pass": all(r.passed for r in reports),
     }
-    _emit(report, args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _finish(report, args.out)
 
 
 def _initial_values(flag: str, text: str | None, default: float, l: int) -> list[float]:
@@ -147,10 +148,8 @@ def cmd_oscillator(args) -> int:
     report["max_err"] = max_err
     report["order_estimate"] = order
     # no order when an error is exactly 0: the run then stands on max_err alone
-    ok = max_err < args.tol and (order is None or order >= 3.8)
-    report["pass"] = ok
-    _emit(report, args.report)
-    return EXIT_PASS if ok else EXIT_FAIL
+    report["pass"] = max_err < args.tol and (order is None or order >= 3.8)
+    return _finish(report, args.report)
 
 
 def cmd_hamiltonian(args) -> int:
@@ -167,8 +166,7 @@ def cmd_hamiltonian(args) -> int:
     except SymplecticError as exc:
         report["pass"] = False
         report["error"] = str(exc)
-        _emit(report, args.out)
-        return EXIT_FAIL
+        return _finish(report, args.out)
     # hamiltonian_vf verified i_V s = -dH, so L_V s = d i_V s + i_V ds = d(-dH) + i_V ds
     dH = gd(prob.hamiltonian)
     lie_s = gd(-dH) + gv_interior(field, gd(prob.symplectic.s))
@@ -185,8 +183,7 @@ def cmd_hamiltonian(args) -> int:
     report["pass"] = (report["defining_relation_zero"]
                       and report["lie_derivative_of_s_zero"]
                       and report["gauge_shift_ok"])
-    _emit(report, args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _finish(report, args.out)
 
 
 def cmd_connection_thm(args) -> int:
@@ -226,8 +223,7 @@ def cmd_connection_thm(args) -> int:
     except conn.ConnectionError as exc:
         report["pass"] = False
         report["error"] = str(exc)
-        _emit(report, args.out)
-        return EXIT_FAIL
+        return _finish(report, args.out)
     curv = conn.curvature(mc.A)
     # Q, q and F_cal as the construction computed (and, for Q, verified) them
     report["nonmetricity_zero"] = mat_is_zero(mc.Q)
@@ -242,8 +238,7 @@ def cmd_connection_thm(args) -> int:
     report["pass"] = (report["nonmetricity_zero"]
                       and report["curvature_formula_match"]
                       and report.get("ordinary_metric_corollary", True))
-    _emit(report, args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _finish(report, args.out)
 
 
 def cmd_cover(args) -> int:
@@ -266,21 +261,18 @@ def cmd_cover(args) -> int:
     report["glue"] = glue.to_json()
     if not (glue.ok and ideal_ok):
         report["pass"] = False
-        _emit(report, args.out)
-        return EXIT_FAIL
+        return _finish(report, args.out)
     try:
         canon = canonicalize(cover, epsilon)
     except CoverError as exc:
         report["pass"] = False
         report["error"] = str(exc)
-        _emit(report, args.out)
-        return EXIT_FAIL
+        return _finish(report, args.out)
     report["case"] = canon.case
     report["dm_tilde"] = format_rational(canon.dm_tilde)
     report["glued"] = canon.glued
     report["pass"] = canon.glued
-    _emit(report, args.out)
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _finish(report, args.out)
 
 
 @functools.cache

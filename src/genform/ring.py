@@ -42,12 +42,6 @@ Each operand's extent and fiber encodings are computed once and kept on it.
 Both give the same den and numerators; only the schoolbook loop fixes the
 term order of a * b, which ``eval_float`` sums in.
 
-Floating-point evaluation reads one plan per polynomial, built on first use:
-``Polynomial.float_plan`` lists each term's float coefficient and its
-(variable, exponent) powers in term order.  ``eval_float`` evaluates it, and
-``hamiltonian`` writes the plans of h's partials out as the source of one RK4
-step, compiled once per h, in the same arithmetic.
-
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
 when their exponents are structurally identical; this syntactic convention is
@@ -246,7 +240,7 @@ class Polynomial:
     """Immutable sparse polynomial with rational coefficients, stored as
     integer numerators on packed exponent keys over one denominator."""
 
-    __slots__ = ("dim", "den", "_nums", "_terms", "_float_plan", "_kernel", "_hash")
+    __slots__ = ("dim", "den", "_nums", "_terms", "_kernel", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         if dim < 1:
@@ -268,7 +262,6 @@ class Polynomial:
         self.den = den
         self._nums = nums
         self._terms: _Terms | None = None
-        self._float_plan: tuple | None = None
         self._kernel: tuple | None = None
         self._hash: int | None = None
 
@@ -502,35 +495,18 @@ class Polynomial:
             key - unit: num * e for key, num in self._nums.items()
             if (e := (key >> shift) & _FIELD)})
 
-    @property
-    def float_plan(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """The read-only plan ``eval_float`` evaluates, built on first use and
-        kept: one ``(coefficient, powers)`` pair per term in term order, the
-        coefficient num / den as a float and ``powers`` the (0-based variable
-        index, exponent) pairs of the term's nonzero exponents in variable
-        order.  The value at a point x is the sum, from 0.0 in plan order, of
-        each coefficient multiplied left to right by x[i] ** e over its
-        powers; a reader that keeps this arithmetic gets ``eval_float``'s
-        floats bit for bit."""
-        if self._float_plan is None:
-            # int / int is correctly rounded, so num / den == float(Fraction(num, den))
-            self._float_plan = tuple(
-                (num / self.den,
-                 tuple((i, e) for i in range(self.dim)
-                       if (e := (key >> (_FIELD_BITS * i)) & _FIELD)))
-                for key, num in self._nums.items())
-        return self._float_plan
-
     def eval_float(self, point: Sequence[float]) -> float:
-        """Evaluate in floating point from ``float_plan``: per term, the
-        coefficient times the powers in variable order, summed in term order
-        (the order the golden oscillator CSVs pin)."""
+        """Evaluate in floating point: per term, the coefficient num / den
+        times float(x[i]) ** e over its nonzero exponents in variable order,
+        summed from 0.0 in term order."""
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dim {self.dim}")
         total = 0.0
-        for value, powers in self.float_plan:
-            for i, e in powers:
-                value *= float(point[i]) ** e
+        for key, num in self._nums.items():
+            value = num / self.den  # int / int is correctly rounded: float(Fraction(num, den))
+            for i in range(self.dim):
+                if e := (key >> (_FIELD_BITS * i)) & _FIELD:
+                    value *= float(point[i]) ** e
             total += value
         return total
 

@@ -273,7 +273,7 @@ def test_oscillator_errors_below_rounding_floor_report_null_order(tmp_path, opti
     assert report["pass"] is True
 
 
-def heun(epsilon, v0, l, q0, p0, t_end, dt, h=None):
+def heun(epsilon, v0, l, q0, p0, t_end, dt):
     """Heun's second-order method for the scalar damped oscillator, standing
     in for RK4: its order estimate must come out near 2."""
     a = 2.0 * float(epsilon) * float(v0)

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from genform import cli, hamiltonian
+from genform import cli
 from genform.hamiltonian import MAX_STEPS, integrate_hamilton, max_l, step_count
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -132,15 +132,15 @@ def test_step_cap_rejects_before_integrating():
         integrate_hamilton(0, 1, 1, [1.0], [0.0], 1e308, 1e-300)
 
 
-@pytest.mark.parametrize("t_end,dt,l", [("0.1", "0.01", "2000"), ("1000000", "1", "2"),
+@pytest.mark.parametrize("t_end,dt,l", [("0.1", "0.01", "200000"), ("1000000", "1", "2"),
                                         ("1", "0.01", "100000000000000000000")])
 def test_oscillator_l_past_the_memory_bound_exits_2_before_building(t_end, dt, l,
                                                                      monkeypatch, capsys):
-    # a broken bound must fail here, not start building a large h
-    def unbuilt(l):
-        raise AssertionError(f"h built for l = {l}")
+    # a broken bound must fail here, not start a large integration
+    def unrun(epsilon, v0, l, *args):
+        raise AssertionError(f"integration started for l = {l}")
 
-    monkeypatch.setattr(hamiltonian, "oscillator_hamiltonian", unbuilt)
+    monkeypatch.setattr(cli, "integrate_hamilton", unrun)
     code = _run(["oscillator", "--epsilon=0", "--v0=1", f"--l={l}", f"--t-end={t_end}",
                  f"--dt={dt}"])
     assert code == 2
@@ -150,11 +150,10 @@ def test_oscillator_l_past_the_memory_bound_exits_2_before_building(t_end, dt, l
 
 def test_l_bound_fits_the_memory_of_the_longest_l_1_run():
     budget = 2 * (MAX_STEPS + 1)  # the floats of the longest l = 1 run
-    assert max_l(MAX_STEPS) == 1 and max_l(300) == 1000 and max_l(2000) == 499
+    assert max_l(MAX_STEPS) == 1 and max_l(300) == 3322 and max_l(2000) == 499
     for steps in (1, 10, 300, 2000, 12345, MAX_STEPS):
         l = max_l(steps)
-        assert (steps + 1) * 2 * l <= budget and 2 * l * l <= budget
-        assert (steps + 1) * 2 * (l + 1) > budget or 2 * (l + 1) ** 2 > budget
+        assert (steps + 1) * 2 * l <= budget < (steps + 1) * 2 * (l + 1)
 
 
 @pytest.mark.parametrize("value", ["abc", "1/2", "nan"])

@@ -332,11 +332,12 @@ def test_kept_kernel_data_leaves_value_hash_terms_and_plan_alone():
     fiber_call([(1, a, b)], 32)
     fiber_call([(1, a, a * (1 << 24))], 64)
     assert a._kernel is not None and b._kernel is not None
+    point = [0.5, -1.25, 3.0]
     for p, twin in zip((a, b), twins):
         assert twin._kernel is None
         assert p == twin and hash(p) == hash(twin)
         assert list(p.terms.items()) == list(twin.terms.items())
-        assert p.float_plan == twin.float_plan
+        assert p.eval_float(point) == twin.eval_float(point)
 
 
 def test_sum_products_rejects_no_terms_and_mixed_dimensions():

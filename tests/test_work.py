@@ -15,9 +15,10 @@ once.
 
 The same runs pin where the fiber branch of the kernel is taken: on the
 dim-3 connection run, and never on the fixture commands of the benchmark's
-``cli-mix`` workload, whose term order (summed by ``eval_float`` into the
-oscillator CSVs) the branch would not keep.  On the dim-3 connection run no
-operand is encoded twice for the same stride and slot width.
+``cli-mix`` workload, whose products are all below the size rule (the
+oscillator integrates its slopes in floats and forms none).  On the dim-3
+connection run no operand is encoded twice for the same stride and slot
+width.
 
 Re-record when a change of work is intended, from the repository root, and
 show the diff of ``work.json`` with the change:
