@@ -9,9 +9,10 @@ body/soul component formulas, and the two paths must agree exactly.
 Every matrix contraction on both paths is one ``exterior.mat_mul`` (with
 ``transpose`` and ``mat_add``/``mat_sub``) under a row-times-column sum
 that accumulates each entry's coefficients once: ``gform.gwedge_dot`` on the
-matrix path, ``exterior.wedge_dot`` or ``gform.scale_dot`` (a polynomial
-matrix on either side of a matrix of forms) on the component path, and
-``ring.poly_dot`` for polynomial matrices.  The two paths share that
+matrix path, ``exterior.wedge_dot`` on the component path, and
+``ring.poly_dot`` for polynomial matrices.  A polynomial matrix that
+multiplies forms is lifted once to its matrix of 0-forms, ordinary or
+extended, and goes through the same dots.  The two paths share that
 summation and the ring kernel ``Polynomial.sum_products`` under it, which
 their own tests compare with one product at a time.  No transpose assumes a
 symmetric metric.
@@ -40,7 +41,7 @@ from typing import NamedTuple, Sequence
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordinate_partial, ext_d,
                        form_from_json, mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg,
                        mat_sub, transpose, wedge_dot)
-from .gform import GenForm, gd, gwedge_dot, scale_dot
+from .gform import GenForm, gd, gwedge_dot
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar, poly_dot
 
@@ -73,7 +74,13 @@ def _scale_matrix(m, factor):
 
 
 def _scalar_forms(m: PolyMatrix) -> FormMatrix:
+    """m lifted entrywise to 0-forms."""
     return tuple(tuple(OrdinaryForm.from_scalar(x) for x in row) for row in m)
+
+
+def _gen_scalars(m: PolyMatrix, epsilon: Scalar) -> GenMatrix:
+    """m lifted entrywise to extended 0-forms."""
+    return tuple(tuple(GenForm.from_scalar(x, epsilon) for x in row) for row in m)
 
 
 def _gen_matrix(n: int, epsilon: Scalar, degree: int,
@@ -82,9 +89,10 @@ def _gen_matrix(n: int, epsilon: Scalar, degree: int,
                  for rb, rs in zip(body, soul))
 
 
-def _raise_both(gamma_inv: PolyMatrix, x: FormMatrix) -> FormMatrix:
-    """x^{mn} = gamma^{mr} x_{rs} gamma^{ns}, i.e. gamma^-1 x gamma^-T."""
-    return mat_mul(mat_mul(gamma_inv, x, scale_dot), transpose(gamma_inv), scale_dot)
+def _raise_both(gamma_inv: FormMatrix, x: FormMatrix) -> FormMatrix:
+    """x^{mn} = gamma^{mr} x_{rs} gamma^{ns}, i.e. gamma^-1 x gamma^-T, for
+    gamma^-1 lifted to 0-forms."""
+    return mat_mul(mat_mul(gamma_inv, x, wedge_dot), transpose(gamma_inv), wedge_dot)
 
 
 # -- connection -------------------------------------------------------------------
@@ -179,15 +187,16 @@ def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> 
     eye = mat_identity(A.dim, 1, 0)
     if mat_mul(G, G_inv, poly_dot) != eye or mat_mul(G_inv, G, poly_dot) != eye:
         raise ConnectionError("G_inv is not an exact inverse of G")
-    dG = tuple(tuple(GenForm.from_ordinary(dg, A.epsilon) for dg in row)
-               for row in mat_ext_d(_scalar_forms(G)))
-    AG = mat_mul(A.entries, G, scale_dot)
-    return GenConnection.build(mat_mul(G_inv, mat_add(dG, AG), scale_dot), A.epsilon)
+    G, G_inv = _gen_scalars(G, A.epsilon), _gen_scalars(G_inv, A.epsilon)
+    AG = mat_mul(A.entries, G, gwedge_dot)
+    return GenConnection.build(mat_mul(G_inv, mat_add(mat_gd(G), AG), gwedge_dot), A.epsilon)
 
 
 def conjugate_matrix(F: GenMatrix, G: PolyMatrix, G_inv: PolyMatrix) -> GenMatrix:
-    """G^-1 F G entrywise (polynomial scaling)."""
-    return mat_mul(G_inv, mat_mul(F, G, scale_dot), scale_dot)
+    """G^-1 F G, with G and G^-1 lifted to extended 0-forms."""
+    eps = F[0][0].epsilon
+    return mat_mul(_gen_scalars(G_inv, eps), mat_mul(F, _gen_scalars(G, eps), gwedge_dot),
+                   gwedge_dot)
 
 
 # -- covariant derivatives of fields ------------------------------------------------
@@ -201,8 +210,8 @@ def _column(entries: Sequence) -> tuple[tuple, ...]:
 def field_components(V: GenVectorField) -> tuple[GenForm, ...]:
     """The degree-0 extended components v^m + theta^m m, with theta^m =
     v^m_n dx^n the row one-forms of the tensor part."""
-    return tuple(GenForm(V.dim, V.epsilon, 0, OrdinaryForm.from_scalar(c), theta)
-                 for c, theta in zip(V.v.components, V.vt.row_forms()))
+    return tuple(GenForm(V.dim, V.epsilon, 0, c, theta)
+                 for c, theta in zip(V.v.component_forms(), V.vt.row_forms()))
 
 
 def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVectorField:
@@ -227,13 +236,13 @@ def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm
     """Component path, with theta^m = v^m_n dx^n:
     body = D v^m - eps theta^m,  soul = D theta^m + beta^m_n v^n,
     where D is covariant with respect to alpha."""
-    v = _column(V.v.components)
+    v = _column(V.v.component_forms())
     theta = _column(V.vt.row_forms())
     alpha, beta = A.alpha(), A.beta()
-    body = mat_sub(mat_add(mat_ext_d(_scalar_forms(v)), mat_mul(alpha, v, scale_dot)),
+    body = mat_sub(mat_add(mat_ext_d(v), mat_mul(alpha, v, wedge_dot)),
                    _scale_matrix(theta, A.epsilon))
     soul = mat_add(mat_add(mat_ext_d(theta), mat_mul(alpha, theta, wedge_dot)),
-                   mat_mul(beta, v, scale_dot))
+                   mat_mul(beta, v, wedge_dot))
     return transpose(_gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
 
 
@@ -294,8 +303,8 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
 
 def metric_inverse(g: GenMetric) -> GenMatrix:
     """g^{mn} = gamma^{mn} - chi^{mn} m with indices raised by gamma."""
-    return _gen_matrix(g.dim, g.epsilon, 0, _scalar_forms(g.gamma_inv),
-                       mat_neg(_raise_both(g.gamma_inv, g.chi())))
+    gamma_inv = _scalar_forms(g.gamma_inv)
+    return _gen_matrix(g.dim, g.epsilon, 0, gamma_inv, mat_neg(_raise_both(gamma_inv, g.chi())))
 
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
@@ -309,9 +318,10 @@ def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
 
 def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
     """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    gamma_alpha = mat_mul(gamma, alpha, scale_dot)
-    gammat_alpha = mat_mul(transpose(gamma), alpha, scale_dot)
-    return mat_sub(mat_sub(mat_ext_d(_scalar_forms(gamma)), gamma_alpha), transpose(gammat_alpha))
+    gamma = _scalar_forms(gamma)
+    gamma_alpha = mat_mul(gamma, alpha, wedge_dot)
+    gammat_alpha = mat_mul(transpose(gamma), alpha, wedge_dot)
+    return mat_sub(mat_sub(mat_ext_d(gamma), gamma_alpha), transpose(gammat_alpha))
 
 
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
@@ -329,7 +339,7 @@ def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
     alpha = A.alpha()
     gamma, chi = g.gamma(), g.chi()
     body = mat_sub(nonmetricity_ordinary(alpha, gamma), _scale_matrix(chi, A.epsilon))
-    beta_low = mat_mul(gamma, A.beta(), scale_dot)
+    beta_low = mat_mul(_scalar_forms(gamma), A.beta(), wedge_dot)
     soul = mat_sub(mat_sub(cov_d_lowered(alpha, chi), beta_low), transpose(beta_low))
     return _gen_matrix(A.dim, A.epsilon, 1, body, soul)
 
@@ -349,13 +359,12 @@ def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatr
 
     are those of the first kind and theta_s = gamma_{sl} dx^l are the row
     one-forms of gamma; polynomial whenever gamma_inv is."""
-    gamma = _as_tuple(gamma)
     n = len(gamma)
     # (s, nu): d_nu theta_s, so its transpose holds d_s theta_nu
     grad = tuple(tuple(coordinate_partial(theta, axis) for axis in range(1, n + 1))
                  for theta in Tensor11(gamma).row_forms())
     low = mat_sub(mat_add(grad, mat_ext_d(_scalar_forms(gamma))), transpose(grad))
-    return mat_mul(_as_tuple(gamma_inv), _scale_matrix(low, Fraction(1, 2)), scale_dot)
+    return mat_mul(_scalar_forms(gamma_inv), _scale_matrix(low, Fraction(1, 2)), wedge_dot)
 
 
 # -- the compatibility constructions -------------------------------------------------
@@ -401,9 +410,10 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     if not mat_is_zero(q):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
-    beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), scale_dot)
+    gamma_inv = _scalar_forms(g.gamma_inv)
+    beta = mat_mul(gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), wedge_dot)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
+        beta = mat_add(beta, mat_mul(gamma_inv, _as_tuple(beta_tilde), wedge_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     return _verified(A, g, ordinary_curvature(alpha_lc), q, None, None)
 
@@ -427,15 +437,16 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     alpha = _as_tuple(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):
         raise ConnectionError("alpha has torsion")
-    q = nonmetricity_ordinary(alpha, _as_tuple(gamma))
+    q = nonmetricity_ordinary(alpha, gamma)
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
-    fcal_low = mat_mul(_as_tuple(gamma), fcal, scale_dot)
-    fcal_adj = mat_mul(g.gamma_inv, transpose(fcal_low), scale_dot)
+    gamma_inv = _scalar_forms(g.gamma_inv)
+    fcal_low = mat_mul(_scalar_forms(gamma), fcal, wedge_dot)
+    fcal_adj = mat_mul(gamma_inv, transpose(fcal_low), wedge_dot)
     beta = _scale_matrix(mat_add(fcal, fcal_adj), Fraction(-1, 2) / eps)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), scale_dot))
+        beta = mat_add(beta, mat_mul(gamma_inv, _as_tuple(beta_tilde), wedge_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
     return _verified(A, g, fcal, q, fcal_low, fcal_adj)
 
@@ -444,7 +455,7 @@ def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     A, g, fcal = mc.A, mc.g, mc.fcal
-    chi_up = mat_mul(g.gamma_inv, g.chi(), scale_dot)
+    chi_up = mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
     soul = mat_sub(mat_mul(fcal, chi_up, wedge_dot), mat_mul(chi_up, fcal, wedge_dot))
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
@@ -459,8 +470,9 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     The soul sign on the second term follows from expanding D beta with
     D gamma = q; the verification suite pins it against the mechanical F.
     """
-    A, gamma_inv, fcal, fcal_low, q = mc.A, mc.g.gamma_inv, mc.fcal, mc.fcal_low, mc.q
-    fcal_up = mat_mul(fcal, gamma_inv, scale_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
+    A, fcal, fcal_low, q = mc.A, mc.fcal, mc.fcal_low, mc.q
+    gamma_inv = _scalar_forms(mc.g.gamma_inv)
+    fcal_up = mat_mul(fcal, gamma_inv, wedge_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     body = mat_sub(fcal, mc.fcal_adj)
     # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
     soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge_dot)),

@@ -196,6 +196,10 @@ class VectorField:
         comps[index - 1] = Polynomial.one(dim)
         return cls(comps)
 
+    def component_forms(self) -> tuple[OrdinaryForm, ...]:
+        """The components v^a as 0-forms, the operands of a contraction."""
+        return tuple(OrdinaryForm._canonical(self.dim, 0, {(): c}) for c in self.components)
+
     def component(self, index: int) -> Polynomial:
         return self.components[index - 1]
 
@@ -260,10 +264,10 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], dot: Callable) -> tupl
     """Matrix product (a b)_ij = dot(row i of a, column j of b).
 
     The caller names the row-times-column sum: ``ring.poly_dot`` for
-    polynomials, ``wedge_dot`` for forms, ``gform.gwedge_dot`` for extended
-    forms and ``gform.scale_dot`` for a polynomial matrix times a matrix of
-    (extended) forms, on either side.  Each dot accumulates its entry once,
-    so no typed zero and no intermediate product is needed.
+    polynomials, ``wedge_dot`` for forms and ``gform.gwedge_dot`` for
+    extended forms.  A polynomial matrix that multiplies a matrix of forms
+    enters as the matrix of its 0-forms.  Each dot accumulates its entry
+    once, so no typed zero and no intermediate product is needed.
     """
     if any(len(row) != len(b) for row in a):
         raise ValueError("matrix product: inner dimensions differ")
@@ -450,40 +454,12 @@ def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
     return [OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook) for hook in hooks]
 
 
-def _add_scaled(groups: dict[IndexTuple, list[_Triple]], p: Polynomial, x: OrdinaryForm) -> None:
-    """Append the triple (1, p, c) of every component c of x to the group of
-    its index tuple; nothing for p = 0."""
-    if not p.is_zero():
-        for idxs, c in x.components.items():
-            groups.setdefault(idxs, []).append((1, p, c))
-
-
-def scale_dot_forms(polys: Sequence[Polynomial], forms: Sequence[OrdinaryForm]) -> OrdinaryForm:
-    """sum_k p_k x_k for polynomials p_k and ordinary forms x_k, each output
-    coefficient accumulated once with p_k the left operand of every product,
-    as in ``x.scale(p)``; a zero p_k adds no product.  Zero results and
-    errors as for ``wedge_dot``.
-    """
-    first = forms[0]
-    groups: dict[IndexTuple, list[_Triple]] = {}
-    degree = None
-    for p, x in zip(polys, forms, strict=True):
-        if x.dim != first.dim:
-            raise ValueError(f"dimension mismatch: {first.dim} vs {x.dim}")
-        _add_scaled(groups, p, x)
-        if not (p.is_zero() or x.is_zero()):
-            degree = _common_degree(degree, x.degree)
-    components = _sum_groups(groups)
-    return OrdinaryForm._canonical(first.dim, degree if components else forms[-1].degree,
-                                   components)
-
-
 def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
-    """Left contraction i_v a = sum_r v^r i_{d/dx^r} a over the hooks of a;
-    zero on 0-forms."""
+    """Left contraction i_v a = sum_r v^r i_{d/dx^r} a: the components of v,
+    as 0-forms, dotted with the hooks of a; zero on 0-forms."""
     if v.dim != a.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {a.dim}")
-    return scale_dot_forms(v.components, _hooks(a))
+    return wedge_dot(v.component_forms(), _hooks(a))
 
 
 def lie(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
@@ -501,12 +477,8 @@ def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
 
 def coordinate_partial(a: OrdinaryForm, axis: int) -> OrdinaryForm:
     """Componentwise d/dx^axis, leaving the basis untouched."""
-    out = {}
-    for idxs, coeff in a.components.items():
-        dc = coeff.partial(axis)
-        if not dc.is_zero():
-            out[idxs] = dc
-    return OrdinaryForm(a.dim, a.degree, out)
+    return OrdinaryForm._canonical(a.dim, a.degree, {idxs: coeff.partial(axis)
+                                                     for idxs, coeff in a.components.items()})
 
 
 def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
@@ -519,15 +491,7 @@ def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
     source_dim = phi[0].dim
     if any(p.dim != source_dim for p in phi):
         raise ValueError("map components must share one source dimension")
-    # dphi[i] = sum_a d(phi^i)/dy^a dy^a
-    dphi = []
-    for p in phi:
-        comps = {}
-        for axis in range(1, source_dim + 1):
-            dp = p.partial(axis)
-            if not dp.is_zero():
-                comps[(axis,)] = dp
-        dphi.append(OrdinaryForm(source_dim, 1, comps))
+    dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
     result = OrdinaryForm.zero(source_dim, a.degree)
     for idxs, coeff in a.components.items():
         term = OrdinaryForm.from_scalar(coeff.compose(list(phi)))

@@ -18,7 +18,6 @@ from .exterior import (
     OrdinaryForm,
     VectorField,
     _add_pairs,
-    _add_scaled,
     _common_degree,
     _json_dim,
     _json_field,
@@ -30,7 +29,6 @@ from .exterior import (
     interior,
     lie,
     pullback,
-    scale_dot_forms,
 )
 from .ring import Polynomial, Scalar, format_rational, parse_rational
 
@@ -156,29 +154,16 @@ class GenForm:
 # -- algebra -------------------------------------------------------------------
 
 
-def _gen_sum(first: GenForm, degree: int | None, last_degree: int,
-             body: dict[IndexTuple, list[_Triple]],
-             soul: dict[IndexTuple, list[_Triple]]) -> GenForm:
-    """The extended form with the summed body and soul groups: of the terms'
-    common degree when nonzero, of the last term's degree when zero, as the
-    left fold of + gives."""
-    body_components, soul_components = _sum_groups(body), _sum_groups(soul)
-    if not (body_components or soul_components):
-        degree = last_degree
-    return GenForm._canonical(first.dim, first.epsilon, degree,
-                              OrdinaryForm._canonical(first.dim, degree, body_components),
-                              OrdinaryForm._canonical(first.dim, degree + 1, soul_components))
-
-
 def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
     """sum_k row[k] col[k] of the products
 
         (alpha + alpha'm)(beta + beta'm) = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,
 
-    q = deg beta, with each body and soul coefficient accumulated once (see
-    ``exterior.wedge_dot``).  ValueError on a dimension or epsilon mismatch,
-    on rows of different length, and when two terms whose components merge
-    have different degrees.
+    q = deg beta, with each body and soul coefficient accumulated once.  The
+    result is the left fold of + over the products, zero results included
+    (see ``exterior.wedge_dot``).  ValueError on a dimension or epsilon
+    mismatch, on rows of different length, and when two terms whose
+    components merge have different degrees.
     """
     first = row[0]
     body: dict[IndexTuple, list[_Triple]] = {}
@@ -192,38 +177,18 @@ def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
         merged |= _add_pairs(soul, -1 if b.degree % 2 else 1, a.soul, b.body)
         if merged:
             degree = _common_degree(degree, a.degree + b.degree)
-    return _gen_sum(first, degree, row[-1].degree + col[-1].degree, body, soul)
+    body_components, soul_components = _sum_groups(body), _sum_groups(soul)
+    if not (body_components or soul_components):
+        degree = row[-1].degree + col[-1].degree
+    return GenForm._canonical(first.dim, first.epsilon, degree,
+                              OrdinaryForm._canonical(first.dim, degree, body_components),
+                              OrdinaryForm._canonical(first.dim, degree + 1, soul_components))
 
 
 def gwedge(a: GenForm, b: GenForm) -> GenForm:
     """Product (alpha + alpha'm)(beta + beta'm)
     = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,  q = deg b."""
     return gwedge_dot((a,), (b,))
-
-
-def scale_dot(row: Sequence, col: Sequence) -> OrdinaryForm | GenForm:
-    """sum_k p_k x_k for polynomials p_k and ordinary or extended forms x_k,
-    the polynomials in either argument: the row-times-column function of a
-    polynomial matrix times a matrix of forms, on either side.  Ordinary
-    forms go to ``exterior.scale_dot_forms``; extended ones are grouped the
-    same way per part, each coefficient accumulated once, with p_k the left
-    operand of every product as in ``x.scale(p)`` and a zero p_k adding no
-    product.  Zero results and errors as for ``gwedge_dot``.
-    """
-    polys, forms = (row, col) if isinstance(col[0], (OrdinaryForm, GenForm)) else (col, row)
-    first = forms[0]
-    if not isinstance(first, GenForm):
-        return scale_dot_forms(polys, forms)
-    body: dict[IndexTuple, list[_Triple]] = {}
-    soul: dict[IndexTuple, list[_Triple]] = {}
-    degree = None
-    for p, x in zip(polys, forms, strict=True):
-        first._require_compatible(x)
-        _add_scaled(body, p, x.body)
-        _add_scaled(soul, p, x.soul)
-        if not (p.is_zero() or x.is_zero()):
-            degree = _common_degree(degree, x.degree)
-    return _gen_sum(first, degree, forms[-1].degree, body, soul)
 
 
 def gd(a: GenForm) -> GenForm:

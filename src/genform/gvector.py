@@ -38,7 +38,6 @@ from .exterior import (
     ext_d,
     interior,
     lie,
-    scale_dot_forms,
     vf_bracket,
     wedge_dot,
 )
@@ -128,15 +127,16 @@ def _signed(p: int, form: OrdinaryForm) -> OrdinaryForm:
 def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
     """i_V a = i_v(body) + [i_v(soul) + (-1)^(p-1) theta^a ^ i_{d/dx^a}(body)] m.
 
-    The hooks i_{d/dx^a}(body) are built once: contracted with the components
-    v^a for the body, and wedged with the row one-forms theta^a for the soul.
+    The hooks i_{d/dx^a}(body) are built once and dotted twice: with the
+    components v^a, as 0-forms, for the body, and with the row one-forms
+    theta^a for the soul.
     """
     if V.dim != a.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
     if V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
     hooks = _hooks(a.body)
-    body = scale_dot_forms(V.v.components, hooks)
+    body = wedge_dot(V.v.component_forms(), hooks)
     soul = interior(V.v, a.soul) + _signed(a.degree - 1, wedge_dot(V.vt.row_forms(), hooks))
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 

@@ -1,6 +1,8 @@
 import json
+import operator
 import pathlib
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -32,7 +34,7 @@ from genform.connection import (
     transform_connection,
 )
 from genform.exterior import OrdinaryForm, Tensor11, VectorField
-from genform.gform import GenForm, gwedge, gwedge_dot, scale_dot
+from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
 from genform.ring import Polynomial
@@ -518,6 +520,12 @@ def _random_constructions():
             yield metric_connection_eps(gamma, rnd.torsion_free_alpha(), gamma_inv, eps)
 
 
+def scale_fold(polys, forms):
+    """sum_k p_k x_k as the left fold of + over the scalings x_k.scale(p_k):
+    a polynomial matrix times a matrix of forms without the 0-form lift."""
+    return reduce(operator.add, (x.scale(p) for p, x in zip(polys, forms, strict=True)))
+
+
 @pytest.mark.parametrize("name", ["connection_case_i", "connection_case_ii",
                                   "connection_case_ii_ordinary", "random"])
 def test_construction_pieces_are_what_they_claim(name):
@@ -532,10 +540,11 @@ def test_construction_pieces_are_what_they_claim(name):
         if mc.A.epsilon == 0:
             assert mc.fcal_low is None and mc.fcal_adj is None
         else:
-            assert mc.fcal_low == conn.mat_mul(gamma, mc.fcal, scale_dot)
+            assert mc.fcal_low == conn.mat_mul(gamma, mc.fcal, scale_fold)
             # gamma^{ml} F_cal_{nl} = (gamma^-1 F_cal^T gamma)^m_n
             assert mc.fcal_adj == conn.mat_mul(
-                conn.mat_mul(mc.g.gamma_inv, conn.transpose(mc.fcal), scale_dot), gamma, scale_dot)
+                conn.mat_mul(mc.g.gamma_inv, conn.transpose(mc.fcal), scale_fold), gamma,
+                lambda forms, polys: scale_fold(polys, forms))
 
 
 def _broken_construction(monkeypatch, case: str) -> None:

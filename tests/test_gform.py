@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from genform.exterior import OrdinaryForm, VectorField, interior, wedge
+from genform.exterior import OrdinaryForm, VectorField, interior, wedge, wedge_dot
 from genform.gform import (
     GenForm,
     gd,
@@ -16,7 +16,6 @@ from genform.gform import (
     gpullback,
     gwedge,
     gwedge_dot,
-    scale_dot,
 )
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
@@ -266,7 +265,7 @@ def test_operation_results_pass_the_validating_constructor(dim):
             a, b, c = rnd.genform(p), rnd.genform(p), rnd.genform(q)
             results = [a + b, a - b, a - a, -a, a.scale(rnd.poly()), a.scale(Fraction(-3, 2)),
                        gwedge(a, c), gwedge(c, a), gwedge_dot((a, b), (c, c)), gd(a),
-                       scale_dot((rnd.poly(), rnd.poly()), (a, b))]
+                       a.scale(rnd.poly()) + b.scale(rnd.poly())]
             for r in results:
                 assert stored(GenForm(r.dim, r.epsilon, r.degree, r.body, r.soul)) == stored(r)
 
@@ -350,20 +349,34 @@ def random_ordinary_entry(rnd: FormRandom, degree: int) -> OrdinaryForm:
     return random_entry(rnd, degree).body
 
 
+def lifted_dot(polys, forms, polys_left: bool) -> GenForm | OrdinaryForm:
+    """sum_k p_k x_k through wedge_dot or gwedge_dot, each p_k lifted to a
+    0-form of the kind of x_k and standing on the left or on the right."""
+    if isinstance(forms[0], GenForm):
+        dot, lifted = gwedge_dot, [GenForm.from_scalar(p, x.epsilon) for p, x in zip(polys, forms)]
+    else:
+        dot, lifted = wedge_dot, [OrdinaryForm.from_scalar(p) for p in polys]
+    return dot(lifted, forms) if polys_left else dot(forms, lifted)
+
+
+scale_fold = reference_dot(lambda p, x: x.scale(p))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_scale_dot_matches_the_fold_of_scalings(dim):
+def test_lifted_polynomials_dot_as_the_fold_of_scalings(dim):
+    """A polynomial enters a product as a 0-form, on either side."""
     rnd = FormRandom(60 + dim, dim, EPSILONS[dim % len(EPSILONS)])
-    left = reference_dot(lambda p, x: x.scale(p))
-    right = reference_dot(lambda x, p: x.scale(p))
     for entry in (random_entry, random_ordinary_entry):
         for _ in range(10):
             polys, forms = random_row_and_column(rnd, random_poly, entry)
-            assert stored(scale_dot(polys, forms)) == stored(left(polys, forms))
-            assert stored(scale_dot(forms, polys)) == stored(right(forms, polys))
+            for polys_left in (True, False):
+                assert (stored(lifted_dot(polys, forms, polys_left))
+                        == stored(scale_fold(polys, forms)))
     # a zero polynomial makes its term zero, whatever the degree of its form
     polys = (Polynomial.zero(dim), Polynomial.one(dim))
     for forms in ((rnd.form(1), rnd.form(0)), (rnd.genform(-1), rnd.genform(0))):
-        assert stored(scale_dot(polys, forms)) == stored(left(polys, forms))
+        for polys_left in (True, False):
+            assert stored(lifted_dot(polys, forms, polys_left)) == stored(scale_fold(polys, forms))
 
 
 def test_dots_raise_where_the_fold_raises():
@@ -384,6 +397,8 @@ def test_dots_raise_where_the_fold_raises():
     for forms in ((dx1, GenForm.one(3, eps)), (dx1, GenForm.one(2, 2)), (dx1, GenForm.one(2, eps)),
                   (dx1.body, OrdinaryForm.constant(3, 1)), (dx1.body, OrdinaryForm.constant(2, 1))):
         polys = (one, Polynomial.one(forms[1].dim))
-        for dot in (scale_dot, reference_dot(lambda p, x: x.scale(p))):
+        with pytest.raises(ValueError):
+            scale_fold(polys, forms)
+        for polys_left in (True, False):
             with pytest.raises(ValueError):
-                dot(polys, forms)
+                lifted_dot(polys, forms, polys_left)

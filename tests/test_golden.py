@@ -4,8 +4,9 @@ Each case runs one ``genform`` command in-process from the repository root
 and compares its JSON report with ``tests/golden/<case>.json`` byte for byte,
 apart from the ``wall_time`` values, which are zeroed on both sides.  The
 oscillator trajectories are compared by SHA-256 against
-``tests/golden/csv.sha256``.  Term order is pinned too: ``eval_float`` sums a
-polynomial in dict order, so reordered terms move the trajectory's last bits.
+``tests/golden/csv.sha256``.  No report reads the term order of a polynomial:
+the oscillator integrates its closed-form slopes in floats, and every other
+report prints polynomials with their terms sorted.
 
 Re-record only when a change of output is intended, from the repository root:
 
