@@ -6,16 +6,18 @@ computed twice where a closed-form expansion exists: once from the matrix
 definition (F = dA + A A, Q = dg - gA - Ag, ...) and once from the expanded
 body/soul component formulas, and the two paths must agree exactly.
 
-Every matrix contraction on both paths is one ``exterior.mat_mul`` (with
-``transpose`` and ``mat_add``/``mat_sub``) under a row-times-column sum
-that accumulates each entry's coefficients once: ``gform.gwedge_dot`` on the
-matrix path, ``exterior.wedge_dot`` on the component path, and
-``ring.poly_dot`` for polynomial matrices.  A polynomial matrix that
-multiplies forms is lifted once to its matrix of 0-forms, ordinary or
-extended, and goes through the same dots.  The two paths share that
-summation and the ring kernel ``Polynomial.sum_products`` under it, which
-their own tests compare with one product at a time.  No transpose assumes a
-symmetric metric.
+A single matrix product on either path is one ``exterior.mat_mul`` under a
+row-times-column sum that accumulates each entry's coefficients once:
+``gform.gwedge_dot`` on the matrix path, ``exterior.wedge_dot`` on the
+component path, and ``ring.poly_dot`` for polynomial matrices.  A signed sum
+of matrix products, such as D t = d t + alpha t -+ t alpha or
+Q = dg - gA - (g^T A)^T, gives each entry's products, transposed factors
+included, to one ``gform.gwedge_sum`` or ``exterior.wedge_sum``, and adds
+the derivative term once.  A polynomial matrix that multiplies forms is
+lifted once to its matrix of 0-forms, ordinary or extended, and goes
+through the same sums.  The two paths share that summation and the ring
+kernel ``Polynomial.sum_products`` under it, which their own tests compare
+with one product at a time.  No transpose assumes a symmetric metric.
 
 The compatibility solver realizes both branches of the extended
 Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
@@ -36,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordinate_partial, ext_d,
                        form_from_json, mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg,
-                       mat_sub, transpose, wedge_dot)
-from .gform import GenForm, gd, gwedge_dot
+                       mat_sub, transpose, wedge_dot, wedge_sum)
+from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
 from .ring import Polynomial, Scalar, poly_dot
 
@@ -87,6 +89,11 @@ def _gen_matrix(n: int, epsilon: Scalar, degree: int,
                 body: FormMatrix, soul: FormMatrix) -> GenMatrix:
     return tuple(tuple(GenForm(n, epsilon, degree, b, s) for b, s in zip(rb, rs))
                  for rb, rs in zip(body, soul))
+
+
+def _square(n: int, entry: Callable[[int, int], object]) -> tuple[tuple, ...]:
+    """The n x n matrix of entry(i, j), 0-based."""
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 def _raise_both(gamma_inv: FormMatrix, x: FormMatrix) -> FormMatrix:
@@ -147,11 +154,10 @@ def ordinary_curvature(alpha: FormMatrix) -> FormMatrix:
 
 def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> FormMatrix:
     """D t = d t + alpha t - (-1)^p t alpha on (1,1)-valued ordinary p-forms."""
-    sign_flip = degree % 2 == 0
-    second = mat_mul(t, alpha, wedge_dot)
-    if sign_flip:
-        second = mat_neg(second)
-    return mat_add(mat_add(mat_ext_d(t), mat_mul(alpha, t, wedge_dot)), second)
+    n, dt, s = len(t), mat_ext_d(t), 1 if degree % 2 else -1
+    return _square(n, lambda i, j: dt[i][j] + wedge_sum(
+        [(1, alpha[i][k], t[k][j]) for k in range(n)]
+        + [(s, t[i][k], alpha[k][j]) for k in range(n)]))
 
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
@@ -162,10 +168,9 @@ def curvature_expansion(A: GenConnection) -> GenMatrix:
 
 
 def bianchi_residual(A: GenConnection) -> GenMatrix:
-    """dF + A F - F A; identically zero for every connection."""
-    F = curvature(A)
-    return mat_add(mat_gd(F),
-                   mat_sub(mat_mul(A.entries, F, gwedge_dot), mat_mul(F, A.entries, gwedge_dot)))
+    """dF + A F - F A, the covariant derivative of F = curvature(A);
+    identically zero for every connection."""
+    return cov_ext_d_tensor(A, curvature(A))
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
@@ -174,10 +179,10 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
     if len(degrees) > 1:
         raise ConnectionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
-    second = mat_mul(P, A.entries, gwedge_dot)
-    if p % 2 == 0:
-        second = mat_neg(second)
-    return mat_add(mat_add(mat_gd(P), mat_mul(A.entries, P, gwedge_dot)), second)
+    n, a, dP, s = A.dim, A.entries, mat_gd(P), 1 if p % 2 else -1
+    return _square(n, lambda i, j: dP[i][j] + gwedge_sum(
+        [(1, a[i][k], P[k][j]) for k in range(n)]
+        + [(s, P[i][k], a[k][j]) for k in range(n)]))
 
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
@@ -235,15 +240,14 @@ def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
 def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
     """Component path, with theta^m = v^m_n dx^n:
     body = D v^m - eps theta^m,  soul = D theta^m + beta^m_n v^n,
-    where D is covariant with respect to alpha."""
-    v = _column(V.v.component_forms())
-    theta = _column(V.vt.row_forms())
+    where D is covariant with respect to alpha; the soul's products
+    alpha^m_n theta^n and beta^m_n v^n are one dot."""
+    v, theta = V.v.component_forms(), V.vt.row_forms()
     alpha, beta = A.alpha(), A.beta()
-    body = mat_sub(mat_add(mat_ext_d(v), mat_mul(alpha, v, wedge_dot)),
-                   _scale_matrix(theta, A.epsilon))
-    soul = mat_add(mat_add(mat_ext_d(theta), mat_mul(alpha, theta, wedge_dot)),
-                   mat_mul(beta, v, wedge_dot))
-    return transpose(_gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
+    return tuple(GenForm(A.dim, A.epsilon, 1,
+                         ext_d(v[m]) + wedge_dot(alpha[m], v) - theta[m].scale(A.epsilon),
+                         ext_d(theta[m]) + wedge_dot(alpha[m] + beta[m], theta + v))
+                 for m in range(A.dim))
 
 
 def cov_deriv_vf_along(A: GenConnection, W: GenVectorField, V: GenVectorField) -> GenVectorField:
@@ -311,26 +315,28 @@ def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
     if A.dim != g.dim or A.epsilon != g.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
-    gA = mat_mul(g.entries, A.entries, gwedge_dot)
-    gtA = mat_mul(transpose(g.entries), A.entries, gwedge_dot)
-    return mat_sub(mat_sub(mat_gd(g.entries), gA), transpose(gtA))
+    n, a, gm, dg = A.dim, A.entries, g.entries, mat_gd(g.entries)
+    return _square(n, lambda m, k: dg[m][k] + gwedge_sum(
+        [(-1, gm[m][l], a[l][k]) for l in range(n)]
+        + [(-1, gm[l][k], a[l][m]) for l in range(n)]))
 
 
 def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
     """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    gamma = _scalar_forms(gamma)
-    gamma_alpha = mat_mul(gamma, alpha, wedge_dot)
-    gammat_alpha = mat_mul(transpose(gamma), alpha, wedge_dot)
-    return mat_sub(mat_sub(mat_ext_d(gamma), gamma_alpha), transpose(gammat_alpha))
+    n, gamma = len(alpha), _scalar_forms(gamma)
+    dgamma = mat_ext_d(gamma)
+    return _square(n, lambda m, k: dgamma[m][k] + wedge_sum(
+        [(-1, gamma[m][l], alpha[l][k]) for l in range(n)]
+        + [(-1, gamma[l][k], alpha[l][m]) for l in range(n)]))
 
 
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     """D t_{mn} = d t_{mn} - alpha^l_m t_{ln} - alpha^l_n t_{ml} for
     (0,2)-valued forms of any homogeneous degree."""
-    alpha_t = transpose(alpha)
-    first = mat_mul(alpha_t, t, wedge_dot)  # (m, n): alpha^l_m t_{ln}
-    second = mat_mul(alpha_t, transpose(t), wedge_dot)  # (n, m): alpha^l_n t_{ml}
-    return mat_sub(mat_sub(mat_ext_d(t), first), transpose(second))
+    n, dt = len(t), mat_ext_d(t)
+    return _square(n, lambda m, k: dt[m][k] + wedge_sum(
+        [(-1, alpha[l][m], t[l][k]) for l in range(n)]
+        + [(-1, alpha[l][k], t[m][l]) for l in range(n)]))
 
 
 def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
@@ -455,8 +461,10 @@ def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     A, g, fcal = mc.A, mc.g, mc.fcal
-    chi_up = mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
-    soul = mat_sub(mat_mul(fcal, chi_up, wedge_dot), mat_mul(chi_up, fcal, wedge_dot))
+    n, chi_up = A.dim, mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
+    soul = _square(n, lambda m, k: wedge_sum(
+        [(1, fcal[m][l], chi_up[l][k]) for l in range(n)]
+        + [(-1, chi_up[m][l], fcal[l][k]) for l in range(n)]))
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
@@ -474,9 +482,10 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     gamma_inv = _scalar_forms(mc.g.gamma_inv)
     fcal_up = mat_mul(fcal, gamma_inv, wedge_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     body = mat_sub(fcal, mc.fcal_adj)
-    # entry (m, n) of q F_cal^.. is q_{ml} F_cal^{ln}, hence the transpose
-    soul = mat_sub(transpose(mat_mul(q, fcal_up, wedge_dot)),
-                   mat_mul(_raise_both(gamma_inv, q), transpose(fcal_low), wedge_dot))
+    n, q_up = A.dim, _raise_both(gamma_inv, q)
+    soul = _square(n, lambda m, k: wedge_sum(
+        [(1, q[k][l], fcal_up[l][m]) for l in range(n)]
+        + [(-1, q_up[m][l], fcal_low[k][l]) for l in range(n)]))
     return _gen_matrix(A.dim, A.epsilon, 2, _scale_matrix(body, Fraction(1, 2)),
                        _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
 

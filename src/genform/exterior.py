@@ -267,7 +267,10 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], dot: Callable) -> tupl
     polynomials, ``wedge_dot`` for forms and ``gform.gwedge_dot`` for
     extended forms.  A polynomial matrix that multiplies a matrix of forms
     enters as the matrix of its 0-forms.  Each dot accumulates its entry
-    once, so no typed zero and no intermediate product is needed.
+    once, so no typed zero and no intermediate product is needed.  A signed
+    sum of several matrix products, such as d t + alpha t - t alpha, is not
+    a sum of ``mat_mul`` results: its callers give each entry's triples to
+    one ``wedge_sum``, ``gform.gwedge_sum`` or ``Polynomial.sum_products``.
     """
     if any(len(row) != len(b) for row in a):
         raise ValueError("matrix product: inner dimensions differ")
@@ -399,27 +402,36 @@ def _common_degree(degree: int | None, term_degree: int) -> int:
     return term_degree
 
 
-def wedge_dot(row: Sequence[OrdinaryForm], col: Sequence[OrdinaryForm]) -> OrdinaryForm:
-    """sum_k row[k] ^ col[k], each output coefficient accumulated once: the
-    signed coefficient pairs of every k are grouped by merged index tuple
-    and each group is summed by one kernel call.
+def wedge_sum(triples: Sequence[tuple[int, OrdinaryForm, OrdinaryForm]]) -> OrdinaryForm:
+    """sum of s * a ^ b over at least one (s, a, b) triple, s = +1 or -1,
+    each output coefficient accumulated once: the signed coefficient pairs of
+    every triple are grouped by merged index tuple and each group is summed
+    by one kernel call.
 
-    The result is the left fold of + over the wedges: of the terms' common
-    degree when nonzero, of the last term's degree when zero.  ValueError on
-    a dimension mismatch, on rows of different length, and when two terms
-    whose components merge have different degrees.
+    The result is the left fold of + over the signed wedges: of the terms'
+    common degree when nonzero, of the last term's degree when zero.
+    ValueError on a dimension mismatch and when two terms whose components
+    merge have different degrees.
     """
-    dim = row[0].dim
+    if not triples:
+        raise ValueError("wedge_sum needs at least one (s, a, b) triple")
+    dim = triples[0][1].dim
     groups: dict[IndexTuple, list[_Triple]] = {}
     degree = None
-    for a, b in zip(row, col, strict=True):
+    for s, a, b in triples:
         if a.dim != dim or b.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {b.dim if a.dim == dim else a.dim}")
-        if _add_pairs(groups, 1, a, b):
+        if _add_pairs(groups, s, a, b):
             degree = _common_degree(degree, a.degree + b.degree)
     components = _sum_groups(groups)
-    return OrdinaryForm._canonical(
-        dim, degree if components else row[-1].degree + col[-1].degree, components)
+    _, a, b = triples[-1]
+    return OrdinaryForm._canonical(dim, degree if components else a.degree + b.degree, components)
+
+
+def wedge_dot(row: Sequence[OrdinaryForm], col: Sequence[OrdinaryForm]) -> OrdinaryForm:
+    """sum_k row[k] ^ col[k]: the all-plus ``wedge_sum``; ValueError also on
+    rows of different length."""
+    return wedge_sum([(1, a, b) for a, b in zip(row, col, strict=True)])
 
 
 def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
@@ -468,11 +480,15 @@ def lie(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:
 
 
 def vf_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[v, w]^c = v(w^c) - w(v^c)."""
+    """[v, w]^c = v(w^c) - w(v^c) = v^b d_b w^c - w^b d_b v^c, each
+    component one signed sum of products."""
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return VectorField([v.derivative(wc) - w.derivative(vc)
-                        for vc, wc in zip(v.components, w.components)])
+    axes = range(1, v.dim + 1)
+    return VectorField([Polynomial.sum_products(
+        [(1, vb, wc.partial(b)) for b, vb in zip(axes, v.components)]
+        + [(-1, wb, vc.partial(b)) for b, wb in zip(axes, w.components)])
+        for vc, wc in zip(v.components, w.components)])
 
 
 def coordinate_partial(a: OrdinaryForm, axis: int) -> OrdinaryForm:

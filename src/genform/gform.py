@@ -154,35 +154,46 @@ class GenForm:
 # -- algebra -------------------------------------------------------------------
 
 
-def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
-    """sum_k row[k] col[k] of the products
+def gwedge_sum(triples: Sequence[tuple[int, GenForm, GenForm]]) -> GenForm:
+    """sum of s * a b over at least one (s, a, b) triple, s = +1 or -1, of
+    the products
 
         (alpha + alpha'm)(beta + beta'm) = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,
 
-    q = deg beta, with each body and soul coefficient accumulated once.  The
-    result is the left fold of + over the products, zero results included
-    (see ``exterior.wedge_dot``).  ValueError on a dimension or epsilon
-    mismatch, on rows of different length, and when two terms whose
-    components merge have different degrees.
+    q = deg beta, so the soul pair alpha' beta enters with sign -s when b has
+    odd degree.  Each body and soul coefficient is accumulated once.  The
+    result is the left fold of + over the signed products, zero results
+    included (see ``exterior.wedge_sum``).  ValueError on a dimension or
+    epsilon mismatch and when two terms whose components merge have
+    different degrees.
     """
-    first = row[0]
+    if not triples:
+        raise ValueError("gwedge_sum needs at least one (s, a, b) triple")
+    first = triples[0][1]
     body: dict[IndexTuple, list[_Triple]] = {}
     soul: dict[IndexTuple, list[_Triple]] = {}
     degree = None
-    for a, b in zip(row, col, strict=True):
+    for s, a, b in triples:
         first._require_compatible(a)
         first._require_compatible(b)
-        merged = _add_pairs(body, 1, a.body, b.body)
-        merged |= _add_pairs(soul, 1, a.body, b.soul)
-        merged |= _add_pairs(soul, -1 if b.degree % 2 else 1, a.soul, b.body)
+        merged = _add_pairs(body, s, a.body, b.body)
+        merged |= _add_pairs(soul, s, a.body, b.soul)
+        merged |= _add_pairs(soul, -s if b.degree % 2 else s, a.soul, b.body)
         if merged:
             degree = _common_degree(degree, a.degree + b.degree)
     body_components, soul_components = _sum_groups(body), _sum_groups(soul)
     if not (body_components or soul_components):
-        degree = row[-1].degree + col[-1].degree
+        _, a, b = triples[-1]
+        degree = a.degree + b.degree
     return GenForm._canonical(first.dim, first.epsilon, degree,
                               OrdinaryForm._canonical(first.dim, degree, body_components),
                               OrdinaryForm._canonical(first.dim, degree + 1, soul_components))
+
+
+def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
+    """sum_k row[k] col[k]: the all-plus ``gwedge_sum``; ValueError also on
+    rows of different length."""
+    return gwedge_sum([(1, a, b) for a, b in zip(row, col, strict=True)])
 
 
 def gwedge(a: GenForm, b: GenForm) -> GenForm:

@@ -38,8 +38,10 @@ from .exterior import (
     ext_d,
     interior,
     lie,
+    transpose,
     vf_bracket,
     wedge_dot,
+    wedge_sum,
 )
 from .gform import GenForm, gd
 from .ring import Polynomial, Scalar, format_rational, parse_rational
@@ -119,9 +121,9 @@ def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) 
 # -- interior product ----------------------------------------------------------
 
 
-def _signed(p: int, form: OrdinaryForm) -> OrdinaryForm:
-    """(-1)^p form."""
-    return -form if p % 2 else form
+def _sign(p: int) -> int:
+    """(-1)^p."""
+    return -1 if p % 2 else 1
 
 
 def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
@@ -129,15 +131,16 @@ def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
 
     The hooks i_{d/dx^a}(body) are built once and dotted twice: with the
     components v^a, as 0-forms, for the body, and with the row one-forms
-    theta^a for the soul.
+    theta^a for the soul, whose two contractions are one signed sum.
     """
     if V.dim != a.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
     if V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
-    hooks = _hooks(a.body)
-    body = wedge_dot(V.v.component_forms(), hooks)
-    soul = interior(V.v, a.soul) + _signed(a.degree - 1, wedge_dot(V.vt.row_forms(), hooks))
+    hooks, components, sign = _hooks(a.body), V.v.component_forms(), _sign(a.degree - 1)
+    body = wedge_dot(components, hooks)
+    soul = wedge_sum([(1, c, h) for c, h in zip(components, _hooks(a.soul))]
+                     + [(sign, t, h) for t, h in zip(V.vt.row_forms(), hooks)])
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 
 
@@ -150,9 +153,12 @@ def gv_anticommutator_closed_form(V: GenVectorField, W: GenVectorField, a: GenFo
     """Closed form of the same operator: (-1)^(p-1) i_u(body) m with
     u^a = v^a_b w^b + w^a_b v^b."""
     V._require_compatible(W)
-    u = V.vt.apply(W.v) + W.vt.apply(V.v)
-    return GenForm(a.dim, a.epsilon, a.degree - 2,
-                   soul=_signed(a.degree - 1, interior(u, a.body)))
+    v, w = V.v.components, W.v.components
+    u = VectorField([Polynomial.sum_products([(1, x, y) for x, y in zip(vrow + wrow, w + v)])
+                     for vrow, wrow in zip(V.vt.components, W.vt.components)])
+    sign = _sign(a.degree - 1)
+    return GenForm(a.dim, a.epsilon, a.degree - 2, soul=wedge_sum(
+        [(sign, c, h) for c, h in zip(u.component_forms(), _hooks(a.body))]))
 
 
 def xi_type_pair(v: VectorField, w: VectorField,
@@ -182,51 +188,61 @@ def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
         soul' = L_v(soul) + (-1)^p theta^a ^ d_a(body)
                 + (-1)^(p-1) d(theta^a) ^ i_{d/dx^a}(body)
                 - eps theta^a ^ i_{d/dx^a}(soul)
+
+    eps theta^a is scaled once, and the three soul products are one signed
+    sum.
     """
     if V.dim != a.dim or V.epsilon != a.epsilon:
         raise ValueError("dimension/epsilon mismatch")
     n, p, eps = a.dim, a.degree, a.epsilon
     theta, hooks = V.vt.row_forms(), _hooks(a.body)
-    body = lie(V.v, a.body) - wedge_dot(theta, hooks).scale(eps)
-    grad = wedge_dot(theta, [coordinate_partial(a.body, axis) for axis in range(1, n + 1)])
-    dtheta = wedge_dot([ext_d(t) for t in theta], hooks)
-    soul = (lie(V.v, a.soul) - wedge_dot(theta, _hooks(a.soul)).scale(eps)
-            + _signed(p, grad) + _signed(p - 1, dtheta))
+    eps_theta = [t.scale(eps) for t in theta]
+    body = lie(V.v, a.body) + wedge_sum([(-1, t, h) for t, h in zip(eps_theta, hooks)])
+    grads = [coordinate_partial(a.body, axis) for axis in range(1, n + 1)]
+    soul = lie(V.v, a.soul) + wedge_sum(
+        [(-1, t, h) for t, h in zip(eps_theta, _hooks(a.soul))]
+        + [(_sign(p), t, g) for t, g in zip(theta, grads)]
+        + [(_sign(p - 1), ext_d(t), h) for t, h in zip(theta, hooks)])
     return GenForm(n, eps, p, body, soul)
 
 
 # -- bracket -------------------------------------------------------------------
 
 
-def _derivative(v: VectorField, t: Tensor11) -> Tensor11:
-    """v(t)^c_a = v^b d_b t^c_a."""
-    return Tensor11([[v.derivative(x) for x in row] for row in t.components])
-
-
-def _jacobian(v: VectorField) -> Tensor11:
-    """J(v)^c_a = d_a v^c."""
-    return Tensor11([[c.partial(a) for a in range(1, v.dim + 1)] for c in v.components])
-
-
-def _commutator(s: Tensor11, t: Tensor11) -> Tensor11:
-    return s.matmul(t) - t.matmul(s)
-
-
 def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     """[V, W]: ordinary part [v, w]; tensor part
 
-    v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt],
+        v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt],
 
     with v(t) the entrywise directional derivative, J(v)^c_a = d_a v^c the
-    Jacobian and [s, t] = s t - t s the matrix commutator.
+    Jacobian and [s, t] = s t - t s the matrix commutator.  Each entry (c, a)
+    is one signed sum of products over b,
+
+        v^b d_b wt^c_a - w^b d_b vt^c_a + J(w)^c_b vt^b_a - vt^c_b J(w)^b_a
+        - J(v)^c_b wt^b_a + wt^c_b J(v)^b_a + (eps vt)^c_b wt^b_a - wt^c_b (eps vt)^b_a,
+
+    in one kernel call; eps vt is scaled once, and its terms are left out
+    at eps = 0.
     """
     V._require_compatible(W)
-    v, w = V.v, W.v
-    vt = (_derivative(v, W.vt) - _derivative(w, V.vt)
-          + _commutator(_jacobian(w), V.vt) - _commutator(_jacobian(v), W.vt))
+    v, w, vt, wt = V.v.components, W.v.components, V.vt.components, W.vt.components
+    axes = range(1, V.dim + 1)
+    jv, jw = ([[c.partial(b) for b in axes] for c in x] for x in (v, w))
+    products = [(1, jw, vt), (-1, vt, jw), (-1, jv, wt), (1, wt, jv)]  # (s, X, Y): s X Y
     if V.epsilon != 0:
-        vt = vt + _commutator(V.vt, W.vt).scale(V.epsilon)
-    return GenVectorField(V.dim, V.epsilon, vf_bracket(v, w), vt)
+        eps_vt = [[x * V.epsilon for x in row] for row in vt]
+        products += [(1, eps_vt, wt), (-1, wt, eps_vt)]
+    products = [(s, x, transpose(y)) for s, x, y in products]  # Y by columns
+
+    def entry(c: int, a: int) -> Polynomial:
+        return Polynomial.sum_products(
+            [(1, vb, wt[c][a].partial(b)) for b, vb in zip(axes, v)]
+            + [(-1, wb, vt[c][a].partial(b)) for b, wb in zip(axes, w)]
+            + [(s, x, y) for s, rows, cols in products
+               for x, y in zip(rows[c], cols[a])])
+
+    return GenVectorField(V.dim, V.epsilon, vf_bracket(V.v, W.v),
+                          Tensor11([[entry(c, a) for a in range(V.dim)] for c in range(V.dim)]))
 
 
 # -- splitting of d and the modified Lie derivative ------------------------------

@@ -32,9 +32,13 @@ public constructors, which outside input still passes.
 One kernel does every polynomial product: ``Polynomial.sum_products`` sums
 s*a*b over (s, a, b) triples with s = +-1 over the lcm of the pairs'
 denominators and canonicalizes once.  ``a * b`` is its one-triple case.  A
-row-times-column sum of forms (``exterior.wedge_dot`` and its relatives)
-hands each output coefficient's triples to one kernel call, so no
-intermediate product is ever built as a ``Polynomial`` of its own.  A size rule
+signed sum of products of forms (``exterior.wedge_sum``, ``gform.gwedge_sum``,
+and their all-plus cases, the row-times-column dots) hands each output
+coefficient's triples to one kernel call, and so do the composite operations
+built on them: the brackets, covariant derivatives and non-metricities pass
+all their products, signs included, as one sum per output entry.  So no
+intermediate product is built as a ``Polynomial`` of its own, nor negated and
+added.  A size rule
 sends small calls through a schoolbook loop into one integer dict, and large
 calls through Kronecker substitution on fibers, dense in x1 and x2 and sparse
 in the rest: one big-integer multiply per pair of fibers, in 32- or 64-bit slots.
@@ -172,12 +176,13 @@ def _encode(p: "Polynomial", stride: int, width: int) -> dict[int, int]:
 
 def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int,
                box: list[int], width: int) -> dict[int, int]:
-    """The numerators over den of sum s * a * b, dense in x1 and x2 and
-    sparse in the rest: each operand's fibers (``_fibers``, encoded once per
-    polynomial, stride and width and kept) hold a width-bit slot per monomial
-    x1^e1 x2^e2 at e1 + stride * e2, with stride the x1 extent of the box plus
-    one, so one integer multiply per pair of fibers adds up all their term
-    products without a carry between rows.  Every slot of the sum must lie
+    """The numerators over den of sum s * a * b over triples of nonzero
+    operands, dense in x1 and x2 and sparse in the rest: each operand's
+    fibers (``_fibers``, encoded once per polynomial, stride and width and
+    kept) hold a width-bit slot per monomial x1^e1 x2^e2 at e1 + stride * e2,
+    with stride the x1 extent of the box plus one, so one integer multiply
+    per pair of fibers adds up all their term products without a carry
+    between rows.  Every slot of the sum must lie
     within +-2**(width - 1); an offset of half a slot in each slot of the box
     makes each non-negative for decoding."""
     unsigned, order, size = _SLOT_CODES[width], sys.byteorder, width // 8
@@ -186,12 +191,11 @@ def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int
     sums: dict[int, int] = {}
     get = sums.get
     for s, a, b in terms:
-        if a._nums and b._nums:
-            scale, right = s * (den // (a.den * b.den)), _fibers(b, stride, width).items()
-            for r1, v1 in _fibers(a, stride, width).items():
-                v1 *= scale
-                for r2, v2 in right:
-                    sums[r1 + r2] = get(r1 + r2, 0) + v1 * v2
+        scale, right = s * (den // (a.den * b.den)), _fibers(b, stride, width).items()
+        for r1, v1 in _fibers(a, stride, width).items():
+            v1 *= scale
+            for r2, v2 in right:
+                sums[r1 + r2] = get(r1 + r2, 0) + v1 * v2
     slot_keys = [e1 + (e2 << _FIELD_BITS) for e2 in range(top2 + 1) for e1 in range(stride)]
     slots, half = len(slot_keys), 1 << (width - 1)
     offset = int.from_bytes(array(unsigned, [half]) * slots, order)
@@ -268,13 +272,19 @@ class Polynomial:
     @classmethod
     def _canonical(cls, dim: int, den: int, nums: dict[int, int]) -> "Polynomial":
         """Build from numerators over den > 0: drop zeros, divide out the
-        content shared with den."""
+        content shared with den (none when den is 1)."""
         if 0 in nums.values():  # a scan is cheaper than rebuilding every result
             nums = {key: num for key, num in nums.items() if num}
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {key: num // g for key, num in nums.items()}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {key: num // g for key, num in nums.items()}
+        return cls._of(dim, den, nums)
+
+    @classmethod
+    def _of(cls, dim: int, den: int, nums: dict[int, int]) -> "Polynomial":
+        """Wrap numerators that are already canonical over den."""
         poly = cls.__new__(cls)
         poly._set(dim, den, nums)
         return poly
@@ -389,8 +399,8 @@ class Polynomial:
         return NotImplemented
 
     def __neg__(self):
-        return Polynomial._canonical(self.dim, self.den,
-                                     {key: -num for key, num in self._nums.items()})
+        # negating every numerator keeps the form canonical
+        return Polynomial._of(self.dim, self.den, {key: -num for key, num in self._nums.items()})
 
     @staticmethod
     def sum_products(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
@@ -421,35 +431,35 @@ class Polynomial:
         if not terms:
             raise ValueError("sum_products needs at least one (s, a, b) triple")
         dim = terms[0][1].dim
-        den, products = 1, 0
-        for _, a, b in terms:
+        den, products, live = 1, 0, []
+        for term in terms:
+            _, a, b = term
             if a.dim != dim or b.dim != dim:
                 raise ValueError(f"dimension mismatch: {dim} vs "
                                  f"{b.dim if a.dim == dim else a.dim}")
             if a._nums and b._nums:
-                den = math.lcm(den, a.den * b.den)
+                live.append(term)
+                if den % (pair_den := a.den * b.den):
+                    den = math.lcm(den, pair_den)
                 products += len(a._nums) * len(b._nums)
         if products >= _FIBER_MIN_PRODUCTS:
             # box[i]: the largest exponent of x_i that any term product writes;
             # bound: no output numerator exceeds it, since at most
             # min(len a, len b) term products of a pair land on one monomial
             box, bound = [0] * dim, 0
-            for _, a, b in terms:
-                if a._nums and b._nums:
-                    ea, ma, _ = a._kernel or _extent(a)
-                    eb, mb, _ = b._kernel or _extent(b)
-                    box = list(map(max, box, map(operator.add, ea, eb)))
-                    bound += (den // (a.den * b.den)) * ma * mb * min(len(a._nums), len(b._nums))
+            for _, a, b in live:
+                ea, ma, _ = a._kernel or _extent(a)
+                eb, mb, _ = b._kernel or _extent(b)
+                box = list(map(max, box, map(operator.add, ea, eb)))
+                bound += (den // (a.den * b.den)) * ma * mb * min(len(a._nums), len(b._nums))
             if max(box) > MAX_EXPONENT:
                 raise ValueError(_OVERFLOW)
             if math.prod(e + 1 for e in box[:2]) <= _FIBER_MAX_SLOTS and bound < 1 << 63:
                 return Polynomial._canonical(
-                    dim, den, _fiber_sum(terms, den, box, 32 if bound < 1 << 31 else 64))
+                    dim, den, _fiber_sum(live, den, box, 32 if bound < 1 << 31 else 64))
         out: dict[int, int] = {}
         get = out.get
-        for s, a, b in terms:
-            if not (a._nums and b._nums):
-                continue
+        for s, a, b in live:
             scale = s * (den // (a.den * b.den))
             right = b._nums.items()
             # The accumulate step inlined: a call per term product is what
@@ -490,10 +500,12 @@ class Polynomial:
             raise ValueError(f"axis {axis} out of range 1..{self.dim}")
         shift = _FIELD_BITS * (axis - 1)
         unit = 1 << shift
-        # lowering one exponent maps the surviving monomials one to one
-        return Polynomial._canonical(self.dim, self.den, {
-            key - unit: num * e for key, num in self._nums.items()
-            if (e := (key >> shift) & _FIELD)})
+        # lowering one exponent maps the surviving monomials one to one, and
+        # num * e is never zero: over den 1 the result is already canonical
+        nums = {key - unit: num * e for key, num in self._nums.items()
+                if (e := (key >> shift) & _FIELD)}
+        build = Polynomial._of if self.den == 1 else Polynomial._canonical
+        return build(self.dim, self.den, nums)
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Evaluate in floating point: per term, the coefficient num / den

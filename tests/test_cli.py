@@ -73,6 +73,18 @@ def test_oscillator_damped(tmp_path):
     assert read(rep)["max_err"] < 1e-6
 
 
+def test_short_oscillator_run_estimates_the_order_from_enough_steps(tmp_path):
+    # 10 steps: order runs at 8 * dt and 4 * dt would take 1 and 2 steps and
+    # read order ~2.2; at t_end / 16 and t_end / 32 they read ~4
+    rep = tmp_path / "rep.json"
+    code = run(["oscillator", "--epsilon=0", "--v0=1", "--l=1", "--t-end=0.1", "--dt=0.01",
+                "--report", rep])
+    report = read(rep)
+    assert report["max_err"] < 1e-6
+    assert 3.8 <= report["order_estimate"] < 4.2
+    assert code == 0
+
+
 def test_hamiltonian_fixtures(tmp_path):
     for name in ("hamiltonian_n2.json", "hamiltonian_n4.json"):
         rep = tmp_path / f"{name}.out"

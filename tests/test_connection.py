@@ -16,6 +16,7 @@ from genform.connection import (
     case_ii_curvature_formula,
     cov_deriv_vf,
     cov_deriv_vf_along,
+    cov_d_tensor_ordinary,
     cov_deriv_vf_expansion,
     cov_ext_d_tensor,
     curvature,
@@ -33,7 +34,7 @@ from genform.connection import (
     torsion,
     transform_connection,
 )
-from genform.exterior import OrdinaryForm, Tensor11, VectorField
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, wedge_dot
 from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
@@ -572,3 +573,107 @@ def test_nonzero_residual_still_raises_and_fails_the_command(case, name, monkeyp
     report = json.loads(out.read_text())
     assert report["pass"] is False
     assert "non-metricity residual nonzero" in report["error"]
+
+
+# -- the folded signed sums against the matrix compositions they replace --------------
+
+
+def composed_cov_d_tensor_ordinary(alpha, t, degree):
+    second = conn.mat_mul(t, alpha, wedge_dot)
+    if degree % 2 == 0:
+        second = conn.mat_neg(second)
+    return conn.mat_add(conn.mat_add(conn.mat_ext_d(t), conn.mat_mul(alpha, t, wedge_dot)), second)
+
+
+def composed_cov_ext_d_tensor(A, P, p):
+    second = conn.mat_mul(P, A.entries, gwedge_dot)
+    if p % 2 == 0:
+        second = conn.mat_neg(second)
+    return conn.mat_add(conn.mat_add(conn.mat_gd(P), conn.mat_mul(A.entries, P, gwedge_dot)),
+                        second)
+
+
+def composed_nonmetricity(A, g):
+    gA = conn.mat_mul(g.entries, A.entries, gwedge_dot)
+    gtA = conn.mat_mul(conn.transpose(g.entries), A.entries, gwedge_dot)
+    return conn.mat_sub(conn.mat_sub(conn.mat_gd(g.entries), gA), conn.transpose(gtA))
+
+
+def composed_nonmetricity_ordinary(alpha, gamma):
+    gamma = conn._scalar_forms(gamma)
+    gamma_alpha = conn.mat_mul(gamma, alpha, wedge_dot)
+    gammat_alpha = conn.mat_mul(conn.transpose(gamma), alpha, wedge_dot)
+    return conn.mat_sub(conn.mat_sub(conn.mat_ext_d(gamma), gamma_alpha),
+                        conn.transpose(gammat_alpha))
+
+
+def composed_cov_d_lowered(alpha, t):
+    alpha_t = conn.transpose(alpha)
+    first = conn.mat_mul(alpha_t, t, wedge_dot)
+    second = conn.mat_mul(alpha_t, conn.transpose(t), wedge_dot)
+    return conn.mat_sub(conn.mat_sub(conn.mat_ext_d(t), first), conn.transpose(second))
+
+
+def composed_cov_deriv_vf_expansion(A, V):
+    v = conn._column(V.v.component_forms())
+    theta = conn._column(V.vt.row_forms())
+    alpha, beta = A.alpha(), A.beta()
+    body = conn.mat_sub(conn.mat_add(conn.mat_ext_d(v), conn.mat_mul(alpha, v, wedge_dot)),
+                        conn._scale_matrix(theta, A.epsilon))
+    soul = conn.mat_add(conn.mat_add(conn.mat_ext_d(theta), conn.mat_mul(alpha, theta, wedge_dot)),
+                        conn.mat_mul(beta, v, wedge_dot))
+    return conn.transpose(conn._gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
+
+
+def composed_case_i_soul(mc):
+    chi_up = conn.mat_mul(conn._scalar_forms(mc.g.gamma_inv), mc.g.chi(), wedge_dot)
+    soul = conn.mat_sub(conn.mat_mul(mc.fcal, chi_up, wedge_dot),
+                        conn.mat_mul(chi_up, mc.fcal, wedge_dot))
+    return conn._scale_matrix(soul, Fraction(1, 2))
+
+
+def composed_case_ii_soul(mc):
+    gamma_inv = conn._scalar_forms(mc.g.gamma_inv)
+    fcal_up = conn.mat_mul(mc.fcal, gamma_inv, wedge_dot)
+    soul = conn.mat_sub(conn.transpose(conn.mat_mul(mc.q, fcal_up, wedge_dot)),
+                        conn.mat_mul(conn._raise_both(gamma_inv, mc.q),
+                                     conn.transpose(mc.fcal_low), wedge_dot))
+    return conn._scale_matrix(soul, Fraction(-1, 2) / mc.A.epsilon)
+
+
+def souls(m):
+    return tuple(tuple(e.soul for e in row) for row in m)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_folded_sums_equal_their_matrix_compositions(dim):
+    for eps in EPSILONS:
+        rnd = FormRandom(80 + dim, dim, eps)
+        for trial in range(2):
+            A = rnd.connection()
+            p = trial if dim == 2 else 2 * trial + 1  # even and odd degrees
+            t = tuple(tuple(rnd.form(p) for _ in range(dim)) for _ in range(dim))
+            P = tuple(tuple(rnd.genform(p) for _ in range(dim)) for _ in range(dim))
+            alpha = A.alpha()
+            gamma, gamma_inv = rnd.metric_pieces()
+            g = metric_validate(gamma, rnd.symmetric_one_forms(), gamma_inv, eps)
+            V = rnd.gen_vector_field()
+            assert (cov_d_tensor_ordinary(alpha, t, p)
+                    == composed_cov_d_tensor_ordinary(alpha, t, p))
+            assert cov_ext_d_tensor(A, P) == composed_cov_ext_d_tensor(A, P, p)
+            assert bianchi_residual(A) == composed_cov_ext_d_tensor(A, curvature(A), 2)
+            assert nonmetricity(A, g) == composed_nonmetricity(A, g)
+            assert (nonmetricity_ordinary(alpha, gamma)
+                    == composed_nonmetricity_ordinary(alpha, gamma))
+            assert conn.cov_d_lowered(alpha, t) == composed_cov_d_lowered(alpha, t)
+            assert cov_deriv_vf_expansion(A, V) == composed_cov_deriv_vf_expansion(A, V)
+    rnd = FormRandom(90 + dim, dim, Fraction(0))
+    gamma, gamma_inv = rnd.metric_pieces()
+    mc = metric_connection_eps0(gamma, rnd.symmetric_one_forms(),
+                                levi_civita_connection(gamma, gamma_inv), gamma_inv)
+    assert souls(case_i_curvature_formula(mc)) == composed_case_i_soul(mc)
+    rnd = FormRandom(95 + dim, dim, Fraction(-1, 2))
+    gamma, gamma_inv = rnd.metric_pieces()
+    mc = metric_connection_eps(gamma, rnd.torsion_free_alpha(), gamma_inv, Fraction(-1, 2))
+    assert not conn.mat_is_zero(mc.q)
+    assert souls(case_ii_curvature_formula(mc)) == composed_case_ii_soul(mc)

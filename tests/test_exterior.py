@@ -23,6 +23,7 @@ from genform.exterior import (
     vf_bracket,
     wedge,
     wedge_dot,
+    wedge_sum,
 )
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial, poly_dot
@@ -394,13 +395,30 @@ def random_row_and_column(rnd: FormRandom, left, right) -> tuple[list, list]:
     return row, col
 
 
+def reference_signed_sum(product):
+    """sum of s * product(a, b) over (s, a, b) triples as a left fold of +
+    over the products, negated where s = -1: the reference path for the
+    signed sums."""
+    return lambda triples: reduce(operator.add, (product(a, b) if s > 0 else -product(a, b)
+                                                 for s, a, b in triples))
+
+
+def random_signs(rng: random.Random, row, col) -> list:
+    """(s, a, b) triples of row and col with random signs s = +-1."""
+    return [(rng.choice((1, -1)), a, b) for a, b in zip(row, col)]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_wedge_dot_matches_the_fold_of_wedges(dim):
     rnd = FormRandom(40 + dim, dim, Fraction(0))
     reference = reference_dot(reference_wedge)
+    signed_reference, signs = reference_signed_sum(reference_wedge), random.Random(40 + dim)
     for _ in range(25):
         row, col = random_row_and_column(rnd, random_entry, random_entry)
         got, want = wedge_dot(row, col), reference(row, col)
+        assert (got.dim, got.degree, got.components) == (want.dim, want.degree, want.components)
+        triples = random_signs(signs, row, col)
+        got, want = wedge_sum(triples), signed_reference(triples)
         assert (got.dim, got.degree, got.components) == (want.dim, want.degree, want.components)
         for a, b in zip(row, col):
             got, want = wedge(a, b), reference_wedge(a, b)
@@ -417,6 +435,11 @@ def test_wedge_dot_raises_where_the_fold_raises():
     for row, col in cases:
         with pytest.raises(ValueError):
             wedge_dot(row, col)
+    for row, col in cases[:2]:
+        with pytest.raises(ValueError):
+            wedge_sum([(1, row[0], col[0]), (-1, row[1], col[1])])
+    with pytest.raises(ValueError):
+        wedge_sum([])
     with pytest.raises(ValueError):
         wedge(dx(2, 1), dx3)
     for row, col in cases[:2]:

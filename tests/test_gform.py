@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -16,6 +17,7 @@ from genform.gform import (
     gpullback,
     gwedge,
     gwedge_dot,
+    gwedge_sum,
 )
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
@@ -276,6 +278,18 @@ def reference_dot(product):
     return lambda row, col: reduce(operator.add, map(product, row, col))
 
 
+def reference_signed_sum(product):
+    """sum of s * product(a, b) over (s, a, b) triples as a left fold of +
+    over the products, negated where s = -1."""
+    return lambda triples: reduce(operator.add, (product(a, b) if s > 0 else -product(a, b)
+                                                 for s, a, b in triples))
+
+
+def random_signs(rng: random.Random, row, col) -> list:
+    """(s, a, b) triples of row and col with random signs s = +-1."""
+    return [(rng.choice((1, -1)), a, b) for a, b in zip(row, col)]
+
+
 def reference_gwedge(a: GenForm, b: GenForm) -> GenForm:
     """The extended product from three ordinary wedges."""
     a._require_compatible(b)
@@ -334,9 +348,13 @@ def random_row_and_column(rnd: FormRandom, left, right) -> tuple[list, list]:
 def test_gwedge_dot_matches_the_fold_of_products(dim):
     rnd = FormRandom(50 + dim, dim, EPSILONS[dim % len(EPSILONS)])
     reference = reference_dot(reference_gwedge)
+    signed_reference, signs = reference_signed_sum(reference_gwedge), random.Random(50 + dim)
     for _ in range(20):
         row, col = random_row_and_column(rnd, random_entry, random_entry)
         assert stored(gwedge_dot(row, col)) == stored(reference(row, col))
+        # odd-degree columns flip the sign of the soul pair alpha' beta
+        triples = random_signs(signs, row, col)
+        assert stored(gwedge_sum(triples)) == stored(signed_reference(triples))
         for a, b in zip(row, col):
             assert stored(gwedge(a, b)) == stored(reference_gwedge(a, b))
 
@@ -392,6 +410,10 @@ def test_dots_raise_where_the_fold_raises():
         for dot in (gwedge_dot, reference_dot(reference_gwedge)):
             with pytest.raises(ValueError):
                 dot(row, col)
+        with pytest.raises(ValueError):
+            gwedge_sum([(-1, row[0], col[0]), (1, row[1], col[1])])
+    with pytest.raises(ValueError):
+        gwedge_sum([])
     with pytest.raises(ValueError):
         gwedge_dot((dx1,), (dx2, dx1))
     for forms in ((dx1, GenForm.one(3, eps)), (dx1, GenForm.one(2, 2)), (dx1, GenForm.one(2, eps)),

@@ -231,6 +231,40 @@ def test_bracket_jacobi():
             assert total.is_zero()
 
 
+def composite_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
+    """[V, W] as built before the signed sums: every piece of
+    v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt] is a Tensor11 of
+    its own, and the commutators are Tensor11.matmul products."""
+    v, w = V.v, W.v
+
+    def derivative(u: VectorField, t: Tensor11) -> Tensor11:
+        return Tensor11([[u.derivative(x) for x in row] for row in t.components])
+
+    def jacobian(u: VectorField) -> Tensor11:
+        return Tensor11([[c.partial(a) for a in range(1, u.dim + 1)] for c in u.components])
+
+    def commutator(s: Tensor11, t: Tensor11) -> Tensor11:
+        return s.matmul(t) - t.matmul(s)
+
+    vt = (derivative(v, W.vt) - derivative(w, V.vt)
+          + commutator(jacobian(w), V.vt) - commutator(jacobian(v), W.vt)
+          + commutator(V.vt, W.vt).scale(V.epsilon))
+    vw = VectorField([v.derivative(wc) - w.derivative(vc)
+                      for vc, wc in zip(v.components, w.components)])
+    return GenVectorField(V.dim, V.epsilon, vw, vt)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_brackets_equal_the_composite_formula(dim):
+    for eps in (Fraction(0), Fraction(-3, 2)):
+        rnd = FormRandom(30 + dim, dim, eps)
+        for _ in range(4):
+            V, W = rnd.gen_vector_field(), rnd.gen_vector_field()
+            want = composite_bracket(V, W)
+            assert gv_bracket(V, W) == want
+            assert vf_bracket(V.v, W.v) == want.v
+
+
 def test_quaternion_triple_validates():
     js = quaternion_triple()
     validate_quaternion_triple(js)
