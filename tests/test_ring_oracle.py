@@ -27,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from genform import ring  # noqa: E402
+from genform.exterior import OrdinaryForm, ext_d, pullback, wedge  # noqa: E402
 from genform.ring import MAX_EXPONENT, ExpPoly, Polynomial  # noqa: E402
 
 QQ = sympy.QQ
@@ -378,6 +379,89 @@ def test_compose_matches_sympy(single, target_dim, data):
     image = to_sympy(p).as_expr().xreplace(
         {x: to_sympy(a, "y").as_expr() for x, a in zip(_gens(p.dim), args)})
     assert_same(p.compose(args), sympy.Poly(image, *ys, domain=QQ))
+
+
+def composed_by_sympy(p: Polynomial, args) -> "sympy.Poly":
+    """p(args) by sympy's own arithmetic: per term, the coefficient times
+    the product of each argument's power, summed."""
+    target = args[0].dim
+    image = sympy.Poly(0, *_gens(target, "y"), domain=QQ)
+    for exps, coeff in p.terms.items():
+        term = sympy.Poly(QQ(coeff.numerator, coeff.denominator), *_gens(target, "y"),
+                          domain=QQ)
+        for arg, e in zip(args, exps):
+            term *= to_sympy(arg, "y") ** e
+        image += term
+    return image
+
+
+@st.composite
+def compositions(draw):
+    """(p, args): p in 1-4 variables with exponents up to 6, shared between
+    terms as often as not, and one argument per variable in 1-4 variables,
+    any of them zero; coefficients with denominators up to 6 on both sides."""
+    source, target = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # each variable's exponents come from a pool of one or two, so terms share powers
+    pools = [draw(st.lists(st.integers(0, 6), min_size=1, max_size=2)) for _ in range(source)]
+    keys = st.tuples(*map(st.sampled_from, pools))
+    p = Polynomial(source, draw(st.dictionaries(keys, rationals, max_size=4)))
+    arg_keys = st.tuples(*[st.integers(0, 2)] * target)
+    args = [Polynomial(target, draw(st.dictionaries(arg_keys, rationals, max_size=3)))
+            for _ in range(source)]
+    return p, args
+
+
+@ORACLE
+@given(compositions())
+def test_compose_of_any_dimensions_matches_sympy(case):
+    p, args = case
+    assert_same(p.compose(args), composed_by_sympy(p, args))
+
+
+COMPOSE_CASES = {
+    "zero polynomial": ("0", 2, ["1*x1 + 1", "1/2*x2"]),
+    "zero argument": ("1*x1^3*x2 + 2*x2^2 + 1/3", 3, ["0", "1*x1 + -1*x3"]),
+    "all arguments zero": ("1*x1^2 + 5/2", 1, ["0", "0"]),
+    "repeated powers": ("1*x1^4 + 1*x1^4*x2 + -1/5*x1^4*x2^4 + 1*x2^4", 2,
+                        ["1/2*x1 + 1*x2", "1*x1*x2 + -2/3"]),
+    "high exponents": ("1*x1^12*x2^9 + -3/7*x1^9", 1, ["1/2*x1 + 1", "1*x1^2 + -1"]),
+    "dim 4 to dim 1": ("1*x1*x2*x3*x4 + 1*x4^5 + 2/3*x1^2*x3", 1,
+                       ["1*x1", "1/3", "1*x1^2 + 1/2", "-1*x1 + 3"]),
+    "dim 1 to dim 4": ("1*x1^6 + -1/2*x1^3 + 7", 4, ["1/2*x1 + 1*x2*x3 + -1*x4^2"]),
+}
+
+
+@pytest.mark.parametrize("text, target, arg_texts", COMPOSE_CASES.values(),
+                         ids=COMPOSE_CASES.keys())
+def test_compose_edge_cases_match_sympy(text, target, arg_texts):
+    args = [Polynomial.parse(target, a) for a in arg_texts]
+    p = Polynomial.parse(len(args), text)
+    assert_same(p.compose(args), composed_by_sympy(p, args))
+
+
+def pullback_by_compose(phi, a):
+    """The pullback of a with each coefficient composed on its own: the sum
+    over components of compose(coefficient) d phi^i1 ^ ... ^ d phi^ip."""
+    dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
+    result = OrdinaryForm.zero(phi[0].dim, a.degree)
+    for idxs, coeff in a.components.items():
+        term = OrdinaryForm.from_scalar(coeff.compose(list(phi)))
+        for i in idxs:
+            term = wedge(term, dphi[i - 1])
+        result = result + term
+    return result
+
+
+@ORACLE
+@given(st.data())
+def test_pullback_equals_per_coefficient_compose(data):
+    p, phi = data.draw(compositions())
+    degree = data.draw(st.integers(0, p.dim))
+    indices = st.lists(st.integers(1, p.dim), min_size=degree, max_size=degree, unique=True)
+    comps = {tuple(sorted(data.draw(indices))): q
+             for q in [p, p * p, Polynomial.var(p.dim, 1)]}
+    a = OrdinaryForm(p.dim, degree, comps)
+    assert pullback(phi, a) == pullback_by_compose(phi, a)
 
 
 @ORACLE
