@@ -167,10 +167,34 @@ def curvature_expansion(A: GenConnection) -> GenMatrix:
     return _gen_matrix(A.dim, A.epsilon, 2, body, cov_d_tensor_ordinary(alpha, beta, 2))
 
 
-def bianchi_residual(A: GenConnection) -> GenMatrix:
-    """dF + A F - F A, the covariant derivative of F = curvature(A);
-    identically zero for every connection."""
-    return cov_ext_d_tensor(A, curvature(A))
+def bianchi_residual(A: GenConnection, F: GenMatrix) -> GenMatrix:
+    """Component path of dF + A F - F A for a degree-2 F = F_b + F_s m and
+    A = alpha + beta m:
+
+        body  dF_b - eps F_s + alpha F_b - F_b alpha
+        soul  dF_s + alpha F_s + beta F_b - F_b beta + F_s alpha
+
+    The matrix path is ``cov_ext_d_tensor(A, F)``.  For the curvature of A,
+    such as ``curvature_expansion(A)``, both are identically zero (Bianchi).
+    """
+    n, eps, alpha, beta = A.dim, A.epsilon, A.alpha(), A.beta()
+    fb = tuple(tuple(e.body for e in row) for row in F)
+    fs = tuple(tuple(e.soul for e in row) for row in F)
+
+    def body(i: int, j: int) -> OrdinaryForm:
+        sums = wedge_sum([(1, alpha[i][k], fb[k][j]) for k in range(n)]
+                         + [(-1, fb[i][k], alpha[k][j]) for k in range(n)])
+        d = ext_d(fb[i][j])
+        return (d - fs[i][j].scale(eps) if eps else d) + sums
+
+    def soul(i: int, j: int) -> OrdinaryForm:
+        return ext_d(fs[i][j]) + wedge_sum(
+            [(1, alpha[i][k], fs[k][j]) for k in range(n)]
+            + [(1, beta[i][k], fb[k][j]) for k in range(n)]
+            + [(-1, fb[i][k], beta[k][j]) for k in range(n)]
+            + [(1, fs[i][k], alpha[k][j]) for k in range(n)])
+
+    return _gen_matrix(n, eps, 3, _square(n, body), _square(n, soul))
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, poly_dot
+from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, compose_all, poly_dot
 
 IndexTuple = tuple[int, ...]
 
@@ -500,7 +500,9 @@ def coordinate_partial(a: OrdinaryForm, axis: int) -> OrdinaryForm:
 def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
     """Pull back along the polynomial map y -> (phi_1(y), ..., phi_n(y)).
 
-    phi has a.dim entries, each a polynomial in the source coordinates.
+    phi has a.dim entries, each a polynomial in the source coordinates.  The
+    coefficients are composed together (``ring.compose_all``), so each power
+    phi_i^e is formed once per call.
     """
     if len(phi) != a.dim:
         raise ValueError(f"map has {len(phi)} components, form lives in dim {a.dim}")
@@ -509,8 +511,8 @@ def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
         raise ValueError("map components must share one source dimension")
     dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
     result = OrdinaryForm.zero(source_dim, a.degree)
-    for idxs, coeff in a.components.items():
-        term = OrdinaryForm.from_scalar(coeff.compose(list(phi)))
+    for idxs, coeff in zip(a.components, compose_all(list(a.components.values()), phi)):
+        term = OrdinaryForm.from_scalar(coeff)
         for i in idxs:
             term = wedge(term, dphi[i - 1])
         result = result + term

@@ -41,7 +41,7 @@ class GenForm:
     def __init__(self, dim: int, epsilon: Scalar, degree: int,
                  body: OrdinaryForm | None = None, soul: OrdinaryForm | None = None):
         self.dim = dim
-        self.epsilon = Fraction(epsilon)
+        self.epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
         self.degree = degree
         body = body if body is not None else OrdinaryForm.zero(dim, degree)
         soul = soul if soul is not None else OrdinaryForm.zero(dim, degree + 1)
@@ -100,7 +100,7 @@ class GenForm:
     def _require_compatible(self, other: "GenForm") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.epsilon != other.epsilon:
+        if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
             raise ValueError(f"epsilon mismatch: {self.epsilon} vs {other.epsilon}")
 
     def __add__(self, other: "GenForm") -> "GenForm":
@@ -206,7 +206,7 @@ def gd(a: GenForm) -> GenForm:
     """Exterior derivative:
     body' = d(body) + (-1)^(p+1) eps soul,  soul' = d(soul)."""
     body = ext_d(a.body)
-    if a.epsilon != 0:
+    if a.epsilon:
         eps_term = a.soul.scale(a.epsilon)
         if (a.degree + 1) % 2:
             eps_term = -eps_term

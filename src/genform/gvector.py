@@ -54,7 +54,7 @@ class GenVectorField:
         if v.dim != dim or vt.dim != dim:
             raise ValueError("component dimension mismatch")
         self.dim = dim
-        self.epsilon = Fraction(epsilon)
+        self.epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
         self.v = v
         self.vt = vt
 
@@ -85,7 +85,7 @@ class GenVectorField:
     def _require_compatible(self, other) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.epsilon != other.epsilon:
+        if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
             raise ValueError(f"epsilon mismatch: {self.epsilon} vs {other.epsilon}")
 
     def __add__(self, other: "GenVectorField") -> "GenVectorField":
@@ -135,7 +135,7 @@ def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
     """
     if V.dim != a.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
-    if V.epsilon != a.epsilon:
+    if V.epsilon is not a.epsilon and V.epsilon != a.epsilon:
         raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
     hooks, components, sign = _hooks(a.body), V.v.component_forms(), _sign(a.degree - 1)
     body = wedge_dot(components, hooks)
@@ -192,7 +192,7 @@ def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
     eps theta^a is scaled once, and the three soul products are one signed
     sum.
     """
-    if V.dim != a.dim or V.epsilon != a.epsilon:
+    if V.dim != a.dim or (V.epsilon is not a.epsilon and V.epsilon != a.epsilon):
         raise ValueError("dimension/epsilon mismatch")
     n, p, eps = a.dim, a.degree, a.epsilon
     theta, hooks = V.vt.row_forms(), _hooks(a.body)
@@ -229,7 +229,7 @@ def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     axes = range(1, V.dim + 1)
     jv, jw = ([[c.partial(b) for b in axes] for c in x] for x in (v, w))
     products = [(1, jw, vt), (-1, vt, jw), (-1, jv, wt), (1, wt, jv)]  # (s, X, Y): s X Y
-    if V.epsilon != 0:
+    if V.epsilon:
         eps_vt = [[x * V.epsilon for x in row] for row in vt]
         products += [(1, eps_vt, wt), (-1, wt, eps_vt)]
     products = [(s, x, transpose(y)) for s, x, y in products]  # Y by columns

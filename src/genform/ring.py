@@ -46,6 +46,14 @@ Each operand's extent and fiber encodings are computed once and kept on it.
 Both give the same den and numerators; only the schoolbook loop fixes the
 term order of a * b, which ``eval_float`` sums in.
 
+Substitution is built on the same kernel.  ``compose_all(polys, args)``
+forms each power args[i]**e that the polys need once, by one product from
+the power below it, and sums each composite in one kernel call, a term
+c * x^e entering as the triple (1, c times all its powers but the last, the
+last power).  ``Polynomial.compose`` is its one-polynomial case, and
+``exterior.pullback`` composes all of a form's coefficients in one call, so
+each power of the map's components is formed once per pullback.
+
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
 when their exponents are structurally identical; this syntactic convention is
@@ -249,13 +257,15 @@ class Polynomial:
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
             if len(exps) != dim:
                 raise ValueError(f"exponent vector {exps} has length != dim={dim}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            if coeff:
                 coeffs[_pack(exps)] = coeff
+        # an int or a Fraction is a reduced numerator over a denominator, and
         # the lcm of reduced denominators is already coprime with the numerators
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._set(dim, den, {key: c.numerator * (den // c.denominator)
@@ -305,7 +315,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, dim: int, value: Scalar) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def one(cls, dim: int) -> "Polynomial":
@@ -318,7 +328,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range 1..{dim}")
         exps = [0] * dim
         exps[index - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls(dim, {tuple(exps): 1})
 
     @classmethod
     def parse(cls, dim: int, text: str) -> "Polynomial":
@@ -390,7 +400,7 @@ class Polynomial:
 
     def __sub__(self, other):
         if isinstance(other, (Polynomial, int, Fraction)):
-            return self + (-other if isinstance(other, Polynomial) else Fraction(-1) * other)
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -477,10 +487,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return Polynomial.sum_products(((1, self, other),))
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return Polynomial._canonical(self.dim, self.den * s.denominator,
-                                         {key: num * s.numerator
-                                          for key, num in self._nums.items()})
+            num_s, den_s = other.numerator, other.denominator
+            return Polynomial._canonical(self.dim, self.den * den_s,
+                                         {key: num * num_s for key, num in self._nums.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -536,18 +545,9 @@ class Polynomial:
         return total
 
     def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute args[i] for x_{i+1}; all args share one dimension."""
-        if len(args) != self.dim:
-            raise ValueError(f"need {self.dim} substitution polynomials, got {len(args)}")
-        target_dim = args[0].dim
-        result = Polynomial.zero(target_dim)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.const(target_dim, coeff)
-            for arg, e in zip(args, exps):
-                if e:
-                    term = term * arg ** e
-            result = result + term
-        return result
+        """Substitute args[i] for x_{i+1}; all args share one dimension.  The
+        one-polynomial case of ``compose_all``."""
+        return compose_all((self,), args)[0]
 
     # -- equality / hashing / printing -------------------------------------
 
@@ -587,6 +587,44 @@ def poly_dot(row: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial
     """sum_k row[k] * col[k] in one kernel call: the row-times-column
     function of polynomial matrices for ``exterior.mat_mul``."""
     return Polynomial.sum_products([(1, a, b) for a, b in zip(row, col, strict=True)])
+
+
+def compose_all(polys: Sequence[Polynomial], args: Sequence[Polynomial]) -> list[Polynomial]:
+    """[p.compose(args) for p in polys]: args[i] substituted for x_{i+1} in
+    each p, all args of one dimension.
+
+    Each power args[i]**e that a term of any p needs is formed once, by one
+    product from the power below it.  Each p(args) is one kernel call: a term
+    c * x^e enters as the triple (1, c times all of its powers but the last,
+    the last power), a constant term as (1, c, 1).
+    """
+    dim = len(args)
+    for p in polys:
+        if p.dim != dim:
+            raise ValueError(f"need {p.dim} substitution polynomials, got {dim}")
+    target = args[0].dim
+    one = Polynomial._of(target, 1, {0: 1})
+    terms = [[(_unpack(key, dim), num) for key, num in p._nums.items()] for p in polys]
+    tops = [0] * dim
+    for exps, _ in itertools.chain.from_iterable(terms):
+        tops = list(map(max, tops, exps))
+    powers = []
+    for arg, top in zip(args, tops):
+        row = [one, arg]
+        while len(row) <= top:
+            row.append(row[-1] * arg)
+        powers.append(row)
+    out = []
+    for p, p_terms in zip(polys, terms):
+        triples = []
+        for exps, num in p_terms:
+            factors = [row[e] for row, e in zip(powers, exps) if e] or [one]
+            left = Polynomial._canonical(target, p.den, {0: num})
+            for factor in factors[:-1]:
+                left = left * factor
+            triples.append((1, left, factors[-1]))
+        out.append(Polynomial.sum_products(triples) if triples else Polynomial.zero(target))
+    return out
 
 
 class ExpPoly:

@@ -61,7 +61,7 @@ class SuperFunction:
 
     def __init__(self, dim: int, epsilon: Scalar, terms: Mapping[int, Polynomial] | None = None):
         self.dim = dim
-        self.epsilon = Fraction(epsilon)
+        self.epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
         clean: dict[int, Polynomial] = {}
         if terms:
             for mask, coeff in terms.items():
@@ -87,7 +87,8 @@ class SuperFunction:
         return not self.terms
 
     def _require_compatible(self, other: "SuperFunction") -> None:
-        if self.dim != other.dim or self.epsilon != other.epsilon:
+        if self.dim != other.dim or (self.epsilon is not other.epsilon
+                                     and self.epsilon != other.epsilon):
             raise ValueError("dimension/epsilon mismatch")
 
     def __add__(self, other: "SuperFunction") -> "SuperFunction":
@@ -229,7 +230,7 @@ def super_d(f: SuperFunction) -> SuperFunction:
     for axis in range(1, f.dim + 1):
         zeta = SuperFunction(f.dim, f.epsilon, {1 << (axis - 1): Polynomial.one(f.dim)})
         result = result + zeta.mul(f.coordinate_partial(axis))
-    if f.epsilon != 0:
+    if f.epsilon:
         result = result + f.odd_derivative(f.dim).scale(f.epsilon)
     return result
 

@@ -86,13 +86,39 @@ def test_bianchi_identity(dim):
         rnd = FormRandom(2 + dim, dim, eps)
         for _ in range(6):
             A = rnd.connection()
-            assert conn.mat_is_zero(bianchi_residual(A))
+            assert conn.mat_is_zero(bianchi_residual(A, curvature_expansion(A)))
     # pure-soul connection
     rnd = FormRandom(50, dim, Fraction(1))
     beta = tuple(tuple(rnd.form(2) for _ in range(dim)) for _ in range(dim))
     alpha = tuple(tuple(OrdinaryForm.zero(dim, 1) for _ in range(dim)) for _ in range(dim))
     A = GenConnection.from_parts(alpha, beta, Fraction(1))
-    assert conn.mat_is_zero(bianchi_residual(A))
+    assert conn.mat_is_zero(bianchi_residual(A, curvature_expansion(A)))
+
+
+def flipped_fs_alpha(A, P):
+    """bianchi_residual(A, P) with the sign of its F_s alpha term flipped."""
+    n, alpha, got = A.dim, A.alpha(), bianchi_residual(A, P)
+    fs = souls(P)
+    return conn._square(n, lambda i, j: GenForm(
+        n, A.epsilon, 3, got[i][j].body,
+        got[i][j].soul - wedge_dot(fs[i], [row[j] for row in alpha]).scale(2)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bianchi_component_path_equals_the_gform_path(dim):
+    """The body/soul expansion of dF + AF - FA against the matrix path
+    ``cov_ext_d_tensor`` on random degree-2 matrices, where neither is zero,
+    and on the curvature, where both are.  The degree-4 soul terms such as
+    F_s alpha live at dim 4 only, where a flipped sign must show."""
+    for eps in EPSILONS:
+        rnd = FormRandom(60 + dim, dim, eps)
+        A = rnd.connection()
+        P = tuple(tuple(rnd.genform(2) for _ in range(dim)) for _ in range(dim))
+        want = cov_ext_d_tensor(A, P)
+        assert bianchi_residual(A, P) == want
+        assert (flipped_fs_alpha(A, P) == want) is (dim < 4)
+        assert conn.mat_is_zero(bianchi_residual(A, curvature_expansion(A)))
+        assert conn.mat_is_zero(cov_ext_d_tensor(A, curvature(A)))
 
 
 def test_bianchi_via_cov_ext_d():
@@ -661,7 +687,8 @@ def test_folded_sums_equal_their_matrix_compositions(dim):
             assert (cov_d_tensor_ordinary(alpha, t, p)
                     == composed_cov_d_tensor_ordinary(alpha, t, p))
             assert cov_ext_d_tensor(A, P) == composed_cov_ext_d_tensor(A, P, p)
-            assert bianchi_residual(A) == composed_cov_ext_d_tensor(A, curvature(A), 2)
+            assert (bianchi_residual(A, curvature_expansion(A))
+                    == composed_cov_ext_d_tensor(A, curvature(A), 2))
             assert nonmetricity(A, g) == composed_nonmetricity(A, g)
             assert (nonmetricity_ordinary(alpha, gamma)
                     == composed_nonmetricity_ordinary(alpha, gamma))

@@ -19,8 +19,10 @@ from genform.gform import (
     gwedge_dot,
     gwedge_sum,
 )
+from genform.gvector import GenVectorField, gv_interior
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
+from genform.superspace import SuperFunction
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -232,6 +234,22 @@ def test_epsilon_mismatch_rejected():
     b = GenForm.one(2, Fraction(2))
     with pytest.raises(ValueError):
         gwedge(a, b)
+
+
+@pytest.mark.parametrize("given", [1, Fraction(1), 0, Fraction(-3, 2), 0.5])
+def test_constructors_keep_a_fraction_epsilon_and_convert_the_rest(given):
+    """A Fraction epsilon is kept as it is, any other value becomes one, and
+    equal epsilons held as distinct objects stay compatible."""
+    v = VectorField([Polynomial.var(2, 1), Polynomial.zero(2)])
+    for x in (GenForm(2, given, 0), GenVectorField.ordinary(v, given),
+              SuperFunction(2, given)):
+        assert type(x.epsilon) is Fraction and x.epsilon == Fraction(given)
+        assert (x.epsilon is given) is isinstance(given, Fraction)
+    a, b = GenForm.one(2, given), GenForm.one(2, Fraction(given))
+    assert gwedge(a, b) == GenForm.one(2, given)
+    assert gv_interior(GenVectorField.ordinary(v, Fraction(given)), a).epsilon == given
+    assert SuperFunction.from_poly(Polynomial.one(2), given).mul(
+        SuperFunction.from_poly(Polynomial.one(2), Fraction(given))).terms
 
 
 def test_genform_json_round_trip():

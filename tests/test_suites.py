@@ -5,7 +5,9 @@ import pytest
 
 from genform import cli, suites
 from genform.exterior import mat_identity, vf_bracket
+from genform.gform import GenForm, gpullback
 from genform.suites import SUITE_NAMES, SUITES, run_suites
+from genform.superspace import SuperFunction, super_d
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -50,30 +52,50 @@ def test_report_shape():
     assert report["failures"] == []
 
 
-# _check calls per trial; each is one identity checked on the trial's inputs.
-CHECKS_PER_TRIAL = {"cartan": 4, "gform": 14, "super": 12, "gvector": 13, "connection": 8}
+# The cases each trial checks, in order; each is one identity checked on the
+# trial's inputs.
+CASES_PER_TRIAL = {
+    "cartan": ("interior_anticommute", "d_lie_commute", "lie_lie_bracket",
+               "lie_interior_bracket"),
+    "gform": ("d_squared", "antiderivation", "graded_commutativity", "associativity",
+              "lie_componentwise", "lie_leibniz", "degree0_interior_vs_lie",
+              "pullback_morphism", "pullback_d_commute", "pullback_preserves_m", "unit",
+              "m_squared", "interior_kills_m", "lie_kills_m"),
+    "super": ("roundtrip", "dict_product", "dict_d", "dict_interior_ordinary",
+              "dict_lie_ordinary", "dict_gv_interior", "dict_gv_lie", "lie_expansion",
+              "lie_expansion_ordinary", "grassmann_associativity", "grassmann_commutativity",
+              "grassmann_anticommutativity"),
+    "gvector": ("interior_leibniz", "anticommutator_closed_form", "xi_pair_anticommute",
+                "bracket_defining_relation", "jacobi", "lie_leibniz", "lie_expansion",
+                "reduces_to_ordinary_interior", "reduces_to_ordinary_lie",
+                "reduces_to_ordinary_bracket", "d_split_recomposition",
+                "modified_lie_scalar_case", "embed_zero_reduces"),
+    "connection": ("curvature_expansion", "bianchi", "bianchi_via_cov_d",
+                   "curvature_conjugation", "cov_deriv_expansion", "nonmetricity_expansion",
+                   "metric_inverse_two_sided", "metric_inverse_two_sided"),
+}
 
 
 def test_hooks_mark_each_trial_and_count_each_check(monkeypatch):
     # the benchmark wraps these module globals to mark trials and count checks
-    counts = []  # checks per trial, in trial order
+    cases = []  # the cases of each trial, in trial order
     trial_setup, check = suites._trial_setup, suites._check
 
     def counted_setup(*args):
-        counts.append(0)
+        cases.append([])
         return trial_setup(*args)
 
-    def counted_check(*args):
-        counts[-1] += 1  # IndexError for a check before the first trial starts
-        return check(*args)
+    def counted_check(report, case, *args):
+        cases[-1].append(case)  # IndexError for a check before the first trial starts
+        return check(report, case, *args)
 
     monkeypatch.setattr(suites, "_trial_setup", counted_setup)
     monkeypatch.setattr(suites, "_check", counted_check)
-    assert set(CHECKS_PER_TRIAL) == set(SUITE_NAMES)
+    assert set(CASES_PER_TRIAL) == set(SUITE_NAMES)
     for name in SUITE_NAMES:
-        counts.clear()
+        cases.clear()
         assert SUITES[name](2, Fraction(1), 3, 5).passed
-        assert counts == [CHECKS_PER_TRIAL[name]] * 3, name
+        assert cases == [list(CASES_PER_TRIAL[name])] * 3, name
 
 
 def _broken_bracket(v, w):
@@ -84,9 +106,22 @@ def _broken_identity(n, one, zero):
     return mat_identity(n, zero, zero)
 
 
-# A suite's module global swapped for a wrong one, and the cases it breaks.
+def _soulless_pullback(phi, a):
+    return gpullback(phi, GenForm(a.dim, a.epsilon, a.degree, a.body))
+
+
+def _super_d_without_epsilon(f):
+    return SuperFunction(f.dim, f.epsilon, super_d(SuperFunction(f.dim, 0, f.terms)).terms)
+
+
+# A suite's module global swapped for a wrong one, and the cases it breaks:
+# every case that reads the wrong value and can tell.  Dropping the soul is
+# itself an algebra map, so pullback_morphism, which reads the pullbacks of a,
+# b and a b, still holds.
 BREAKS = {
     "cartan": ("vf_bracket", _broken_bracket, {"lie_lie_bracket", "lie_interior_bracket"}),
+    "gform": ("gpullback", _soulless_pullback, {"pullback_d_commute", "pullback_preserves_m"}),
+    "super": ("super_d", _super_d_without_epsilon, {"dict_d"}),
     "gvector": ("vf_bracket", _broken_bracket, {"reduces_to_ordinary_bracket"}),
     "connection": ("mat_identity", _broken_identity, {"metric_inverse_two_sided"}),
 }
