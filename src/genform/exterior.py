@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, compose_all, poly_dot
+from .ring import Coefficient, ExpPoly, Polynomial, Scalar, compose_all, poly_dot
 
 IndexTuple = tuple[int, ...]
 
@@ -77,12 +77,21 @@ class OrdinaryForm:
         """Build an operation's result, whose index tuples are increasing and
         in range by construction: only drop zero coefficients and keep the
         zero form outside 0 <= degree <= dim.  Outside input goes through the
-        validating constructor."""
+        validating constructor.
+
+        The caller hands over a fresh dict that nothing else holds: it becomes
+        the form's components as it is, unless it holds a zero coefficient."""
         form = cls.__new__(cls)
         form.dim = dim
         form.degree = degree
-        form.components = ({idxs: c for idxs, c in components.items() if not c.is_zero()}
-                           if 0 <= degree <= dim else {})
+        if not 0 <= degree <= dim:
+            components = {}
+        else:
+            for c in components.values():  # a loop: cheaper than any() on one or two entries
+                if c.is_zero():
+                    components = {idxs: c for idxs, c in components.items() if not c.is_zero()}
+                    break
+        form.components = components
         return form
 
     # -- constructors ------------------------------------------------------
@@ -126,8 +135,10 @@ class OrdinaryForm:
         if other.is_zero():
             return self
         out = dict(self.components)
+        get = out.get
         for idxs, coeff in other.components.items():
-            _add_term(out, idxs, coeff)
+            acc = get(idxs)
+            out[idxs] = coeff if acc is None else acc + coeff
         return OrdinaryForm._canonical(self.dim, self.degree, out)
 
     def __sub__(self, other: "OrdinaryForm") -> "OrdinaryForm":
@@ -439,20 +450,29 @@ def wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
     return wedge_dot((a,), (b,))
 
 
+@cache
+def _d_table(dim: int, idxs: IndexTuple) -> tuple[tuple[int, int, IndexTuple], ...]:
+    """The (axis, sign, merged) of each axis 1..dim whose dx^axis ^ dx^idxs
+    survives, in axis order: ``merge_indices((axis,), idxs)`` once per pair."""
+    return tuple((axis, *merged) for axis in range(1, dim + 1)
+                 if (merged := merge_indices((axis,), idxs)) is not None)
+
+
 def ext_d(a: OrdinaryForm) -> OrdinaryForm:
     """Exterior derivative: sum_i dx^i ^ (d/dx^i of each component)."""
+    dim = a.dim
     out: dict[IndexTuple, Coefficient] = {}
+    get = out.get
     for idxs, coeff in a.components.items():
-        for axis in range(1, a.dim + 1):
+        for axis, sign, key in _d_table(dim, idxs):
             dc = coeff.partial(axis)
             if dc.is_zero():
                 continue
-            merged = merge_indices((axis,), idxs)
-            if merged is None:
-                continue
-            sign, key = merged
-            _add_term(out, key, dc if sign > 0 else -dc)
-    return OrdinaryForm._canonical(a.dim, a.degree + 1, out)
+            if sign < 0:
+                dc = -dc
+            acc = get(key)
+            out[key] = dc if acc is None else acc + dc
+    return OrdinaryForm._canonical(dim, a.degree + 1, out)
 
 
 def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:

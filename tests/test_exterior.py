@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from genform.exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
+    _d_table,
+    _hooks,
     coordinate_partial,
     ext_d,
     form_from_json,
@@ -465,3 +468,50 @@ def test_transpose():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(m) == ((1, 4), (2, 5), (3, 6))
     assert transpose(transpose(m)) == m
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_the_d_table_holds_the_merge_of_each_axis_in_axis_order(dim):
+    axes = range(1, dim + 1)
+    for degree in range(dim + 1):
+        for idxs in itertools.combinations(axes, degree):
+            table = _d_table(dim, idxs)
+            assert [axis for axis, _, _ in table] == [axis for axis in axes if axis not in idxs]
+            for axis, sign, merged in table:
+                assert merge_indices((axis,), idxs) == (sign, merged)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_form_results_own_their_components(dim):
+    """``OrdinaryForm._canonical`` keeps the dict it is handed, so every
+    result must be built in a dict of its own: no result shares its
+    components with an operand, and building more results leaves the
+    operands and the earlier results as they were."""
+    rnd = FormRandom(300 + dim, dim, Fraction(0))
+    for trial in range(8):
+        p = trial % dim
+        a, b, c = (_cubic_form(rnd, p) for _ in range(3))
+        a, b, c = (x if not x.is_zero() else dx(dim, *range(1, p + 1)) for x in (a, b, c))
+        operands = [x.components for x in (a, b, c)]
+        snapshot = [dict(d) for d in operands]
+        results = [a + b, a - b, b + c, ext_d(a), ext_d(b),
+                   wedge_sum([(1, a, ext_d(b)), (-1, c, ext_d(a))]), *_hooks(a), *_hooks(c)]
+        kept = [(r, dict(r.components)) for r in results]
+        results += [results[2] - a, wedge_sum([(1, results[3], c)])]
+        for r in results:
+            assert all(r.components is not d for d in operands)
+        assert [dict(d) for d in operands] == snapshot
+        assert all(r.components == before for r, before in kept)
+        ids = [id(r.components) for r in results]
+        assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_cancelling_sum_has_no_components(dim):
+    rnd = FormRandom(400 + dim, dim, Fraction(0))
+    for trial in range(6):
+        a = _cubic_form(rnd, trial % (dim + 1))
+        b = rnd.form(rnd.rng.randint(0, dim))
+        for r in (a + (-a), a - a, (-a) + a, ext_d(ext_d(a)),
+                  wedge_sum([(1, a, b), (-1, a, b)])):
+            assert r.components == {} and r.is_zero()

@@ -1,5 +1,6 @@
 import random
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -237,3 +238,36 @@ def test_exponent_limit():
             Polynomial.parse(2, text)
     with pytest.raises(ValueError):
         Polynomial(2, {(0, MAX_EXPONENT + 1): 1})
+
+
+def _same_polynomial(p: Polynomial, q: Polynomial) -> None:
+    assert (p.dim, p.den, p._nums) == (q.dim, q.den, q._nums)
+    assert list(p._nums.items()) == list(q._nums.items())
+    assert all(type(n) is int for n in p._nums.values()) and type(p.den) is int
+    assert p == q and hash(p) == hash(q)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("value", [0, 1, -1, 7, -12, True, False, Fraction(0), Fraction(4),
+                                   Fraction(-3, 4), Fraction(10, 6)])
+def test_direct_constants_equal_the_validating_constructor(dim, value):
+    _same_polynomial(Polynomial.const(dim, value), Polynomial(dim, {(0,) * dim: value}))
+    _same_polynomial(Polynomial.zero(dim), Polynomial(dim, {}))
+    _same_polynomial(Polynomial.one(dim), Polynomial(dim, {(0,) * dim: 1}))
+    assert Polynomial.const(dim, value).den == Fraction(value).denominator
+
+
+@pytest.mark.parametrize("value, exact", [(0.5, Fraction(1, 2)), (-0.75, Fraction(-3, 4)),
+                                          (Decimal("1.25"), Fraction(5, 4)), (0.0, Fraction(0))])
+def test_a_constant_of_another_type_converts_as_before(value, exact):
+    for dim in (1, 3):
+        _same_polynomial(Polynomial.const(dim, value), Polynomial(dim, {(0,) * dim: value}))
+        _same_polynomial(Polynomial.const(dim, value), Polynomial.const(dim, exact))
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_constants_of_a_dimension_below_one_raise(dim):
+    for build in (Polynomial.zero, Polynomial.one, lambda d: Polynomial.const(d, 3),
+                  lambda d: Polynomial.const(d, Fraction(1, 2)), lambda d: Polynomial.const(d, 0.5)):
+        with pytest.raises(ValueError):
+            build(dim)

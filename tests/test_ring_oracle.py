@@ -537,3 +537,53 @@ def test_exppoly_partial_matches_sympy(polys, axis):
 
     residual = sympy.diff(expr(f), gens[axis - 1]) - expr(f.partial(axis))
     assert sympy.expand(residual) == 0
+
+
+@st.composite
+def partial_cases(draw):
+    dim = draw(st.integers(1, 4))
+    return draw(st.one_of(st.just(Polynomial.zero(dim)), _poly(dim)))
+
+
+def _check_partials(p: Polynomial) -> None:
+    sp = to_sympy(p)
+    axes = range(1, p.dim + 1)
+    for i in axes:
+        first = p.partial(i)
+        assert_same(first, sp.diff(sp.gens[i - 1]))
+        for j in axes:
+            assert_same(first.partial(j), sp.diff(sp.gens[i - 1], sp.gens[j - 1]))
+    # the kept partials: a repeated call returns the object formed first
+    assert all(p.partial(i) is p.partial(i) for i in axes)
+    assert all(p.partial(i).partial(j) is p.partial(i).partial(j) for i in axes for j in axes)
+
+
+@ORACLE
+@given(partial_cases())
+def test_every_first_and_second_partial_matches_sympy(p):
+    _check_partials(p)
+
+
+@pytest.mark.parametrize("dim, text", [
+    (1, "0"), (4, "0"), (1, "5/3*x1^3 + -1/2"), (2, "3/4*x1^2*x2 + 1/6*x2^3 + 7"),
+    (3, "-2/9*x1*x2*x3^2 + 1/3*x3"), (4, "5/2*x1^3*x4 + -7/4*x2^2*x3 + 1/8*x4^2"),
+])
+def test_partials_of_named_polynomials_match_sympy(dim, text):
+    p = Polynomial.parse(dim, text)
+    assert p.den > 1 or p.is_zero()
+    _check_partials(p)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_an_axis_out_of_range_raises_before_and_after_the_partials_are_kept(dim):
+    p = Polynomial.parse(dim, f"3/2*x{dim}^2 + 1*x1")
+    for axis in (0, dim + 1, -1):
+        with pytest.raises(ValueError):
+            p.partial(axis)
+    assert p._partials is None
+    kept = [p.partial(axis) for axis in range(1, dim + 1)]
+    assert p._partials == kept
+    for axis in (0, dim + 1, -1):
+        with pytest.raises(ValueError):
+            p.partial(axis)
+    assert p._partials == kept
