@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, ExpPoly, Polynomial, Scalar, compose_all, poly_dot
+from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, compose_all, poly_dot
 
 IndexTuple = tuple[int, ...]
 
@@ -135,10 +135,8 @@ class OrdinaryForm:
         if other.is_zero():
             return self
         out = dict(self.components)
-        get = out.get
         for idxs, coeff in other.components.items():
-            acc = get(idxs)
-            out[idxs] = coeff if acc is None else acc + coeff
+            _add_term(out, idxs, coeff)
         return OrdinaryForm._canonical(self.dim, self.degree, out)
 
     def __sub__(self, other: "OrdinaryForm") -> "OrdinaryForm":
@@ -462,16 +460,12 @@ def ext_d(a: OrdinaryForm) -> OrdinaryForm:
     """Exterior derivative: sum_i dx^i ^ (d/dx^i of each component)."""
     dim = a.dim
     out: dict[IndexTuple, Coefficient] = {}
-    get = out.get
     for idxs, coeff in a.components.items():
         for axis, sign, key in _d_table(dim, idxs):
             dc = coeff.partial(axis)
             if dc.is_zero():
                 continue
-            if sign < 0:
-                dc = -dc
-            acc = get(key)
-            out[key] = dc if acc is None else acc + dc
+            _add_term(out, key, dc if sign > 0 else -dc)
     return OrdinaryForm._canonical(dim, a.degree + 1, out)
 
 

@@ -395,12 +395,6 @@ class Polynomial:
                 return self
             if not self._nums:
                 return other
-            if self.den == other.den == 1:
-                out = dict(self._nums)
-                get = out.get
-                for key, num in other._nums.items():
-                    out[key] = get(key, 0) + num
-                return Polynomial._canonical(self.dim, 1, out)
             # bring both numerators over lcm(den, other.den)
             g = math.gcd(self.den, other.den)
             scale, other_scale = other.den // g, self.den // g

@@ -24,7 +24,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from genform import ring  # noqa: E402
 from genform.exterior import OrdinaryForm, ext_d, pullback, wedge  # noqa: E402
@@ -545,7 +545,15 @@ def partial_cases(draw):
     return draw(st.one_of(st.just(Polynomial.zero(dim)), _poly(dim)))
 
 
-def _check_partials(p: Polynomial) -> None:
+@ORACLE
+@given(partial_cases())
+@example(Polynomial.zero(1))
+@example(Polynomial.zero(4))
+@example(Polynomial.parse(1, "5/3*x1^3 + -1/2"))
+@example(Polynomial.parse(2, "3/4*x1^2*x2 + 1/6*x2^3 + 7"))
+@example(Polynomial.parse(3, "-2/9*x1*x2*x3^2 + 1/3*x3"))
+@example(Polynomial.parse(4, "5/2*x1^3*x4 + -7/4*x2^2*x3 + 1/8*x4^2"))
+def test_every_first_and_second_partial_matches_sympy(p):
     sp = to_sympy(p)
     axes = range(1, p.dim + 1)
     for i in axes:
@@ -556,22 +564,6 @@ def _check_partials(p: Polynomial) -> None:
     # the kept partials: a repeated call returns the object formed first
     assert all(p.partial(i) is p.partial(i) for i in axes)
     assert all(p.partial(i).partial(j) is p.partial(i).partial(j) for i in axes for j in axes)
-
-
-@ORACLE
-@given(partial_cases())
-def test_every_first_and_second_partial_matches_sympy(p):
-    _check_partials(p)
-
-
-@pytest.mark.parametrize("dim, text", [
-    (1, "0"), (4, "0"), (1, "5/3*x1^3 + -1/2"), (2, "3/4*x1^2*x2 + 1/6*x2^3 + 7"),
-    (3, "-2/9*x1*x2*x3^2 + 1/3*x3"), (4, "5/2*x1^3*x4 + -7/4*x2^2*x3 + 1/8*x4^2"),
-])
-def test_partials_of_named_polynomials_match_sympy(dim, text):
-    p = Polynomial.parse(dim, text)
-    assert p.den > 1 or p.is_zero()
-    _check_partials(p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
