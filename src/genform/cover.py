@@ -208,16 +208,6 @@ class CanonReport:
     glued: bool
     dm_tilde: Fraction
     constants: dict[str, str]
-    scaling_factors: dict[str, str]
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "glued": self.glued,
-            "dm_tilde": format_rational(self.dm_tilde),
-            "constants": self.constants,
-            "scalings": self.scaling_factors,
-        }
 
 
 def _propagate_case_i_constants(cover: CoverData) -> dict[str, ExpConstant]:
@@ -261,14 +251,12 @@ def canonicalize(cover: CoverData, epsilon: Scalar) -> CanonReport:
         if constants[i] != constants[j].times_exp(tau_ij):
             raise CoverError(f"constants fail gluing on ({i}, {j})")
     # scaling factor u_I with m-tilde = u_I m must be one global object
-    scalings: dict[str, ExpPoly] = {}
+    scalings: list[ExpPoly] = []
     for chart in cover.charts:
         c_inv = constants[chart.id].inverse()
-        scalings[chart.id] = ExpPoly.exp(
-            chart.xi + Polynomial.const(cover.dim, c_inv.s),
-            Polynomial.const(cover.dim, c_inv.r))
-    values = list(scalings.values())
-    glued = all(u == values[0] for u in values[1:])
+        scalings.append(ExpPoly.exp(chart.xi + Polynomial.const(cover.dim, c_inv.s),
+                                    Polynomial.const(cover.dim, c_inv.r)))
+    glued = all(u == scalings[0] for u in scalings[1:])
     if not glued:
         raise CoverError("rescaled basis does not glue")
     # d m-tilde = tau_I c_I^-1 must be the announced constant on every chart
@@ -278,9 +266,7 @@ def canonicalize(cover: CoverData, epsilon: Scalar) -> CanonReport:
         if observed != ExpConstant(dm_tilde, Fraction(0)):
             raise CoverError(f"d m-tilde on chart {chart.id} is {observed}, "
                              f"expected {dm_tilde}")
-    return CanonReport(glue.case, glued, dm_tilde,
-                       {k: str(v) for k, v in constants.items()},
-                       {k: str(v) for k, v in scalings.items()})
+    return CanonReport(glue.case, glued, dm_tilde, {k: str(v) for k, v in constants.items()})
 
 
 def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:

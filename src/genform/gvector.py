@@ -83,6 +83,7 @@ class GenVectorField:
         return None
 
     def _require_compatible(self, other) -> None:
+        """other is a field or a GenForm: only its dim and epsilon are read."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
@@ -133,10 +134,7 @@ def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
     components v^a, as 0-forms, for the body, and with the row one-forms
     theta^a for the soul, whose two contractions are one signed sum.
     """
-    if V.dim != a.dim:
-        raise ValueError(f"dimension mismatch: {V.dim} vs {a.dim}")
-    if V.epsilon is not a.epsilon and V.epsilon != a.epsilon:
-        raise ValueError(f"epsilon mismatch: {V.epsilon} vs {a.epsilon}")
+    V._require_compatible(a)
     hooks, components, sign = _hooks(a.body), V.v.component_forms(), _sign(a.degree - 1)
     body = wedge_dot(components, hooks)
     soul = wedge_sum([(1, c, h) for c, h in zip(components, _hooks(a.soul))]
@@ -192,8 +190,7 @@ def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
     eps theta^a is scaled once, and the three soul products are one signed
     sum.
     """
-    if V.dim != a.dim or (V.epsilon is not a.epsilon and V.epsilon != a.epsilon):
-        raise ValueError("dimension/epsilon mismatch")
+    V._require_compatible(a)
     n, p, eps = a.dim, a.degree, a.epsilon
     theta, hooks = V.vt.row_forms(), _hooks(a.body)
     eps_theta = [t.scale(eps) for t in theta]
@@ -276,12 +273,9 @@ def modified_lie(V: GenVectorField, a: GenForm) -> GenForm:
 # -- quaternionic fixture --------------------------------------------------------
 
 
-def quaternion_triple(dim: int = 4) -> tuple[Tensor11, Tensor11, Tensor11]:
+def quaternion_triple() -> tuple[Tensor11, Tensor11, Tensor11]:
     """Constant (1,1) tensors J1, J2, J3 on R^4 (left multiplication by the
     imaginary units on the coordinates) with Ji Jj = e_ijk Jk for i != j."""
-    if dim != 4:
-        raise ValueError("quaternionic triple lives on R^4")
-
     def tensor(rows: list[list[int]]) -> Tensor11:
         return Tensor11([[Polynomial.const(4, v) for v in row] for row in rows])
 

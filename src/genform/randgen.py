@@ -36,8 +36,8 @@ class FormRandom:
         self._monomials = [e for e in itertools.product(range(3), repeat=dim)
                            if sum(e) <= 2]
 
-    def rational(self, allow_zero: bool = True) -> Fraction:
-        if allow_zero and self.rng.random() < 0.25:
+    def rational(self) -> Fraction:
+        if self.rng.random() < 0.25:
             return Fraction(0)
         return self.rng.choice(COEFF_POOL)
 

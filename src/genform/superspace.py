@@ -20,7 +20,10 @@ to_super/from_super, must reproduce its direct form-level counterpart exactly.
 
 All operations here are computed on raw bitmask data, independent of the
 form-level sign bookkeeping, which is what makes this module useful as a
-cross-check oracle for everything else.
+cross-check oracle for everything else.  The product and each operator build
+their result in one dict: every piece is a blade coefficient times a
+SuperFunction, added term by term with its sign from blade_mul, and the
+SuperFunction is made once at the end.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class SuperFunction:
         return 1 << self.dim
 
     @classmethod
-    def zero(cls, dim: int, epsilon: Scalar) -> "SuperFunction":
-        return cls(dim, epsilon)
-
-    @classmethod
     def from_poly(cls, p: Polynomial, epsilon: Scalar) -> "SuperFunction":
         return cls(p.dim, epsilon, {0: p})
 
@@ -104,47 +103,24 @@ class SuperFunction:
     def __neg__(self) -> "SuperFunction":
         return SuperFunction(self.dim, self.epsilon, {m: -c for m, c in self.terms.items()})
 
-    def scale(self, factor: Polynomial | Scalar) -> "SuperFunction":
-        out = {}
-        for mask, coeff in self.terms.items():
-            scaled = coeff * factor
-            if not scaled.is_zero():
-                out[mask] = scaled
-        return SuperFunction(self.dim, self.epsilon, out)
-
     def mul(self, other: "SuperFunction") -> "SuperFunction":
         """Graded-commutative product with transposition-counted signs."""
         self._require_compatible(other)
         out: dict[int, Polynomial] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                blade = blade_mul(m1, m2)
-                if blade is None:
-                    continue
-                sign, mask = blade
-                coeff = c1 * c2
-                _add_term(out, mask, coeff if sign > 0 else -coeff)
+        for mask, coeff in self.terms.items():
+            _add_blade_product(out, mask, coeff, other)
         return SuperFunction(self.dim, self.epsilon, out)
 
     def odd_derivative(self, bit_index: int) -> "SuperFunction":
         """Left derivative with respect to the generator at bit_index."""
         bit = 1 << bit_index
-        out = {}
-        for mask, coeff in self.terms.items():
-            if not mask & bit:
-                continue
-            if left_derivative_sign(mask, bit_index) < 0:
-                coeff = -coeff
-            out[mask ^ bit] = coeff
-        return SuperFunction(self.dim, self.epsilon, out)
+        return SuperFunction(self.dim, self.epsilon, {
+            mask ^ bit: -c if left_derivative_sign(mask, bit_index) < 0 else c
+            for mask, c in self.terms.items() if mask & bit})
 
     def coordinate_partial(self, axis: int) -> "SuperFunction":
-        out = {}
-        for mask, coeff in self.terms.items():
-            dc = coeff.partial(axis)
-            if not dc.is_zero():
-                out[mask] = dc
-        return SuperFunction(self.dim, self.epsilon, out)
+        return SuperFunction(self.dim, self.epsilon,
+                             {mask: c.partial(axis) for mask, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SuperFunction):
@@ -224,15 +200,28 @@ def from_super(f: SuperFunction) -> GenForm:
 # -- operators -----------------------------------------------------------------
 
 
+def _add_blade_product(out: dict[int, Polynomial], mask: int,
+                       coeff: Polynomial | Scalar, g: SuperFunction) -> None:
+    """out += (coeff z^mask) g, each sign from blade_mul; a zero coeff adds
+    nothing."""
+    if (coeff.is_zero() if isinstance(coeff, Polynomial) else not coeff):
+        return
+    for m, c in g.terms.items():
+        blade = blade_mul(mask, m)
+        if blade is not None:
+            sign, key = blade
+            product = coeff * c
+            _add_term(out, key, product if sign > 0 else -product)
+
+
 def super_d(f: SuperFunction) -> SuperFunction:
     """(z^a d/dx^a + eps d/dmu) f."""
-    result = SuperFunction.zero(f.dim, f.epsilon)
-    for axis in range(1, f.dim + 1):
-        zeta = SuperFunction(f.dim, f.epsilon, {1 << (axis - 1): Polynomial.one(f.dim)})
-        result = result + zeta.mul(f.coordinate_partial(axis))
-    if f.epsilon:
-        result = result + f.odd_derivative(f.dim).scale(f.epsilon)
-    return result
+    n, out = f.dim, {}
+    one = Polynomial.one(n)
+    for axis in range(1, n + 1):
+        _add_blade_product(out, 1 << (axis - 1), one, f.coordinate_partial(axis))
+    _add_blade_product(out, 0, f.epsilon, f.odd_derivative(n))
+    return SuperFunction(n, f.epsilon, out)
 
 
 def super_interior(V, f: SuperFunction) -> SuperFunction:
@@ -242,22 +231,14 @@ def super_interior(V, f: SuperFunction) -> SuperFunction:
     """
     if V.dim != f.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {f.dim}")
-    mu = 1 << f.dim
-    result = SuperFunction.zero(f.dim, f.epsilon)
-    for r in range(1, f.dim + 1):
+    n, out = f.dim, {}
+    mu = 1 << n
+    for r in range(1, n + 1):
         df = f.odd_derivative(r - 1)
-        if df.is_zero():
-            continue
-        vr = V.v.component(r)
-        if not vr.is_zero():
-            result = result + df.scale(vr)
-        for s in range(1, f.dim + 1):
-            vrs = V.vt.entry(r, s)
-            if vrs.is_zero():
-                continue
-            blade = SuperFunction(f.dim, f.epsilon, {(1 << (s - 1)) | mu: vrs})
-            result = result + blade.mul(df)
-    return result
+        _add_blade_product(out, 0, V.v.component(r), df)
+        for s in range(1, n + 1):
+            _add_blade_product(out, (1 << (s - 1)) | mu, V.vt.entry(r, s), df)
+    return SuperFunction(n, f.epsilon, out)
 
 
 def super_lie(V, f: SuperFunction) -> SuperFunction:
@@ -274,36 +255,20 @@ def super_lie_expansion(V, f: SuperFunction) -> SuperFunction:
     """
     if V.dim != f.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {f.dim}")
-    n = f.dim
+    n, eps, out = f.dim, f.epsilon, {}
     mu = 1 << n
-    eps = f.epsilon
-    result = SuperFunction.zero(n, eps)
     for a in range(1, n + 1):
-        va = V.v.component(a)
-        if not va.is_zero():
-            result = result + f.coordinate_partial(a).scale(va)
-        dfa = f.odd_derivative(a - 1)
+        va, fa, dfa = V.v.component(a), f.coordinate_partial(a), f.odd_derivative(a - 1)
+        _add_blade_product(out, 0, va, fa)
         for b in range(1, n + 1):
-            zb = 1 << (b - 1)
-            dv = V.v.component(a).partial(b)
-            vab = V.vt.entry(a, b)
-            if not dfa.is_zero():
-                coeff = dv - eps * vab
-                if not coeff.is_zero():
-                    blade = SuperFunction(n, eps, {zb: coeff})
-                    result = result + blade.mul(dfa)
+            zb, vab = 1 << (b - 1), V.vt.entry(a, b)
+            if not dfa.is_zero():  # else d_b v^a - eps v^a_b would be formed for nothing
+                _add_blade_product(out, zb, va.partial(b) - eps * vab, dfa)
                 for c in range(1, n + 1):
-                    dvt = vab.partial(c)
-                    if dvt.is_zero():
-                        continue
-                    zc = 1 << (c - 1)
-                    pre = blade_mul(zc, zb)
-                    if pre is None:
-                        continue
-                    sign, zz = pre
-                    blade2 = SuperFunction(n, eps, {zz | mu: dvt if sign > 0 else -dvt})
-                    result = result + blade2.mul(dfa)
-            if not vab.is_zero():
-                blade3 = SuperFunction(n, eps, {zb | mu: vab})
-                result = result + blade3.mul(f.coordinate_partial(a))
-    return result
+                    pre = blade_mul(1 << (c - 1), zb)
+                    if pre is not None:
+                        sign, zz = pre
+                        dvt = vab.partial(c)
+                        _add_blade_product(out, zz | mu, dvt if sign > 0 else -dvt, dfa)
+            _add_blade_product(out, zb | mu, vab, fa)
+    return SuperFunction(n, eps, out)

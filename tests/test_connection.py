@@ -425,6 +425,33 @@ def test_case_i_free_antisymmetric_part():
     assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
 
 
+def _nonzero_two_form(rnd: FormRandom) -> OrdinaryForm:
+    while (bt := rnd.form(2)).is_zero():
+        pass
+    return bt
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(-1, 2), Fraction(2)])
+def test_case_ii_free_antisymmetric_part(n, eps):
+    # an antisymmetric-lowered beta-tilde keeps Q = 0 and changes A; a
+    # diagonal one breaks metricity, which the construction refuses
+    rnd = FormRandom(17, n, eps)
+    gamma, gamma_inv = rnd.metric_pieces()
+    alpha = rnd.torsion_free_alpha()
+    base = metric_connection_eps(gamma, alpha, gamma_inv, eps)
+    zero = OrdinaryForm.zero(n, 2)
+    skew = [[zero] * n for _ in range(n)]
+    skew[0][n - 1], skew[n - 1][0] = (bt := _nonzero_two_form(rnd)), -bt
+    mc = metric_connection_eps(gamma, alpha, gamma_inv, eps, skew)
+    assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
+    assert mc.A.entries != base.A.entries
+    diagonal = [[zero] * n for _ in range(n)]
+    diagonal[0][0] = _nonzero_two_form(rnd)
+    with pytest.raises(ConnectionError):
+        metric_connection_eps(gamma, alpha, gamma_inv, eps, diagonal)
+
+
 def test_case_i_rejects_non_metric_alpha():
     n = 2
     rnd = FormRandom(14, n, Fraction(0))

@@ -362,6 +362,15 @@ def test_embedded_bracket_stays_embedded():
     assert V3.scalar_extension() is None
 
 
+@pytest.mark.parametrize("op", [gv_interior, gv_lie_expansion])
+def test_interior_and_lie_expansion_reject_a_mismatched_form(op):
+    V = FormRandom(17, 2, Fraction(1)).gen_vector_field()
+    with pytest.raises(ValueError, match="epsilon mismatch"):
+        op(V, FormRandom(17, 2, Fraction(2)).genform())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op(V, FormRandom(17, 3, Fraction(1)).genform())
+
+
 def test_modified_lie_rejects_general_tensor():
     n = 2
     rnd = FormRandom(15, n, Fraction(1))
