@@ -11,10 +11,14 @@ row-times-column sum that accumulates each entry's coefficients once:
 ``gform.gwedge_dot`` on the matrix path, ``exterior.wedge_dot`` on the
 component path, and ``ring.poly_dot`` for polynomial matrices.  A signed sum
 of matrix products, such as D t = d t + alpha t -+ t alpha or
-Q = dg - gA - (g^T A)^T, gives each entry's products, transposed factors
-included, to one ``gform.gwedge_sum`` or ``exterior.wedge_sum``, and adds
-the derivative term once.  A polynomial matrix that multiplies forms is
-lifted once to its matrix of 0-forms, ordinary or extended, and goes
+Q = dg - gA - (g^T A)^T, is one ``_signed_sum``: it gives each entry's
+products to one ``gform.gwedge_sum`` or ``exterior.wedge_sum`` and adds the
+derivative term once.  A product enters as X Y or, marked, as (X Y)^T, and
+the caller passes a transposed factor as ``transpose(X)``, so the summed
+index is chosen in that one helper.  ``mat_mul`` and the matrix
+compositions that the tests compare the signed sums with do not use it, so
+they stay an independent path.  A polynomial matrix that multiplies forms
+is lifted once to its matrix of 0-forms, ordinary or extended, and goes
 through the same sums.  The two paths share that summation and the ring
 kernel ``Polynomial.sum_products`` under it, which their own tests compare
 with one product at a time.  No transpose assumes a symmetric metric.
@@ -91,8 +95,22 @@ def _gen_matrix(n: int, epsilon: Scalar, degree: int,
                  for rb, rs in zip(body, soul))
 
 
-def _square(n: int, entry: Callable[[int, int], object]) -> tuple[tuple, ...]:
-    """The n x n matrix of entry(i, j), 0-based."""
+def _signed_sum(total: Callable, products: Sequence[tuple],
+                plus: Sequence[Sequence] | None = None) -> tuple[tuple, ...]:
+    """The n x n matrix whose entry (i, j) is plus[i][j] plus one call of
+    ``total`` (``wedge_sum`` or ``gwedge_sum``) on the triples of every
+    product (s, X, Y) in the order given: those of s (X Y)_ij, or of
+    s (X Y)_ji for a product (s, X, Y, True).  The caller passes transposed
+    factors as ``transpose(X)``; this is the one place that picks the
+    summed index."""
+    products = [(s, x, transpose(y), any(flipped)) for s, x, y, *flipped in products]
+    n = len(products[0][1])
+
+    def entry(i: int, j: int):
+        sums = total([(s, a, b) for s, x, cols, flipped in products
+                      for a, b in (zip(x[j], cols[i]) if flipped else zip(x[i], cols[j]))])
+        return sums if plus is None else plus[i][j] + sums
+
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
@@ -154,10 +172,8 @@ def ordinary_curvature(alpha: FormMatrix) -> FormMatrix:
 
 def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> FormMatrix:
     """D t = d t + alpha t - (-1)^p t alpha on (1,1)-valued ordinary p-forms."""
-    n, dt, s = len(t), mat_ext_d(t), 1 if degree % 2 else -1
-    return _square(n, lambda i, j: dt[i][j] + wedge_sum(
-        [(1, alpha[i][k], t[k][j]) for k in range(n)]
-        + [(s, t[i][k], alpha[k][j]) for k in range(n)]))
+    s = 1 if degree % 2 else -1
+    return _signed_sum(wedge_sum, [(1, alpha, t), (s, t, alpha)], mat_ext_d(t))
 
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
@@ -177,24 +193,15 @@ def bianchi_residual(A: GenConnection, F: GenMatrix) -> GenMatrix:
     The matrix path is ``cov_ext_d_tensor(A, F)``.  For the curvature of A,
     such as ``curvature_expansion(A)``, both are identically zero (Bianchi).
     """
-    n, eps, alpha, beta = A.dim, A.epsilon, A.alpha(), A.beta()
+    eps, alpha, beta = A.epsilon, A.alpha(), A.beta()
     fb = tuple(tuple(e.body for e in row) for row in F)
     fs = tuple(tuple(e.soul for e in row) for row in F)
-
-    def body(i: int, j: int) -> OrdinaryForm:
-        sums = wedge_sum([(1, alpha[i][k], fb[k][j]) for k in range(n)]
-                         + [(-1, fb[i][k], alpha[k][j]) for k in range(n)])
-        d = ext_d(fb[i][j])
-        return (d - fs[i][j].scale(eps) if eps else d) + sums
-
-    def soul(i: int, j: int) -> OrdinaryForm:
-        return ext_d(fs[i][j]) + wedge_sum(
-            [(1, alpha[i][k], fs[k][j]) for k in range(n)]
-            + [(1, beta[i][k], fb[k][j]) for k in range(n)]
-            + [(-1, fb[i][k], beta[k][j]) for k in range(n)]
-            + [(1, fs[i][k], alpha[k][j]) for k in range(n)])
-
-    return _gen_matrix(n, eps, 3, _square(n, body), _square(n, soul))
+    dfb = mat_ext_d(fb)
+    body = _signed_sum(wedge_sum, [(1, alpha, fb), (-1, fb, alpha)],
+                       mat_sub(dfb, _scale_matrix(fs, eps)) if eps else dfb)
+    soul = _signed_sum(wedge_sum, [(1, alpha, fs), (1, beta, fb), (-1, fb, beta), (1, fs, alpha)],
+                       mat_ext_d(fs))
+    return _gen_matrix(A.dim, eps, 3, body, soul)
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
@@ -203,10 +210,8 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
     if len(degrees) > 1:
         raise ConnectionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
-    n, a, dP, s = A.dim, A.entries, mat_gd(P), 1 if p % 2 else -1
-    return _square(n, lambda i, j: dP[i][j] + gwedge_sum(
-        [(1, a[i][k], P[k][j]) for k in range(n)]
-        + [(s, P[i][k], a[k][j]) for k in range(n)]))
+    a, s = A.entries, 1 if p % 2 else -1
+    return _signed_sum(gwedge_sum, [(1, a, P), (s, P, a)], mat_gd(P))
 
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
@@ -339,28 +344,23 @@ def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
     if A.dim != g.dim or A.epsilon != g.epsilon:
         raise ConnectionError("dimension/epsilon mismatch")
-    n, a, gm, dg = A.dim, A.entries, g.entries, mat_gd(g.entries)
-    return _square(n, lambda m, k: dg[m][k] + gwedge_sum(
-        [(-1, gm[m][l], a[l][k]) for l in range(n)]
-        + [(-1, gm[l][k], a[l][m]) for l in range(n)]))
+    a, gm = A.entries, g.entries
+    return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_gd(gm))
 
 
 def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
     """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    n, gamma = len(alpha), _scalar_forms(gamma)
-    dgamma = mat_ext_d(gamma)
-    return _square(n, lambda m, k: dgamma[m][k] + wedge_sum(
-        [(-1, gamma[m][l], alpha[l][k]) for l in range(n)]
-        + [(-1, gamma[l][k], alpha[l][m]) for l in range(n)]))
+    gamma = _scalar_forms(gamma)
+    return _signed_sum(wedge_sum, [(-1, gamma, alpha), (-1, transpose(gamma), alpha, True)],
+                       mat_ext_d(gamma))
 
 
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     """D t_{mn} = d t_{mn} - alpha^l_m t_{ln} - alpha^l_n t_{ml} for
     (0,2)-valued forms of any homogeneous degree."""
-    n, dt = len(t), mat_ext_d(t)
-    return _square(n, lambda m, k: dt[m][k] + wedge_sum(
-        [(-1, alpha[l][m], t[l][k]) for l in range(n)]
-        + [(-1, alpha[l][k], t[m][l]) for l in range(n)]))
+    alpha_t = transpose(alpha)
+    return _signed_sum(wedge_sum, [(-1, alpha_t, t), (-1, alpha_t, transpose(t), True)],
+                       mat_ext_d(t))
 
 
 def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
@@ -485,10 +485,8 @@ def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     A, g, fcal = mc.A, mc.g, mc.fcal
-    n, chi_up = A.dim, mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
-    soul = _square(n, lambda m, k: wedge_sum(
-        [(1, fcal[m][l], chi_up[l][k]) for l in range(n)]
-        + [(-1, chi_up[m][l], fcal[l][k]) for l in range(n)]))
+    chi_up = mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
+    soul = _signed_sum(wedge_sum, [(1, fcal, chi_up), (-1, chi_up, fcal)])
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
@@ -506,10 +504,8 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     gamma_inv = _scalar_forms(mc.g.gamma_inv)
     fcal_up = mat_mul(fcal, gamma_inv, wedge_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     body = mat_sub(fcal, mc.fcal_adj)
-    n, q_up = A.dim, _raise_both(gamma_inv, q)
-    soul = _square(n, lambda m, k: wedge_sum(
-        [(1, q[k][l], fcal_up[l][m]) for l in range(n)]
-        + [(-1, q_up[m][l], fcal_low[k][l]) for l in range(n)]))
+    q_up = _raise_both(gamma_inv, q)
+    soul = _signed_sum(wedge_sum, [(1, q, fcal_up, True), (-1, q_up, transpose(fcal_low))])
     return _gen_matrix(A.dim, A.epsilon, 2, _scale_matrix(body, Fraction(1, 2)),
                        _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
 

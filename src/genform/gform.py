@@ -97,7 +97,10 @@ class GenForm:
     def is_zero(self) -> bool:
         return self.body.is_zero() and self.soul.is_zero()
 
-    def _require_compatible(self, other: "GenForm") -> None:
+    def _require_compatible(self, other) -> None:
+        """ValueError unless other has this dim and epsilon, the only
+        attributes read; ``GenVectorField`` and ``SuperFunction`` share
+        this check."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:

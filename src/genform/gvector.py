@@ -82,12 +82,7 @@ class GenVectorField:
             return v0
         return None
 
-    def _require_compatible(self, other) -> None:
-        """other is a field or a GenForm: only its dim and epsilon are read."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
-            raise ValueError(f"epsilon mismatch: {self.epsilon} vs {other.epsilon}")
+    _require_compatible = GenForm._require_compatible
 
     def __add__(self, other: "GenVectorField") -> "GenVectorField":
         self._require_compatible(other)

@@ -85,10 +85,7 @@ class SuperFunction:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _require_compatible(self, other: "SuperFunction") -> None:
-        if self.dim != other.dim or (self.epsilon is not other.epsilon
-                                     and self.epsilon != other.epsilon):
-            raise ValueError("dimension/epsilon mismatch")
+    _require_compatible = GenForm._require_compatible
 
     def __add__(self, other: "SuperFunction") -> "SuperFunction":
         self._require_compatible(other)
@@ -229,8 +226,7 @@ def super_interior(V, f: SuperFunction) -> SuperFunction:
 
     V is a gvector.GenVectorField; only its component data is read here.
     """
-    if V.dim != f.dim:
-        raise ValueError(f"dimension mismatch: {V.dim} vs {f.dim}")
+    V._require_compatible(f)
     n, out = f.dim, {}
     mu = 1 << n
     for r in range(1, n + 1):
@@ -253,8 +249,7 @@ def super_lie_expansion(V, f: SuperFunction) -> SuperFunction:
         v^a d_a + (d_b v^a) z^b d/dz^a - eps v^a_b z^b d/dz^a
         + v^a_b z^b mu d_a + (d_c v^a_b) z^c z^b mu d/dz^a
     """
-    if V.dim != f.dim:
-        raise ValueError(f"dimension mismatch: {V.dim} vs {f.dim}")
+    V._require_compatible(f)
     n, eps, out = f.dim, f.epsilon, {}
     mu = 1 << n
     for a in range(1, n + 1):

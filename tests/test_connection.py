@@ -97,11 +97,10 @@ def test_bianchi_identity(dim):
 
 def flipped_fs_alpha(A, P):
     """bianchi_residual(A, P) with the sign of its F_s alpha term flipped."""
-    n, alpha, got = A.dim, A.alpha(), bianchi_residual(A, P)
-    fs = souls(P)
-    return conn._square(n, lambda i, j: GenForm(
-        n, A.epsilon, 3, got[i][j].body,
-        got[i][j].soul - wedge_dot(fs[i], [row[j] for row in alpha]).scale(2)))
+    got = bianchi_residual(A, P)
+    bodies = tuple(tuple(e.body for e in row) for row in got)
+    twice = conn._scale_matrix(conn.mat_mul(souls(P), A.alpha(), wedge_dot), 2)
+    return conn._gen_matrix(A.dim, A.epsilon, 3, bodies, conn.mat_sub(souls(got), twice))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -696,6 +695,24 @@ def composed_case_ii_soul(mc):
 
 def souls(m):
     return tuple(tuple(e.soul for e in row) for row in m)
+
+
+def test_nonmetricities_transpose_a_non_symmetric_metric():
+    """Neither non-metricity assumes a symmetric metric: on non-symmetric
+    gamma and g, built without ``metric_validate``, each equals its matrix
+    composition, in which g and g^T differ."""
+    for dim in (2, 3):
+        for eps in EPSILONS:
+            rnd = FormRandom(85 + dim, dim, eps)
+            A = rnd.connection()
+            gamma = tuple(tuple(rnd.poly() for _ in range(dim)) for _ in range(dim))
+            chi = tuple(tuple(rnd.form(1) for _ in range(dim)) for _ in range(dim))
+            assert gamma != conn.transpose(gamma) and chi != conn.transpose(chi)
+            g = conn.GenMetric(dim, eps, conn._gen_matrix(dim, eps, 0, conn._scalar_forms(gamma),
+                                                          chi), gamma)
+            assert (nonmetricity_ordinary(A.alpha(), gamma)
+                    == composed_nonmetricity_ordinary(A.alpha(), gamma))
+            assert nonmetricity(A, g) == composed_nonmetricity(A, g)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

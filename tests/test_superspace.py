@@ -182,3 +182,12 @@ def test_generator_square_is_zero():
     for bit in range(n + 1):
         f = SuperFunction(n, Fraction(1), {1 << bit: Polynomial.one(n)})
         assert f.mul(f).is_zero()
+
+
+@pytest.mark.parametrize("op", [super_interior, super_lie_expansion])
+def test_interior_and_lie_expansion_reject_a_mismatched_function(op):
+    V = FormRandom(17, 2, Fraction(1)).gen_vector_field()
+    with pytest.raises(ValueError, match="epsilon mismatch"):
+        op(V, to_super(FormRandom(17, 2, Fraction(2)).genform()))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op(V, to_super(FormRandom(17, 3, Fraction(1)).genform()))
