@@ -260,8 +260,7 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
 
 def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
     """Dv^m = d v^m + A^m_n v^n, one degree-1 extended form per index."""
-    if A.dim != V.dim or A.epsilon != V.epsilon:
-        raise ConnectionError("dimension/epsilon mismatch")
+    GenForm._require_compatible(A, V, ConnectionError)
     comps = _column(field_components(V))
     return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge_dot)))[0]
 
@@ -342,8 +341,7 @@ def metric_inverse(g: GenMetric) -> GenMatrix:
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
-    if A.dim != g.dim or A.epsilon != g.epsilon:
-        raise ConnectionError("dimension/epsilon mismatch")
+    GenForm._require_compatible(A, g, ConnectionError)
     a, gm = A.entries, g.entries
     return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_gd(gm))
 

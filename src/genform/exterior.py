@@ -9,6 +9,16 @@ product and Lie derivative are all exact.
 Coefficients are normally ``Polynomial``; everything except ``pullback`` and
 the homotopy inverse also works verbatim with ``ExpPoly`` coefficients, which
 the chart-gluing module relies on.
+
+Forms and fields are values, and keep what is derived from them, like the
+partials of a ``Polynomial``: ``ext_d(a)`` and the hooks ``_hooks(a)`` are
+formed once per form and kept on it (``_d``, ``_hooks``), and
+``VectorField.component_forms`` and ``Tensor11.row_forms`` once per field or
+tensor.  An identity trial that differentiates or contracts the same form
+again reads the kept result.  ``a - b`` is one signed sum
+(``OrdinaryForm._plus``): a component of b is subtracted from its partner in
+a, and negated only where a has none, and ``ext_d`` subtracts a partial of
+negative merge sign the same way.
 """
 
 from __future__ import annotations
@@ -50,13 +60,16 @@ def merge_indices(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple]
 
 
 class OrdinaryForm:
-    """Exterior form of fixed degree with sparse exact components."""
+    """Exterior form of fixed degree with sparse exact components.  A form
+    is a value: ``ext_d`` and ``_hooks`` keep what they derive from it in
+    ``_d`` and ``_hooks``, formed on first use."""
 
-    __slots__ = ("dim", "degree", "components")
+    __slots__ = ("dim", "degree", "components", "_d", "_hooks")
 
     def __init__(self, dim: int, degree: int, components: Mapping[IndexTuple, Coefficient] | None = None):
         self.dim = dim
         self.degree = degree
+        self._d = self._hooks = None
         clean: dict[IndexTuple, Coefficient] = {}
         if components and 0 <= degree <= dim:
             for idxs, coeff in components.items():
@@ -84,6 +97,7 @@ class OrdinaryForm:
         form = cls.__new__(cls)
         form.dim = dim
         form.degree = degree
+        form._d = form._hooks = None
         if not 0 <= degree <= dim:
             components = {}
         else:
@@ -128,19 +142,25 @@ class OrdinaryForm:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __add__(self, other: "OrdinaryForm") -> "OrdinaryForm":
+    def _plus(self, other: "OrdinaryForm", sign: int) -> "OrdinaryForm":
+        """self + sign * other, sign = +1 or -1: the one path of ``+`` and
+        ``-``; only a component of other without a partner in self is
+        negated."""
         self._require_compatible(other)
         if self.is_zero():
-            return other
+            return other if sign > 0 else -other
         if other.is_zero():
             return self
         out = dict(self.components)
         for idxs, coeff in other.components.items():
-            _add_term(out, idxs, coeff)
+            _add_term(out, idxs, coeff, sign)
         return OrdinaryForm._canonical(self.dim, self.degree, out)
 
+    def __add__(self, other: "OrdinaryForm") -> "OrdinaryForm":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "OrdinaryForm") -> "OrdinaryForm":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "OrdinaryForm":
         return OrdinaryForm._canonical(self.dim, self.degree,
@@ -182,7 +202,7 @@ class OrdinaryForm:
 class VectorField:
     """Ordinary vector field v = v^a d/dx^a with polynomial components."""
 
-    __slots__ = ("dim", "components")
+    __slots__ = ("dim", "components", "_forms")
 
     def __init__(self, components: Sequence[Polynomial]):
         components = tuple(components)
@@ -193,6 +213,7 @@ class VectorField:
             raise ValueError("component count must equal the coefficient dimension")
         self.dim = dim
         self.components = components
+        self._forms: tuple[OrdinaryForm, ...] | None = None
 
     @classmethod
     def zero(cls, dim: int) -> "VectorField":
@@ -206,8 +227,12 @@ class VectorField:
         return cls(comps)
 
     def component_forms(self) -> tuple[OrdinaryForm, ...]:
-        """The components v^a as 0-forms, the operands of a contraction."""
-        return tuple(OrdinaryForm._canonical(self.dim, 0, {(): c}) for c in self.components)
+        """The components v^a as 0-forms, the operands of a contraction,
+        formed on first use and kept on the field."""
+        if self._forms is None:
+            self._forms = tuple(OrdinaryForm._canonical(self.dim, 0, {(): c})
+                                for c in self.components)
+        return self._forms
 
     def component(self, index: int) -> Polynomial:
         return self.components[index - 1]
@@ -291,7 +316,7 @@ class Tensor11:
     """(1,1) tensor field t^a_b: a shape-checked n x n polynomial matrix
     whose arithmetic is the matrix helpers above."""
 
-    __slots__ = ("dim", "components")
+    __slots__ = ("dim", "components", "_rows")
 
     def __init__(self, components: Sequence[Sequence[Polynomial]]):
         rows = tuple(tuple(row) for row in components)
@@ -302,6 +327,7 @@ class Tensor11:
             raise ValueError("entry dimension must match matrix size")
         self.dim = dim
         self.components = rows
+        self._rows: tuple[OrdinaryForm, ...] | None = None
 
     @classmethod
     def zero(cls, dim: int) -> "Tensor11":
@@ -323,9 +349,13 @@ class Tensor11:
         return cls([[row.components.get((b,), zero) for b in range(1, dim + 1)] for row in rows])
 
     def row_forms(self) -> tuple[OrdinaryForm, ...]:
-        """theta^a = t^a_b dx^b, one one-form per up index."""
-        return tuple(OrdinaryForm._canonical(self.dim, 1, {(b,): c for b, c in enumerate(row, 1)})
-                     for row in self.components)
+        """theta^a = t^a_b dx^b, one one-form per up index, formed on first
+        use and kept on the tensor."""
+        if self._rows is None:
+            self._rows = tuple(
+                OrdinaryForm._canonical(self.dim, 1, {(b,): c for b, c in enumerate(row, 1)})
+                for row in self.components)
+        return self._rows
 
     def entry(self, up: int, down: int) -> Polynomial:
         """t^up_down with 1-based indices."""
@@ -457,27 +487,34 @@ def _d_table(dim: int, idxs: IndexTuple) -> tuple[tuple[int, int, IndexTuple], .
 
 
 def ext_d(a: OrdinaryForm) -> OrdinaryForm:
-    """Exterior derivative: sum_i dx^i ^ (d/dx^i of each component)."""
-    dim = a.dim
-    out: dict[IndexTuple, Coefficient] = {}
-    for idxs, coeff in a.components.items():
-        for axis, sign, key in _d_table(dim, idxs):
-            dc = coeff.partial(axis)
-            if dc.is_zero():
-                continue
-            _add_term(out, key, dc if sign > 0 else -dc)
-    return OrdinaryForm._canonical(dim, a.degree + 1, out)
+    """Exterior derivative: sum_i dx^i ^ (d/dx^i of each component), formed
+    once per form and kept in ``a._d``; a signed partial is added to or
+    subtracted from its merged index, not negated first."""
+    if a._d is None:
+        dim = a.dim
+        out: dict[IndexTuple, Coefficient] = {}
+        for idxs, coeff in a.components.items():
+            for axis, sign, key in _d_table(dim, idxs):
+                dc = coeff.partial(axis)
+                if not dc.is_zero():
+                    _add_term(out, key, dc, sign)
+        a._d = OrdinaryForm._canonical(dim, a.degree + 1, out)
+    return a._d
 
 
-def _hooks(rho: OrdinaryForm) -> list[OrdinaryForm]:
+def _hooks(rho: OrdinaryForm) -> tuple[OrdinaryForm, ...]:
     """i_{d/dx^a} rho for a = 1..n, by selection: the components whose index
     tuple holds a at position pos, with a removed and sign (-1)^pos.  The one
-    index-removal rule; every interior product is built on it."""
-    hooks: list[dict] = [{} for _ in range(rho.dim)]
-    for idxs, coeff in rho.components.items():
-        for pos, a in enumerate(idxs):
-            hooks[a - 1][idxs[:pos] + idxs[pos + 1:]] = -coeff if pos % 2 else coeff
-    return [OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook) for hook in hooks]
+    index-removal rule; every interior product is built on it.  Formed once
+    per form and kept in ``rho._hooks``."""
+    if rho._hooks is None:
+        hooks: list[dict] = [{} for _ in range(rho.dim)]
+        for idxs, coeff in rho.components.items():
+            for pos, a in enumerate(idxs):
+                hooks[a - 1][idxs[:pos] + idxs[pos + 1:]] = -coeff if pos % 2 else coeff
+        rho._hooks = tuple(OrdinaryForm._canonical(rho.dim, rho.degree - 1, hook)
+                           for hook in hooks)
+    return rho._hooks
 
 
 def interior(v: VectorField, a: OrdinaryForm) -> OrdinaryForm:

@@ -34,9 +34,10 @@ from .ring import Polynomial, Scalar, format_rational, parse_rational
 
 
 class GenForm:
-    """alpha + alpha' m with exact ordinary-form parts."""
+    """alpha + alpha' m with exact ordinary-form parts.  A form is a value:
+    ``gd`` keeps its result in ``_d``, formed on first use."""
 
-    __slots__ = ("dim", "epsilon", "degree", "body", "soul")
+    __slots__ = ("dim", "epsilon", "degree", "body", "soul", "_d")
 
     def __init__(self, dim: int, epsilon: Scalar, degree: int,
                  body: OrdinaryForm | None = None, soul: OrdinaryForm | None = None):
@@ -53,6 +54,7 @@ class GenForm:
             raise ValueError(f"soul degree {soul.degree} != {degree + 1}")
         self.body = body
         self.soul = soul
+        self._d: GenForm | None = None
 
     @classmethod
     def _canonical(cls, dim: int, epsilon: Fraction, degree: int,
@@ -67,6 +69,7 @@ class GenForm:
         form.degree = degree
         form.body = body
         form.soul = soul
+        form._d = None
         return form
 
     # -- constructors ------------------------------------------------------
@@ -97,28 +100,36 @@ class GenForm:
     def is_zero(self) -> bool:
         return self.body.is_zero() and self.soul.is_zero()
 
-    def _require_compatible(self, other) -> None:
-        """ValueError unless other has this dim and epsilon, the only
-        attributes read; ``GenVectorField`` and ``SuperFunction`` share
-        this check."""
+    def _require_compatible(self, other, error: type[ValueError] = ValueError) -> None:
+        """``error`` (a ValueError) unless other has this dim and epsilon,
+        the only attributes read of either side; the message names the one
+        that differs.  ``GenVectorField`` and ``SuperFunction`` share this
+        check, and ``connection`` and ``hamiltonian`` call it with their own
+        error class."""
         if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+            raise error(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
-            raise ValueError(f"epsilon mismatch: {self.epsilon} vs {other.epsilon}")
+            raise error(f"epsilon mismatch: {self.epsilon} vs {other.epsilon}")
 
-    def __add__(self, other: "GenForm") -> "GenForm":
+    def _plus(self, other: "GenForm", sign: int) -> "GenForm":
+        """self + sign * other, sign = +1 or -1: the one path of ``+`` and
+        ``-``, partwise by ``OrdinaryForm._plus``."""
         self._require_compatible(other)
         if self.is_zero():
-            return other
+            return other if sign > 0 else -other
         if other.is_zero():
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         return GenForm._canonical(self.dim, self.epsilon, self.degree,
-                                  self.body + other.body, self.soul + other.soul)
+                                  self.body._plus(other.body, sign),
+                                  self.soul._plus(other.soul, sign))
+
+    def __add__(self, other: "GenForm") -> "GenForm":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GenForm") -> "GenForm":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "GenForm":
         return GenForm._canonical(self.dim, self.epsilon, self.degree, -self.body, -self.soul)
@@ -207,14 +218,14 @@ def gwedge(a: GenForm, b: GenForm) -> GenForm:
 
 def gd(a: GenForm) -> GenForm:
     """Exterior derivative:
-    body' = d(body) + (-1)^(p+1) eps soul,  soul' = d(soul)."""
-    body = ext_d(a.body)
-    if a.epsilon:
-        eps_term = a.soul.scale(a.epsilon)
-        if (a.degree + 1) % 2:
-            eps_term = -eps_term
-        body = body + eps_term
-    return GenForm._canonical(a.dim, a.epsilon, a.degree + 1, body, ext_d(a.soul))
+    body' = d(body) + (-1)^(p+1) eps soul,  soul' = d(soul),
+    formed once per form and kept in ``a._d``."""
+    if a._d is None:
+        body = ext_d(a.body)
+        if a.epsilon:
+            body = body._plus(a.soul.scale(a.epsilon), -1 if (a.degree + 1) % 2 else 1)
+        a._d = GenForm._canonical(a.dim, a.epsilon, a.degree + 1, body, ext_d(a.soul))
+    return a._d
 
 
 def gpullback(phi: Sequence[Polynomial], a: GenForm) -> GenForm:

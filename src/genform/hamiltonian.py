@@ -111,9 +111,7 @@ class GenHamiltonianProblem:
     def __post_init__(self):
         if self.hamiltonian.degree != 0:
             raise SymplecticError("hamiltonian must be a degree-0 extended form")
-        if (self.hamiltonian.dim != self.symplectic.dim
-                or self.hamiltonian.epsilon != self.symplectic.epsilon):
-            raise SymplecticError("dimension/epsilon mismatch")
+        GenForm._require_compatible(self.symplectic, self.hamiltonian, SymplecticError)
 
 
 def is_kernel_field(W: GenVectorField, s: GenSymplectic) -> bool:

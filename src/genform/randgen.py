@@ -9,6 +9,7 @@ which is what makes suite reports reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .exterior import (OrdinaryForm, Tensor11, VectorField, mat_add, mat_identit
                        mat_sub, transpose)
 from .gform import GenForm
 from .gvector import GenVectorField
-from .ring import Polynomial, poly_dot
+from .ring import Polynomial, _pack, poly_dot
 from .superspace import SuperFunction
 
 COEFF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -33,8 +34,8 @@ class FormRandom:
         self.rng = random.Random(seed)
         self.dim = dim
         self.epsilon = Fraction(epsilon)
-        self._monomials = [e for e in itertools.product(range(3), repeat=dim)
-                           if sum(e) <= 2]
+        # the packed keys of the monomials of total degree <= 2, packed once
+        self._keys = [_pack(e) for e in itertools.product(range(3), repeat=dim) if sum(e) <= 2]
 
     def rational(self) -> Fraction:
         if self.rng.random() < 0.25:
@@ -43,13 +44,18 @@ class FormRandom:
 
     def poly(self, allow_zero: bool = True) -> Polynomial:
         terms = {}
-        for exps in self._monomials:
+        for key in self._keys:
             if self.rng.random() < 0.5:
                 continue
-            terms[exps] = self.rng.choice(COEFF_POOL)
+            terms[key] = self.rng.choice(COEFF_POOL)
         if not terms and not allow_zero:
-            terms[(0,) * self.dim] = self.rng.choice(COEFF_POOL)
-        return Polynomial(self.dim, terms)
+            terms[0] = self.rng.choice(COEFF_POOL)
+        # the pool's values are nonzero and reduced, so their numerators over
+        # the lcm of their denominators are canonical, as the constructor
+        # would build them
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        return Polynomial._of(self.dim, den, {key: c.numerator * (den // c.denominator)
+                                              for key, c in terms.items()})
 
     def form(self, degree: int) -> OrdinaryForm:
         if degree < 0 or degree > self.dim:

@@ -51,7 +51,17 @@ forms d/dx_axis on first use and keeps it in ``_partials``, one entry per
 axis, for the polynomial's lifetime.  The composite operations that
 differentiate the same coefficients again and again (``ext_d``, the
 brackets and Jacobians, the superspace derivatives) each call ``partial``
-and so differentiate a coefficient once per axis.
+and so differentiate a coefficient once per axis.  The layers above follow
+the same rule: a form keeps its ``d`` and its hooks, a vector field its
+component 0-forms and a (1,1) tensor its row one-forms (see ``exterior``),
+and an extended form its ``gd``.
+
+``+`` and ``-`` are one signed sum: ``a - b`` is ``a._plus(b, -1)`` in
+``Polynomial``, ``ExpPoly``, ``OrdinaryForm``, ``GenForm`` and
+``SuperFunction``.  The sign rides on b's scale factor here, and on
+``_add_term`` in the containers, which subtracts where a term of b meets one
+of a and negates only a term of b that a lacks.  No negated copy of b is
+built.
 
 Substitution is built on the same kernel.  ``compose_all(polys, args)``
 forms each power args[i]**e that the polys need once, by one product from
@@ -103,10 +113,15 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _add_term(out: dict, key, value) -> None:
-    """out[key] += value; a zero sum stays until the constructor drops it."""
+def _add_term(out: dict, key, value, sign: int = 1) -> None:
+    """out[key] += sign * value, sign = +1 or -1: a value is negated only
+    when it lands on an empty key, and a zero sum stays until the
+    constructor drops it."""
     acc = out.get(key)
-    out[key] = value if acc is None else acc + value
+    if acc is None:
+        out[key] = value if sign > 0 else -value
+    else:
+        out[key] = acc + value if sign > 0 else acc - value
 
 
 _FIELD_BITS = 16
@@ -388,33 +403,37 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign = +1 or -1: the one path of ``+`` and
+        ``-``.  The sign rides on other's scale factor, so a difference
+        builds no negated copy of other."""
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(self.dim, other)
+        self._require_same_dim(other)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other if sign > 0 else -other
+        # bring both numerators over lcm(den, other.den)
+        g = math.gcd(self.den, other.den)
+        scale, other_scale = other.den // g, sign * (self.den // g)
+        out = (dict(self._nums) if scale == 1
+               else {key: num * scale for key, num in self._nums.items()})
+        get = out.get
+        for key, num in other._nums.items():
+            out[key] = get(key, 0) + num * other_scale
+        return Polynomial._canonical(self.dim, self.den * scale, out)
+
     def __add__(self, other):
-        if isinstance(other, Polynomial):
-            self._require_same_dim(other)
-            if not other._nums:
-                return self
-            if not self._nums:
-                return other
-            # bring both numerators over lcm(den, other.den)
-            g = math.gcd(self.den, other.den)
-            scale, other_scale = other.den // g, self.den // g
-            out = (dict(self._nums) if scale == 1
-                   else {key: num * scale for key, num in self._nums.items()})
-            get = out.get
-            for key, num in other._nums.items():
-                out[key] = get(key, 0) + num * other_scale
-            return Polynomial._canonical(self.dim, self.den * scale, out)
-        if isinstance(other, (int, Fraction)):
-            return self + Polynomial.const(self.dim, other)
-        return NotImplemented
+        return self._plus(other, 1)
 
     def __radd__(self, other):
-        return self.__add__(other)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (Polynomial, int, Fraction)):
-            return self + -other
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -707,7 +726,8 @@ class ExpPoly:
                 raise ValueError(f"{self} has a non-trivial exponential part")
         return self.terms.get(zero_q, zero_q)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign = +1 or -1, termwise by ``_add_term``."""
         other = ExpPoly._coerce(other, self.dim)
         if other is None:
             return NotImplemented
@@ -715,23 +735,23 @@ class ExpPoly:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         out = dict(self.terms)
         for q, p in other.terms.items():
-            _add_term(out, q, p)
+            _add_term(out, q, p, sign)
         return ExpPoly(self.dim, out)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __radd__(self, other):
-        return self.__add__(other)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = ExpPoly._coerce(other, self.dim)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = ExpPoly._coerce(other, self.dim)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __neg__(self):
         return ExpPoly(self.dim, {q: -p for q, p in self.terms.items()})

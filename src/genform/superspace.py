@@ -20,10 +20,13 @@ to_super/from_super, must reproduce its direct form-level counterpart exactly.
 
 All operations here are computed on raw bitmask data, independent of the
 form-level sign bookkeeping, which is what makes this module useful as a
-cross-check oracle for everything else.  The product and each operator build
-their result in one dict: every piece is a blade coefficient times a
-SuperFunction, added term by term with its sign from blade_mul, and the
-SuperFunction is made once at the end.
+cross-check oracle for everything else.  The product and each operator group
+their pieces by output mask: every piece is a blade coefficient times a
+SuperFunction, and each of its term products joins the group of its mask as
+one (sign, coeff, c) triple, the sign from blade_mul.  Each mask's sum is then
+one ``Polynomial.sum_products`` call, and the SuperFunction is made once at
+the end.  A difference f - g is one signed sum, which negates only the terms
+of g that f lacks.
 """
 
 from __future__ import annotations
@@ -87,15 +90,20 @@ class SuperFunction:
 
     _require_compatible = GenForm._require_compatible
 
-    def __add__(self, other: "SuperFunction") -> "SuperFunction":
+    def _plus(self, other: "SuperFunction", sign: int) -> "SuperFunction":
+        """self + sign * other, sign = +1 or -1: the one path of ``+`` and
+        ``-``, termwise by ``_add_term``."""
         self._require_compatible(other)
         out = dict(self.terms)
         for mask, coeff in other.terms.items():
-            _add_term(out, mask, coeff)
+            _add_term(out, mask, coeff, sign)
         return SuperFunction(self.dim, self.epsilon, out)
 
+    def __add__(self, other: "SuperFunction") -> "SuperFunction":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SuperFunction":
         return SuperFunction(self.dim, self.epsilon, {m: -c for m, c in self.terms.items()})
@@ -103,10 +111,10 @@ class SuperFunction:
     def mul(self, other: "SuperFunction") -> "SuperFunction":
         """Graded-commutative product with transposition-counted signs."""
         self._require_compatible(other)
-        out: dict[int, Polynomial] = {}
+        groups: _Groups = {}
         for mask, coeff in self.terms.items():
-            _add_blade_product(out, mask, coeff, other)
-        return SuperFunction(self.dim, self.epsilon, out)
+            _add_blade_product(groups, mask, coeff, other)
+        return _sum_groups(self.dim, self.epsilon, groups)
 
     def odd_derivative(self, bit_index: int) -> "SuperFunction":
         """Left derivative with respect to the generator at bit_index."""
@@ -197,28 +205,38 @@ def from_super(f: SuperFunction) -> GenForm:
 # -- operators -----------------------------------------------------------------
 
 
-def _add_blade_product(out: dict[int, Polynomial], mask: int,
-                       coeff: Polynomial | Scalar, g: SuperFunction) -> None:
-    """out += (coeff z^mask) g, each sign from blade_mul; a zero coeff adds
-    nothing."""
-    if (coeff.is_zero() if isinstance(coeff, Polynomial) else not coeff):
+# output mask -> the (sign, coeff, c) triples of its sum
+_Groups = dict[int, list[tuple[int, Polynomial, Polynomial]]]
+
+
+def _add_blade_product(groups: _Groups, mask: int, coeff: Polynomial, g: SuperFunction,
+                       sign: int = 1) -> None:
+    """Add sign (coeff z^mask) g to groups: each term c z^m of g whose blade
+    survives appends (sign * the sign from blade_mul, coeff, c) to the group
+    of its mask.  A zero coeff adds nothing."""
+    if coeff.is_zero():
         return
     for m, c in g.terms.items():
         blade = blade_mul(mask, m)
         if blade is not None:
-            sign, key = blade
-            product = coeff * c
-            _add_term(out, key, product if sign > 0 else -product)
+            blade_sign, key = blade
+            groups.setdefault(key, []).append((sign * blade_sign, coeff, c))
+
+
+def _sum_groups(dim: int, epsilon: Fraction, groups: _Groups) -> SuperFunction:
+    """The SuperFunction with each mask's group summed by one kernel call."""
+    return SuperFunction(dim, epsilon, {mask: Polynomial.sum_products(triples)
+                                        for mask, triples in groups.items()})
 
 
 def super_d(f: SuperFunction) -> SuperFunction:
     """(z^a d/dx^a + eps d/dmu) f."""
-    n, out = f.dim, {}
+    n, groups = f.dim, {}
     one = Polynomial.one(n)
     for axis in range(1, n + 1):
-        _add_blade_product(out, 1 << (axis - 1), one, f.coordinate_partial(axis))
-    _add_blade_product(out, 0, f.epsilon, f.odd_derivative(n))
-    return SuperFunction(n, f.epsilon, out)
+        _add_blade_product(groups, 1 << (axis - 1), one, f.coordinate_partial(axis))
+    _add_blade_product(groups, 0, Polynomial.const(n, f.epsilon), f.odd_derivative(n))
+    return _sum_groups(n, f.epsilon, groups)
 
 
 def super_interior(V, f: SuperFunction) -> SuperFunction:
@@ -227,14 +245,14 @@ def super_interior(V, f: SuperFunction) -> SuperFunction:
     V is a gvector.GenVectorField; only its component data is read here.
     """
     V._require_compatible(f)
-    n, out = f.dim, {}
+    n, groups = f.dim, {}
     mu = 1 << n
     for r in range(1, n + 1):
         df = f.odd_derivative(r - 1)
-        _add_blade_product(out, 0, V.v.component(r), df)
+        _add_blade_product(groups, 0, V.v.component(r), df)
         for s in range(1, n + 1):
-            _add_blade_product(out, (1 << (s - 1)) | mu, V.vt.entry(r, s), df)
-    return SuperFunction(n, f.epsilon, out)
+            _add_blade_product(groups, (1 << (s - 1)) | mu, V.vt.entry(r, s), df)
+    return _sum_groups(n, f.epsilon, groups)
 
 
 def super_lie(V, f: SuperFunction) -> SuperFunction:
@@ -250,20 +268,19 @@ def super_lie_expansion(V, f: SuperFunction) -> SuperFunction:
         + v^a_b z^b mu d_a + (d_c v^a_b) z^c z^b mu d/dz^a
     """
     V._require_compatible(f)
-    n, eps, out = f.dim, f.epsilon, {}
+    n, eps, groups = f.dim, f.epsilon, {}
     mu = 1 << n
     for a in range(1, n + 1):
         va, fa, dfa = V.v.component(a), f.coordinate_partial(a), f.odd_derivative(a - 1)
-        _add_blade_product(out, 0, va, fa)
+        _add_blade_product(groups, 0, va, fa)
         for b in range(1, n + 1):
             zb, vab = 1 << (b - 1), V.vt.entry(a, b)
             if not dfa.is_zero():  # else d_b v^a - eps v^a_b would be formed for nothing
-                _add_blade_product(out, zb, va.partial(b) - eps * vab, dfa)
+                _add_blade_product(groups, zb, va.partial(b) - eps * vab, dfa)
                 for c in range(1, n + 1):
                     pre = blade_mul(1 << (c - 1), zb)
                     if pre is not None:
                         sign, zz = pre
-                        dvt = vab.partial(c)
-                        _add_blade_product(out, zz | mu, dvt if sign > 0 else -dvt, dfa)
-            _add_blade_product(out, zb | mu, vab, fa)
-    return SuperFunction(n, eps, out)
+                        _add_blade_product(groups, zz | mu, vab.partial(c), dfa, sign)
+            _add_blade_product(groups, zb | mu, vab, fa)
+    return _sum_groups(n, eps, groups)

@@ -5,7 +5,8 @@ from functools import reduce
 
 import pytest
 
-from genform.exterior import OrdinaryForm, VectorField, interior, wedge, wedge_dot
+import genform.connection as conn
+from genform.exterior import OrdinaryForm, VectorField, interior, mat_identity, wedge, wedge_dot
 from genform.gform import (
     GenForm,
     gd,
@@ -20,6 +21,7 @@ from genform.gform import (
     gwedge_sum,
 )
 from genform.gvector import GenVectorField, gv_interior
+from genform.hamiltonian import GenHamiltonianProblem, SymplecticError, symplectic_validate
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
 from genform.superspace import SuperFunction
@@ -234,6 +236,45 @@ def test_epsilon_mismatch_rejected():
     b = GenForm.one(2, Fraction(2))
     with pytest.raises(ValueError):
         gwedge(a, b)
+
+
+# Each site builds its structure at dim 2, epsilon 1 and its operand at (dim, eps).
+
+
+def _connection_site(dim: int, eps: Fraction):
+    A = conn.GenConnection.zero(2, Fraction(1))
+    V = GenVectorField.ordinary(VectorField.zero(dim), eps)
+    return lambda: conn.cov_deriv_vf(A, V)
+
+
+def _nonmetricity_site(dim: int, eps: Fraction):
+    A = conn.GenConnection.zero(2, Fraction(1))
+    eye = mat_identity(dim, Polynomial.one(dim), Polynomial.zero(dim))
+    chi = [[OrdinaryForm.zero(dim, 1)] * dim for _ in range(dim)]
+    g = conn.metric_validate(eye, chi, eye, eps)
+    return lambda: conn.nonmetricity(A, g)
+
+
+def _hamiltonian_site(dim: int, eps: Fraction):
+    z, o = Polynomial.zero(2), Polynomial.one(2)
+    s = GenForm(2, Fraction(1), 2, OrdinaryForm(2, 2, {(1, 2): -o}))
+    symplectic = symplectic_validate(s, [[z, -o], [o, z]])
+    h = GenForm.one(dim, eps)
+    return lambda: GenHamiltonianProblem(symplectic, h)
+
+
+@pytest.mark.parametrize("site, error", [(_connection_site, conn.ConnectionError),
+                                         (_nonmetricity_site, conn.ConnectionError),
+                                         (_hamiltonian_site, SymplecticError)])
+def test_context_checks_name_the_attribute_that_differs(site, error):
+    """``cov_deriv_vf``, ``nonmetricity`` and ``GenHamiltonianProblem`` check
+    their operands with ``GenForm._require_compatible`` and raise their own
+    error class with its message."""
+    site(2, Fraction(1))()  # compatible operands pass
+    with pytest.raises(error, match=r"^dimension mismatch: 2 vs 4$"):
+        site(4, Fraction(1))()
+    with pytest.raises(error, match=r"^epsilon mismatch: 1 vs 1/2$"):
+        site(2, Fraction(1, 2))()
 
 
 @pytest.mark.parametrize("given", [1, Fraction(1), 0, Fraction(-3, 2), 0.5])

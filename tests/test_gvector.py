@@ -88,7 +88,7 @@ def test_hooks_are_contractions_with_the_coordinate_fields(n):
             want = [from_super(super_interior(
                 GenVectorField.ordinary(VectorField.coordinate(n, a), eps), super_rho))
                 for a in range(1, n + 1)]
-            assert _hooks(rho) == [w.body for w in want]
+            assert _hooks(rho) == tuple(w.body for w in want)
             assert all(w.soul.is_zero() for w in want)
         forms.append(OrdinaryForm(n, degree, {idxs: ExpPoly.exp(x1, c) for idxs, c
                                               in forms[0].components.items()}))
