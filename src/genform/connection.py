@@ -22,6 +22,10 @@ is lifted once to its matrix of 0-forms, ordinary or extended, and goes
 through the same sums.  The two paths share that summation and the ring
 kernel ``Polynomial.sum_products`` under it, which their own tests compare
 with one product at a time.  No transpose assumes a symmetric metric.
+A ``GenMetric`` holds gamma (the bodies of g) and gamma^-1 as 0-forms, which
+``metric_validate`` lifts once.  The ordinary non-metricity q = D gamma is
+``cov_d_lowered`` on gamma's 0-forms, so the lowered-index rule is written
+once per level: ``cov_d_lowered`` and the extended ``nonmetricity``.
 
 The compatibility solver realizes both branches of the extended
 Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
@@ -89,6 +93,12 @@ def _gen_scalars(m: PolyMatrix, epsilon: Scalar) -> GenMatrix:
     return tuple(tuple(GenForm.from_scalar(x, epsilon) for x in row) for row in m)
 
 
+def _split(m: GenMatrix) -> tuple[FormMatrix, FormMatrix]:
+    """The bodies and the souls of m, as two matrices."""
+    return (tuple(tuple(e.body for e in row) for row in m),
+            tuple(tuple(e.soul for e in row) for row in m))
+
+
 def _gen_matrix(n: int, epsilon: Scalar, degree: int,
                 body: FormMatrix, soul: FormMatrix) -> GenMatrix:
     return tuple(tuple(GenForm(n, epsilon, degree, b, s) for b, s in zip(rb, rs))
@@ -136,13 +146,13 @@ class GenConnection:
         if any(len(row) != n for row in entries):
             raise ConnectionError("connection matrix must be square")
         eps = Fraction(epsilon) if epsilon is not None else entries[0][0].epsilon
+        A = cls(n, eps, entries)
         for row in entries:
             for e in row:
-                if e.dim != n or e.epsilon != eps:
-                    raise ConnectionError("entry dimension/epsilon mismatch")
+                GenForm._require_compatible(A, e, ConnectionError)
                 if not e.is_zero() and e.degree != 1:
                     raise ConnectionError("entries must have degree 1")
-        return cls(n, eps, entries)
+        return A
 
     @classmethod
     def from_parts(cls, alpha: FormMatrix, beta: FormMatrix, epsilon: Scalar) -> "GenConnection":
@@ -154,10 +164,10 @@ class GenConnection:
         return cls.build([[z] * dim for _ in range(dim)], epsilon)
 
     def alpha(self) -> FormMatrix:
-        return tuple(tuple(e.body for e in row) for row in self.entries)
+        return _split(self.entries)[0]
 
     def beta(self) -> FormMatrix:
-        return tuple(tuple(e.soul for e in row) for row in self.entries)
+        return _split(self.entries)[1]
 
 
 def curvature(A: GenConnection) -> GenMatrix:
@@ -178,7 +188,7 @@ def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> Form
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
     """Component path: F = F_cal + eps beta + (D beta) m."""
-    alpha, beta = A.alpha(), A.beta()
+    alpha, beta = _split(A.entries)
     body = mat_add(ordinary_curvature(alpha), _scale_matrix(beta, A.epsilon))
     return _gen_matrix(A.dim, A.epsilon, 2, body, cov_d_tensor_ordinary(alpha, beta, 2))
 
@@ -193,9 +203,7 @@ def bianchi_residual(A: GenConnection, F: GenMatrix) -> GenMatrix:
     The matrix path is ``cov_ext_d_tensor(A, F)``.  For the curvature of A,
     such as ``curvature_expansion(A)``, both are identically zero (Bianchi).
     """
-    eps, alpha, beta = A.epsilon, A.alpha(), A.beta()
-    fb = tuple(tuple(e.body for e in row) for row in F)
-    fs = tuple(tuple(e.soul for e in row) for row in F)
+    eps, (alpha, beta), (fb, fs) = A.epsilon, _split(A.entries), _split(F)
     dfb = mat_ext_d(fb)
     body = _signed_sum(wedge_sum, [(1, alpha, fb), (-1, fb, alpha)],
                        mat_sub(dfb, _scale_matrix(fs, eps)) if eps else dfb)
@@ -271,7 +279,7 @@ def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm
     where D is covariant with respect to alpha; the soul's products
     alpha^m_n theta^n and beta^m_n v^n are one dot."""
     v, theta = V.v.component_forms(), V.vt.row_forms()
-    alpha, beta = A.alpha(), A.beta()
+    alpha, beta = _split(A.entries)
     return tuple(GenForm(A.dim, A.epsilon, 1,
                          ext_d(v[m]) + wedge_dot(alpha[m], v) - theta[m].scale(A.epsilon),
                          ext_d(theta[m]) + wedge_dot(alpha[m] + beta[m], theta + v))
@@ -292,9 +300,8 @@ class FlatnessReport:
 
 
 def flatness_check(A: GenConnection) -> FlatnessReport:
-    F = curvature_expansion(A)
-    body_zero = all(e.body.is_zero() for row in F for e in row)
-    soul_zero = all(e.soul.is_zero() for row in F for e in row)
+    body, soul = _split(curvature_expansion(A))
+    body_zero, soul_zero = mat_is_zero(body), mat_is_zero(soul)
     return FlatnessReport(body_zero and soul_zero, body_zero, soul_zero)
 
 
@@ -305,20 +312,22 @@ def flatness_check(A: GenConnection) -> FlatnessReport:
 class GenMetric:
     dim: int
     epsilon: Fraction
-    entries: GenMatrix  # degree-0 extended forms, symmetric
-    gamma_inv: PolyMatrix
+    entries: GenMatrix  # degree-0 extended forms gamma + chi m, symmetric
+    gamma_inv: FormMatrix  # 0-forms
 
-    def gamma(self) -> PolyMatrix:
-        return tuple(tuple(e.body.components.get((), Polynomial.zero(self.dim))
-                           for e in row) for row in self.entries)
+    def gamma(self) -> FormMatrix:
+        return _split(self.entries)[0]
 
     def chi(self) -> FormMatrix:
-        return tuple(tuple(e.soul for e in row) for row in self.entries)
+        return _split(self.entries)[1]
 
 
 def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
                     epsilon: Scalar) -> GenMetric:
-    """Symmetry in both parts plus an exact two-sided inverse for gamma."""
+    """Symmetry in both parts plus an exact two-sided inverse for gamma, then
+    gamma and gamma^-1 lifted to 0-forms once.  gamma^-1 gamma = I suffices:
+    for square matrices over a commutative ring it gives det gamma
+    det gamma^-1 = 1, so the left inverse is also the right one."""
     gamma, chi, gamma_inv = _as_tuple(gamma), _as_tuple(chi), _as_tuple(gamma_inv)
     n = len(gamma)
     for i in range(n):
@@ -330,13 +339,13 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
     if mat_mul(gamma_inv, gamma, poly_dot) != mat_identity(n, 1, 0):
         raise ConnectionError("gamma_inv is not an exact inverse")
     entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
-    return GenMetric(n, Fraction(epsilon), entries, gamma_inv)
+    return GenMetric(n, Fraction(epsilon), entries, _scalar_forms(gamma_inv))
 
 
 def metric_inverse(g: GenMetric) -> GenMatrix:
     """g^{mn} = gamma^{mn} - chi^{mn} m with indices raised by gamma."""
-    gamma_inv = _scalar_forms(g.gamma_inv)
-    return _gen_matrix(g.dim, g.epsilon, 0, gamma_inv, mat_neg(_raise_both(gamma_inv, g.chi())))
+    return _gen_matrix(g.dim, g.epsilon, 0, g.gamma_inv,
+                       mat_neg(_raise_both(g.gamma_inv, g.chi())))
 
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
@@ -346,16 +355,9 @@ def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_gd(gm))
 
 
-def nonmetricity_ordinary(alpha: FormMatrix, gamma: PolyMatrix) -> FormMatrix:
-    """q_{mn} = d gamma_{mn} - gamma_{ml} alpha^l_n - gamma_{ln} alpha^l_m."""
-    gamma = _scalar_forms(gamma)
-    return _signed_sum(wedge_sum, [(-1, gamma, alpha), (-1, transpose(gamma), alpha, True)],
-                       mat_ext_d(gamma))
-
-
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     """D t_{mn} = d t_{mn} - alpha^l_m t_{ln} - alpha^l_n t_{ml} for
-    (0,2)-valued forms of any homogeneous degree."""
+    (0,2)-valued forms of any homogeneous degree; q = D gamma on gamma's 0-forms."""
     alpha_t = transpose(alpha)
     return _signed_sum(wedge_sum, [(-1, alpha_t, t), (-1, alpha_t, transpose(t), True)],
                        mat_ext_d(t))
@@ -364,10 +366,9 @@ def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
 def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Component path: Q = (q - eps chi) + [D chi - (beta_{mn} + beta_{nm})] m
     with beta_{mn} = gamma_{ml} beta^l_n."""
-    alpha = A.alpha()
-    gamma, chi = g.gamma(), g.chi()
-    body = mat_sub(nonmetricity_ordinary(alpha, gamma), _scale_matrix(chi, A.epsilon))
-    beta_low = mat_mul(_scalar_forms(gamma), A.beta(), wedge_dot)
+    (alpha, beta), (gamma, chi) = _split(A.entries), _split(g.entries)
+    body = mat_sub(cov_d_lowered(alpha, gamma), _scale_matrix(chi, A.epsilon))
+    beta_low = mat_mul(gamma, beta, wedge_dot)
     soul = mat_sub(mat_sub(cov_d_lowered(alpha, chi), beta_low), transpose(beta_low))
     return _gen_matrix(A.dim, A.epsilon, 1, body, soul)
 
@@ -434,14 +435,13 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     alpha_lc = _as_tuple(alpha_lc)
     if not all(t.is_zero() for t in torsion(alpha_lc)):
         raise ConnectionError("alpha_lc has torsion")
-    q = nonmetricity_ordinary(alpha_lc, g.gamma())
+    q = cov_d_lowered(alpha_lc, g.gamma())
     if not mat_is_zero(q):
         raise ConnectionError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
-    gamma_inv = _scalar_forms(g.gamma_inv)
-    beta = mat_mul(gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), wedge_dot)
+    beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), wedge_dot)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(gamma_inv, _as_tuple(beta_tilde), wedge_dot))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), wedge_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     return _verified(A, g, ordinary_curvature(alpha_lc), q, None, None)
 
@@ -465,16 +465,15 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     alpha = _as_tuple(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):
         raise ConnectionError("alpha has torsion")
-    q = nonmetricity_ordinary(alpha, gamma)
+    q = cov_d_lowered(alpha, _scalar_forms(gamma))
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
     fcal = ordinary_curvature(alpha)
-    gamma_inv = _scalar_forms(g.gamma_inv)
-    fcal_low = mat_mul(_scalar_forms(gamma), fcal, wedge_dot)
-    fcal_adj = mat_mul(gamma_inv, transpose(fcal_low), wedge_dot)
+    fcal_low = mat_mul(g.gamma(), fcal, wedge_dot)
+    fcal_adj = mat_mul(g.gamma_inv, transpose(fcal_low), wedge_dot)
     beta = _scale_matrix(mat_add(fcal, fcal_adj), Fraction(-1, 2) / eps)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(gamma_inv, _as_tuple(beta_tilde), wedge_dot))
+        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), wedge_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
     return _verified(A, g, fcal, q, fcal_low, fcal_adj)
 
@@ -483,7 +482,7 @@ def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """Claimed curvature of the eps = 0 canonical construction:
     F = F_cal + (F_cal^m_l chi^l_n - chi^m_l F_cal^l_n) m / 2."""
     A, g, fcal = mc.A, mc.g, mc.fcal
-    chi_up = mat_mul(_scalar_forms(g.gamma_inv), g.chi(), wedge_dot)
+    chi_up = mat_mul(g.gamma_inv, g.chi(), wedge_dot)
     soul = _signed_sum(wedge_sum, [(1, fcal, chi_up), (-1, chi_up, fcal)])
     return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
 
@@ -498,8 +497,7 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     The soul sign on the second term follows from expanding D beta with
     D gamma = q; the verification suite pins it against the mechanical F.
     """
-    A, fcal, fcal_low, q = mc.A, mc.fcal, mc.fcal_low, mc.q
-    gamma_inv = _scalar_forms(mc.g.gamma_inv)
+    A, fcal, fcal_low, q, gamma_inv = mc.A, mc.fcal, mc.fcal_low, mc.q, mc.g.gamma_inv
     fcal_up = mat_mul(fcal, gamma_inv, wedge_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
     body = mat_sub(fcal, mc.fcal_adj)
     q_up = _raise_both(gamma_inv, q)

@@ -251,7 +251,7 @@ class VectorField:
         return VectorField([-c for c in self.components])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
+        return VectorField([a - b for a, b in zip(self.components, other.components)])
 
     def scale(self, factor: Polynomial | Scalar) -> "VectorField":
         return VectorField([c * factor for c in self.components])

@@ -89,7 +89,8 @@ class GenVectorField:
         return GenVectorField(self.dim, self.epsilon, self.v + other.v, self.vt + other.vt)
 
     def __sub__(self, other: "GenVectorField") -> "GenVectorField":
-        return self + (-other)
+        self._require_compatible(other)
+        return GenVectorField(self.dim, self.epsilon, self.v - other.v, self.vt - other.vt)
 
     def __neg__(self) -> "GenVectorField":
         return GenVectorField(self.dim, self.epsilon, -self.v, -self.vt)

@@ -29,7 +29,6 @@ from genform.connection import (
     metric_validate,
     nonmetricity,
     nonmetricity_expansion,
-    nonmetricity_ordinary,
     ordinary_curvature,
     torsion,
     transform_connection,
@@ -345,7 +344,7 @@ def test_levi_civita_properties():
         gamma, gamma_inv = rnd.metric_pieces()
         alpha = levi_civita_connection(gamma, gamma_inv)
         assert all(t.is_zero() for t in torsion(alpha))
-        assert conn.mat_is_zero(nonmetricity_ordinary(alpha, gamma))
+        assert conn.mat_is_zero(conn.cov_d_lowered(alpha, conn._scalar_forms(gamma)))
 
 
 def christoffel_reference(gamma, gamma_inv):
@@ -457,7 +456,7 @@ def test_case_i_rejects_non_metric_alpha():
     gamma, gamma_inv = rnd.metric_pieces()
     chi = rnd.symmetric_one_forms()
     bad_alpha = rnd.torsion_free_alpha()
-    if conn.mat_is_zero(nonmetricity_ordinary(bad_alpha, gamma)):
+    if conn.mat_is_zero(conn.cov_d_lowered(bad_alpha, conn._scalar_forms(gamma))):
         pytest.skip("random alpha happened to be metric")
     with pytest.raises(ConnectionError):
         metric_connection_eps0(gamma, chi, bad_alpha, gamma_inv)
@@ -537,8 +536,7 @@ def test_bundled_fixtures_load_and_verify():
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     mc = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
     assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
-    q = nonmetricity_ordinary(alpha, gamma)
-    assert not conn.mat_is_zero(q)
+    assert not conn.mat_is_zero(mc.q)
 
 
 # -- the pieces a construction returns --------------------------------------------
@@ -573,10 +571,12 @@ def _random_constructions():
             yield metric_connection_eps(gamma, rnd.torsion_free_alpha(), gamma_inv, eps)
 
 
-def scale_fold(polys, forms):
-    """sum_k p_k x_k as the left fold of + over the scalings x_k.scale(p_k):
-    a polynomial matrix times a matrix of forms without the 0-form lift."""
-    return reduce(operator.add, (x.scale(p) for p, x in zip(polys, forms, strict=True)))
+def scale_fold(scalars, forms):
+    """sum_k f_k x_k for 0-forms f_k, as the left fold of + over the scalings
+    of x_k by f_k's polynomial: a matrix of 0-forms times a matrix of forms
+    without ``wedge_sum``."""
+    return reduce(operator.add, (x.scale(f.components.get((), Polynomial.zero(f.dim)))
+                                 for f, x in zip(scalars, forms, strict=True)))
 
 
 @pytest.mark.parametrize("name", ["connection_case_i", "connection_case_ii",
@@ -587,7 +587,7 @@ def test_construction_pieces_are_what_they_claim(name):
     for mc in results:
         alpha, gamma = mc.A.alpha(), mc.g.gamma()
         assert mc.fcal == ordinary_curvature(alpha)
-        assert mc.q == nonmetricity_ordinary(alpha, gamma)
+        assert mc.q == composed_nonmetricity_ordinary(alpha, gamma)
         assert mc.Q == nonmetricity(mc.A, mc.g)
         assert conn.mat_is_zero(mc.Q)
         if mc.A.epsilon == 0:
@@ -597,7 +597,7 @@ def test_construction_pieces_are_what_they_claim(name):
             # gamma^{ml} F_cal_{nl} = (gamma^-1 F_cal^T gamma)^m_n
             assert mc.fcal_adj == conn.mat_mul(
                 conn.mat_mul(mc.g.gamma_inv, conn.transpose(mc.fcal), scale_fold), gamma,
-                lambda forms, polys: scale_fold(polys, forms))
+                lambda forms, scalars: scale_fold(scalars, forms))
 
 
 def _broken_construction(monkeypatch, case: str) -> None:
@@ -652,7 +652,7 @@ def composed_nonmetricity(A, g):
 
 
 def composed_nonmetricity_ordinary(alpha, gamma):
-    gamma = conn._scalar_forms(gamma)
+    """q = d gamma - gamma alpha - (gamma^T alpha)^T for gamma's 0-forms."""
     gamma_alpha = conn.mat_mul(gamma, alpha, wedge_dot)
     gammat_alpha = conn.mat_mul(conn.transpose(gamma), alpha, wedge_dot)
     return conn.mat_sub(conn.mat_sub(conn.mat_ext_d(gamma), gamma_alpha),
@@ -678,14 +678,14 @@ def composed_cov_deriv_vf_expansion(A, V):
 
 
 def composed_case_i_soul(mc):
-    chi_up = conn.mat_mul(conn._scalar_forms(mc.g.gamma_inv), mc.g.chi(), wedge_dot)
+    chi_up = conn.mat_mul(mc.g.gamma_inv, mc.g.chi(), wedge_dot)
     soul = conn.mat_sub(conn.mat_mul(mc.fcal, chi_up, wedge_dot),
                         conn.mat_mul(chi_up, mc.fcal, wedge_dot))
     return conn._scale_matrix(soul, Fraction(1, 2))
 
 
 def composed_case_ii_soul(mc):
-    gamma_inv = conn._scalar_forms(mc.g.gamma_inv)
+    gamma_inv = mc.g.gamma_inv
     fcal_up = conn.mat_mul(mc.fcal, gamma_inv, wedge_dot)
     soul = conn.mat_sub(conn.transpose(conn.mat_mul(mc.q, fcal_up, wedge_dot)),
                         conn.mat_mul(conn._raise_both(gamma_inv, mc.q),
@@ -699,18 +699,17 @@ def souls(m):
 
 def test_nonmetricities_transpose_a_non_symmetric_metric():
     """Neither non-metricity assumes a symmetric metric: on non-symmetric
-    gamma and g, built without ``metric_validate``, each equals its matrix
-    composition, in which g and g^T differ."""
+    gamma and g, built without ``metric_validate``, q = D gamma and Q each
+    equal their matrix composition, in which g and g^T differ."""
     for dim in (2, 3):
         for eps in EPSILONS:
             rnd = FormRandom(85 + dim, dim, eps)
             A = rnd.connection()
-            gamma = tuple(tuple(rnd.poly() for _ in range(dim)) for _ in range(dim))
+            gamma = conn._scalar_forms([[rnd.poly() for _ in range(dim)] for _ in range(dim)])
             chi = tuple(tuple(rnd.form(1) for _ in range(dim)) for _ in range(dim))
             assert gamma != conn.transpose(gamma) and chi != conn.transpose(chi)
-            g = conn.GenMetric(dim, eps, conn._gen_matrix(dim, eps, 0, conn._scalar_forms(gamma),
-                                                          chi), gamma)
-            assert (nonmetricity_ordinary(A.alpha(), gamma)
+            g = conn.GenMetric(dim, eps, conn._gen_matrix(dim, eps, 0, gamma, chi), gamma)
+            assert (conn.cov_d_lowered(A.alpha(), gamma)
                     == composed_nonmetricity_ordinary(A.alpha(), gamma))
             assert nonmetricity(A, g) == composed_nonmetricity(A, g)
 
@@ -734,8 +733,8 @@ def test_folded_sums_equal_their_matrix_compositions(dim):
             assert (bianchi_residual(A, curvature_expansion(A))
                     == composed_cov_ext_d_tensor(A, curvature(A), 2))
             assert nonmetricity(A, g) == composed_nonmetricity(A, g)
-            assert (nonmetricity_ordinary(alpha, gamma)
-                    == composed_nonmetricity_ordinary(alpha, gamma))
+            assert (conn.cov_d_lowered(alpha, g.gamma())
+                    == composed_nonmetricity_ordinary(alpha, g.gamma()))
             assert conn.cov_d_lowered(alpha, t) == composed_cov_d_lowered(alpha, t)
             assert cov_deriv_vf_expansion(A, V) == composed_cov_deriv_vf_expansion(A, V)
     rnd = FormRandom(90 + dim, dim, Fraction(0))

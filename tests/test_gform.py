@@ -255,6 +255,11 @@ def _nonmetricity_site(dim: int, eps: Fraction):
     return lambda: conn.nonmetricity(A, g)
 
 
+def _build_site(dim: int, eps: Fraction):
+    entries = [[GenForm.zero(dim, eps, 1)] * 2 for _ in range(2)]
+    return lambda: conn.GenConnection.build(entries, Fraction(1))
+
+
 def _hamiltonian_site(dim: int, eps: Fraction):
     z, o = Polynomial.zero(2), Polynomial.one(2)
     s = GenForm(2, Fraction(1), 2, OrdinaryForm(2, 2, {(1, 2): -o}))
@@ -265,11 +270,13 @@ def _hamiltonian_site(dim: int, eps: Fraction):
 
 @pytest.mark.parametrize("site, error", [(_connection_site, conn.ConnectionError),
                                          (_nonmetricity_site, conn.ConnectionError),
+                                         (_build_site, conn.ConnectionError),
                                          (_hamiltonian_site, SymplecticError)])
 def test_context_checks_name_the_attribute_that_differs(site, error):
-    """``cov_deriv_vf``, ``nonmetricity`` and ``GenHamiltonianProblem`` check
-    their operands with ``GenForm._require_compatible`` and raise their own
-    error class with its message."""
+    """``cov_deriv_vf``, ``nonmetricity``, ``GenConnection.build`` and
+    ``GenHamiltonianProblem`` check their operands with
+    ``GenForm._require_compatible`` and raise their own error class with its
+    message."""
     site(2, Fraction(1))()  # compatible operands pass
     with pytest.raises(error, match=r"^dimension mismatch: 2 vs 4$"):
         site(4, Fraction(1))()

@@ -11,6 +11,10 @@ report prints polynomials with their terms sorted.
 Re-record only when a change of output is intended, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Without ``--record`` the script replays every case through the test below and
+needs only the standard library, so it also runs on an interpreter without
+pytest; it exits 1 if a case differs.
 """
 
 import hashlib
@@ -18,8 +22,14 @@ import os
 import pathlib
 import re
 import sys
+import tempfile
+import types
 
-import pytest
+try:
+    import pytest
+except ModuleNotFoundError:  # parametrize is a no-op; the replay below calls the test
+    pytest = types.SimpleNamespace(
+        mark=types.SimpleNamespace(parametrize=lambda *args: lambda test: test))
 
 from genform.cli import main
 
@@ -116,10 +126,27 @@ def record(workdir: pathlib.Path) -> None:
     CSV_SUMS.write_text("".join(sums))
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: python tests/test_golden.py --record")
-    import tempfile
+def replay() -> int:
+    """Run ``test_golden_report`` on every case; the number that fail."""
+    if not __debug__:
+        raise SystemExit("the replay checks with assert; run it without -O")
+    failed = 0
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                test_golden_report(name, pathlib.Path(tmp))
+            except AssertionError:
+                failed += 1
+                print(f"FAILED {name}")
+    print(f"{len(CASES) - failed} passed, {failed} failed on Python {sys.version.split()[0]}")
+    return failed
 
-    with tempfile.TemporaryDirectory() as tmp:
-        record(pathlib.Path(tmp))
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--record"]):
+        raise SystemExit("usage: python tests/test_golden.py [--record]")
+    if sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            record(pathlib.Path(tmp))
+    else:
+        raise SystemExit(1 if replay() else 0)

@@ -6,8 +6,9 @@ superspace oracle and the canonical random draws.
   argument: a repeated call returns the same object, and that object equals
   a fresh computation on a copy built by the validating constructor.
 - ``a - b`` is one signed sum in each of ``Polynomial``, ``OrdinaryForm``,
-  ``GenForm`` and ``SuperFunction``; it must equal ``a + (-b)`` exactly, and
-  raise the same error on operands that do not fit together.
+  ``GenForm`` and ``SuperFunction``, and componentwise in ``VectorField`` and
+  ``GenVectorField``; it must equal ``a + (-b)`` exactly, and raise the same
+  error on operands that do not fit together.
 - The superspace operators sum each output mask in one kernel call; they must
   equal the per-product reference below, which multiplies and adds one blade
   product at a time.
@@ -86,8 +87,11 @@ def test_a_repeated_derivation_returns_the_kept_object(dim):
 # -- signed difference -------------------------------------------------------------
 
 
+KINDS = ["poly", "form", "genform", "super", "vector", "genvector"]
+
+
 def _scaled(kind: str, x, factor):
-    if kind in ("poly", "form", "genform"):
+    if kind != "super":
         return x * factor if kind == "poly" else x.scale(factor)
     return SuperFunction(x.dim, x.epsilon, {m: c * factor for m, c in x.terms.items()})
 
@@ -99,6 +103,10 @@ def _draw(rnd: FormRandom, kind: str, degree: int, scale):
         x = rnd.form(degree)
     elif kind == "genform":
         x = rnd.genform(degree)
+    elif kind == "vector":
+        x = rnd.vector_field()
+    elif kind == "genvector":
+        x = rnd.gen_vector_field()
     else:
         x = rnd.superfunction()
     return _scaled(kind, x, scale)
@@ -106,22 +114,31 @@ def _draw(rnd: FormRandom, kind: str, degree: int, scale):
 
 def _zero(kind: str, dim: int, eps: Fraction, degree: int):
     return {"poly": Polynomial.zero(dim), "form": OrdinaryForm.zero(dim, degree),
-            "genform": GenForm.zero(dim, eps, degree), "super": SuperFunction(dim, eps)}[kind]
+            "genform": GenForm.zero(dim, eps, degree), "super": SuperFunction(dim, eps),
+            "vector": VectorField.zero(dim),
+            "genvector": GenVectorField.ordinary(VectorField.zero(dim), eps)}[kind]
 
 
 def _same(x, y) -> bool:
-    """Equal values of equal degree; polynomials also with equal term order."""
+    """Equal values of equal degree; polynomials, also those of a field, with
+    equal term order."""
     if isinstance(x, Polynomial):
         return (x.dim, x.den, list(x._nums.items())) == (y.dim, y.den, list(y._nums.items()))
     if isinstance(x, OrdinaryForm):
         return x == y and x.degree == y.degree
     if isinstance(x, GenForm):
         return x == y and x.degree == y.degree and _same(x.body, y.body) and _same(x.soul, y.soul)
+    if isinstance(x, VectorField):
+        return x == y and all(map(_same, x.components, y.components))
+    if isinstance(x, GenVectorField):
+        return (x == y and _same(x.v, y.v)
+                and all(map(_same, itertools.chain(*x.vt.components),
+                            itertools.chain(*y.vt.components))))
     return x == y
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["poly", "form", "genform", "super"]),
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS),
        dim=st.integers(1, 3), seed=st.integers(0, 10 ** 6),
        scales=st.tuples(st.sampled_from(SCALES), st.sampled_from(SCALES)),
        relation=st.sampled_from(["independent", "overlap", "equal", "zero_a", "zero_b"]))
@@ -156,12 +173,18 @@ def _misfits(kind: str, dim: int, eps: Fraction):
         return [(GenForm.one(dim, eps), GenForm.minus_one(dim, eps)),
                 (GenForm.one(dim, eps), GenForm.one(dim, eps + 1)),
                 (GenForm.one(dim, eps), GenForm.one(dim + 1, eps))]
+    if kind == "vector":
+        return [(VectorField.coordinate(dim, 1), VectorField.coordinate(dim + 1, 1))]
+    if kind == "genvector":
+        v = GenVectorField.ordinary(VectorField.coordinate(dim, 1), eps)
+        return [(v, GenVectorField.ordinary(VectorField.coordinate(dim, 1), eps + 1)),
+                (v, GenVectorField.ordinary(VectorField.coordinate(dim + 1, 1), eps))]
     f = SuperFunction.from_poly(Polynomial.one(dim), eps)
     return [(f, SuperFunction.from_poly(Polynomial.one(dim), eps + 1)),
             (f, SuperFunction.from_poly(Polynomial.one(dim + 1), eps))]
 
 
-@pytest.mark.parametrize("kind", ["poly", "form", "genform", "super"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_difference_of_misfits_raises_as_the_sum_does(kind):
     for a, b in _misfits(kind, 2, Fraction(1)):
         with pytest.raises(ValueError) as got:
