@@ -514,8 +514,3 @@ def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
     if any(f.dim != dim for row in forms for f in row):
         raise ValueError(f"matrix entries must be forms on R^{dim}")
     return forms
-
-
-def poly_matrix_from_json(dim: int, data) -> PolyMatrix:
-    return tuple(tuple(Polynomial.parse(dim, cell) for cell in row)
-                 for row in _json_rows(dim, data))

@@ -639,6 +639,12 @@ def _json_rows(dim: int, data) -> list:
     return data
 
 
+def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
+    """A JSON dim x dim matrix of polynomial strings in dim variables."""
+    return tuple(tuple(Polynomial.parse(dim, cell) for cell in row)
+                 for row in _json_rows(dim, data))
+
+
 def form_from_json(data: dict) -> OrdinaryForm:
     dim = _json_dim(data)
     degree = _json_field(data, "degree", int)

@@ -33,11 +33,11 @@ from .exterior import (
     _hooks,
     _json_dim,
     _json_field,
-    _json_rows,
     coordinate_partial,
     ext_d,
     interior,
     lie,
+    poly_matrix_from_json,
     transpose,
     vf_bracket,
     wedge_dot,
@@ -307,6 +307,5 @@ def gvf_to_json(V: GenVectorField) -> dict:
 def gvf_from_json(data: dict) -> GenVectorField:
     dim = _json_dim(data)
     v = VectorField([Polynomial.parse(dim, t) for t in _json_field(data, "v", list)])
-    vt = Tensor11([[Polynomial.parse(dim, t) for t in row]
-                   for row in _json_rows(dim, _json_field(data, "vt", list))])
+    vt = Tensor11(poly_matrix_from_json(dim, _json_field(data, "vt", list)))
     return GenVectorField(dim, parse_rational(_json_field(data, "epsilon", str)), v, vt)

@@ -38,12 +38,12 @@ from .exterior import (
     VectorField,
     _json_dim,
     _json_field,
-    _json_rows,
     ext_d,
     form_from_json,
     interior,
     mat_mul,
     poincare_antiderivative,
+    poly_matrix_from_json,
     transpose,
 )
 from .gform import GenForm, gd
@@ -328,8 +328,7 @@ def problem_from_json(data: dict) -> GenHamiltonianProblem:
     omega = form_from_json(_json_field(data, "omega", dict))
     upsilon = form_from_json(data["upsilon"]) if "upsilon" in data else OrdinaryForm.zero(n, 3)
     s = GenForm(n, eps, 2, omega, upsilon)
-    inv = [[Polynomial.parse(n, t) for t in row]
-           for row in _json_rows(n, _json_field(data, "omega_inv", list))]
+    inv = poly_matrix_from_json(n, _json_field(data, "omega_inv", list))
     sympl = symplectic_validate(s, inv)
     h = Polynomial.parse(n, _json_field(data, "h", str))
     k = _json_field(data, "k", list)

@@ -1,10 +1,19 @@
 """Randomized identity suites.
 
 Every suite is a family of exact identities: a failure at any trial is an
-implementation bug, never statistical noise.  Trials are pure functions of
-(seed, trial index), epsilon cycles through a fixed pool starting from the
-requested base value, and the principal form degree sweeps -1..n, so a single
-run covers every degree and every sign regime deterministically.
+implementation bug, never statistical noise.  A suite is a per-trial body
+``body(rnd, degree, check)`` that draws its inputs from ``rnd`` and hands each
+identity's residual to ``check(case, residual)``.  A trial is
+``run_trial(name, dim, epsilon, seed, trial)``: the list of its failure
+records, a function of those arguments alone.  ``run_suite`` concatenates the
+records of trials 0..trials-1 in trial order into the suite's report.  Epsilon
+cycles through a fixed pool starting from the requested base value, and the
+principal form degree sweeps -1..n, so a single run covers every degree and
+every sign regime deterministically.  One test of a residual serves every
+suite: a matrix (a tuple of rows) is zero when every entry is, anything else
+by its own ``.is_zero()``.  An exception raised by an engine call ends its
+trial with a failure record of case ``"exception"``; the later trials still
+run.
 
 A trial computes each value once: a value that more than one check reads
 (i_w a, L_v a, d a, a b, the pullback of a, [V, W], to_super(a), the
@@ -19,9 +28,7 @@ through the metric products, where a dim-4 trial peaks in memory.
 
 from __future__ import annotations
 
-import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -62,29 +69,6 @@ from .superspace import (
 )
 
 SCHEMA_VERSION = 1
-SUITE_NAMES = ("cartan", "gform", "super", "gvector", "connection")
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    trials: int
-    failures: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "pass": self.passed,
-            "wall_time": self.wall_time,
-        }
 
 
 def _epsilon_pool(base: Fraction) -> list[Fraction]:
@@ -101,8 +85,8 @@ def _trial_setup(dim: int, epsilon: Fraction, seed: int, trial: int) -> tuple[Fo
     return rnd, degree
 
 
-def _record(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residual) -> None:
-    report.failures.append({
+def _record(failures: list[dict], case: str, trial: int, rnd: FormRandom, residual) -> None:
+    failures.append({
         "case": case,
         "trial": trial,
         "inputs": {"epsilon": str(rnd.epsilon), "dim": rnd.dim},
@@ -110,42 +94,49 @@ def _record(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residua
     })
 
 
-def _check(report: SuiteReport, case: str, trial: int, rnd: FormRandom, residual,
-           is_zero: Callable) -> None:
-    if not is_zero(residual):
-        _record(report, case, trial, rnd, residual)
+def _check(failures: list[dict], case: str, trial: int, rnd: FormRandom, residual) -> None:
+    """Record ``residual`` unless it is zero: a matrix (a tuple of rows) when
+    every entry is, anything else by its own ``.is_zero()``."""
+    if not (mat_is_zero(residual) if isinstance(residual, tuple) else residual.is_zero()):
+        _record(failures, case, trial, rnd, residual)
 
 
-def _suite(name: str, is_zero: Callable = operator.methodcaller("is_zero")):
-    """Decorator: make the per-trial body ``body(rnd, degree, check)``, which
-    builds a trial's inputs from ``rnd`` and passes each residual to
-    ``check(case, residual)``, into the suite ``(dim, epsilon, trials, seed)
-    -> SuiteReport``.  The suite owns the report, the timer, the trial loop and
-    the failure records; ``is_zero`` is its one test of a residual."""
-    def make(body: Callable) -> Callable[[int, Fraction, int, int], SuiteReport]:
-        def run(dim: int, epsilon: Fraction, trials: int, seed: int) -> SuiteReport:
-            report = SuiteReport(name, trials)
-            start = time.perf_counter()
-            for trial in range(trials):
-                rnd, degree = _trial_setup(dim, epsilon, seed, trial)
+def run_trial(name: str, dim: int, epsilon: Fraction, seed: int, trial: int) -> list[dict]:
+    """The failure records of one trial of suite ``name``, in check order; a
+    function of its arguments alone.  An exception raised by the suite's body
+    ends the trial with one record of case ``"exception"``."""
+    body = SUITES[name]
+    failures: list[dict] = []
+    rnd, degree = _trial_setup(dim, epsilon, seed, trial)
 
-                def check(case: str, residual) -> None:
-                    _check(report, case, trial, rnd, residual, is_zero)
+    def check(case: str, residual) -> None:
+        _check(failures, case, trial, rnd, residual)
 
-                body(rnd, degree, check)
-            report.wall_time = time.perf_counter() - start
-            return report
+    try:
+        body(rnd, degree, check)
+    except Exception as exc:
+        _record(failures, "exception", trial, rnd, f"{type(exc).__name__}: {exc}")
+    return failures
 
-        run.__name__ = run.__qualname__ = body.__name__
-        run.__doc__ = body.__doc__
-        return run
-    return make
+
+def run_suite(name: str, dim: int, epsilon: Fraction, trials: int, seed: int) -> dict:
+    """The report of trials 0..trials-1 of suite ``name``: their failure
+    records concatenated in trial order."""
+    start = time.perf_counter()
+    failures = [f for trial in range(trials) for f in run_trial(name, dim, epsilon, seed, trial)]
+    return {
+        "schema": SCHEMA_VERSION,
+        "suite": name,
+        "trials": trials,
+        "failures": failures,
+        "pass": not failures,
+        "wall_time": time.perf_counter() - start,
+    }
 
 
 # -- suites ------------------------------------------------------------------------
 
 
-@_suite("cartan")
 def suite_cartan(rnd: FormRandom, degree: int, check: Callable) -> None:
     """The four commutation identities for ordinary fields v, w acting on
     degree-extended forms."""
@@ -162,7 +153,6 @@ def suite_cartan(rnd: FormRandom, degree: int, check: Callable) -> None:
           glie_ordinary(v, iw_a) - ginterior_ordinary(w, lv_a) - ginterior_ordinary(vw, a))
 
 
-@_suite("gform")
 def suite_gform(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Algebra and derivative laws of the extended forms themselves."""
     dim = rnd.dim
@@ -200,7 +190,6 @@ def suite_gform(rnd: FormRandom, degree: int, check: Callable) -> None:
     check("lie_kills_m", glie_ordinary(v, m))
 
 
-@_suite("super")
 def suite_super(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Round-trip soundness of the Grassmann representation for all six
     operations, plus the internal algebra of the representation itself."""
@@ -237,7 +226,6 @@ def _part(f: SuperFunction, parity: int) -> SuperFunction:
                          {m: c for m, c in f.terms.items() if bin(m).count("1") % 2 == parity})
 
 
-@_suite("gvector")
 def suite_gvector(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Interior, Lie and bracket laws for degree-extended vector fields."""
     a = rnd.genform(degree)
@@ -286,7 +274,6 @@ def suite_gvector(rnd: FormRandom, degree: int, check: Callable) -> None:
     check("embed_zero_reduces", modified_lie(V0, a) - lv_a)
 
 
-@_suite("connection", mat_is_zero)
 def suite_connection(rnd: FormRandom, degree: int, check: Callable) -> None:
     """Curvature, Bianchi, covariant-derivative and metric-compatibility
     identities, each computed along two independent paths; every residual is
@@ -317,9 +304,6 @@ def suite_connection(rnd: FormRandom, degree: int, check: Callable) -> None:
         check("metric_inverse_two_sided", mat_sub(mat_mul(left, right, gwedge_dot), eye))
 
 
-SUITES = dict(zip(SUITE_NAMES, (suite_cartan, suite_gform, suite_super, suite_gvector,
-                                suite_connection)))
-
-
-def run_suites(names, dim: int, epsilon: Fraction, trials: int, seed: int) -> list[SuiteReport]:
-    return [SUITES[name](dim, epsilon, trials, seed) for name in names]
+SUITES = {"cartan": suite_cartan, "gform": suite_gform, "super": suite_super,
+          "gvector": suite_gvector, "connection": suite_connection}
+SUITE_NAMES = tuple(SUITES)

@@ -20,7 +20,8 @@ from genform.hamiltonian import (
     rk4_order_estimate,
 )
 from genform.randgen import FormRandom
-from genform.suites import SUITES, run_suites
+from genform.exterior import poly_matrix_from_json
+from genform.suites import run_suite
 import genform.connection as conn
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,21 +57,20 @@ def test_criterion_01_d_squared_and_antiderivation():
 def test_criterion_02_cartan_suite():
     ok = True
     for dim in (2, 3):
-        report = SUITES["cartan"](dim, Fraction(1), 50, SEED)
-        ok = ok and report.passed
+        ok = ok and run_suite("cartan", dim, Fraction(1), 50, SEED)["pass"]
     _report(2, "H. Cartan identities, 4 x 50 trials", ok)
 
 
 def test_criterion_03_dictionary_soundness():
-    report = SUITES["super"](3, Fraction(1), 50, SEED)
+    report = run_suite("super", 3, Fraction(1), 50, SEED)
     _report(3, "direct path equals superspace path for all six operations",
-            report.passed)
+            report["pass"])
 
 
 def test_criterion_04_extended_vector_suite():
-    report = SUITES["gvector"](2, Fraction(1), 50, SEED)
+    report = run_suite("gvector", 2, Fraction(1), 50, SEED)
     _report(4, "extended-field Leibniz/anticommutator/bracket/Jacobi laws",
-            report.passed)
+            report["pass"])
 
 
 def test_criterion_05_so3_example():
@@ -119,8 +119,8 @@ def test_criterion_07_oscillator():
 
 
 def test_criterion_08_connection_suite():
-    report = SUITES["connection"](2, Fraction(1), 50, SEED)
-    _report(8, "Bianchi, conjugation and dual-path connection identities", report.passed)
+    report = run_suite("connection", 2, Fraction(1), 50, SEED)
+    _report(8, "Bianchi, conjugation and dual-path connection identities", report["pass"])
 
 
 def test_criterion_09_fundamental_theorem():
@@ -128,8 +128,8 @@ def test_criterion_09_fundamental_theorem():
     with open(FIXTURES / "connection_case_i.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     chi = conn.matrix_of_forms_from_json(n, data["chi"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
@@ -140,8 +140,8 @@ def test_criterion_09_fundamental_theorem():
     with open(FIXTURES / "connection_case_ii.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     eps = Fraction(data["epsilon"])
     mc2 = conn.metric_connection_eps(gamma, alpha, gamma_inv, eps)
@@ -150,8 +150,8 @@ def test_criterion_09_fundamental_theorem():
     with open(FIXTURES / "connection_case_ii_ordinary.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.levi_civita_connection(gamma, gamma_inv)
     mc3 = conn.metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
     A3 = mc3.A
@@ -182,11 +182,9 @@ def test_criterion_10_appendix():
 
 
 def test_criterion_11_determinism():
-    first = run_suites(("cartan", "gform"), 2, Fraction(1), 10, SEED)
-    second = run_suites(("cartan", "gform"), 2, Fraction(1), 10, SEED)
     ok = True
-    for a, b in zip(first, second):
-        ja, jb = a.to_json(), b.to_json()
+    for name in ("cartan", "gform"):
+        ja, jb = (run_suite(name, 2, Fraction(1), 10, SEED) for _ in range(2))
         ja.pop("wall_time")
         jb.pop("wall_time")
         ok = ok and ja == jb

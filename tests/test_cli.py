@@ -219,6 +219,17 @@ def test_connection_thm_rejects_wrong_shape_matrices(tmp_path, capsys):
         assert _one_line_usage_error(code, capsys), name
 
 
+@pytest.mark.parametrize("key", ["gamma", "gamma_inv"])
+def test_connection_thm_names_a_missing_matrix(key, tmp_path, capsys):
+    data = read(FIXTURES / "connection_case_i.json")
+    del data[key]
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(data))
+    code = run(["connection-thm", "--fixture", path, "--case", "i", "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"fixture error: missing key {key!r}\n"
+
+
 def test_hamiltonian_rejects_malformed_rationals_and_short_k(tmp_path, capsys):
     good = read(FIXTURES / "hamiltonian_n2.json")
     mutations = {

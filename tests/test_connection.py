@@ -33,7 +33,7 @@ from genform.connection import (
     torsion,
     transform_connection,
 )
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, wedge_dot
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, poly_matrix_from_json, wedge_dot
 from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
@@ -521,8 +521,8 @@ def test_bundled_fixtures_load_and_verify():
     with open(FIXTURES / "connection_case_i.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     chi = conn.matrix_of_forms_from_json(n, data["chi"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
@@ -531,8 +531,8 @@ def test_bundled_fixtures_load_and_verify():
     with open(FIXTURES / "connection_case_ii.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
     mc = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
     assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
@@ -548,8 +548,8 @@ def _fixture_construction(name):
     with open(FIXTURES / f"{name}.json") as fh:
         data = json.load(fh)
     n = data["dim"]
-    gamma = conn.poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = conn.poly_matrix_from_json(n, data["gamma_inv"])
+    gamma = poly_matrix_from_json(n, data["gamma"])
+    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
     alpha = (conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data
              else levi_civita_connection(gamma, gamma_inv))
     if data["case"] == "i":

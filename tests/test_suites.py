@@ -6,15 +6,15 @@ import pytest
 from genform import cli, suites
 from genform.exterior import mat_identity, vf_bracket
 from genform.gform import GenForm, gpullback
-from genform.suites import SUITE_NAMES, SUITES, run_suites
+from genform.suites import SUITE_NAMES, run_suite, run_trial
 from genform.superspace import SuperFunction, super_d
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_each_suite_passes_small(name):
-    report = SUITES[name](2, Fraction(1), 8, 123)
-    assert report.passed, report.to_json()
-    assert report.trials == 8
+    report = run_suite(name, 2, Fraction(1), 8, 123)
+    assert report["pass"], report
+    assert report["trials"] == 8
 
 
 def test_suites_cover_epsilon_pool_and_degrees():
@@ -35,17 +35,15 @@ def test_suites_cover_epsilon_pool_and_degrees():
 
 
 def test_reports_are_deterministic():
-    a = run_suites(("cartan", "gform"), 2, Fraction(1), 5, 77)
-    b = run_suites(("cartan", "gform"), 2, Fraction(1), 5, 77)
-    for ra, rb in zip(a, b):
-        ja, jb = ra.to_json(), rb.to_json()
+    for name in ("cartan", "gform"):
+        ja, jb = (run_suite(name, 2, Fraction(1), 5, 77) for _ in range(2))
         ja.pop("wall_time")
         jb.pop("wall_time")
         assert ja == jb
 
 
 def test_report_shape():
-    report = SUITES["cartan"](2, Fraction(0), 3, 1).to_json()
+    report = run_suite("cartan", 2, Fraction(0), 3, 1)
     assert report["schema"] == 1
     assert report["suite"] == "cartan"
     assert report["pass"] is True
@@ -85,16 +83,16 @@ def test_hooks_mark_each_trial_and_count_each_check(monkeypatch):
         cases.append([])
         return trial_setup(*args)
 
-    def counted_check(report, case, *args):
+    def counted_check(failures, case, *args):
         cases[-1].append(case)  # IndexError for a check before the first trial starts
-        return check(report, case, *args)
+        return check(failures, case, *args)
 
     monkeypatch.setattr(suites, "_trial_setup", counted_setup)
     monkeypatch.setattr(suites, "_check", counted_check)
     assert set(CASES_PER_TRIAL) == set(SUITE_NAMES)
     for name in SUITE_NAMES:
         cases.clear()
-        assert SUITES[name](2, Fraction(1), 3, 5).passed
+        assert run_suite(name, 2, Fraction(1), 3, 5)["pass"]
         assert cases == [list(CASES_PER_TRIAL[name])] * 3, name
 
 
@@ -131,6 +129,9 @@ BREAKS = {
 def test_broken_operation_fails_with_replayable_records(name, monkeypatch, tmp_path, capsys):
     attr, broken, cases = BREAKS[name]
     monkeypatch.setattr(suites, attr, broken)
+    trials, seed = 4, 3
+    # each trial replays alone, here in reverse order before the suite runs
+    alone = {t: run_trial(name, 2, Fraction(1), seed, t) for t in reversed(range(trials))}
     recorded = []  # cases, as the benchmark's _record hook sees them
     record = suites._record
 
@@ -139,11 +140,13 @@ def test_broken_operation_fails_with_replayable_records(name, monkeypatch, tmp_p
         record(*args)
 
     monkeypatch.setattr(suites, "_record", counted_record)
-    trials, seed = 4, 3
-    report = SUITES[name](2, Fraction(1), trials, seed).to_json()
+    report = run_suite(name, 2, Fraction(1), trials, seed)
     assert report["pass"] is False
     failures = report["failures"]
     assert failures and recorded == [f["case"] for f in failures]
+    assert failures == [f for t in range(trials) for f in alone[t]]
+    for t in range(trials):
+        assert alone[t] == [f for f in failures if f["trial"] == t]
     assert {f["case"] for f in failures} == cases
     for f in failures:
         assert set(f) == {"case", "trial", "inputs", "residual"}
@@ -157,3 +160,23 @@ def test_broken_operation_fails_with_replayable_records(name, monkeypatch, tmp_p
     assert cli.main(argv) == 1
     capsys.readouterr()
     assert json.loads(out.read_text())["pass"] is False
+
+
+def _raising_bracket(v, w):
+    raise ValueError("body degree 1 != 2")
+
+
+def test_engine_exception_is_a_failure_record(monkeypatch, tmp_path, capsys):
+    # every cartan trial forms [v, w] before its first check, so each trial
+    # ends in one exception record and the later trials still run
+    monkeypatch.setattr(suites, "vf_bracket", _raising_bracket)
+    trials = 3
+    out = tmp_path / "report.json"
+    argv = ["identities", "--dim", "2", "--trials", str(trials), "--seed", "3",
+            "--suite", "cartan", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert [(f["case"], f["trial"], f["residual"]) for f in report["suites"][0]["failures"]] == [
+        ("exception", t, "ValueError: body degree 1 != 2") for t in range(trials)]

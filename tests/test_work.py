@@ -38,7 +38,7 @@ import pytest
 
 from genform import cli, ring
 from genform.ring import Polynomial
-from genform.suites import SUITE_NAMES, SUITES
+from genform.suites import SUITE_NAMES, run_suite
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORK = ROOT / "tests" / "golden" / "work.json"
@@ -72,7 +72,7 @@ FIXTURE_COMMANDS = [
 def _execute(run, code: int = 0) -> None:
     if isinstance(run, tuple):
         name, dim, trials, seed = run
-        assert SUITES[name](dim, Fraction(1), trials, seed).passed
+        assert run_suite(name, dim, Fraction(1), trials, seed)["pass"]
         return
     cwd = os.getcwd()
     os.chdir(ROOT)
