@@ -2,8 +2,9 @@
 
 Subcommands run the randomized identity suites, the oscillator integration,
 and the fixture-driven symbolic constructions, and emit JSON reports.  Exit
-codes: 0 all residuals zero / within tolerance, 1 suite or residual failure,
-2 usage or fixture errors.
+codes: 0 all residuals zero / within tolerance, 1 a failed suite, construction
+or check (with its report), 2 a usage error or an ``InputError``, decided in
+``main`` alone.  Any other exception is an engine fault and propagates.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .hamiltonian import (
     rk4_order_estimate,
     step_count,
 )
-from .ring import Polynomial, format_rational, parse_rational
+from .ring import InputError, Polynomial, format_rational, parse_rational
 from .suites import SCHEMA_VERSION, SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
@@ -54,16 +55,25 @@ def _finish(report: dict, out: str | None) -> int:
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
+def _read_fixture(path: str):
+    """The JSON document at path; InputError when it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"cannot read fixture: {exc}") from None
+
+
 def _rational(flag: str, text: str) -> Fraction:
-    """parse_rational(text), its ValueError naming ``flag``."""
+    """parse_rational(text), its InputError naming ``flag``."""
     try:
         return parse_rational(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{flag}: {exc}") from None
 
 
 def _default_seed(value: int | None) -> int:
-    """value, else the integer in GENFORM_SEED, else 0; a ValueError names
+    """value, else the integer in GENFORM_SEED, else 0; an InputError names
     GENFORM_SEED."""
     if value is not None:
         return value
@@ -71,13 +81,13 @@ def _default_seed(value: int | None) -> int:
     try:
         return int(env) if env else 0
     except ValueError as exc:
-        raise ValueError(f"GENFORM_SEED: {exc}") from None
+        raise InputError(f"GENFORM_SEED: {exc}") from None
 
 
 def cmd_identities(args) -> int:
     for flag, value in (("--dim", args.dim), ("--trials", args.trials)):
         if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+            raise InputError(f"{flag} must be at least 1, got {value}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     seed = _default_seed(args.seed)
     epsilon = _rational("--epsilon", args.epsilon)
@@ -104,24 +114,24 @@ def _initial_values(flag: str, text: str | None, default: float, l: int) -> list
     except ValueError:
         values = []
     if not (values and all(map(math.isfinite, values))):
-        raise ValueError(f"{flag} must be comma-separated finite numbers, got {text!r}")
+        raise InputError(f"{flag} must be comma-separated finite numbers, got {text!r}")
     if len(values) not in (1, l):
-        raise ValueError(f"{flag} must list 1 or --l = {l} numbers, got {len(values)}")
+        raise InputError(f"{flag} must list 1 or --l = {l} numbers, got {len(values)}")
     return values * l if len(values) == 1 else values
 
 
 def cmd_oscillator(args) -> int:
     if args.l < 1:
-        raise ValueError(f"--l must be at least 1, got {args.l}")
+        raise InputError(f"--l must be at least 1, got {args.l}")
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
         if not 0 < value < math.inf:
-            raise ValueError(f"{flag} must be positive and finite, got {value}")
+            raise InputError(f"{flag} must be positive and finite, got {value}")
     if args.t_end <= 4 * args.dt:
-        raise ValueError("--t-end must be more than 4 * --dt: a shorter run checks "
+        raise InputError("--t-end must be more than 4 * --dt: a shorter run checks "
                          "too few steps against the closed form")
     steps = step_count(args.t_end, args.dt)
     if args.l > max_l(steps):
-        raise ValueError(f"--l must be at most {max_l(steps)} for {steps} steps, got {args.l}")
+        raise InputError(f"--l must be at most {max_l(steps)} for {steps} steps, got {args.l}")
     epsilon, v0 = _rational("--epsilon", args.epsilon), _rational("--v0", args.v0)
     q0 = _initial_values("--q0", args.q0, 1.0, args.l)
     p0 = _initial_values("--p0", args.p0, 0.0, args.l)
@@ -130,9 +140,8 @@ def cmd_oscillator(args) -> int:
         # at least 16 coarse steps, so that the estimate sees the asymptotic regime
         order = rk4_order_estimate(epsilon, v0, q0[0], p0[0], args.t_end,
                                    min(args.dt * 8, args.t_end / 16))
-    except (IntegrationError, ValueError) as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except IntegrationError as exc:
+        raise InputError(f"integration failed: {exc}") from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(traj.csv_lines()) + "\n")
@@ -157,12 +166,7 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    try:
-        with open(args.fixture) as fh:
-            prob = problem_from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"fixture error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    prob = problem_from_json(_read_fixture(args.fixture))
     report: dict = {"schema": SCHEMA_VERSION, "command": "hamiltonian",
                     "fixture": args.fixture}
     try:
@@ -191,27 +195,20 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_connection_thm(args) -> int:
-    try:
-        with open(args.fixture) as fh:
-            data = json.load(fh)
-        n = _json_dim(data)
-        case = _json_field(data, "case", str, args.case)
-        if case != args.case:
-            raise ValueError(f"fixture is for case {case!r}, not --case {args.case}")
-        epsilon = parse_rational(_json_field(data, "epsilon", str, "0"))
-        gamma = poly_matrix_from_json(n, _json_field(data, "gamma", list))
-        gamma_inv = poly_matrix_from_json(n, _json_field(data, "gamma_inv", list))
-        if "alpha" in data:
-            alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-        else:
-            alpha = conn.levi_civita_connection(gamma, gamma_inv)
-        if "chi" in data:
-            chi = conn.matrix_of_forms_from_json(n, data["chi"])
-        else:
-            chi = tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"fixture error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = _read_fixture(args.fixture)
+    n = _json_dim(data)
+    case = _json_field(data, "case", str, args.case)
+    if case != args.case:
+        raise InputError(f"fixture is for case {case!r}, not --case {args.case}")
+    epsilon = parse_rational(_json_field(data, "epsilon", str, "0"))
+    if case == "ii" and epsilon == 0:
+        raise InputError("case ii needs a nonzero epsilon in the fixture")
+    gamma = poly_matrix_from_json(n, _json_field(data, "gamma", list))
+    gamma_inv = poly_matrix_from_json(n, _json_field(data, "gamma_inv", list))
+    alpha = (conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data
+             else conn.levi_civita_connection(gamma, gamma_inv))
+    chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
+           else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
     report: dict = {"schema": SCHEMA_VERSION, "command": "connection-thm",
                     "fixture": args.fixture, "case": args.case}
     try:
@@ -219,9 +216,6 @@ def cmd_connection_thm(args) -> int:
             mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
             formula = conn.case_i_curvature_formula(mc)
         else:
-            if epsilon == 0:
-                print("case ii needs a nonzero epsilon in the fixture", file=sys.stderr)
-                return EXIT_USAGE
             mc = conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
             formula = conn.case_ii_curvature_formula(mc)
     except conn.ConnectionError as exc:
@@ -247,12 +241,7 @@ def cmd_connection_thm(args) -> int:
 
 def cmd_cover(args) -> int:
     epsilon = _rational("--epsilon", args.epsilon)
-    try:
-        with open(args.fixture) as fh:
-            cover = cover_from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"fixture error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cover = cover_from_json(_read_fixture(args.fixture))
     report: dict = {"schema": SCHEMA_VERSION, "command": "cover",
                     "fixture": args.fixture}
     ideal_ok = True
@@ -336,7 +325,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,6 +33,9 @@ the metric soul (beta_sym = D chi / 2), for eps != 0 the metric soul is fixed
 by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact.
+A broken hypothesis (an asymmetric metric, an inexact inverse, torsion, a
+non-metric alpha_lc, eps = 0) raises ``InputError``; ``ConnectionError``
+means that a construction itself failed.
 Both constructions return a ``MetricConnection``: A and g together with the
 pieces they computed on the way, the ordinary curvature F_cal, the ordinary
 non-metricity q, gamma F_cal and its gamma-adjoint (eps != 0) and the
@@ -53,7 +56,7 @@ from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordina
                        mat_sub, transpose, wedge_dot, wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
-from .ring import Polynomial, Scalar, poly_dot
+from .ring import InputError, Polynomial, Scalar, poly_dot
 
 FormMatrix = tuple[tuple[OrdinaryForm, ...], ...]
 GenMatrix = tuple[tuple[GenForm, ...], ...]
@@ -333,11 +336,11 @@ def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
     for i in range(n):
         for j in range(n):
             if gamma[i][j] != gamma[j][i]:
-                raise ConnectionError(f"gamma not symmetric at ({i + 1},{j + 1})")
+                raise InputError(f"gamma not symmetric at ({i + 1},{j + 1})")
             if chi[i][j] != chi[j][i]:
-                raise ConnectionError(f"chi not symmetric at ({i + 1},{j + 1})")
+                raise InputError(f"chi not symmetric at ({i + 1},{j + 1})")
     if mat_mul(gamma_inv, gamma, poly_dot) != mat_identity(n, 1, 0):
-        raise ConnectionError("gamma_inv is not an exact inverse")
+        raise InputError("gamma_inv is not an exact inverse")
     entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
     return GenMetric(n, Fraction(epsilon), entries, _scalar_forms(gamma_inv))
 
@@ -434,10 +437,10 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     g = metric_validate(gamma, chi, gamma_inv, 0)
     alpha_lc = _as_tuple(alpha_lc)
     if not all(t.is_zero() for t in torsion(alpha_lc)):
-        raise ConnectionError("alpha_lc has torsion")
+        raise InputError("alpha_lc has torsion")
     q = cov_d_lowered(alpha_lc, g.gamma())
     if not mat_is_zero(q):
-        raise ConnectionError("alpha_lc is not metric for gamma")
+        raise InputError("alpha_lc is not metric for gamma")
     dchi = cov_d_lowered(alpha_lc, g.chi())
     beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), wedge_dot)
     if beta_tilde is not None:
@@ -461,10 +464,10 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     """
     eps = Fraction(epsilon)
     if eps == 0:
-        raise ConnectionError("this branch needs eps != 0")
+        raise InputError("this branch needs eps != 0")
     alpha = _as_tuple(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):
-        raise ConnectionError("alpha has torsion")
+        raise InputError("alpha has torsion")
     q = cov_d_lowered(alpha, _scalar_forms(gamma))
     chi = _scale_matrix(q, 1 / eps)
     g = metric_validate(gamma, chi, gamma_inv, eps)
@@ -510,7 +513,6 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
 
 
 def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
-    forms = tuple(tuple(form_from_json(cell) for cell in row) for row in _json_rows(dim, data))
-    if any(f.dim != dim for row in forms for f in row):
-        raise ValueError(f"matrix entries must be forms on R^{dim}")
-    return forms
+    """A JSON dim x dim matrix of one-forms on R^dim, as alpha and chi are."""
+    return tuple(tuple(form_from_json(cell, (dim, 1)) for cell in row)
+                 for row in _json_rows(dim, data))

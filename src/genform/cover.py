@@ -22,12 +22,12 @@ constant eps (case ii), recovering the constant-derivative calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .exterior import OrdinaryForm, _json_dim, _json_field, ext_d, wedge
 from .gform import GenForm
-from .ring import ExpPoly, Polynomial, Scalar, format_rational, parse_rational
+from .ring import ExpPoly, InputError, Polynomial, Scalar, format_rational, parse_rational
 
 
 class CoverError(ValueError):
@@ -99,7 +99,7 @@ class CoverData:
         for chart in self.charts:
             if chart.id == chart_id:
                 return chart
-        raise CoverError(f"unknown chart {chart_id!r}")
+        raise InputError(f"unknown chart {chart_id!r}")
 
     def overlap_constant(self, i: str, j: str) -> Fraction:
         for a, b, value in self.overlaps:
@@ -107,7 +107,7 @@ class CoverData:
                 return value
             if (a, b) == (j, i):
                 return -value
-        raise CoverError(f"no overlap listed for ({i}, {j})")
+        raise InputError(f"no overlap listed for ({i}, {j})")
 
 
 def lift_form(form: OrdinaryForm) -> OrdinaryForm:
@@ -159,13 +159,7 @@ class GlueReport:
     classification_failure: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "case": self.case,
-            "overlap_failures": self.overlap_failures,
-            "cocycle_failures": self.cocycle_failures,
-            "classification_failure": self.classification_failure,
-        }
+        return asdict(self)
 
 
 def glue_validate(cover: CoverData) -> GlueReport:
@@ -285,7 +279,7 @@ def _string_triples(data, key: str) -> list[tuple[str, str, str]]:
     rows = _json_field(data, key, list, [])
     if not all(isinstance(row, list) and len(row) == 3
                and all(isinstance(x, str) for x in row) for row in rows):
-        raise ValueError(f"{key!r} must be an array of three-string arrays")
+        raise InputError(f"{key!r} must be an array of three-string arrays")
     return [tuple(row) for row in rows]
 
 
@@ -302,10 +296,10 @@ def cover_from_json(data: dict) -> CoverData:
             ExpConstant(parse_rational(_json_field(tau, "r", str)),
                         parse_rational(_json_field(tau, "s", str)))))
     if not charts:
-        raise CoverError("a cover needs at least one chart")
+        raise InputError("a cover needs at least one chart")
     ids = [c.id for c in charts]
     if len(set(ids)) != len(ids):
-        raise CoverError("chart ids must be distinct")
+        raise InputError("chart ids must be distinct")
     overlaps = tuple((i, j, parse_rational(t)) for i, j, t in _string_triples(data, "overlaps"))
     triples = tuple(_string_triples(data, "triples"))
     return CoverData(dim, tuple(charts), overlaps, triples)

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
-from .ring import Coefficient, ExpPoly, Polynomial, Scalar, _add_term, compose_all, poly_dot
+from .ring import (Coefficient, ExpPoly, InputError, Polynomial, Scalar, _add_term, compose_all,
+                   poly_dot)
 
 IndexTuple = tuple[int, ...]
 
@@ -75,11 +76,11 @@ class OrdinaryForm:
             for idxs, coeff in components.items():
                 idxs = tuple(idxs)
                 if len(idxs) != degree:
-                    raise ValueError(f"index tuple {idxs} has length != degree {degree}")
+                    raise InputError(f"index tuple {idxs} has length != degree {degree}")
                 if any(not 1 <= i <= dim for i in idxs):
-                    raise ValueError(f"index tuple {idxs} out of range 1..{dim}")
+                    raise InputError(f"index tuple {idxs} out of range 1..{dim}")
                 if any(idxs[k] >= idxs[k + 1] for k in range(len(idxs) - 1)):
-                    raise ValueError(f"index tuple {idxs} not strictly increasing")
+                    raise InputError(f"index tuple {idxs} not strictly increasing")
                 if not coeff.is_zero():
                     clean[idxs] = coeff
         self.components = clean
@@ -609,17 +610,17 @@ _JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
 
 def _json_field(data, key: str, kind: type, default=_REQUIRED):
     """``data[key]`` of a JSON object, checked to be a ``kind`` (a JSON
-    integer is an ``int`` but not a boolean).  ValueError when data is not an
+    integer is an ``int`` but not a boolean).  InputError when data is not an
     object, a key without default is missing or the value has another type."""
     if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {data!r}")
+        raise InputError(f"expected a JSON object, got {data!r}")
     if key not in data:
         if default is _REQUIRED:
-            raise ValueError(f"missing key {key!r}")
+            raise InputError(f"missing key {key!r}")
         return default
     value = data[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+        raise InputError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -627,15 +628,15 @@ def _json_dim(data) -> int:
     """The positive integer ``data["dim"]``."""
     dim = _json_field(data, "dim", int)
     if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+        raise InputError(f"dim must be positive, got {dim}")
     return dim
 
 
 def _json_rows(dim: int, data) -> list:
-    """The rows of a JSON dim x dim matrix; ValueError for any other shape."""
+    """The rows of a JSON dim x dim matrix; InputError for any other shape."""
     if not (isinstance(data, list) and len(data) == dim
             and all(isinstance(row, list) and len(row) == dim for row in data)):
-        raise ValueError(f"matrix must be {dim} x {dim}")
+        raise InputError(f"matrix must be {dim} x {dim}")
     return data
 
 
@@ -645,16 +646,24 @@ def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
                  for row in _json_rows(dim, data))
 
 
-def form_from_json(data: dict) -> OrdinaryForm:
+def form_from_json(data: dict, shape: tuple[int, int] | None = None) -> OrdinaryForm:
+    """The form of a JSON {"dim", "degree", "components"}; InputError unless it
+    is well formed and, where ``shape`` = (dim, degree) is given, of that shape."""
     dim = _json_dim(data)
     degree = _json_field(data, "degree", int)
+    if shape not in (None, (dim, degree)):
+        raise InputError(f"expected a {shape[1]}-form on R^{shape[0]}, "
+                         f"got a {degree}-form on R^{dim}")
     comps = {}
     for key, text in _json_field(data, "components", dict).items():
-        idxs = json.loads(key)
+        try:
+            idxs = json.loads(key)
+        except ValueError:
+            idxs = None
         if not (isinstance(idxs, list)
                 and all(isinstance(i, int) and not isinstance(i, bool) for i in idxs)):
-            raise ValueError(f"component key {key!r} is not an array of integers")
+            raise InputError(f"component key {key!r} is not an array of integers")
         comps[tuple(idxs)] = Polynomial.parse(dim, text)
     if comps and not 0 <= degree <= dim:
-        raise ValueError(f"a {degree}-form on R^{dim} has no components")
+        raise InputError(f"a {degree}-form on R^{dim} has no components")
     return OrdinaryForm(dim, degree, comps)

@@ -104,8 +104,8 @@ class GenForm:
         """``error`` (a ValueError) unless other has this dim and epsilon,
         the only attributes read of either side; the message names the one
         that differs.  ``GenVectorField`` and ``SuperFunction`` share this
-        check, and ``connection`` and ``hamiltonian`` call it with their own
-        error class."""
+        check, and ``connection`` and ``hamiltonian`` call it with
+        ``ConnectionError`` and ``InputError``."""
         if self.dim != other.dim:
             raise error(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:
@@ -268,10 +268,7 @@ def genform_to_json(a: GenForm) -> dict:
 
 
 def genform_from_json(data: dict) -> GenForm:
-    return GenForm(
-        _json_dim(data),
-        parse_rational(_json_field(data, "epsilon", str)),
-        _json_field(data, "degree", int),
-        form_from_json(_json_field(data, "body", dict)),
-        form_from_json(_json_field(data, "soul", dict)),
-    )
+    dim, degree = _json_dim(data), _json_field(data, "degree", int)
+    return GenForm(dim, parse_rational(_json_field(data, "epsilon", str)), degree,
+                   form_from_json(_json_field(data, "body", dict), (dim, degree)),
+                   form_from_json(_json_field(data, "soul", dict), (dim, degree + 1)))

@@ -44,7 +44,7 @@ from .exterior import (
     wedge_sum,
 )
 from .gform import GenForm, gd
-from .ring import Polynomial, Scalar, format_rational, parse_rational
+from .ring import InputError, Polynomial, Scalar, format_rational, parse_rational
 
 
 class GenVectorField:
@@ -306,6 +306,9 @@ def gvf_to_json(V: GenVectorField) -> dict:
 
 def gvf_from_json(data: dict) -> GenVectorField:
     dim = _json_dim(data)
-    v = VectorField([Polynomial.parse(dim, t) for t in _json_field(data, "v", list)])
+    texts = _json_field(data, "v", list)
+    if len(texts) != dim:
+        raise InputError(f"v must list {dim} polynomials")
+    v = VectorField([Polynomial.parse(dim, t) for t in texts])
     vt = Tensor11(poly_matrix_from_json(dim, _json_field(data, "vt", list)))
     return GenVectorField(dim, parse_rational(_json_field(data, "epsilon", str)), v, vt)

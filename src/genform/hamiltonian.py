@@ -48,7 +48,7 @@ from .exterior import (
 )
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
-from .ring import Polynomial, Scalar, parse_rational, poly_dot
+from .ring import InputError, Polynomial, Scalar, parse_rational, poly_dot
 
 
 class SymplecticError(ValueError):
@@ -83,23 +83,23 @@ class GenSymplectic:
 
 def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -> GenSymplectic:
     """Check degree, even dimension, closure and the inverse convention
-    W^{ag} Omega_{bg} = delta^a_b; raise SymplecticError otherwise."""
+    W^{ag} Omega_{bg} = delta^a_b; raise InputError otherwise."""
     n = s.dim
     if n % 2:
-        raise SymplecticError(f"dimension {n} is odd")
+        raise InputError(f"dimension {n} is odd")
     if s.degree != 2:
-        raise SymplecticError(f"degree {s.degree} != 2")
+        raise InputError(f"degree {s.degree} != 2")
     if not gd(s).is_zero():
-        raise SymplecticError("form is not closed")
+        raise InputError("form is not closed")
     inv = tuple(tuple(row) for row in omega_inv)
     if len(inv) != n or any(len(row) != n for row in inv):
-        raise SymplecticError("inverse matrix has wrong shape")
+        raise InputError("inverse matrix has wrong shape")
     omega = _antisymmetric_matrix(s.body)
     product = mat_mul(inv, transpose(omega), poly_dot)  # W^{ag} Omega_{bg}
     for a, row in enumerate(product, start=1):
         for b, entry in enumerate(row, start=1):
             if entry != (1 if a == b else 0):
-                raise SymplecticError(f"inverse check failed at entry ({a},{b})")
+                raise InputError(f"inverse check failed at entry ({a},{b})")
     return GenSymplectic(s, inv)
 
 
@@ -110,8 +110,8 @@ class GenHamiltonianProblem:
 
     def __post_init__(self):
         if self.hamiltonian.degree != 0:
-            raise SymplecticError("hamiltonian must be a degree-0 extended form")
-        GenForm._require_compatible(self.symplectic, self.hamiltonian, SymplecticError)
+            raise InputError("hamiltonian must be a degree-0 extended form")
+        GenForm._require_compatible(self.symplectic, self.hamiltonian, InputError)
 
 
 def is_kernel_field(W: GenVectorField, s: GenSymplectic) -> bool:
@@ -190,13 +190,13 @@ MAX_STEPS = 1_000_000  # steps of one integration, every state kept in memory
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """round(t_end / dt), the number of fixed steps: ValueError unless t_end
+    """round(t_end / dt), the number of fixed steps: InputError unless t_end
     and dt are positive and finite and the count is in 1..MAX_STEPS."""
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
-        raise ValueError("dt and t_end must be positive and finite")
+        raise InputError("dt and t_end must be positive and finite")
     ratio = t_end / dt
     if not 0.5 < ratio <= MAX_STEPS + 0.5:  # round: 0.5 -> 0, MAX_STEPS + 0.5 -> even MAX_STEPS
-        raise ValueError(f"t_end / dt = {ratio:.6g} does not round to 1..{MAX_STEPS} steps")
+        raise InputError(f"t_end / dt = {ratio:.6g} does not round to 1..{MAX_STEPS} steps")
     return round(ratio)
 
 
@@ -325,15 +325,16 @@ def problem_from_json(data: dict) -> GenHamiltonianProblem:
     strings)."""
     n = _json_dim(data)
     eps = parse_rational(_json_field(data, "epsilon", str))
-    omega = form_from_json(_json_field(data, "omega", dict))
-    upsilon = form_from_json(data["upsilon"]) if "upsilon" in data else OrdinaryForm.zero(n, 3)
+    omega = form_from_json(_json_field(data, "omega", dict), (n, 2))
+    upsilon = (form_from_json(data["upsilon"], (n, 3)) if "upsilon" in data
+               else OrdinaryForm.zero(n, 3))
     s = GenForm(n, eps, 2, omega, upsilon)
     inv = poly_matrix_from_json(n, _json_field(data, "omega_inv", list))
     sympl = symplectic_validate(s, inv)
     h = Polynomial.parse(n, _json_field(data, "h", str))
     k = _json_field(data, "k", list)
     if len(k) != n:
-        raise ValueError(f"k must list {n} polynomials")
+        raise InputError(f"k must list {n} polynomials")
     soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t) for b, t in enumerate(k, start=1)})
     hamiltonian = GenForm(n, eps, 0, OrdinaryForm.from_scalar(h), soul)
     return GenHamiltonianProblem(sympl, hamiltonian)

@@ -9,9 +9,9 @@ denominator and a dictionary from packed monomial keys to integer numerators:
 The exponent of x_i sits in bits 16*(i-1) .. 16*i - 1 of the key, so a
 product of monomials is the integer sum of their keys.  The top bit of each
 field is a guard: exponents run from 0 to ``MAX_EXPONENT`` (2**15 - 1), a
-negative or larger exponent is rejected with ValueError when a polynomial is
-built, and a product whose exponent would pass the limit raises ValueError
-instead of carrying into the next variable's field.
+negative or larger exponent is rejected with InputError when a polynomial is
+built, and so is a product whose exponent would pass the limit, instead of
+carrying into the next variable's field.
 
 The form is canonical: ``den > 0``, zero numerators are never stored, and
 ``den`` is coprime with the numerators taken together.  Equality of
@@ -99,13 +99,18 @@ _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _RATIONAL_RE = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
+class InputError(ValueError):
+    """Malformed outside input, or input that breaks a stated hypothesis of a
+    construction: the command line exits 2 on it alone."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``int`` or ``int/posint``, i.e. ``[+-]?digits(/digits)?`` with
     surrounding whitespace allowed, into a Fraction.  Anything else, a zero
-    denominator included, raises ValueError."""
+    denominator included, raises InputError."""
     m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None or m.group(2) is not None and int(m.group(2)) == 0:
-        raise ValueError(f"bad rational {text!r}: expected int or int/posint")
+        raise InputError(f"bad rational {text!r}: expected int or int/posint")
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
@@ -139,7 +144,7 @@ def _pack(exps: Exponent) -> int:
     key = 0
     for i, e in enumerate(exps):
         if not (isinstance(e, int) and 0 <= e <= MAX_EXPONENT):
-            raise ValueError(f"exponent {e!r} in {tuple(exps)} is not an int in "
+            raise InputError(f"exponent {e!r} in {tuple(exps)} is not an int in "
                              f"0..{MAX_EXPONENT}")
         key |= e << (_FIELD_BITS * i)
     return key
@@ -278,11 +283,11 @@ class Polynomial:
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
+            raise InputError(f"dim must be positive, got {dim}")
         coeffs: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
             if len(exps) != dim:
-                raise ValueError(f"exponent vector {exps} has length != dim={dim}")
+                raise InputError(f"exponent vector {exps} has length != dim={dim}")
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
             if coeff:
@@ -363,28 +368,28 @@ class Polynomial:
         """Parse the grammar ``rational ('*' var ('^' nat)?)* ('+' term)*``.
 
         Example: ``3/2*x1^2*x2 + -1*x3``.  An exponent above MAX_EXPONENT,
-        written or reached by repeated factors, raises ValueError.
+        written or reached by repeated factors, raises InputError.
         """
         if not isinstance(text, str):
-            raise ValueError(f"polynomial must be a string, got {text!r}")
+            raise InputError(f"polynomial must be a string, got {text!r}")
         text = text.strip()
         if not text:
-            raise ValueError("empty polynomial string")
+            raise InputError("empty polynomial string")
         terms: dict[Exponent, Fraction] = {}
         for raw_term in text.split("+"):
             raw_term = raw_term.strip()
             if not raw_term:
-                raise ValueError(f"empty term in {text!r}")
+                raise InputError(f"empty term in {text!r}")
             factors = [f.strip() for f in raw_term.split("*")]
             coeff = parse_rational(factors[0])
             exps = [0] * dim
             for factor in factors[1:]:
                 m = _TERM_RE.match(factor)
                 if not m:
-                    raise ValueError(f"bad factor {factor!r} in {text!r}")
+                    raise InputError(f"bad factor {factor!r} in {text!r}")
                 index = int(m.group(1))
                 if not 1 <= index <= dim:
-                    raise ValueError(f"variable x{index} out of range for dim {dim}")
+                    raise InputError(f"variable x{index} out of range for dim {dim}")
                 exps[index - 1] += int(m.group(2) or 1)
             _add_term(terms, tuple(exps), coeff)
         return cls(dim, terms)
@@ -452,7 +457,7 @@ class Polynomial:
         The numerators are summed over the lcm of the pairs' denominators; a
         pair with a zero operand adds nothing, and the result is canonicalized
         once.  A product whose exponent would pass MAX_EXPONENT raises
-        ValueError on either of two branches, chosen by a size rule:
+        InputError on either of two branches, chosen by a size rule:
 
         - Schoolbook: every term product accumulates into one integer dict,
           a's terms in the outer loop and b's in the inner one.  This fixes
@@ -496,7 +501,7 @@ class Polynomial:
                 box = list(map(max, box, map(operator.add, ea, eb)))
                 bound += (den // (a.den * b.den)) * ma * mb * min(len(a._nums), len(b._nums))
             if max(box) > MAX_EXPONENT:
-                raise ValueError(_OVERFLOW)
+                raise InputError(_OVERFLOW)
             if math.prod(e + 1 for e in box[:2]) <= _FIBER_MAX_SLOTS and bound < 1 << 63:
                 return Polynomial._canonical(
                     dim, den, _fiber_sum(live, den, box, 32 if bound < 1 << 31 else 64))
@@ -513,7 +518,7 @@ class Polynomial:
                     key = k1 + k2
                     out[key] = get(key, 0) + n1 * n2
         if functools.reduce(operator.or_, out, 0) & _guard_bits(dim):
-            raise ValueError(_OVERFLOW)
+            raise InputError(_OVERFLOW)
         return Polynomial._canonical(dim, den, out)
 
     def __mul__(self, other):

@@ -3,10 +3,10 @@ import pathlib
 
 import pytest
 
-from genform import cli, gvector, hamiltonian
+from genform import cli, connection, gvector, hamiltonian
 from genform.cli import build_parser, main
 from genform.hamiltonian import Trajectory, step_count
-from genform.ring import MAX_EXPONENT
+from genform.ring import MAX_EXPONENT, InputError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -227,7 +227,57 @@ def test_connection_thm_names_a_missing_matrix(key, tmp_path, capsys):
     path.write_text(json.dumps(data))
     code = run(["connection-thm", "--fixture", path, "--case", "i", "--out", tmp_path / "out"])
     assert code == 2
-    assert capsys.readouterr().err == f"fixture error: missing key {key!r}\n"
+    assert capsys.readouterr().err == f"error: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("fixture, argv, path, value, message", [
+    ("connection_case_i.json", ["connection-thm", "--case", "i"], ("gamma_inv", 0, 0), "7",
+     "gamma_inv is not an exact inverse"),
+    ("connection_case_i.json", ["connection-thm", "--case", "i"], ("gamma", 1, 0), "0",
+     "gamma not symmetric at (1,2)"),
+    ("connection_case_i.json", ["connection-thm", "--case", "i"], ("chi", 1, 0, "components"), {},
+     "chi not symmetric at (1,2)"),
+    ("connection_case_ii.json", ["connection-thm", "--case", "ii"],
+     ("alpha", 0, 1, "components"), {}, "alpha has torsion"),
+    ("two_chart.json", ["cover", "--epsilon", "2"], ("overlaps", 0, 1), "Z", "unknown chart 'Z'"),
+    ("hamiltonian_n2.json", ["hamiltonian"], ("omega_inv", 0, 1), "1", "inverse check failed"),
+])
+def test_broken_hypothesis_of_a_fixture_exits_2_with_one_line(fixture, argv, path, value,
+                                                              message, tmp_path, capsys):
+    # well-typed input that breaks a stated hypothesis is bad input, not a failed check
+    data = read(FIXTURES / fixture)
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert run(argv + ["--fixture", bad, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (connection, "curvature",
+     ["connection-thm", "--fixture", FIXTURES / "connection_case_i.json", "--case", "i"]),
+    (cli, "gv_interior", ["hamiltonian", "--fixture", FIXTURES / "hamiltonian_n2.json"]),
+    (cli, "glue_validate", ["cover", "--fixture", FIXTURES / "two_chart.json", "--epsilon", "2"]),
+    (cli, "integrate_hamilton",
+     ["oscillator", "--epsilon", "0", "--v0", "1", "--t-end", "1", "--dt", "0.1"]),
+])
+def test_engine_fault_after_reading_propagates_instead_of_exiting_2(module, name, argv,
+                                                                    monkeypatch, tmp_path):
+    # exit 2 is for InputError alone: an engine call that raises a plain
+    # ValueError is a fault of the program, not of its input
+    def fault(*args):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(ValueError, match="^engine fault$") as raised:
+        run(argv + ["--out", tmp_path / "out"])
+    assert not isinstance(raised.value, InputError)
 
 
 def test_hamiltonian_rejects_malformed_rationals_and_short_k(tmp_path, capsys):
@@ -264,6 +314,16 @@ def test_exponent_beyond_the_limit_is_a_usage_error(tmp_path, capsys):
         path.write_text(json.dumps(dict(good, h=h)))
         code = run(["hamiltonian", "--fixture", path, "--out", tmp_path / f"{name}.out"])
         assert _one_line_usage_error(code, capsys), name
+
+
+def test_exponent_overflow_in_a_product_is_a_usage_error(tmp_path, capsys):
+    # each entry is within the limit, but gamma_inv gamma needs x1^40000
+    big = "1*x1^20000"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dim": 2, "case": "i", "gamma": [["1", big], [big, "1"]],
+                                "gamma_inv": [["1", f"-{big}"], ["0", "1"]]}))
+    code = run(["connection-thm", "--case", "i", "--fixture", path, "--out", tmp_path / "out"])
+    assert _one_line_usage_error(code, capsys)
 
 
 def test_oscillator_without_error_reports_null_order(tmp_path):

@@ -37,7 +37,7 @@ from genform.exterior import OrdinaryForm, Tensor11, VectorField, poly_matrix_fr
 from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
-from genform.ring import Polynomial
+from genform.ring import InputError, Polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1, 2)]
@@ -291,10 +291,10 @@ def test_metric_validate_rejects_asymmetry_and_bad_inverse():
     n = 2
     one, zero = Polynomial.one(n), Polynomial.zero(n)
     chi0 = tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n))
-    with pytest.raises(ConnectionError):
+    with pytest.raises(InputError):
         metric_validate(((one, one), (zero, one)), chi0,
                         ((one, zero), (zero, one)), Fraction(0))
-    with pytest.raises(ConnectionError):
+    with pytest.raises(InputError):
         metric_validate(((one, zero), (zero, one * 2)), chi0,
                         ((one, zero), (zero, one)), Fraction(0))
 
@@ -458,7 +458,7 @@ def test_case_i_rejects_non_metric_alpha():
     bad_alpha = rnd.torsion_free_alpha()
     if conn.mat_is_zero(conn.cov_d_lowered(bad_alpha, conn._scalar_forms(gamma))):
         pytest.skip("random alpha happened to be metric")
-    with pytest.raises(ConnectionError):
+    with pytest.raises(InputError):
         metric_connection_eps0(gamma, chi, bad_alpha, gamma_inv)
 
 
@@ -479,13 +479,13 @@ def test_case_ii_requires_nonzero_epsilon_and_torsion_free():
     rnd = FormRandom(16, n, Fraction(1))
     gamma, gamma_inv = rnd.metric_pieces()
     alpha = rnd.torsion_free_alpha()
-    with pytest.raises(ConnectionError):
+    with pytest.raises(InputError):
         metric_connection_eps(gamma, alpha, gamma_inv, Fraction(0))
     skew = OrdinaryForm.basis(n, (1,), Polynomial.var(n, 1))
     bad = elementary_alpha(n, 1, 2, skew)
     if all(t.is_zero() for t in torsion(bad)):
         pytest.skip("alpha unexpectedly torsion free")
-    with pytest.raises(ConnectionError):
+    with pytest.raises(InputError):
         metric_connection_eps(gamma, bad, gamma_inv, Fraction(1))
 
 

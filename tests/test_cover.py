@@ -21,7 +21,7 @@ from genform.cover import (
 from genform.exterior import OrdinaryForm, ext_d
 from genform.gform import GenForm, gd
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, Polynomial
+from genform.ring import ExpPoly, InputError, Polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -223,11 +223,11 @@ def test_transformed_derivative_dual_path():
 
 
 def test_cover_json_errors():
-    with pytest.raises(CoverError):
+    with pytest.raises(InputError):
         cover_from_json({"dim": 1, "charts": [
             {"id": "a", "xi": "1*x1", "tau": {"r": "0", "s": "0"}},
             {"id": "a", "xi": "1*x1", "tau": {"r": "0", "s": "0"}},
         ]})
     cover = load("two_chart.json")
-    with pytest.raises(CoverError):
+    with pytest.raises(InputError):
         cover.overlap_constant("1", "missing")

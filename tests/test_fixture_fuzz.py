@@ -12,6 +12,14 @@ key the schema marks optional, unless ``ABSENT_EXIT`` says otherwise.  An
 empty ``overlaps`` or ``triples`` means the same as a missing one.  Deleting
 a ``components`` entry or an array element, or emptying ``components``, is
 not tried: each leaves a valid, different input.
+
+A second pass keeps every leaf's JSON type: each integer leaf is swapped for
+0, 1, 3 and -1, and each string leaf for a few rationals and polynomials.
+The fixture then still parses, so a rejection must come from a stated
+hypothesis of the construction (a symmetric metric with an exact inverse, a
+torsion-free connection, a closed symplectic form, known charts): exit 2
+with one ``error:`` line.  Only ``cover`` may exit 1 on such input, because
+whether a cover glues is the question it answers.
 """
 
 import json
@@ -52,6 +60,9 @@ ABSENT_EXIT = {
 }
 
 SWAPS = (None, 1.5, "x", [], {})
+INT_SWAPS = (0, 1, 3, -1)
+STRING_SWAPS = ("0", "1", "-1", "1*x1", "2", "1*x1^2 + 1")
+WELL_TYPED_EXITS = {"hamiltonian": {0, 2}, "connection-thm": {0, 2}, "cover": {0, 1, 2}}
 
 
 def _paths(node, path=()):
@@ -63,13 +74,18 @@ def _paths(node, path=()):
             yield from _paths(value, path + (key,))
 
 
+def _at(node, steps):
+    """The node that the key path ``steps`` leads to."""
+    for step in steps:
+        node = node[step]
+    return node
+
+
 def _mutants(data):
     """(path, mutation, mutated fixture) for every deletion and swap tried."""
     for path in _paths(data):
         *head, key = path
-        parent = data
-        for step in head:
-            parent = parent[step]
+        parent = _at(data, head)
         in_components = bool(head) and head[-1] == "components"
         changes = [(value, value) for value in SWAPS
                    if not (key == "components" and value == {})]
@@ -77,9 +93,7 @@ def _mutants(data):
             changes.append(("deleted", None))
         for label, value in changes:
             mutant = json.loads(json.dumps(data))
-            target = mutant
-            for step in head:
-                target = target[step]
+            target = _at(mutant, head)
             if label == "deleted":
                 del target[key]
             else:
@@ -114,14 +128,47 @@ def test_mutated_fixture_exits_as_documented(fixture, tmp_path, capsys):
     assert baseline in (0, 1)
     wrong, tried = [], 0
     for key_path, label, mutant in _mutants(data):
-        old_value = data
-        for step in key_path:
-            old_value = old_value[step]
+        old_value = _at(data, key_path)
         expected = _expected_exit(fixture, key_path, label, old_value, baseline)
         path.write_text(json.dumps(mutant))
         code = _run(argv, capsys)  # an exception here is the traceback the CLI must not show
         tried += 1
         if code != expected:
             wrong.append((key_path, label, code, expected))
+    assert tried > 0
+    assert not wrong, wrong
+
+
+def _well_typed_mutants(data):
+    """(path, swap, mutated fixture) for every int or string leaf and each
+    swap of its type, the unchanged value included."""
+    for path in _paths(data):
+        value = _at(data, path)
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            continue
+        for swap in INT_SWAPS if isinstance(value, int) else STRING_SWAPS:
+            mutant = json.loads(json.dumps(data))
+            *head, key = path
+            _at(mutant, head)[key] = swap
+            yield path, swap, mutant
+
+
+@pytest.mark.parametrize("fixture", sorted(CASES))
+def test_well_typed_mutant_is_bad_input_or_a_verdict(fixture, tmp_path, capsys):
+    data = json.loads((FIXTURES / fixture).read_text())
+    path = tmp_path / fixture
+    argv = [str(a) for a in CASES[fixture][0]
+            + ["--fixture", path, "--out", tmp_path / "report.json"]]
+    allowed = WELL_TYPED_EXITS[argv[0]]
+    wrong, tried = [], 0
+    for key_path, swap, mutant in _well_typed_mutants(data):
+        path.write_text(json.dumps(mutant))
+        code = cli.main(argv)  # an exception here is the traceback the CLI must not show
+        err = capsys.readouterr().err
+        tried += 1
+        if code not in allowed:
+            wrong.append((key_path, swap, code))
+        elif code == 2 and not (err.startswith("error: ") and err.count("\n") == 1):
+            wrong.append((key_path, swap, err))
     assert tried > 0
     assert not wrong, wrong

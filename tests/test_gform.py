@@ -21,9 +21,9 @@ from genform.gform import (
     gwedge_sum,
 )
 from genform.gvector import GenVectorField, gv_interior
-from genform.hamiltonian import GenHamiltonianProblem, SymplecticError, symplectic_validate
+from genform.hamiltonian import GenHamiltonianProblem, symplectic_validate
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, Polynomial
+from genform.ring import ExpPoly, InputError, Polynomial
 from genform.superspace import SuperFunction
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
@@ -271,7 +271,7 @@ def _hamiltonian_site(dim: int, eps: Fraction):
 @pytest.mark.parametrize("site, error", [(_connection_site, conn.ConnectionError),
                                          (_nonmetricity_site, conn.ConnectionError),
                                          (_build_site, conn.ConnectionError),
-                                         (_hamiltonian_site, SymplecticError)])
+                                         (_hamiltonian_site, InputError)])
 def test_context_checks_name_the_attribute_that_differs(site, error):
     """``cov_deriv_vf``, ``nonmetricity``, ``GenConnection.build`` and
     ``GenHamiltonianProblem`` check their operands with
@@ -312,6 +312,15 @@ def test_genform_json_round_trip():
 def test_genform_json_type_errors(change):
     data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
     with pytest.raises(ValueError):
+        genform_from_json(dict(data, **change))
+
+
+@pytest.mark.parametrize("change", [{"dim": 3}, {"degree": 2}, {"degree": 0}, {"dim": 0}])
+def test_genform_json_reader_judges_the_form_it_builds(change):
+    # parts that do not fit the declared dim and degree are bad input: the
+    # reader says so itself instead of leaving it to GenForm's ValueError
+    data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
+    with pytest.raises(InputError):
         genform_from_json(dict(data, **change))
 
 

@@ -76,9 +76,10 @@ def _normalise(text: str) -> str:
     return _WALL_TIME.sub('"wall_time": 0', text)
 
 
-def run_case(name: str, workdir: pathlib.Path) -> tuple[int, str, str | None]:
+def run_case(name: str, workdir: pathlib.Path) -> tuple[int, str | None, str | None]:
     """Run one case from the repository root; returns (exit code, normalised
-    report text, SHA-256 of the CSV or None)."""
+    report text or None when no report was written, as on exit 2, SHA-256 of
+    the CSV or None)."""
     argv, _ = CASES[name]
     report = workdir / f"{name}.json"
     csv = workdir / f"{name}.csv"
@@ -93,7 +94,7 @@ def run_case(name: str, workdir: pathlib.Path) -> tuple[int, str, str | None]:
     finally:
         os.chdir(cwd)
     digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None
-    return code, _normalise(report.read_text()), digest
+    return code, _normalise(report.read_text()) if report.exists() else None, digest
 
 
 def _csv_sums() -> dict[str, str]:

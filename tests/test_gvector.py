@@ -22,7 +22,7 @@ from genform.gvector import (
     xi_type_pair,
 )
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, Polynomial
+from genform.ring import ExpPoly, InputError, Polynomial
 from genform.superspace import from_super, super_interior, super_lie, to_super
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
@@ -435,4 +435,12 @@ def test_gvf_json_round_trip():
 def test_gvf_json_type_errors(change):
     data = gvf_to_json(FormRandom(19, 3, Fraction(-2)).gen_vector_field())
     with pytest.raises(ValueError):
+        gvf_from_json(dict(data, **change))
+
+
+@pytest.mark.parametrize("change", [{"v": ["1"]}, {"v": ["1"] * 4}, {"dim": 2}, {"epsilon": "x"}])
+def test_gvf_json_reader_judges_the_field_it_builds(change):
+    # a v of another length is bad input, not VectorField's ValueError
+    data = gvf_to_json(FormRandom(19, 3, Fraction(-2)).gen_vector_field())
+    with pytest.raises(InputError):
         gvf_from_json(dict(data, **change))
