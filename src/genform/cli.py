@@ -205,8 +205,7 @@ def cmd_connection_thm(args) -> int:
         raise InputError("case ii needs a nonzero epsilon in the fixture")
     gamma = poly_matrix_from_json(n, _json_field(data, "gamma", list))
     gamma_inv = poly_matrix_from_json(n, _json_field(data, "gamma_inv", list))
-    alpha = (conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data
-             else conn.levi_civita_connection(gamma, gamma_inv))
+    alpha = conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data else None
     chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
            else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
     report: dict = {"schema": SCHEMA_VERSION, "command": "connection-thm",

@@ -22,10 +22,11 @@ is lifted once to its matrix of 0-forms, ordinary or extended, and goes
 through the same sums.  The two paths share that summation and the ring
 kernel ``Polynomial.sum_products`` under it, which their own tests compare
 with one product at a time.  No transpose assumes a symmetric metric.
-A ``GenMetric`` holds gamma (the bodies of g) and gamma^-1 as 0-forms, which
-``metric_validate`` lifts once.  The ordinary non-metricity q = D gamma is
-``cov_d_lowered`` on gamma's 0-forms, so the lowered-index rule is written
-once per level: ``cov_d_lowered`` and the extended ``nonmetricity``.
+A ``GenMetric`` holds gamma (the bodies of g) and gamma^-1 as 0-forms, lifted
+once they are judged and before anything is built from them.  The ordinary
+non-metricity q = D gamma is ``cov_d_lowered`` on gamma's 0-forms, so the
+lowered-index rule is written once per level: ``cov_d_lowered`` and the
+extended ``nonmetricity``.
 
 The compatibility solver realizes both branches of the extended
 Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
@@ -325,24 +326,34 @@ class GenMetric:
         return _split(self.entries)[1]
 
 
+def _symmetric(matrix, name: str) -> tuple:
+    """matrix as a tuple of rows; InputError naming it unless it is symmetric."""
+    matrix = _as_tuple(matrix)
+    for i in range(len(matrix)):
+        for j in range(len(matrix)):
+            if matrix[i][j] != matrix[j][i]:
+                raise InputError(f"{name} not symmetric at ({i + 1},{j + 1})")
+    return matrix
+
+
+def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> tuple[FormMatrix, FormMatrix]:
+    """gamma and gamma^-1 as 0-forms, once gamma is symmetric with gamma^-1 its
+    exact two-sided inverse.  gamma^-1 gamma = I suffices: for square matrices
+    over a commutative ring it gives det gamma det gamma^-1 = 1, so the left
+    inverse is also the right one."""
+    gamma = _symmetric(gamma, "gamma")
+    if mat_mul(_as_tuple(gamma_inv), gamma, poly_dot) != mat_identity(len(gamma), 1, 0):
+        raise InputError("gamma_inv is not an exact inverse")
+    return _scalar_forms(gamma), _scalar_forms(gamma_inv)
+
+
 def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
                     epsilon: Scalar) -> GenMetric:
-    """Symmetry in both parts plus an exact two-sided inverse for gamma, then
-    gamma and gamma^-1 lifted to 0-forms once.  gamma^-1 gamma = I suffices:
-    for square matrices over a commutative ring it gives det gamma
-    det gamma^-1 = 1, so the left inverse is also the right one."""
-    gamma, chi, gamma_inv = _as_tuple(gamma), _as_tuple(chi), _as_tuple(gamma_inv)
-    n = len(gamma)
-    for i in range(n):
-        for j in range(n):
-            if gamma[i][j] != gamma[j][i]:
-                raise InputError(f"gamma not symmetric at ({i + 1},{j + 1})")
-            if chi[i][j] != chi[j][i]:
-                raise InputError(f"chi not symmetric at ({i + 1},{j + 1})")
-    if mat_mul(gamma_inv, gamma, poly_dot) != mat_identity(n, 1, 0):
-        raise InputError("gamma_inv is not an exact inverse")
-    entries = _gen_matrix(n, epsilon, 0, _scalar_forms(gamma), chi)
-    return GenMetric(n, Fraction(epsilon), entries, _scalar_forms(gamma_inv))
+    """``_judged_gamma``, then chi's symmetry."""
+    gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
+    chi, n = _symmetric(chi, "chi"), len(gamma_forms)
+    return GenMetric(n, Fraction(epsilon), _gen_matrix(n, epsilon, 0, gamma_forms, chi),
+                     gamma_inv_forms)
 
 
 def metric_inverse(g: GenMetric) -> GenMatrix:
@@ -430,12 +441,14 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     """eps = 0 branch: A = alpha + (beta_tilde^m_n + D chi^m_n / 2) m.
 
     alpha_lc must be torsion free with q = 0 (the Levi-Civita connection of
-    gamma); beta_tilde is the free antisymmetric-lowered part, zero for the
+    gamma); None builds it by ``levi_civita_connection`` once the metric is
+    judged.  beta_tilde is the free antisymmetric-lowered part, zero for the
     canonical choice.  The result is verified to have exactly zero
     non-metricity.
     """
     g = metric_validate(gamma, chi, gamma_inv, 0)
-    alpha_lc = _as_tuple(alpha_lc)
+    alpha_lc = (levi_civita_connection(gamma, gamma_inv) if alpha_lc is None
+                else _as_tuple(alpha_lc))
     if not all(t.is_zero() for t in torsion(alpha_lc)):
         raise InputError("alpha_lc has torsion")
     q = cov_d_lowered(alpha_lc, g.gamma())
@@ -458,19 +471,22 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
                 - (F_cal^m_n + gamma^{ml} F_cal_{n l}) / (2 eps)] m,
 
     with F_cal the ordinary curvature of alpha and F_cal_{nl} =
-    gamma_{ns} F_cal^s_l.  alpha must be torsion free.  Non-metricity of the
-    result is verified to vanish exactly; for q = 0 the construction
-    reduces to A = alpha, F = F_cal.
+    gamma_{ns} F_cal^s_l.  alpha must be torsion free; None builds the
+    Levi-Civita connection of gamma once gamma and gamma^-1 are judged.
+    Non-metricity of the result is verified to vanish exactly; for q = 0
+    the construction reduces to A = alpha, F = F_cal.
     """
     eps = Fraction(epsilon)
     if eps == 0:
         raise InputError("this branch needs eps != 0")
-    alpha = _as_tuple(alpha)
+    gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
+    alpha = levi_civita_connection(gamma, gamma_inv) if alpha is None else _as_tuple(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):
         raise InputError("alpha has torsion")
-    q = cov_d_lowered(alpha, _scalar_forms(gamma))
-    chi = _scale_matrix(q, 1 / eps)
-    g = metric_validate(gamma, chi, gamma_inv, eps)
+    q = cov_d_lowered(alpha, gamma_forms)
+    # chi = q / eps needs no symmetry check: D t of a symmetric t is symmetric
+    chi, n = _scale_matrix(q, 1 / eps), len(gamma_forms)
+    g = GenMetric(n, eps, _gen_matrix(n, eps, 0, gamma_forms, chi), gamma_inv_forms)
     fcal = ordinary_curvature(alpha)
     fcal_low = mat_mul(g.gamma(), fcal, wedge_dot)
     fcal_adj = mat_mul(g.gamma_inv, transpose(fcal_low), wedge_dot)

@@ -16,9 +16,13 @@ carrying into the next variable's field.
 The form is canonical: ``den > 0``, zero numerators are never stored, and
 ``den`` is coprime with the numerators taken together.  Equality of
 canonical forms is therefore plain structural equality, and every algebraic
-identity can be checked exactly.  ``Polynomial.terms`` decodes the numerators
-into a read-only ``{exponent tuple: Fraction}`` view for the readers that
-want coefficients one by one.
+identity can be checked exactly.  The text boundary works on that form too:
+``Polynomial.parse`` reads each term's numerator, denominator and exponents as
+ints and packs them in the step that ``Polynomial.__init__`` uses, and
+``str`` prints each coefficient as num/den in lowest terms, so neither builds
+a ``Fraction``.  ``Polynomial.terms`` decodes the numerators afresh on each
+access into a read-only ``{exponent tuple: Fraction}`` mapping, for the few
+readers that want coefficients one by one.
 
 Dropping zeros is the constructors' job alone.  Every sparse container here
 and downstream (``Polynomial``, ``ExpPoly``, ``OrdinaryForm``,
@@ -87,8 +91,9 @@ import math
 import operator
 import re
 import sys
+import types
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -104,14 +109,19 @@ class InputError(ValueError):
     construction: the command line exits 2 on it alone."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``int`` or ``int/posint``, i.e. ``[+-]?digits(/digits)?`` with
-    surrounding whitespace allowed, into a Fraction.  Anything else, a zero
-    denominator included, raises InputError."""
+def _ratio(text: str) -> tuple[int, int]:
+    """The numerator and positive denominator, as written, of ``int`` or
+    ``int/posint``, i.e. ``[+-]?digits(/digits)?`` with surrounding whitespace
+    allowed.  Anything else, a zero denominator included, raises InputError."""
     m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None or m.group(2) is not None and int(m.group(2)) == 0:
         raise InputError(f"bad rational {text!r}: expected int or int/posint")
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    return int(m.group(1)), int(m.group(2) or 1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """``_ratio``'s int or int/posint as a Fraction."""
+    return Fraction(*_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -245,63 +255,36 @@ def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int
     return out
 
 
-class _Terms(Mapping):
-    """Read-only ``{exponent tuple: Fraction}`` view of a Polynomial's
-    numerators, decoded on first access; its length needs no decoding."""
-
-    __slots__ = ("_dim", "_den", "_nums", "_decoded")
-
-    def __init__(self, dim: int, den: int, nums: dict[int, int]):
-        self._dim, self._den, self._nums = dim, den, nums
-        self._decoded: dict[Exponent, Fraction] | None = None
-
-    def _dict(self) -> dict[Exponent, Fraction]:
-        if self._decoded is None:
-            self._decoded = {_unpack(key, self._dim): Fraction(num, self._den)
-                             for key, num in self._nums.items()}
-        return self._decoded
-
-    def __getitem__(self, exps):
-        return self._dict()[exps]
-
-    def __iter__(self):
-        return iter(self._dict())
-
-    def __len__(self):
-        return len(self._nums)
-
-    def items(self):
-        # the decoded dict's own view: Mapping's default looks each key up again
-        return self._dict().items()
-
-
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients, stored as
     integer numerators on packed exponent keys over one denominator."""
 
-    __slots__ = ("dim", "den", "_nums", "_terms", "_kernel", "_hash", "_partials")
+    __slots__ = ("dim", "den", "_nums", "_kernel", "_hash", "_partials")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
+        def rationals():
+            for exps, coeff in terms.items():
+                if len(exps) != dim:
+                    raise InputError(f"exponent vector {exps} has length != dim={dim}")
+                if not isinstance(coeff, (int, Fraction)):
+                    coeff = Fraction(coeff)
+                yield exps, coeff.numerator, coeff.denominator
+
+        poly = Polynomial._packed(dim, rationals())
+        self.dim, self.den, self._nums = dim, poly.den, poly._nums
+        self._kernel = self._hash = self._partials = None
+
+    @classmethod
+    def _packed(cls, dim: int, terms: Iterable[tuple[Exponent, int, int]]) -> "Polynomial":
+        """Build from (exponents, num, den > 0) terms of distinct exponents, the
+        one packing step of ``__init__`` and ``parse``: drop the zero terms,
+        pack the exponents of the others (InputError past MAX_EXPONENT), bring
+        their numerators over the lcm of their dens and canonicalize."""
         if dim < 1:
             raise InputError(f"dim must be positive, got {dim}")
-        coeffs: dict[int, Scalar] = {}
-        for exps, coeff in terms.items():
-            if len(exps) != dim:
-                raise InputError(f"exponent vector {exps} has length != dim={dim}")
-            if not isinstance(coeff, (int, Fraction)):
-                coeff = Fraction(coeff)
-            if coeff:
-                coeffs[_pack(exps)] = coeff
-        # an int or a Fraction is a reduced numerator over a denominator, and
-        # the lcm of reduced denominators is already coprime with the numerators
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self.dim = dim
-        self.den = den
-        self._nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
-        self._terms: _Terms | None = None
-        self._kernel: tuple | None = None
-        self._hash: int | None = None
-        self._partials: list | None = None
+        live = [(_pack(exps), num, den) for exps, num, den in terms if num]
+        lcm = math.lcm(*(den for _, _, den in live))
+        return cls._canonical(dim, lcm, {key: num * (lcm // den) for key, num, den in live})
 
     @classmethod
     def _canonical(cls, dim: int, den: int, nums: dict[int, int]) -> "Polynomial":
@@ -323,16 +306,16 @@ class Polynomial:
         poly.dim = dim
         poly.den = den
         poly._nums = nums
-        poly._terms = poly._kernel = poly._hash = poly._partials = None
+        poly._kernel = poly._hash = poly._partials = None
         return poly
 
     @property
     def terms(self) -> Mapping[Exponent, Fraction]:
         """The coefficients as a read-only ``{exponent tuple: Fraction}``
-        mapping, in the order the terms were produced."""
-        if self._terms is None:
-            self._terms = _Terms(self.dim, self.den, self._nums)
-        return self._terms
+        mapping, in the order the terms were produced, decoded afresh on each
+        access."""
+        return types.MappingProxyType({_unpack(key, self.dim): Fraction(num, self.den)
+                                       for key, num in self._nums.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -375,13 +358,13 @@ class Polynomial:
         text = text.strip()
         if not text:
             raise InputError("empty polynomial string")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, tuple[int, int]] = {}
         for raw_term in text.split("+"):
             raw_term = raw_term.strip()
             if not raw_term:
                 raise InputError(f"empty term in {text!r}")
             factors = [f.strip() for f in raw_term.split("*")]
-            coeff = parse_rational(factors[0])
+            num, den = _ratio(factors[0])
             exps = [0] * dim
             for factor in factors[1:]:
                 m = _TERM_RE.match(factor)
@@ -391,8 +374,10 @@ class Polynomial:
                 if not 1 <= index <= dim:
                     raise InputError(f"variable x{index} out of range for dim {dim}")
                 exps[index - 1] += int(m.group(2) or 1)
-            _add_term(terms, tuple(exps), coeff)
-        return cls(dim, terms)
+            key = tuple(exps)
+            num0, den0 = terms.get(key, (0, 1))  # a repeated monomial adds to its sum
+            terms[key] = num0 * den + num * den0, den0 * den
+        return cls._packed(dim, ((exps, num, den) for exps, (num, den) in terms.items()))
 
     # -- queries -----------------------------------------------------------
 
@@ -610,17 +595,14 @@ class Polynomial:
         return self._hash
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            coeff = self.terms[exps]
-            factors = [format_rational(coeff)]
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
+        den, parts = self.den, []
+        for exps, num in sorted(((_unpack(key, self.dim), num) for key, num in self._nums.items()),
+                                key=lambda term: (sum(term[0]), term[0]), reverse=True):
+            g = math.gcd(num, den)
+            factors = [str(num // g) if g == den else f"{num // g}/{den // g}"]
+            factors += [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
             parts.append("*".join(factors))
         return " + ".join(parts)
 

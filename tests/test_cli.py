@@ -259,6 +259,24 @@ def test_broken_hypothesis_of_a_fixture_exits_2_with_one_line(fixture, argv, pat
     assert not out.exists()
 
 
+def test_gamma_is_judged_before_the_levi_civita_connection_is_built(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a fixture without alpha: its connection is built from gamma and gamma_inv,
+    # so a gamma_inv that is not an inverse is rejected before anything is built
+    def built(*args):
+        raise AssertionError("levi_civita_connection called before gamma was judged")
+
+    monkeypatch.setattr(connection, "levi_civita_connection", built)
+    data = read(FIXTURES / "connection_case_ii_ordinary.json")
+    data["gamma_inv"][0][0] = "7"
+    bad = tmp_path / "fixture.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    assert run(["connection-thm", "--case", "ii", "--fixture", bad, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: gamma_inv is not an exact inverse\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("module, name, argv", [
     (connection, "curvature",
      ["connection-thm", "--fixture", FIXTURES / "connection_case_i.json", "--case", "i"]),

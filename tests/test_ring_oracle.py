@@ -12,11 +12,16 @@ substitution dense in x1 and x2, sparse in the other variables), chosen by a
 size rule on module constants; the kernel tests force the rule each way by
 patching those constants and require both branches to give the oracle's
 result with the same den and numerators.
+
+The text boundary, ``Polynomial.parse`` and ``str``, works on the packed
+integers; it is compared with the Fraction-based reader and printer that the
+ring used before, kept here as the reference.
 """
 
 import contextlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +33,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from genform import ring  # noqa: E402
 from genform.exterior import OrdinaryForm, ext_d, pullback, wedge  # noqa: E402
-from genform.ring import MAX_EXPONENT, ExpPoly, Polynomial  # noqa: E402
+from genform.randgen import FormRandom  # noqa: E402
+from genform.ring import MAX_EXPONENT, ExpPoly, InputError, Polynomial, parse_rational  # noqa: E402
 
 QQ = sympy.QQ
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -579,3 +585,141 @@ def test_an_axis_out_of_range_raises_before_and_after_the_partials_are_kept(dim)
         with pytest.raises(ValueError):
             p.partial(axis)
     assert p._partials == kept
+
+
+# -- the text boundary against the Fraction-based reference --------------------
+
+
+def reference_parse(dim: int, text) -> tuple[int, list]:
+    """The Fraction-based reader: (den, [(exponents, numerator)] in term order),
+    or InputError with the message of the ring's own reader."""
+    if not isinstance(text, str):
+        raise InputError(f"polynomial must be a string, got {text!r}")
+    text = text.strip()
+    if not text:
+        raise InputError("empty polynomial string")
+    terms: dict = {}
+    for raw_term in text.split("+"):
+        raw_term = raw_term.strip()
+        if not raw_term:
+            raise InputError(f"empty term in {text!r}")
+        factors = [f.strip() for f in raw_term.split("*")]
+        coeff = parse_rational(factors[0])
+        exps = [0] * dim
+        for factor in factors[1:]:
+            m = re.match(r"^x(\d+)(?:\^(\d+))?$", factor)
+            if not m:
+                raise InputError(f"bad factor {factor!r} in {text!r}")
+            index = int(m.group(1))
+            if not 1 <= index <= dim:
+                raise InputError(f"variable x{index} out of range for dim {dim}")
+            exps[index - 1] += int(m.group(2) or 1)
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    if dim < 1:
+        raise InputError(f"dim must be positive, got {dim}")
+    live = {exps: c for exps, c in terms.items() if c}
+    for exps in live:
+        for e in exps:
+            if e > MAX_EXPONENT:
+                raise InputError(f"exponent {e!r} in {exps} is not an int in 0..{MAX_EXPONENT}")
+    den = math.lcm(*(c.denominator for c in live.values()))
+    return den, [(exps, int(c * den)) for exps, c in live.items()]
+
+
+def reference_str(p: Polynomial) -> str:
+    """The Fraction-based printer: str(Fraction) per coefficient."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    parts = []
+    for exps in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        factors = [str(terms[exps])]
+        factors += [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, 1) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+_COEFFS = ["0", "1", "-1", "+2", "4/6", "-3/9", "1/0", "0/5", " 7 ", "-12/8", "1.5", "", "x1"]
+_FACTORS = ["x1", "x2", "x3", "x4", "x0", "x9", "x1^32767", "x1^16384", "x2^2", "x1^0",
+            "x01", "x3^32767", "", "y", "x1^", "2"]
+
+
+def random_text(rng: random.Random) -> str:
+    """A text of atoms such as 0, 4/6, 1/0, x0, x9 and x1^32767, with repeated
+    factors and terms, empty terms and stray + and *."""
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        factors = [rng.choice(_COEFFS)]
+        factors += [rng.choice(_FACTORS) for _ in range(rng.randint(0, 3))]
+        terms.append("*".join(factors))
+    for _ in range(rng.randint(0, 2)):  # a repeated term, as written or negated
+        if terms:
+            term = rng.choice(terms)
+            terms.append(term if rng.random() < 0.5 else "-" + term.lstrip("+-"))
+    text = rng.choice([" + ", "+", " +  "]).join(terms)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):  # a stray + or *
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice("+*") + text[at:]
+    return text
+
+
+def _outcome(read, dim: int, text):
+    try:
+        return read(dim, text)
+    except InputError as error:
+        return "InputError", str(error)
+
+
+def _packed_parse(dim: int, text) -> tuple[int, list]:
+    p = Polynomial.parse(dim, text)
+    return p.den, [(ring._unpack(key, dim), num) for key, num in p._nums.items()]
+
+
+_TEXTS = [
+    "1*x1^40000 + -1*x1^40000",  # past the limit, but cancelled before the check
+    "1*x1^32767*x1 + 1",
+    "1*x1^16384*x1^16384 + -1*x1^16384*x1^16384 + 1*x2",
+    "1/2*x1 + 1/3*x1 + 1/6*x1 + -1*x1",
+    "4/6*x2 + 2/9*x2*x2 + 0*x1 + 0/7",
+    "3/2*x1^2*x2 + -1*x3",
+    "1*x1^32767*x1 + -1*x1^32768 + 1*x2^99999",
+    "",
+    "+",
+    "1 + + 2",
+    "1*",
+    "*x1",
+    "1/0",
+    "0",
+    None,
+    3,
+]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
+def test_parse_matches_the_fraction_reference(dim):
+    rng = random.Random(dim)
+    texts = _TEXTS + [random_text(rng) for _ in range(1500)]
+    for text in texts:
+        assert _outcome(_packed_parse, dim, text) == _outcome(reference_parse, dim, text), text
+
+
+def test_the_reference_texts_reach_every_outcome():
+    """The drawn texts parse, cancel to zero and fail in each way the reader knows."""
+    rng = random.Random(0)
+    seen = set()
+    for text in [random_text(rng) for _ in range(1500)]:
+        got = _outcome(_packed_parse, 3, text)
+        seen.add(got[1].split()[0] if got[0] == "InputError" else "zero" if not got[1] else
+                 "den > 1" if got[0] > 1 else "den 1")
+    assert seen >= {"zero", "den 1", "den > 1", "empty", "bad", "variable", "exponent"}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_str_matches_the_fraction_reference(dim):
+    draw = FormRandom(dim, dim, Fraction(1))
+    polys = [draw.poly() for _ in range(40)]
+    polys += [a * b * Fraction(3, 14) + c for a, b, c in zip(polys, polys[1:], polys[2:])]
+    assert any(p.den > 1 for p in polys[40:])
+    for p in polys + [Polynomial.zero(dim), Polynomial.const(dim, Fraction(-4, 6))]:
+        assert str(p) == reference_str(p)
+        assert Polynomial.parse(dim, str(p)) == p
