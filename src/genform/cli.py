@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import connection as conn
 from .cover import CoverError, canonicalize, cover_from_json, glue_validate, ideal_residual
-from .exterior import (OrdinaryForm, _json_dim, _json_field, mat_is_zero, mat_sub,
+from .exterior import (OrdinaryForm, json_dim, json_field, mat_is_zero, mat_sub,
                        poly_matrix_from_json)
 from .gform import gd
 from .gvector import gv_interior
@@ -196,15 +196,15 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_connection_thm(args) -> int:
     data = _read_fixture(args.fixture)
-    n = _json_dim(data)
-    case = _json_field(data, "case", str, args.case)
+    n = json_dim(data)
+    case = json_field(data, "case", str, args.case)
     if case != args.case:
         raise InputError(f"fixture is for case {case!r}, not --case {args.case}")
-    epsilon = parse_rational(_json_field(data, "epsilon", str, "0"))
-    if case == "ii" and epsilon == 0:
-        raise InputError("case ii needs a nonzero epsilon in the fixture")
-    gamma = poly_matrix_from_json(n, _json_field(data, "gamma", list))
-    gamma_inv = poly_matrix_from_json(n, _json_field(data, "gamma_inv", list))
+    epsilon = parse_rational(json_field(data, "epsilon", str, "0"))
+    if case == "i" and epsilon != 0:
+        raise InputError(f"case i needs epsilon 0 in the fixture, got {format_rational(epsilon)}")
+    gamma = poly_matrix_from_json(n, json_field(data, "gamma", list))
+    gamma_inv = poly_matrix_from_json(n, json_field(data, "gamma_inv", list))
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data else None
     chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
            else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))

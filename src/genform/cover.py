@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .exterior import OrdinaryForm, _json_dim, _json_field, ext_d, wedge
+from .exterior import OrdinaryForm, ext_d, json_dim, json_field, wedge
 from .gform import GenForm
 from .ring import ExpPoly, InputError, Polynomial, Scalar, format_rational, parse_rational
 
@@ -276,7 +276,7 @@ def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:
 
 def _string_triples(data, key: str) -> list[tuple[str, str, str]]:
     """The optional array ``data[key]`` of three-string arrays."""
-    rows = _json_field(data, key, list, [])
+    rows = json_field(data, key, list, [])
     if not all(isinstance(row, list) and len(row) == 3
                and all(isinstance(x, str) for x in row) for row in rows):
         raise InputError(f"{key!r} must be an array of three-string arrays")
@@ -287,14 +287,14 @@ def cover_from_json(data: dict) -> CoverData:
     """Schema: {"dim": n, "charts": [{"id", "xi", "tau": {"r", "s"}}],
     "overlaps": [[I, J, rational]], "triples": [[I, J, K]]}, every leaf a
     string; overlaps and triples may be left out."""
-    dim = _json_dim(data)
+    dim = json_dim(data)
     charts = []
-    for c in _json_field(data, "charts", list):
-        tau = _json_field(c, "tau", dict)
+    for c in json_field(data, "charts", list):
+        tau = json_field(c, "tau", dict)
         charts.append(ChartData(
-            _json_field(c, "id", str), Polynomial.parse(dim, _json_field(c, "xi", str)),
-            ExpConstant(parse_rational(_json_field(tau, "r", str)),
-                        parse_rational(_json_field(tau, "s", str)))))
+            json_field(c, "id", str), Polynomial.parse(dim, json_field(c, "xi", str)),
+            ExpConstant(parse_rational(json_field(tau, "r", str)),
+                        parse_rational(json_field(tau, "s", str)))))
     if not charts:
         raise InputError("a cover needs at least one chart")
     ids = [c.id for c in charts]

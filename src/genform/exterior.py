@@ -10,6 +10,11 @@ Coefficients are normally ``Polynomial``; everything except ``pullback`` and
 the homotopy inverse also works verbatim with ``ExpPoly`` coefficients, which
 the chart-gluing module relies on.
 
+Every product of forms groups its coefficient pairs by one rule,
+``wedge_sum``: the dots, ``wedge``, the interior product, ``gform.gwedge_sum``
+(one call for the body, one for the soul) and ``pullback`` (one dot of the
+composed coefficients with the Jacobian minors) all hand their pairs to it.
+
 Forms and fields are values, and keep what is derived from them, like the
 partials of a ``Polynomial``: ``ext_d(a)`` and the hooks ``_hooks(a)`` are
 formed once per form and kept on it (``_d``, ``_hooks``), and
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
 
 from .ring import (Coefficient, ExpPoly, InputError, Polynomial, Scalar, _add_term, compose_all,
@@ -397,10 +402,7 @@ class Tensor11:
 # -- exterior operations ------------------------------------------------------
 
 
-_Triple = tuple[int, Coefficient, Coefficient]
-
-
-def _sum_products(triples: Sequence[_Triple]) -> Coefficient:
+def _sum_products(triples: Sequence[tuple[int, Coefficient, Coefficient]]) -> Coefficient:
     """sum of s * a * b over (s, a, b) triples: the integer kernel
     ``Polynomial.sum_products`` when every operand is a Polynomial, else
     ``ExpPoly.sum_products``."""
@@ -408,38 +410,6 @@ def _sum_products(triples: Sequence[_Triple]) -> Coefficient:
         if type(a) is not Polynomial or type(b) is not Polynomial:
             return ExpPoly.sum_products(triples)
     return Polynomial.sum_products(triples)
-
-
-def _add_pairs(groups: dict[IndexTuple, list[_Triple]], sign: int,
-              a: OrdinaryForm, b: OrdinaryForm) -> bool:
-    """Append the triple (sign * merge sign, ca, cb) of every component pair
-    of a ^ b whose index tuples merge to the group of the merged tuple;
-    True when any pair merged."""
-    merged_any = False
-    b_items = b.components.items()
-    for idx_a, ca in a.components.items():
-        for idx_b, cb in b_items:
-            merged = merge_indices(idx_a, idx_b)
-            if merged is None:
-                continue
-            merge_sign, idxs = merged
-            groups.setdefault(idxs, []).append((sign * merge_sign, ca, cb))
-            merged_any = True
-    return merged_any
-
-
-def _sum_groups(groups: Mapping[IndexTuple, Sequence[_Triple]]) -> dict[IndexTuple, Coefficient]:
-    """{index tuple: sum of its group}, zero sums left out."""
-    return {idxs: c for idxs, triples in groups.items()
-            if not (c := _sum_products(triples)).is_zero()}
-
-
-def _common_degree(degree: int | None, term_degree: int) -> int:
-    """The degree shared by the nonzero terms of a sum so far; ValueError
-    when a term of another degree joins."""
-    if degree is not None and degree != term_degree:
-        raise ValueError(f"degree mismatch: {degree} vs {term_degree}")
-    return term_degree
 
 
 def wedge_sum(triples: Sequence[tuple[int, OrdinaryForm, OrdinaryForm]]) -> OrdinaryForm:
@@ -456,14 +426,27 @@ def wedge_sum(triples: Sequence[tuple[int, OrdinaryForm, OrdinaryForm]]) -> Ordi
     if not triples:
         raise ValueError("wedge_sum needs at least one (s, a, b) triple")
     dim = triples[0][1].dim
-    groups: dict[IndexTuple, list[_Triple]] = {}
+    groups: dict[IndexTuple, list] = {}
     degree = None
     for s, a, b in triples:
         if a.dim != dim or b.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {b.dim if a.dim == dim else a.dim}")
-        if _add_pairs(groups, s, a, b):
-            degree = _common_degree(degree, a.degree + b.degree)
-    components = _sum_groups(groups)
+        merged_any = False
+        b_items = b.components.items()
+        for idx_a, ca in a.components.items():
+            for idx_b, cb in b_items:
+                merged = merge_indices(idx_a, idx_b)
+                if merged is None:
+                    continue
+                merge_sign, idxs = merged
+                groups.setdefault(idxs, []).append((s * merge_sign, ca, cb))
+                merged_any = True
+        if merged_any:
+            if degree is not None and degree != a.degree + b.degree:
+                raise ValueError(f"degree mismatch: {degree} vs {a.degree + b.degree}")
+            degree = a.degree + b.degree
+    components = {idxs: c for idxs, group in groups.items()
+                  if not (c := _sum_products(group)).is_zero()}
     _, a, b = triples[-1]
     return OrdinaryForm._canonical(dim, degree if components else a.degree + b.degree, components)
 
@@ -553,22 +536,24 @@ def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
     """Pull back along the polynomial map y -> (phi_1(y), ..., phi_n(y)).
 
     phi has a.dim entries, each a polynomial in the source coordinates.  The
-    coefficients are composed together (``ring.compose_all``), so each power
-    phi_i^e is formed once per call.
+    pullback of c_I dy^I is (c_I o phi) dphi^{i1} ^ ... ^ dphi^{ip}, each
+    Jacobian minor wedged from the one-forms dphi alone (Cauchy-Binet), and
+    the whole pullback is one ``wedge_dot`` of the composed coefficients with
+    the minors.  The coefficients are composed together (``ring.compose_all``),
+    so each power phi_i^e is formed once per call.
     """
     if len(phi) != a.dim:
         raise ValueError(f"map has {len(phi)} components, form lives in dim {a.dim}")
     source_dim = phi[0].dim
     if any(p.dim != source_dim for p in phi):
         raise ValueError("map components must share one source dimension")
+    if a.is_zero():
+        return OrdinaryForm.zero(source_dim, a.degree)
     dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
-    result = OrdinaryForm.zero(source_dim, a.degree)
-    for idxs, coeff in zip(a.components, compose_all(list(a.components.values()), phi)):
-        term = OrdinaryForm.from_scalar(coeff)
-        for i in idxs:
-            term = wedge(term, dphi[i - 1])
-        result = result + term
-    return result
+    one = [OrdinaryForm.constant(source_dim, 1)]
+    minors = [reduce(wedge, [dphi[i - 1] for i in idxs] or one) for idxs in a.components]
+    coeffs = compose_all(list(a.components.values()), phi)
+    return wedge_dot([OrdinaryForm.from_scalar(c) for c in coeffs], minors)
 
 
 def poincare_antiderivative(a: OrdinaryForm) -> OrdinaryForm:
@@ -608,7 +593,7 @@ _REQUIRED = object()
 _JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
 
 
-def _json_field(data, key: str, kind: type, default=_REQUIRED):
+def json_field(data, key: str, kind: type, default=_REQUIRED):
     """``data[key]`` of a JSON object, checked to be a ``kind`` (a JSON
     integer is an ``int`` but not a boolean).  InputError when data is not an
     object, a key without default is missing or the value has another type."""
@@ -624,9 +609,9 @@ def _json_field(data, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-def _json_dim(data) -> int:
+def json_dim(data) -> int:
     """The positive integer ``data["dim"]``."""
-    dim = _json_field(data, "dim", int)
+    dim = json_field(data, "dim", int)
     if dim < 1:
         raise InputError(f"dim must be positive, got {dim}")
     return dim
@@ -649,13 +634,13 @@ def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
 def form_from_json(data: dict, shape: tuple[int, int] | None = None) -> OrdinaryForm:
     """The form of a JSON {"dim", "degree", "components"}; InputError unless it
     is well formed and, where ``shape`` = (dim, degree) is given, of that shape."""
-    dim = _json_dim(data)
-    degree = _json_field(data, "degree", int)
+    dim = json_dim(data)
+    degree = json_field(data, "degree", int)
     if shape not in (None, (dim, degree)):
         raise InputError(f"expected a {shape[1]}-form on R^{shape[0]}, "
                          f"got a {degree}-form on R^{dim}")
     comps = {}
-    for key, text in _json_field(data, "components", dict).items():
+    for key, text in json_field(data, "components", dict).items():
         try:
             idxs = json.loads(key)
         except ValueError:

@@ -14,21 +14,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (
-    IndexTuple,
     OrdinaryForm,
     VectorField,
-    _add_pairs,
-    _common_degree,
-    _json_dim,
-    _json_field,
-    _sum_groups,
-    _Triple,
     ext_d,
     form_from_json,
     form_to_json,
     interior,
+    json_dim,
+    json_field,
     lie,
     pullback,
+    wedge_sum,
 )
 from .ring import Polynomial, Scalar, format_rational, parse_rational
 
@@ -174,34 +170,34 @@ def gwedge_sum(triples: Sequence[tuple[int, GenForm, GenForm]]) -> GenForm:
 
         (alpha + alpha'm)(beta + beta'm) = alpha beta + (alpha beta' + (-1)^q alpha' beta) m,
 
-    q = deg beta, so the soul pair alpha' beta enters with sign -s when b has
-    odd degree.  Each body and soul coefficient is accumulated once.  The
-    result is the left fold of + over the signed products, zero results
-    included (see ``exterior.wedge_sum``).  ValueError on a dimension or
-    epsilon mismatch and when two terms whose components merge have
-    different degrees.
+    q = deg beta: two ``exterior.wedge_sum`` calls, one over the body pairs
+    (s, alpha, beta) and one over the soul pairs (s, alpha, beta') and
+    (+-s, alpha', beta), the latter with sign -s when b has odd degree.  Each
+    body and soul coefficient is accumulated once.  The result is the left
+    fold of + over the signed products, zero results of the last term's
+    degree included.  ValueError on a dimension or epsilon mismatch, when two
+    terms whose components merge have different degrees, and when a nonzero
+    body and a nonzero soul disagree in degree.
     """
     if not triples:
         raise ValueError("gwedge_sum needs at least one (s, a, b) triple")
     first = triples[0][1]
-    body: dict[IndexTuple, list[_Triple]] = {}
-    soul: dict[IndexTuple, list[_Triple]] = {}
-    degree = None
+    body_triples, soul_triples = [], []
     for s, a, b in triples:
         first._require_compatible(a)
         first._require_compatible(b)
-        merged = _add_pairs(body, s, a.body, b.body)
-        merged |= _add_pairs(soul, s, a.body, b.soul)
-        merged |= _add_pairs(soul, -s if b.degree % 2 else s, a.soul, b.body)
-        if merged:
-            degree = _common_degree(degree, a.degree + b.degree)
-    body_components, soul_components = _sum_groups(body), _sum_groups(soul)
-    if not (body_components or soul_components):
-        _, a, b = triples[-1]
-        degree = a.degree + b.degree
+        body_triples.append((s, a.body, b.body))
+        soul_triples += [(s, a.body, b.soul), (-s if b.degree % 2 else s, a.soul, b.body)]
+    body, soul = wedge_sum(body_triples), wedge_sum(soul_triples)
+    if not (body.is_zero() or soul.is_zero() or soul.degree == body.degree + 1):
+        raise ValueError(f"degree mismatch: {body.degree} vs {soul.degree - 1}")
+    _, a, b = triples[-1]
+    degree = (body.degree if not body.is_zero() else soul.degree - 1 if not soul.is_zero()
+              else a.degree + b.degree)
+    # a zero part has the nominal degree of its own last pair; it takes the sum's
     return GenForm._canonical(first.dim, first.epsilon, degree,
-                              OrdinaryForm._canonical(first.dim, degree, body_components),
-                              OrdinaryForm._canonical(first.dim, degree + 1, soul_components))
+                              OrdinaryForm.zero(first.dim, degree) if body.is_zero() else body,
+                              OrdinaryForm.zero(first.dim, degree + 1) if soul.is_zero() else soul)
 
 
 def gwedge_dot(row: Sequence[GenForm], col: Sequence[GenForm]) -> GenForm:
@@ -268,7 +264,7 @@ def genform_to_json(a: GenForm) -> dict:
 
 
 def genform_from_json(data: dict) -> GenForm:
-    dim, degree = _json_dim(data), _json_field(data, "degree", int)
-    return GenForm(dim, parse_rational(_json_field(data, "epsilon", str)), degree,
-                   form_from_json(_json_field(data, "body", dict), (dim, degree)),
-                   form_from_json(_json_field(data, "soul", dict), (dim, degree + 1)))
+    dim, degree = json_dim(data), json_field(data, "degree", int)
+    return GenForm(dim, parse_rational(json_field(data, "epsilon", str)), degree,
+                   form_from_json(json_field(data, "body", dict), (dim, degree)),
+                   form_from_json(json_field(data, "soul", dict), (dim, degree + 1)))

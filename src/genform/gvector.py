@@ -31,11 +31,11 @@ from .exterior import (
     Tensor11,
     VectorField,
     _hooks,
-    _json_dim,
-    _json_field,
     coordinate_partial,
     ext_d,
     interior,
+    json_dim,
+    json_field,
     lie,
     poly_matrix_from_json,
     transpose,
@@ -305,10 +305,10 @@ def gvf_to_json(V: GenVectorField) -> dict:
 
 
 def gvf_from_json(data: dict) -> GenVectorField:
-    dim = _json_dim(data)
-    texts = _json_field(data, "v", list)
+    dim = json_dim(data)
+    texts = json_field(data, "v", list)
     if len(texts) != dim:
         raise InputError(f"v must list {dim} polynomials")
     v = VectorField([Polynomial.parse(dim, t) for t in texts])
-    vt = Tensor11(poly_matrix_from_json(dim, _json_field(data, "vt", list)))
-    return GenVectorField(dim, parse_rational(_json_field(data, "epsilon", str)), v, vt)
+    vt = Tensor11(poly_matrix_from_json(dim, json_field(data, "vt", list)))
+    return GenVectorField(dim, parse_rational(json_field(data, "epsilon", str)), v, vt)

@@ -36,11 +36,11 @@ from .exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
-    _json_dim,
-    _json_field,
     ext_d,
     form_from_json,
     interior,
+    json_dim,
+    json_field,
     mat_mul,
     poincare_antiderivative,
     poly_matrix_from_json,
@@ -323,16 +323,16 @@ def problem_from_json(data: dict) -> GenHamiltonianProblem:
     """Schema: dim, epsilon, omega (form JSON), upsilon (form JSON),
     omega_inv (matrix of poly strings), h (poly string), k (list of poly
     strings)."""
-    n = _json_dim(data)
-    eps = parse_rational(_json_field(data, "epsilon", str))
-    omega = form_from_json(_json_field(data, "omega", dict), (n, 2))
+    n = json_dim(data)
+    eps = parse_rational(json_field(data, "epsilon", str))
+    omega = form_from_json(json_field(data, "omega", dict), (n, 2))
     upsilon = (form_from_json(data["upsilon"], (n, 3)) if "upsilon" in data
                else OrdinaryForm.zero(n, 3))
     s = GenForm(n, eps, 2, omega, upsilon)
-    inv = poly_matrix_from_json(n, _json_field(data, "omega_inv", list))
+    inv = poly_matrix_from_json(n, json_field(data, "omega_inv", list))
     sympl = symplectic_validate(s, inv)
-    h = Polynomial.parse(n, _json_field(data, "h", str))
-    k = _json_field(data, "k", list)
+    h = Polynomial.parse(n, json_field(data, "h", str))
+    k = json_field(data, "k", list)
     if len(k) != n:
         raise InputError(f"k must list {n} polynomials")
     soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t) for b, t in enumerate(k, start=1)})

@@ -36,13 +36,15 @@ public constructors, which outside input still passes.
 One kernel does every polynomial product: ``Polynomial.sum_products`` sums
 s*a*b over (s, a, b) triples with s = +-1 over the lcm of the pairs'
 denominators and canonicalizes once.  ``a * b`` is its one-triple case.  A
-signed sum of products of forms (``exterior.wedge_sum``, ``gform.gwedge_sum``,
-and their all-plus cases, the row-times-column dots) hands each output
-coefficient's triples to one kernel call, and so do the composite operations
-built on them: the brackets, covariant derivatives and non-metricities pass
-all their products, signs included, as one sum per output entry.  So no
-intermediate product is built as a ``Polynomial`` of its own, nor negated and
-added.  A size rule
+signed sum of products of forms (``exterior.wedge_sum`` and its all-plus
+case, the row-times-column dot) hands each output coefficient's triples to
+one kernel call, and so does every composite operation built on it:
+``gform.gwedge_sum`` is two ``wedge_sum`` calls, one over the body pairs and
+one over the soul pairs; ``exterior.pullback`` is one dot of the composed
+coefficients with the Jacobian minors; the brackets, covariant derivatives
+and non-metricities pass all their products, signs included, as one sum per
+output entry.  So no intermediate product is built as a ``Polynomial`` of its
+own, nor negated and added.  A size rule
 sends small calls through a schoolbook loop into one integer dict, and large
 calls through Kronecker substitution on fibers, dense in x1 and x2 and sparse
 in the rest: one big-integer multiply per pair of fibers, in 32- or 64-bit slots.
@@ -73,7 +75,8 @@ the power below it, and sums each composite in one kernel call, a term
 c * x^e entering as the triple (1, c times all its powers but the last, the
 last power).  ``Polynomial.compose`` is its one-polynomial case, and
 ``exterior.pullback`` composes all of a form's coefficients in one call, so
-each power of the map's components is formed once per pullback.
+each power of the map's components is formed once per pullback; a composite
+then meets its Jacobian minor once, in the pullback's one dot.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only

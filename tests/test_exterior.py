@@ -217,6 +217,39 @@ def test_pullback_is_algebra_map_and_commutes_with_d():
         assert pullback(phi, ext_d(a)) == ext_d(pullback(phi, a))
 
 
+def reference_pullback(phi, a):
+    """The pullback as a sum of wedge chains: each coefficient composed on its
+    own, wedged with d phi^i1, ..., d phi^ip in turn from the 0-form, and the
+    terms added with +."""
+    dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
+    result = OrdinaryForm.zero(phi[0].dim, a.degree)
+    for idxs, coeff in a.components.items():
+        term = OrdinaryForm.from_scalar(coeff.compose(phi))
+        for i in idxs:
+            term = wedge(term, dphi[i - 1])
+        result = result + term
+    return result
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_pullback_matches_the_wedge_chain_reference(dim):
+    """The pullback by Jacobian minors stores what the wedge chains give,
+    nominal degree included: zero forms, degrees -1..dim + 1, and maps from
+    source dimensions dim - 1..dim + 1 within 1..5."""
+    for source_dim in range(max(1, dim - 1), min(dim + 1, 5) + 1):
+        target, source = FormRandom(80 + dim, dim, Fraction(0)), FormRandom(90 + dim, source_dim, 0)
+        for degree in range(-1, dim + 2):
+            phi = [source.poly() for _ in range(dim)]
+            forms = [target.form(degree), OrdinaryForm.zero(dim, degree)]
+            if 0 <= degree <= dim:  # a component for sure, on the first `degree` axes
+                forms.append(OrdinaryForm.basis(dim, range(1, degree + 1),
+                                                target.poly(allow_zero=False)))
+            for a in forms:
+                got, want = pullback(phi, a), reference_pullback(phi, a)
+                assert (got.dim, got.degree, got.components) == (want.dim, want.degree,
+                                                                 want.components)
+
+
 def test_poincare_antiderivative_inverts_d():
     rnd = FormRandom(55, 3, Fraction(0))
     for trial in range(20):

@@ -480,6 +480,8 @@ def test_dots_raise_where_the_fold_raises():
         ((dx1, GenForm.one(3, eps)), (dx2, GenForm.one(3, eps))),  # two dimensions
         ((dx1, GenForm.one(2, 2)), (dx2, GenForm.one(2, 2))),  # two epsilons
         ((dx1, dx1), (dx2, GenForm.one(2, eps))),  # terms of degrees 2 and 1
+        # a body term of degree 2 and a soul term of degree 0
+        ((dx1, GenForm(2, eps, 0, soul=dx1.body)), (dx2, GenForm.one(2, eps))),
     ]
     for row, col in cases:
         for dot in (gwedge_dot, reference_dot(reference_gwedge)):
