@@ -8,8 +8,8 @@ body/soul component formulas, and the two paths must agree exactly.
 
 A single matrix product on either path is one ``exterior.mat_mul`` under a
 row-times-column sum that accumulates each entry's coefficients once:
-``gform.gwedge_dot`` on the matrix path, ``exterior.wedge_dot`` on the
-component path, and ``ring.poly_dot`` for polynomial matrices.  A signed sum
+``gform.gwedge_dot`` on the matrix path and ``exterior.wedge_dot`` on the
+component path; an inverse is judged by ``exterior.inverse_defect``.  A signed sum
 of matrix products, such as D t = d t + alpha t -+ t alpha or
 Q = dg - gA - (g^T A)^T, is one ``_signed_sum``: it gives each entry's
 products to one ``gform.gwedge_sum`` or ``exterior.wedge_sum`` and adds the
@@ -53,11 +53,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordinate_partial, ext_d,
-                       form_from_json, mat_add, mat_identity, mat_is_zero, mat_mul, mat_neg,
+                       form_from_json, inverse_defect, mat_add, mat_is_zero, mat_mul, mat_neg,
                        mat_sub, transpose, wedge_dot, wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
-from .ring import InputError, Polynomial, Scalar, poly_dot
+from .ring import InputError, Polynomial, Scalar
 
 FormMatrix = tuple[tuple[OrdinaryForm, ...], ...]
 GenMatrix = tuple[tuple[GenForm, ...], ...]
@@ -228,10 +228,9 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
     """Gauge transport A -> G^-1 dG + G^-1 A G; the caller supplies the exact
-    inverse, which is verified."""
+    inverse, which is verified (``exterior.inverse_defect``)."""
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
-    eye = mat_identity(A.dim, 1, 0)
-    if mat_mul(G, G_inv, poly_dot) != eye or mat_mul(G_inv, G, poly_dot) != eye:
+    if inverse_defect(G_inv, G) is not None:
         raise ConnectionError("G_inv is not an exact inverse of G")
     G, G_inv = _gen_scalars(G, A.epsilon), _gen_scalars(G_inv, A.epsilon)
     AG = mat_mul(A.entries, G, gwedge_dot)
@@ -296,19 +295,6 @@ def cov_deriv_vf_along(A: GenConnection, W: GenVectorField, V: GenVectorField) -
     return field_from_components(contracted, A.epsilon)
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    flat: bool
-    body_residual_zero: bool  # F_cal + eps beta = 0
-    soul_residual_zero: bool  # D beta = 0
-
-
-def flatness_check(A: GenConnection) -> FlatnessReport:
-    body, soul = _split(curvature_expansion(A))
-    body_zero, soul_zero = mat_is_zero(body), mat_is_zero(soul)
-    return FlatnessReport(body_zero and soul_zero, body_zero, soul_zero)
-
-
 # -- metrics -----------------------------------------------------------------------
 
 
@@ -338,11 +324,9 @@ def _symmetric(matrix, name: str) -> tuple:
 
 def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> tuple[FormMatrix, FormMatrix]:
     """gamma and gamma^-1 as 0-forms, once gamma is symmetric with gamma^-1 its
-    exact two-sided inverse.  gamma^-1 gamma = I suffices: for square matrices
-    over a commutative ring it gives det gamma det gamma^-1 = 1, so the left
-    inverse is also the right one."""
+    exact two-sided inverse (``exterior.inverse_defect``)."""
     gamma = _symmetric(gamma, "gamma")
-    if mat_mul(_as_tuple(gamma_inv), gamma, poly_dot) != mat_identity(len(gamma), 1, 0):
+    if inverse_defect(_as_tuple(gamma_inv), gamma) is not None:
         raise InputError("gamma_inv is not an exact inverse")
     return _scalar_forms(gamma), _scalar_forms(gamma_inv)
 
@@ -478,7 +462,7 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     """
     eps = Fraction(epsilon)
     if eps == 0:
-        raise InputError("this branch needs eps != 0")
+        raise InputError("case ii needs a nonzero epsilon")
     gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
     alpha = levi_civita_connection(gamma, gamma_inv) if alpha is None else _as_tuple(alpha)
     if not all(t.is_zero() for t in torsion(alpha)):

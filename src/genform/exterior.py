@@ -225,13 +225,6 @@ class VectorField:
     def zero(cls, dim: int) -> "VectorField":
         return cls([Polynomial.zero(dim)] * dim)
 
-    @classmethod
-    def coordinate(cls, dim: int, index: int) -> "VectorField":
-        """The coordinate field d/dx^index."""
-        comps = [Polynomial.zero(dim)] * dim
-        comps[index - 1] = Polynomial.one(dim)
-        return cls(comps)
-
     def component_forms(self) -> tuple[OrdinaryForm, ...]:
         """The components v^a as 0-forms, the operands of a contraction,
         formed on first use and kept on the field."""
@@ -242,10 +235,6 @@ class VectorField:
 
     def component(self, index: int) -> Polynomial:
         return self.components[index - 1]
-
-    def derivative(self, p: Polynomial) -> Polynomial:
-        """The directional derivative v(p) = v^b d_b p."""
-        return poly_dot(self.components, [p.partial(b) for b in range(1, self.dim + 1)])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -316,6 +305,20 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], dot: Callable) -> tupl
         raise ValueError("matrix product: inner dimensions differ")
     columns = transpose(b)
     return tuple(tuple(dot(row, col) for col in columns) for row in a)
+
+
+def inverse_defect(left: Sequence[Sequence], right: Sequence[Sequence]) -> tuple[int, int] | None:
+    """The first 1-based entry (i, j), in row order, where the polynomial
+    product left right is not the identity, or None when right is left's
+    exact inverse.  One product suffices: over a commutative ring, left right
+    = I gives det(left) det(right) = 1, so right left = I as well.
+    ValueError unless both are square of one size."""
+    n = len(left)
+    if len(right) != n or any(len(row) != n for row in (*left, *right)):
+        raise ValueError("inverse check: matrices are not square of one size")
+    product = mat_mul(left, right, poly_dot)
+    return next(((i + 1, j + 1) for i in range(n) for j in range(n)
+                 if product[i][j] != int(i == j)), None)
 
 
 class Tensor11:
@@ -539,8 +542,9 @@ def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
     pullback of c_I dy^I is (c_I o phi) dphi^{i1} ^ ... ^ dphi^{ip}, each
     Jacobian minor wedged from the one-forms dphi alone (Cauchy-Binet), and
     the whole pullback is one ``wedge_dot`` of the composed coefficients with
-    the minors.  The coefficients are composed together (``ring.compose_all``),
-    so each power phi_i^e is formed once per call.
+    the minors; a 0-form's pullback is its composed coefficient.  The
+    coefficients are composed together (``ring.compose_all``), so each power
+    phi_i^e is formed once per call.
     """
     if len(phi) != a.dim:
         raise ValueError(f"map has {len(phi)} components, form lives in dim {a.dim}")
@@ -549,11 +553,12 @@ def pullback(phi: Sequence[Polynomial], a: OrdinaryForm) -> OrdinaryForm:
         raise ValueError("map components must share one source dimension")
     if a.is_zero():
         return OrdinaryForm.zero(source_dim, a.degree)
+    coeffs = [OrdinaryForm.from_scalar(c) for c in compose_all(list(a.components.values()), phi)]
+    if a.degree == 0:
+        return coeffs[0]
     dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
-    one = [OrdinaryForm.constant(source_dim, 1)]
-    minors = [reduce(wedge, [dphi[i - 1] for i in idxs] or one) for idxs in a.components]
-    coeffs = compose_all(list(a.components.values()), phi)
-    return wedge_dot([OrdinaryForm.from_scalar(c) for c in coeffs], minors)
+    minors = [reduce(wedge, [dphi[i - 1] for i in idxs]) for idxs in a.components]
+    return wedge_dot(coeffs, minors)
 
 
 def poincare_antiderivative(a: OrdinaryForm) -> OrdinaryForm:
@@ -577,16 +582,6 @@ def poincare_antiderivative(a: OrdinaryForm) -> OrdinaryForm:
 
 
 # -- JSON encoding -------------------------------------------------------------
-
-
-def form_to_json(a: OrdinaryForm) -> dict:
-    comps = {}
-    for idxs in sorted(a.components):
-        coeff = a.components[idxs]
-        if not isinstance(coeff, Polynomial):
-            raise TypeError("only polynomial-coefficient forms serialize to JSON")
-        comps[json.dumps(list(idxs), separators=(",", ":"))] = str(coeff)
-    return {"dim": a.dim, "degree": a.degree, "components": comps}
 
 
 _REQUIRED = object()

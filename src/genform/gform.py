@@ -17,16 +17,12 @@ from .exterior import (
     OrdinaryForm,
     VectorField,
     ext_d,
-    form_from_json,
-    form_to_json,
     interior,
-    json_dim,
-    json_field,
     lie,
     pullback,
     wedge_sum,
 )
-from .ring import Polynomial, Scalar, format_rational, parse_rational
+from .ring import Polynomial, Scalar
 
 
 class GenForm:
@@ -249,22 +245,3 @@ def glie_componentwise(v: VectorField, a: GenForm) -> GenForm:
     separately (degree preserved)."""
     return GenForm(a.dim, a.epsilon, a.degree, lie(v, a.body), lie(v, a.soul))
 
-
-# -- JSON encoding -------------------------------------------------------------
-
-
-def genform_to_json(a: GenForm) -> dict:
-    return {
-        "dim": a.dim,
-        "epsilon": format_rational(a.epsilon),
-        "degree": a.degree,
-        "body": form_to_json(a.body),
-        "soul": form_to_json(a.soul),
-    }
-
-
-def genform_from_json(data: dict) -> GenForm:
-    dim, degree = json_dim(data), json_field(data, "degree", int)
-    return GenForm(dim, parse_rational(json_field(data, "epsilon", str)), degree,
-                   form_from_json(json_field(data, "body", dict), (dim, degree)),
-                   form_from_json(json_field(data, "soul", dict), (dim, degree + 1)))

@@ -34,17 +34,14 @@ from .exterior import (
     coordinate_partial,
     ext_d,
     interior,
-    json_dim,
-    json_field,
     lie,
-    poly_matrix_from_json,
     transpose,
     vf_bracket,
     wedge_dot,
     wedge_sum,
 )
 from .gform import GenForm, gd
-from .ring import InputError, Polynomial, Scalar, format_rational, parse_rational
+from .ring import Polynomial, Scalar
 
 
 class GenVectorField:
@@ -291,24 +288,3 @@ def validate_quaternion_triple(js: Sequence[Tensor11]) -> None:
         if product != expected:
             raise AssertionError(f"J{i + 1} J{j + 1} != {sign:+d} J{k + 1}")
 
-
-# -- JSON ------------------------------------------------------------------------
-
-
-def gvf_to_json(V: GenVectorField) -> dict:
-    return {
-        "dim": V.dim,
-        "epsilon": format_rational(V.epsilon),
-        "v": [str(c) for c in V.v.components],
-        "vt": [[str(c) for c in row] for row in V.vt.components],
-    }
-
-
-def gvf_from_json(data: dict) -> GenVectorField:
-    dim = json_dim(data)
-    texts = json_field(data, "v", list)
-    if len(texts) != dim:
-        raise InputError(f"v must list {dim} polynomials")
-    v = VectorField([Polynomial.parse(dim, t) for t in texts])
-    vt = Tensor11(poly_matrix_from_json(dim, json_field(data, "vt", list)))
-    return GenVectorField(dim, parse_rational(json_field(data, "epsilon", str)), v, vt)

@@ -39,6 +39,7 @@ from .exterior import (
     ext_d,
     form_from_json,
     interior,
+    inverse_defect,
     json_dim,
     json_field,
     mat_mul,
@@ -94,12 +95,9 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
     inv = tuple(tuple(row) for row in omega_inv)
     if len(inv) != n or any(len(row) != n for row in inv):
         raise InputError("inverse matrix has wrong shape")
-    omega = _antisymmetric_matrix(s.body)
-    product = mat_mul(inv, transpose(omega), poly_dot)  # W^{ag} Omega_{bg}
-    for a, row in enumerate(product, start=1):
-        for b, entry in enumerate(row, start=1):
-            if entry != (1 if a == b else 0):
-                raise InputError(f"inverse check failed at entry ({a},{b})")
+    defect = inverse_defect(inv, transpose(_antisymmetric_matrix(s.body)))  # W^{ag} Omega_{bg}
+    if defect is not None:
+        raise InputError("inverse check failed at entry ({},{})".format(*defect))
     return GenSymplectic(s, inv)
 
 
@@ -309,11 +307,6 @@ def rk4_order_estimate(epsilon: Scalar, v0: Scalar, q0: float, p0: float,
     if err_fine < floor or err_coarse == 0:
         return None
     return math.log2(err_coarse / err_fine)
-
-
-def energy(traj: Trajectory, index: int) -> float:
-    state = traj.states[index]
-    return 0.5 * sum(x * x for x in state)
 
 
 # -- fixture loading -------------------------------------------------------------

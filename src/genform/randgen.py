@@ -37,11 +37,6 @@ class FormRandom:
         # the packed keys of the monomials of total degree <= 2, packed once
         self._keys = [_pack(e) for e in itertools.product(range(3), repeat=dim) if sum(e) <= 2]
 
-    def rational(self) -> Fraction:
-        if self.rng.random() < 0.25:
-            return Fraction(0)
-        return self.rng.choice(COEFF_POOL)
-
     def poly(self, allow_zero: bool = True) -> Polynomial:
         terms = {}
         for key in self._keys:

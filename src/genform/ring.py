@@ -73,10 +73,10 @@ Substitution is built on the same kernel.  ``compose_all(polys, args)``
 forms each power args[i]**e that the polys need once, by one product from
 the power below it, and sums each composite in one kernel call, a term
 c * x^e entering as the triple (1, c times all its powers but the last, the
-last power).  ``Polynomial.compose`` is its one-polynomial case, and
-``exterior.pullback`` composes all of a form's coefficients in one call, so
-each power of the map's components is formed once per pullback; a composite
-then meets its Jacobian minor once, in the pullback's one dot.
+last power).  ``exterior.pullback`` composes all of a form's coefficients in
+one call, so each power of the map's components is formed once per pullback;
+a composite then meets its Jacobian minor once, in the pullback's one dot,
+and a 0-form's one composite is its pullback.
 
 An ``ExpPoly`` is a finite sum  sum_i  p_i * exp(q_i)  with polynomial
 coefficients p_i and *distinct* polynomial exponents q_i.  Two terms merge only
@@ -207,7 +207,7 @@ def _encode(p: "Polynomial", stride: int, width: int) -> dict[int, int]:
     sum num * 2**(width * (e1 + stride * e2)) over the fiber's terms}.  A fiber
     spans p's own rows of x2, stride slots each, so the integer depends on p,
     stride and width alone."""
-    unsigned, order, half = _SLOT_CODES[width], sys.byteorder, 1 << (width - 1)
+    unsigned, half, size = _SLOT_CODES[width], 1 << (width - 1), width // 8
     slots = stride * ((*_extent(p)[0], 0)[1] + 1)
     # each fiber's slots in flat, each holding num + half so that it is
     # non-negative; the offset, half in each of p's slots, takes it out again
@@ -217,8 +217,10 @@ def _encode(p: "Polynomial", stride: int, width: int) -> dict[int, int]:
     for key, num in p._nums.items():
         flat[starts[key >> _LOW_BITS] + (key & _FIELD)
              + stride * ((key >> _FIELD_BITS) & _FIELD)] = num + half
-    offset = int.from_bytes(array(unsigned, [half]) * slots, order)
-    return {high << _LOW_BITS: int.from_bytes(flat[start:start + slots], order) - offset
+    if sys.byteorder == "big":  # slot 0 must be the lowest word of the integer
+        flat.byteswap()
+    offset = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    return {high << _LOW_BITS: int.from_bytes(flat[start:start + slots], "little") - offset
             for high, start in starts.items()}
 
 
@@ -233,7 +235,7 @@ def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int
     between rows.  Every slot of the sum must lie
     within +-2**(width - 1); an offset of half a slot in each slot of the box
     makes each non-negative for decoding."""
-    unsigned, order, size = _SLOT_CODES[width], sys.byteorder, width // 8
+    unsigned, size = _SLOT_CODES[width], width // 8
     top1, top2 = (*box, 0)[:2]
     stride = top1 + 1
     sums: dict[int, int] = {}
@@ -246,11 +248,13 @@ def _fiber_sum(terms: Sequence[tuple[int, "Polynomial", "Polynomial"]], den: int
                 sums[r1 + r2] = get(r1 + r2, 0) + v1 * v2
     slot_keys = [e1 + (e2 << _FIELD_BITS) for e2 in range(top2 + 1) for e1 in range(stride)]
     slots, half = len(slot_keys), 1 << (width - 1)
-    offset = int.from_bytes(array(unsigned, [half]) * slots, order)
+    offset = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
     out: dict[int, int] = {}
     for rest, total in sums.items():
         if total:  # a fiber that cancels to zero writes nothing
-            values = array(unsigned, (total + offset).to_bytes(size * slots, order))
+            values = array(unsigned, (total + offset).to_bytes(size * slots, "little"))
+            if sys.byteorder == "big":
+                values.byteswap()
             keep = list(map(operator.ne, values, itertools.repeat(half)))
             out.update(zip(
                 map(operator.add, itertools.compress(slot_keys, keep), itertools.repeat(rest)),
@@ -564,24 +568,6 @@ class Polynomial:
             total += value
         return total
 
-    def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Evaluate at a rational point, exactly."""
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= Fraction(x) ** e
-            total += value
-        return total
-
-    def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute args[i] for x_{i+1}; all args share one dimension.  The
-        one-polynomial case of ``compose_all``."""
-        return compose_all((self,), args)[0]
-
     # -- equality / hashing / printing -------------------------------------
 
     def __eq__(self, other):
@@ -620,8 +606,8 @@ def poly_dot(row: Sequence[Polynomial], col: Sequence[Polynomial]) -> Polynomial
 
 
 def compose_all(polys: Sequence[Polynomial], args: Sequence[Polynomial]) -> list[Polynomial]:
-    """[p.compose(args) for p in polys]: args[i] substituted for x_{i+1} in
-    each p, all args of one dimension.
+    """Each p of polys with args[i] substituted for x_{i+1}, all args of one
+    dimension.
 
     Each power args[i]**e that a term of any p needs is formed once, by one
     product from the power below it.  Each p(args) is one kernel call: a term
@@ -707,14 +693,6 @@ class ExpPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_poly(self) -> Polynomial:
-        """Extract the underlying Polynomial when every exponent is zero."""
-        zero_q = Polynomial.zero(self.dim)
-        for q in self.terms:
-            if q != zero_q:
-                raise ValueError(f"{self} has a non-trivial exponential part")
-        return self.terms.get(zero_q, zero_q)
 
     def _plus(self, other, sign: int):
         """self + sign * other, sign = +1 or -1, termwise by ``_add_term``."""

@@ -10,8 +10,6 @@ from genform.exterior import OrdinaryForm, VectorField, interior, mat_identity, 
 from genform.gform import (
     GenForm,
     gd,
-    genform_from_json,
-    genform_to_json,
     ginterior_ordinary,
     glie_componentwise,
     glie_ordinary,
@@ -27,6 +25,11 @@ from genform.ring import ExpPoly, InputError, Polynomial
 from genform.superspace import SuperFunction
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+
+def coordinate_field(n: int, index: int) -> VectorField:
+    """d/dx^index."""
+    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def test_m_squared_is_zero():
@@ -142,7 +145,7 @@ def test_interior_zero_form_example():
     eps = Fraction(1)
     x1, x2 = Polynomial.var(n, 1), Polynomial.var(n, 2)
     a = GenForm(n, eps, 0, OrdinaryForm.from_scalar(x2), OrdinaryForm.basis(n, (1,), x1))
-    got = ginterior_ordinary(VectorField.coordinate(n, 1), a)
+    got = ginterior_ordinary(coordinate_field(n, 1), a)
     assert got == GenForm(n, eps, -1, soul=OrdinaryForm.from_scalar(x1))
 
 
@@ -168,7 +171,7 @@ def test_lie_translation_example():
     eps = Fraction(1)
     x1 = Polynomial.var(n, 1)
     a = GenForm(n, eps, 0, OrdinaryForm.from_scalar(x1), OrdinaryForm.basis(n, (2,), x1))
-    got = glie_ordinary(VectorField.coordinate(n, 1), a)
+    got = glie_ordinary(coordinate_field(n, 1), a)
     assert got == GenForm(n, eps, 0, OrdinaryForm.constant(n, 1),
                           OrdinaryForm.basis(n, (2,)))
 
@@ -298,30 +301,6 @@ def test_constructors_keep_a_fraction_epsilon_and_convert_the_rest(given):
     assert gv_interior(GenVectorField.ordinary(v, Fraction(given)), a).epsilon == given
     assert SuperFunction.from_poly(Polynomial.one(2), given).mul(
         SuperFunction.from_poly(Polynomial.one(2), Fraction(given))).terms
-
-
-def test_genform_json_round_trip():
-    rnd = FormRandom(99, 2, Fraction(-1, 2))
-    for degree in range(-1, 3):
-        a = rnd.genform(degree)
-        assert genform_from_json(genform_to_json(a)) == a
-
-
-@pytest.mark.parametrize("change", [{"dim": 1.5}, {"dim": None}, {"dim": 0}, {"degree": "1"},
-                                    {"epsilon": 1}, {"body": 5}, {"soul": None}])
-def test_genform_json_type_errors(change):
-    data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
-    with pytest.raises(ValueError):
-        genform_from_json(dict(data, **change))
-
-
-@pytest.mark.parametrize("change", [{"dim": 3}, {"degree": 2}, {"degree": 0}, {"dim": 0}])
-def test_genform_json_reader_judges_the_form_it_builds(change):
-    # parts that do not fit the declared dim and degree are bad input: the
-    # reader says so itself instead of leaving it to GenForm's ValueError
-    data = genform_to_json(FormRandom(5, 2, Fraction(1)).genform(1))
-    with pytest.raises(InputError):
-        genform_from_json(dict(data, **change))
 
 
 def stored(x: GenForm | OrdinaryForm) -> tuple:

@@ -35,6 +35,11 @@ from genform.superspace import (SuperFunction, blade_mul, super_d, super_interio
 SCALES = (1, -1, Fraction(1, 3), Fraction(-5, 4), 6)
 
 
+def coordinate_field(n: int, index: int) -> VectorField:
+    """d/dx^index."""
+    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
+
+
 def copy_form(a: OrdinaryForm) -> OrdinaryForm:
     return OrdinaryForm(a.dim, a.degree, dict(a.components))
 
@@ -174,11 +179,11 @@ def _misfits(kind: str, dim: int, eps: Fraction):
                 (GenForm.one(dim, eps), GenForm.one(dim, eps + 1)),
                 (GenForm.one(dim, eps), GenForm.one(dim + 1, eps))]
     if kind == "vector":
-        return [(VectorField.coordinate(dim, 1), VectorField.coordinate(dim + 1, 1))]
+        return [(coordinate_field(dim, 1), coordinate_field(dim + 1, 1))]
     if kind == "genvector":
-        v = GenVectorField.ordinary(VectorField.coordinate(dim, 1), eps)
-        return [(v, GenVectorField.ordinary(VectorField.coordinate(dim, 1), eps + 1)),
-                (v, GenVectorField.ordinary(VectorField.coordinate(dim + 1, 1), eps))]
+        v = GenVectorField.ordinary(coordinate_field(dim, 1), eps)
+        return [(v, GenVectorField.ordinary(coordinate_field(dim, 1), eps + 1)),
+                (v, GenVectorField.ordinary(coordinate_field(dim + 1, 1), eps))]
     f = SuperFunction.from_poly(Polynomial.one(dim), eps)
     return [(f, SuperFunction.from_poly(Polynomial.one(dim), eps + 1)),
             (f, SuperFunction.from_poly(Polynomial.one(dim + 1), eps))]

@@ -5,7 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from genform.ring import MAX_EXPONENT, ExpPoly, Polynomial, format_rational, parse_rational
+from genform import ring
+from genform.ring import (MAX_EXPONENT, ExpPoly, Polynomial, compose_all, format_rational,
+                          parse_rational)
+
+
+def eval_exact(p: Polynomial, point) -> Fraction:
+    """p at a rational point, exactly: the reference evaluator of the
+    homomorphism test below, term by term from ``Polynomial.terms``."""
+    if len(point) != p.dim:
+        raise ValueError(f"point length {len(point)} != dim {p.dim}")
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= Fraction(x) ** e
+        total += value
+    return total
 
 
 def test_difference_of_squares():
@@ -60,7 +77,7 @@ def test_eval_examples():
     assert Polynomial.zero(2).eval_float([3.0, 4.0]) == 0.0
     q = Polynomial.parse(2, "1*x1^2 + -1")
     assert q.eval_float([3.0, 0.0]) == 8.0
-    assert q.eval_exact([Fraction(3), Fraction(0)]) == 8
+    assert eval_exact(q, [Fraction(3), Fraction(0)]) == 8
 
 
 def test_eval_length_mismatch():
@@ -122,8 +139,29 @@ def test_eval_is_ring_homomorphism():
     for _ in range(50):
         a, b = _random_poly(rng, 2), _random_poly(rng, 2)
         point = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)]
-        assert (a + b).eval_exact(point) == a.eval_exact(point) + b.eval_exact(point)
-        assert (a * b).eval_exact(point) == a.eval_exact(point) * b.eval_exact(point)
+        assert eval_exact(a + b, point) == eval_exact(a, point) + eval_exact(b, point)
+        assert eval_exact(a * b, point) == eval_exact(a, point) * eval_exact(b, point)
+
+
+def test_eval_exact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+
+    def ratio() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        p = Polynomial(dim, {tuple(rng.randint(0, 3) for _ in range(dim)): ratio()
+                             for _ in range(rng.randint(0, 5))})
+        point = [ratio() for _ in range(dim)]
+        xs = sympy.symbols(f"x1:{dim + 1}")
+        expr = sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[x ** e for x, e in zip(xs, exps)])
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+        want = sympy.Rational(expr.subs({x: sympy.Rational(v.numerator, v.denominator)
+                                         for x, v in zip(xs, point)}))
+        assert eval_exact(p, point) == Fraction(int(want.p), int(want.q))
 
 
 def test_grammar_round_trip():
@@ -161,14 +199,7 @@ def test_exppoly_compose_partial():
 def test_compose():
     p = Polynomial.parse(2, "1*x1^2 + 1*x2")
     t = Polynomial.var(1, 1)
-    assert p.compose([t, t * t]) == Polynomial.parse(1, "2*x1^2")
-
-
-def test_as_poly_rejects_exponential():
-    x = Polynomial.var(1, 1)
-    with pytest.raises(ValueError):
-        ExpPoly.exp(x).as_poly()
-    assert ExpPoly.from_poly(x).as_poly() == x
+    assert compose_all((p,), [t, t * t]) == [Polynomial.parse(1, "2*x1^2")]
 
 
 def test_scalar_minus_polynomial():
@@ -271,3 +302,19 @@ def test_constants_of_a_dimension_below_one_raise(dim):
                   lambda d: Polynomial.const(d, Fraction(1, 2)), lambda d: Polynomial.const(d, 0.5)):
         with pytest.raises(ValueError):
             build(dim)
+
+
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("stride", [3, 5])
+def test_encode_is_its_docstring_formula(width, stride):
+    """Each fiber, keyed by its monomial in x3..xn, is the integer sum of
+    num * 2**(width * (e1 + stride * e2)) over its terms, slot 0 lowest on
+    any host: negative numerators and the largest that a slot holds too."""
+    big = (1 << (width - 1)) - 1
+    terms = {(0, 0, 0, 0): -3, (2, 1, 0, 0): big, (1, 2, 0, 0): -big, (0, 0, 1, 0): 7,
+             (2, 0, 1, 0): -1, (1, 1, 0, 2): -5, (0, 2, 0, 2): 2}
+    want: dict[int, int] = {}
+    for (e1, e2, *rest), num in terms.items():
+        key = ring._pack((0, 0, *rest))
+        want[key] = want.get(key, 0) + num * 2 ** (width * (e1 + stride * e2))
+    assert ring._encode(Polynomial(4, terms), stride, width) == want

@@ -34,7 +34,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from genform import ring  # noqa: E402
 from genform.exterior import OrdinaryForm, ext_d, pullback, wedge  # noqa: E402
 from genform.randgen import FormRandom  # noqa: E402
-from genform.ring import MAX_EXPONENT, ExpPoly, InputError, Polynomial, parse_rational  # noqa: E402
+from genform.ring import (MAX_EXPONENT, ExpPoly, InputError, Polynomial, compose_all,  # noqa: E402
+                          parse_rational)
 
 QQ = sympy.QQ
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -384,7 +385,7 @@ def test_compose_matches_sympy(single, target_dim, data):
     ys = _gens(target_dim, "y")
     image = to_sympy(p).as_expr().xreplace(
         {x: to_sympy(a, "y").as_expr() for x, a in zip(_gens(p.dim), args)})
-    assert_same(p.compose(args), sympy.Poly(image, *ys, domain=QQ))
+    assert_same(compose_all((p,), args)[0], sympy.Poly(image, *ys, domain=QQ))
 
 
 def composed_by_sympy(p: Polynomial, args) -> "sympy.Poly":
@@ -421,7 +422,7 @@ def compositions(draw):
 @given(compositions())
 def test_compose_of_any_dimensions_matches_sympy(case):
     p, args = case
-    assert_same(p.compose(args), composed_by_sympy(p, args))
+    assert_same(compose_all((p,), args)[0], composed_by_sympy(p, args))
 
 
 COMPOSE_CASES = {
@@ -442,7 +443,7 @@ COMPOSE_CASES = {
 def test_compose_edge_cases_match_sympy(text, target, arg_texts):
     args = [Polynomial.parse(target, a) for a in arg_texts]
     p = Polynomial.parse(len(args), text)
-    assert_same(p.compose(args), composed_by_sympy(p, args))
+    assert_same(compose_all((p,), args)[0], composed_by_sympy(p, args))
 
 
 def pullback_by_compose(phi, a):
@@ -451,7 +452,7 @@ def pullback_by_compose(phi, a):
     dphi = [ext_d(OrdinaryForm.from_scalar(p)) for p in phi]
     result = OrdinaryForm.zero(phi[0].dim, a.degree)
     for idxs, coeff in a.components.items():
-        term = OrdinaryForm.from_scalar(coeff.compose(list(phi)))
+        term = OrdinaryForm.from_scalar(compose_all((coeff,), list(phi))[0])
         for i in idxs:
             term = wedge(term, dphi[i - 1])
         result = result + term
@@ -468,17 +469,6 @@ def test_pullback_equals_per_coefficient_compose(data):
              for q in [p, p * p, Polynomial.var(p.dim, 1)]}
     a = OrdinaryForm(p.dim, degree, comps)
     assert pullback(phi, a) == pullback_by_compose(phi, a)
-
-
-@ORACLE
-@given(same_dim(1), st.data())
-def test_eval_exact_matches_sympy(single, data):
-    (p,) = single
-    point = [data.draw(rationals) for _ in range(p.dim)]
-    want = to_sympy(p).as_expr().xreplace(
-        {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(_gens(p.dim), point)})
-    want = sympy.Rational(want)
-    assert p.eval_exact(point) == Fraction(int(want.p), int(want.q))
 
 
 @ORACLE

@@ -21,6 +21,11 @@ from genform.superspace import (
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
 
 
+def coordinate_field(n: int, index: int) -> VectorField:
+    """d/dx^index."""
+    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
+
+
 def test_blade_mul_signs():
     # z1 * z2 keeps order, z2 * z1 flips
     assert blade_mul(0b01, 0b10) == (1, 0b11)
@@ -89,7 +94,7 @@ def test_super_d_examples():
 def test_super_interior_examples():
     n = 2
     eps = Fraction(1)
-    d1 = GenVectorField.ordinary(VectorField.coordinate(n, 1), eps)
+    d1 = GenVectorField.ordinary(coordinate_field(n, 1), eps)
     f = SuperFunction(n, eps, {0b11: Polynomial.one(n)})  # z1 z2
     assert super_interior(d1, f).terms == {0b10: Polynomial.one(n)}
     # pure field with v^1_2 = 1 acting on z1 gives z2 mu with positive sign
@@ -120,7 +125,7 @@ def test_super_lie_ordinary_coordinate_formula():
         direct = super_lie(V, f)
         expanded = super_lie_expansion(V, f)
         assert direct == expanded
-    d1 = GenVectorField.ordinary(VectorField.coordinate(n, 1), eps)
+    d1 = GenVectorField.ordinary(coordinate_field(n, 1), eps)
     f = SuperFunction(n, eps, {0b10: Polynomial.var(n, 1)})  # x1 z2
     assert super_lie(d1, f).terms == {0b10: Polynomial.one(n)}
 
