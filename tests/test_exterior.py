@@ -17,10 +17,13 @@ from genform.exterior import (
     ext_d,
     form_from_json,
     interior,
+    json_dim,
+    json_field,
     lie,
     mat_mul,
     merge_indices,
     poincare_antiderivative,
+    poly_matrix_from_json,
     pullback,
     transpose,
     vf_bracket,
@@ -29,7 +32,7 @@ from genform.exterior import (
     wedge_sum,
 )
 from genform.randgen import COEFF_POOL, FormRandom
-from genform.ring import ExpPoly, Polynomial, compose_all, poly_dot
+from genform.ring import ExpPoly, InputError, Polynomial, compose_all, poly_dot
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -358,6 +361,37 @@ def test_form_json_type_errors(change):
     assert form_from_json(data) == OrdinaryForm.basis(2, (1,), Polynomial.var(2, 2))
     with pytest.raises(ValueError):
         form_from_json(dict(data, **change))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: json_dim({"dim": 1.5}),
+    lambda: json_dim({"dim": None}),
+    lambda: json_dim({"dim": True}),
+    lambda: json_dim({"dim": 0}),
+    lambda: json_dim({}),
+    lambda: json_dim([2]),
+    lambda: json_field({"degree": "1"}, "degree", int),
+    lambda: json_field({"epsilon": 1}, "epsilon", str),
+    lambda: json_field({"epsilon": None}, "epsilon", str, "0"),
+    lambda: json_field({"body": 5}, "body", dict),
+    lambda: json_field({"v": 5}, "v", list),
+    lambda: poly_matrix_from_json(3, [5, 5, 5]),
+    lambda: poly_matrix_from_json(2, [["1", "1*x1"]]),
+], ids=["dim float", "dim null", "dim bool", "dim zero", "dim missing", "not an object",
+        "int as string", "string as int", "null with default", "object as int",
+        "array as int", "rows not arrays", "too few rows"])
+def test_shared_json_readers_reject_bad_input(read):
+    # the readers every fixture goes through: each bad value is InputError
+    with pytest.raises(InputError):
+        read()
+
+
+def test_shared_json_readers_accept_good_input():
+    assert json_dim({"dim": 3}) == 3
+    assert json_field({}, "epsilon", str, "0") == "0"
+    assert json_field({"v": []}, "v", list) == []
+    assert poly_matrix_from_json(2, [["1", "1*x1"], ["1*x2", "0"]]) == (
+        (Polynomial.one(2), Polynomial.var(2, 1)), (Polynomial.var(2, 2), Polynomial.zero(2)))
 
 
 def test_mat_mul_matches_explicit_sum():

@@ -303,6 +303,17 @@ def test_constructors_keep_a_fraction_epsilon_and_convert_the_rest(given):
         SuperFunction.from_poly(Polynomial.one(2), Fraction(given))).terms
 
 
+@pytest.mark.parametrize("change", [{"dim": 3}, {"degree": 2}, {"degree": 0}, {"dim": 0}])
+def test_genform_judges_the_parts_it_is_given(change):
+    # parts that do not fit the declared dim and degree raise ValueError
+    a = FormRandom(3, 2, Fraction(1)).genform(1)
+    assert not a.body.is_zero() and not a.soul.is_zero()
+    assert GenForm(a.dim, a.epsilon, a.degree, a.body, a.soul) == a
+    shape = dict({"dim": a.dim, "degree": a.degree}, **change)
+    with pytest.raises(ValueError):
+        GenForm(shape["dim"], a.epsilon, shape["degree"], a.body, a.soul)
+
+
 def stored(x: GenForm | OrdinaryForm) -> tuple:
     """Everything a form stores, the nominal degrees of zero parts too."""
     if isinstance(x, GenForm):

@@ -429,3 +429,15 @@ def test_lie_leibniz_general_fields():
         V = rnd.gen_vector_field()
         assert gv_lie(V, gwedge(a, b)) == (
             gwedge(gv_lie(V, a), b) + gwedge(a, gv_lie(V, b)))
+
+
+@pytest.mark.parametrize("change", [{"count": 1}, {"count": 4}, {"dim": 2}, {"epsilon": "x"}])
+def test_gen_vector_field_judges_the_parts_it_is_given(change):
+    # a v of another length, a dim its parts do not have or an epsilon that
+    # is no rational raise ValueError
+    V = FormRandom(19, 3, Fraction(-2)).gen_vector_field()
+    assert GenVectorField(V.dim, V.epsilon, VectorField(V.v.components), V.vt) == V
+    parts = dict({"dim": 3, "epsilon": V.epsilon, "count": 3}, **change)
+    with pytest.raises(ValueError):
+        v = VectorField((V.v.components * 2)[:parts["count"]])
+        GenVectorField(parts["dim"], parts["epsilon"], v, V.vt)
