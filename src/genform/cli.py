@@ -206,6 +206,8 @@ def cmd_connection_thm(args) -> int:
     gamma = poly_matrix_from_json(n, json_field(data, "gamma", list))
     gamma_inv = poly_matrix_from_json(n, json_field(data, "gamma_inv", list))
     alpha = conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data else None
+    if case == "ii" and "chi" in data:
+        raise InputError("case ii sets chi = q/eps: its fixture gives no chi")
     chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
            else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
     report: dict = {"schema": SCHEMA_VERSION, "command": "connection-thm",

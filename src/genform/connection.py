@@ -162,17 +162,6 @@ class GenConnection:
     def from_parts(cls, alpha: FormMatrix, beta: FormMatrix, epsilon: Scalar) -> "GenConnection":
         return cls.build(_gen_matrix(len(alpha), epsilon, 1, alpha, beta), epsilon)
 
-    @classmethod
-    def zero(cls, dim: int, epsilon: Scalar) -> "GenConnection":
-        z = GenForm.zero(dim, epsilon, 1)
-        return cls.build([[z] * dim for _ in range(dim)], epsilon)
-
-    def alpha(self) -> FormMatrix:
-        return _split(self.entries)[0]
-
-    def beta(self) -> FormMatrix:
-        return _split(self.entries)[1]
-
 
 def curvature(A: GenConnection) -> GenMatrix:
     """F = dA + A A."""

@@ -248,9 +248,6 @@ class VectorField:
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField([a - b for a, b in zip(self.components, other.components)])
 
-    def scale(self, factor: Polynomial | Scalar) -> "VectorField":
-        return VectorField([c * factor for c in self.components])
-
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -381,9 +378,6 @@ class Tensor11:
 
     def __sub__(self, other: "Tensor11") -> "Tensor11":
         return Tensor11(mat_sub(self.components, other.components))
-
-    def scale(self, factor: Polynomial | Scalar) -> "Tensor11":
-        return Tensor11([[c * factor for c in row] for row in self.components])
 
     def matmul(self, other: "Tensor11") -> "Tensor11":
         return Tensor11(mat_mul(self.components, other.components, poly_dot))

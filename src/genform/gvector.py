@@ -66,9 +66,6 @@ class GenVectorField:
     def pure_part(self) -> "GenVectorField":
         return GenVectorField.pure(self.vt, self.epsilon)
 
-    def is_pure(self) -> bool:
-        return self.v.is_zero()
-
     def is_zero(self) -> bool:
         return self.v.is_zero() and self.vt.is_zero()
 
@@ -91,9 +88,6 @@ class GenVectorField:
 
     def __neg__(self) -> "GenVectorField":
         return GenVectorField(self.dim, self.epsilon, -self.v, -self.vt)
-
-    def scale(self, factor: Polynomial | Scalar) -> "GenVectorField":
-        return GenVectorField(self.dim, self.epsilon, self.v.scale(factor), self.vt.scale(factor))
 
     def __eq__(self, other):
         if not isinstance(other, GenVectorField):

@@ -36,6 +36,7 @@ from .exterior import (
     OrdinaryForm,
     Tensor11,
     VectorField,
+    _hooks,
     ext_d,
     form_from_json,
     interior,
@@ -54,16 +55,6 @@ from .ring import InputError, Polynomial, Scalar, parse_rational, poly_dot
 
 class SymplecticError(ValueError):
     pass
-
-
-def _antisymmetric_matrix(form: OrdinaryForm) -> list[list[Polynomial]]:
-    """The coefficient matrix T_ab of a 2-form stored on the increasing basis,
-    extended antisymmetrically."""
-    n = form.dim
-    rows = [[Polynomial.zero(n)] * n for _ in range(n)]
-    for (a, b), coeff in form.components.items():
-        rows[a - 1][b - 1], rows[b - 1][a - 1] = coeff, -coeff
-    return rows
 
 
 @dataclass(frozen=True)
@@ -95,7 +86,8 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
     inv = tuple(tuple(row) for row in omega_inv)
     if len(inv) != n or any(len(row) != n for row in inv):
         raise InputError("inverse matrix has wrong shape")
-    defect = inverse_defect(inv, transpose(_antisymmetric_matrix(s.body)))  # W^{ag} Omega_{bg}
+    omega = Tensor11.from_row_forms(_hooks(s.body)).components  # hook a of T is T_ab dx^b
+    defect = inverse_defect(inv, transpose(omega))  # W^{ag} Omega_{bg}
     if defect is not None:
         raise InputError("inverse check failed at entry ({},{})".format(*defect))
     return GenSymplectic(s, inv)
@@ -112,13 +104,6 @@ class GenHamiltonianProblem:
         GenForm._require_compatible(self.symplectic, self.hamiltonian, InputError)
 
 
-def is_kernel_field(W: GenVectorField, s: GenSymplectic) -> bool:
-    """Pure fields annihilating s under the interior product."""
-    if not W.is_pure():
-        return False
-    return gv_interior(W, s.s).is_zero()
-
-
 def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
     """Construct the kernel-free representative of V_H and re-verify the
     defining relation i_{V_H} s + dH = 0 exactly."""
@@ -128,7 +113,8 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
     zero = Polynomial.zero(n)
     v = Tensor11(s.omega_inv).apply(
         VectorField([-dH.body.components.get((b,), zero) for b in range(1, n + 1)]))
-    S = _antisymmetric_matrix((interior(v, s.s.soul) + dH.soul).scale(Fraction(1, 2)))
+    half = (interior(v, s.s.soul) + dH.soul).scale(Fraction(1, 2))  # hook b is S_bg dx^g
+    S = Tensor11.from_row_forms(_hooks(half)).components
     vt = mat_mul(s.omega_inv, transpose(S), poly_dot)  # W^{ag} S_{bg}
     field = GenVectorField(n, s.epsilon, v, Tensor11(vt))
 
@@ -143,19 +129,6 @@ def gauge_shift(prob: GenHamiltonianProblem, l: Polynomial) -> GenHamiltonianPro
     shift = gd(GenForm(prob.hamiltonian.dim, prob.hamiltonian.epsilon, -1,
                        soul=OrdinaryForm.from_scalar(l)))
     return GenHamiltonianProblem(prob.symplectic, prob.hamiltonian + shift)
-
-
-def embedded_consistency_check(s: GenSymplectic, H: GenForm, v0: Polynomial) -> None:
-    """Precondition for V_H to be a scalar-extended field on an ordinary
-    symplectic form: requires s pure-body, dk = 2 v0 Omega, and v0 constant
-    when dim > 2."""
-    if not s.s.soul.is_zero():
-        raise SymplecticError("embedded case needs an ordinary symplectic form")
-    dk = ext_d(H.soul)
-    if dk != s.s.body.scale(v0 * 2):
-        raise SymplecticError("dk != 2 v0 Omega")
-    if s.dim > 2 and not v0.is_constant():
-        raise SymplecticError("v0 must be constant in dimension > 2")
 
 
 def recover_hamiltonian(s: GenSymplectic, field: GenVectorField) -> GenForm:
@@ -222,8 +195,8 @@ def _rk4_pair(q: float, p: float, steps: int, dt: float,
               damping: float) -> tuple[list[float], list[float]]:
     """The q and p columns of one pair over ``steps`` classical RK4 steps of
     dq = p, dp = -q + damping p, ending at the first state that is not
-    finite.  Each slope is summed from 0.0, as ``Polynomial.eval_float`` sums
-    the partials of h, so a -0.0 slope reads +0.0."""
+    finite.  Each slope is summed from 0.0, so a -0.0 slope reads +0.0: the
+    ``0.0 +`` keeps the bits of the golden oscillator CSVs."""
     half, sixth = 0.5 * dt, dt / 6.0  # 0.5 * dt * d is (0.5 * dt) * d
     qs, ps = [q], [p]
     for _ in range(steps):

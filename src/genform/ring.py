@@ -49,8 +49,7 @@ sends small calls through a schoolbook loop into one integer dict, and large
 calls through Kronecker substitution on fibers, dense in x1 and x2 and sparse
 in the rest: one big-integer multiply per pair of fibers, in 32- or 64-bit slots.
 Each operand's extent and fiber encodings are computed once and kept on it.
-Both give the same den and numerators; only the schoolbook loop fixes the
-term order of a * b, which ``eval_float`` sums in.
+Both give the same den and numerators.
 
 A polynomial keeps its partial derivatives the same way: ``partial(axis)``
 forms d/dx_axis on first use and keeps it in ``_partials``, one entry per
@@ -391,9 +390,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def is_constant(self) -> bool:
-        return all(key == 0 for key in self._nums)
-
     # -- ring operations ---------------------------------------------------
 
     def _require_same_dim(self, other: "Polynomial") -> None:
@@ -451,18 +447,14 @@ class Polynomial:
         once.  A product whose exponent would pass MAX_EXPONENT raises
         InputError on either of two branches, chosen by a size rule:
 
-        - Schoolbook: every term product accumulates into one integer dict,
-          a's terms in the outer loop and b's in the inner one.  This fixes
-          the term order of a * b, the one-triple case, which ``eval_float``
-          sums in.
+        - Schoolbook: every term product accumulates into one integer dict.
         - Fiber (``_fiber_sum``): when the call has at least
           _FIBER_MIN_PRODUCTS term products, the bound on any output
           numerator is below 2**63 (32-bit slots below 2**31, else 64-bit),
           and the output box of x1 and x2 (the largest exponents of x1 and
           x2 that a term product writes) has at most _FIBER_MAX_SLOTS
           monomials.  The den and numerators are those of the schoolbook
-          branch; only their order differs, so the term order above holds
-          below the rule.  Each polynomial computes its extent (``_extent``)
+          branch.  Each polynomial computes its extent (``_extent``)
           and each of its fiber encodings (``_fibers``, one per stride of
           x1 and slot width) once, and keeps them for its lifetime: one
           connection trial at dim 4 (seed 0, eps = 1) peaks at about 123 MB
@@ -552,21 +544,6 @@ class Polynomial:
         build = Polynomial._of if self.den == 1 else Polynomial._canonical
         dp = partials[axis - 1] = build(self.dim, self.den, nums)
         return dp
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        """Evaluate in floating point: per term, the coefficient num / den
-        times float(x[i]) ** e over its nonzero exponents in variable order,
-        summed from 0.0 in term order."""
-        if len(point) != self.dim:
-            raise ValueError(f"point length {len(point)} != dim {self.dim}")
-        total = 0.0
-        for key, num in self._nums.items():
-            value = num / self.den  # int / int is correctly rounded: float(Fraction(num, den))
-            for i in range(self.dim):
-                if e := (key >> (_FIELD_BITS * i)) & _FIELD:
-                    value *= float(point[i]) ** e
-            total += value
-        return total
 
     # -- equality / hashing / printing -------------------------------------
 
@@ -667,10 +644,6 @@ class ExpPoly:
         return cls(dim, {})
 
     @classmethod
-    def one(cls, dim: int) -> "ExpPoly":
-        return cls.from_poly(Polynomial.one(dim))
-
-    @classmethod
     def from_poly(cls, p: Polynomial) -> "ExpPoly":
         return cls(p.dim, {Polynomial.zero(p.dim): p})
 
@@ -755,10 +728,6 @@ class ExpPoly:
         """d(p e^q) = (dp + p dq) e^q, termwise; the exponents stay distinct."""
         return ExpPoly(self.dim, {q: p.partial(axis) + p * q.partial(axis)
                                   for q, p in self.terms.items()})
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        return sum(p.eval_float(point) * math.exp(q.eval_float(point))
-                   for q, p in self.terms.items())
 
     def __eq__(self, other):
         coerced = ExpPoly._coerce(other, self.dim)

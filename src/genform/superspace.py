@@ -77,14 +77,6 @@ class SuperFunction:
                     clean[mask] = coeff
         self.terms = clean
 
-    @property
-    def mu_bit(self) -> int:
-        return 1 << self.dim
-
-    @classmethod
-    def from_poly(cls, p: Polynomial, epsilon: Scalar) -> "SuperFunction":
-        return cls(p.dim, epsilon, {0: p})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -139,7 +131,7 @@ class SuperFunction:
         parts = []
         for mask in sorted(self.terms):
             gens = [f"z{i + 1}" for i in range(self.dim) if mask & (1 << i)]
-            if mask & self.mu_bit:
+            if mask & (1 << self.dim):
                 gens.append("mu")
             label = " ".join(gens)
             coeff = self.terms[mask]

@@ -241,6 +241,8 @@ def test_connection_thm_names_a_missing_matrix(key, tmp_path, capsys):
      ("alpha", 0, 1, "components"), {}, "alpha has torsion"),
     ("connection_case_ii.json", ["connection-thm", "--case", "ii"], ("epsilon",), "0",
      "case ii needs a nonzero epsilon"),
+    ("connection_case_ii.json", ["connection-thm", "--case", "ii"], ("chi",),
+     read(FIXTURES / "connection_case_i.json")["chi"], "case ii sets chi = q/eps"),
     ("connection_case_i.json", ["connection-thm", "--case", "i"], ("epsilon",), "3",
      "case i needs epsilon 0 in the fixture, got 3"),
     ("two_chart.json", ["cover", "--epsilon", "2"], ("overlaps", 0, 1), "Z", "unknown chart 'Z'"),

@@ -38,9 +38,9 @@ CASES = {
     "connection_case_i.json": (["connection-thm", "--case", "i"],
                                {"case", "epsilon", "alpha", "chi"}),
     "connection_case_ii.json": (["connection-thm", "--case", "ii"],
-                                {"case", "epsilon", "alpha", "chi"}),
+                                {"case", "epsilon", "alpha"}),
     "connection_case_ii_ordinary.json": (["connection-thm", "--case", "ii"],
-                                         {"case", "epsilon", "alpha", "chi"}),
+                                         {"case", "epsilon", "alpha"}),
     "two_chart.json": (["cover", "--epsilon", "2"], {"overlaps", "triples"}),
     "case_i_cover.json": (["cover", "--epsilon", "0"], {"overlaps", "triples"}),
     "broken_triple.json": (["cover", "--epsilon", "1"], {"overlaps", "triples"}),

@@ -245,13 +245,13 @@ def test_epsilon_mismatch_rejected():
 
 
 def _connection_site(dim: int, eps: Fraction):
-    A = conn.GenConnection.zero(2, Fraction(1))
+    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)])
     V = GenVectorField.ordinary(VectorField.zero(dim), eps)
     return lambda: conn.cov_deriv_vf(A, V)
 
 
 def _nonmetricity_site(dim: int, eps: Fraction):
-    A = conn.GenConnection.zero(2, Fraction(1))
+    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)])
     eye = mat_identity(dim, Polynomial.one(dim), Polynomial.zero(dim))
     chi = [[OrdinaryForm.zero(dim, 1)] * dim for _ in range(dim)]
     g = conn.metric_validate(eye, chi, eye, eps)
@@ -299,8 +299,8 @@ def test_constructors_keep_a_fraction_epsilon_and_convert_the_rest(given):
     a, b = GenForm.one(2, given), GenForm.one(2, Fraction(given))
     assert gwedge(a, b) == GenForm.one(2, given)
     assert gv_interior(GenVectorField.ordinary(v, Fraction(given)), a).epsilon == given
-    assert SuperFunction.from_poly(Polynomial.one(2), given).mul(
-        SuperFunction.from_poly(Polynomial.one(2), Fraction(given))).terms
+    assert SuperFunction(2, given, {0: Polynomial.one(2)}).mul(
+        SuperFunction(2, Fraction(given), {0: Polynomial.one(2)})).terms
 
 
 @pytest.mark.parametrize("change", [{"dim": 3}, {"degree": 2}, {"degree": 0}, {"dim": 0}])

@@ -6,7 +6,8 @@ apart from the ``wall_time`` values, which are zeroed on both sides.  The
 oscillator trajectories are compared by SHA-256 against
 ``tests/golden/csv.sha256``.  No report reads the term order of a polynomial:
 the oscillator integrates its closed-form slopes in floats, and every other
-report prints polynomials with their terms sorted.
+report prints polynomials with their terms sorted.  The second test replays
+every case with each polynomial's terms stored in reverse order.
 
 Re-record only when a change of output is intended, from the repository root:
 
@@ -32,6 +33,7 @@ except ModuleNotFoundError:  # parametrize is a no-op; the replay below calls th
         mark=types.SimpleNamespace(parametrize=lambda *args: lambda test: test))
 
 from genform.cli import main
+from genform.ring import Polynomial
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -112,6 +114,24 @@ def test_golden_report(name, tmp_path):
     assert text == (GOLDEN / f"{name}.json").read_text()
     if digest is not None:
         assert digest == _csv_sums()[f"{name}.csv"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_ignores_term_order(name, tmp_path, monkeypatch):
+    """The same report and CSV with every polynomial's numerators stored in
+    reverse order: the premise of the docstring's "no report reads the term
+    order", checked."""
+    of, reversed_terms = Polynomial._of.__func__, []
+
+    def reversed_of(cls, dim, den, nums):
+        if len(nums) > 1:
+            reversed_terms.append(len(nums))
+        return of(cls, dim, den, dict(reversed(nums.items())))
+
+    monkeypatch.setattr(Polynomial, "_of", classmethod(reversed_of))
+    test_golden_report(name, tmp_path)
+    # the oscillator integrates in floats and builds no polynomial of two terms
+    assert reversed_terms or CASES[name][0][0] == "oscillator"
 
 
 def record(workdir: pathlib.Path) -> None:

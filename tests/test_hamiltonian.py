@@ -14,12 +14,9 @@ from genform.gvector import GenVectorField, gv_bracket, gv_interior, gv_lie
 from genform.hamiltonian import (
     GenHamiltonianProblem,
     IntegrationError,
-    SymplecticError,
-    embedded_consistency_check,
     gauge_shift,
     hamiltonian_vf,
     integrate_hamilton,
-    is_kernel_field,
     max_abs_error,
     oscillator_closed_form,
     problem_from_json,
@@ -30,6 +27,7 @@ from genform.hamiltonian import (
 )
 from genform.randgen import FormRandom
 from genform.ring import InputError, Polynomial
+from test_ring import eval_float
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -109,15 +107,20 @@ def test_validate_rejects_not_closed():
         symplectic_validate(s, [[Polynomial.zero(n)] * n] * n)
 
 
+def is_kernel_field(W: GenVectorField, s: GenForm) -> bool:
+    """A pure field (v = 0) that annihilates s under the interior product."""
+    return W.v.is_zero() and gv_interior(W, s).is_zero()
+
+
 def test_kernel_fields():
     n = 2
     eps = Fraction(1)
     s = GenForm(n, eps, 2, standard_omega(n), OrdinaryForm.zero(n, 3))
     sympl = symplectic_validate(s, standard_inverse(n))
     zero = GenVectorField.pure(Tensor11.zero(n), eps)
-    assert is_kernel_field(zero, sympl)
+    assert is_kernel_field(zero, s)
     ordinary = GenVectorField.ordinary(coordinate_field(n, 1), eps)
-    assert not is_kernel_field(ordinary, sympl)
+    assert not is_kernel_field(ordinary, s)
     # build a nonzero kernel field from a symmetric S: w^a_b = W^{ag} S_{bg}
     rnd = FormRandom(5, n, eps)
     w_inv = sympl.omega_inv
@@ -135,9 +138,7 @@ def test_kernel_fields():
             row.append(acc)
         rows.append(row)
     W = GenVectorField.pure(Tensor11(rows), eps)
-    assert is_kernel_field(W, sympl)
-    if not W.is_zero():
-        assert gv_interior(W, s).is_zero()
+    assert not W.is_zero() and is_kernel_field(W, s)
 
 
 def test_classical_hamiltonian_field():
@@ -208,8 +209,8 @@ def test_embedded_simplification_case():
     h = oscillator_h(1)
     k1 = Polynomial.var(2, 2) * (2 * v0)  # 2 v0 p dq
     prob = make_problem(eps, h, [k1, Polynomial.zero(2)])
-    embedded_consistency_check(prob.symplectic, prob.hamiltonian,
-                               Polynomial.const(2, v0))
+    s = prob.symplectic.s
+    assert s.soul.is_zero() and ext_d(prob.hamiltonian.soul) == s.body.scale(2 * v0)
     field = hamiltonian_vf(prob)
     v0_found = field.scalar_extension()
     assert v0_found == Polynomial.const(2, v0)
@@ -219,28 +220,21 @@ def test_embedded_simplification_case():
 
 
 def test_embedded_consistency_rejects_bad_k():
+    # k = q dq is closed, so dk != 2 v0 Omega and V_H is not the v0 = 1 field
     eps = Fraction(1)
     prob = make_problem(eps, oscillator_h(1),
                         [Polynomial.var(2, 1), Polynomial.zero(2)])
-    with pytest.raises(SymplecticError):
-        embedded_consistency_check(prob.symplectic, prob.hamiltonian,
-                                   Polynomial.const(2, 1))
+    assert ext_d(prob.hamiltonian.soul) != prob.symplectic.s.body.scale(2)
+    assert hamiltonian_vf(prob).scalar_extension() != Polynomial.const(2, 1)
 
 
 def test_embedded_consistency_requires_constant_v0_in_higher_dim():
-    n = 4
-    eps = Fraction(1)
-    omega = OrdinaryForm(n, 2, {(1, 3): Polynomial.const(n, -1),
-                                (2, 4): Polynomial.const(n, -1)})
-    z, o = Polynomial.zero(n), Polynomial.one(n)
-    w = [[z, z, -o, z], [z, z, z, -o], [o, z, z, z], [z, o, z, z]]
-    s = GenForm(n, eps, 2, omega, OrdinaryForm.zero(n, 3))
-    sympl = symplectic_validate(s, w)
-    v0 = Polynomial.var(n, 1)
-    k_soul = OrdinaryForm(n, 1, {})
-    H = GenForm(n, eps, 0, OrdinaryForm.from_scalar(z), k_soul)
-    with pytest.raises(SymplecticError):
-        embedded_consistency_check(sympl, H, v0)
+    # dk = 2 v0 Omega needs d(v0 Omega) = dv0 ^ Omega = 0: for v0 = x1 that
+    # holds at dim 2 and fails at dim 4
+    minus = Polynomial.const(4, -1)
+    for omega in (standard_omega(2), OrdinaryForm(4, 2, {(1, 3): minus, (2, 4): minus})):
+        v0 = Polynomial.var(omega.dim, 1)
+        assert ext_d(omega.scale(2 * v0)).is_zero() == (omega.dim == 2)
 
 
 def test_bracket_of_hamiltonian_fields_is_hamiltonian():
@@ -313,16 +307,16 @@ def test_integration_argument_errors():
 
 def integrate_hamilton_reference(epsilon, v0, l, q0, p0, t_end, dt):
     """RK4 on the whole state with the slopes read from h itself: every stage
-    calls ``Polynomial.eval_float`` on h's partials once per component, so
-    the oracle shares nothing with the integrator's written-out slopes."""
+    calls ``eval_float`` (test_ring.py) on h's partials once per component,
+    so the oracle shares nothing with the integrator's written-out slopes."""
     steps = step_count(t_end, dt)
     n = 2 * l
     damping = 2.0 * float(Fraction(epsilon)) * float(Fraction(v0))
     dh = [oscillator_h(l).partial(i) for i in range(1, n + 1)]
 
     def rhs(state):
-        dq = [dh[l + a].eval_float(state) for a in range(l)]
-        dp = [-dh[a].eval_float(state) + damping * state[l + a] for a in range(l)]
+        dq = [eval_float(dh[l + a], state) for a in range(l)]
+        dp = [-eval_float(dh[a], state) + damping * state[l + a] for a in range(l)]
         return dq + dp
 
     state = list(q0) + list(p0)

@@ -96,8 +96,15 @@ KINDS = ["poly", "form", "genform", "super", "vector", "genvector"]
 
 
 def _scaled(kind: str, x, factor):
-    if kind != "super":
-        return x * factor if kind == "poly" else x.scale(factor)
+    if kind == "poly":
+        return x * factor
+    if kind in ("form", "genform"):
+        return x.scale(factor)
+    if kind == "vector":
+        return VectorField([c * factor for c in x.components])
+    if kind == "genvector":
+        vt = Tensor11([[c * factor for c in row] for row in x.vt.components])
+        return GenVectorField(x.dim, x.epsilon, _scaled("vector", x.v, factor), vt)
     return SuperFunction(x.dim, x.epsilon, {m: c * factor for m, c in x.terms.items()})
 
 
@@ -184,9 +191,9 @@ def _misfits(kind: str, dim: int, eps: Fraction):
         v = GenVectorField.ordinary(coordinate_field(dim, 1), eps)
         return [(v, GenVectorField.ordinary(coordinate_field(dim, 1), eps + 1)),
                 (v, GenVectorField.ordinary(coordinate_field(dim + 1, 1), eps))]
-    f = SuperFunction.from_poly(Polynomial.one(dim), eps)
-    return [(f, SuperFunction.from_poly(Polynomial.one(dim), eps + 1)),
-            (f, SuperFunction.from_poly(Polynomial.one(dim + 1), eps))]
+    f = SuperFunction(dim, eps, {0: Polynomial.one(dim)})
+    return [(f, SuperFunction(dim, eps + 1, {0: Polynomial.one(dim)})),
+            (f, SuperFunction(dim + 1, eps, {0: Polynomial.one(dim + 1)}))]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,16 +1,22 @@
-"""Every function, method and class defined in the package must be reached
-from the package, and every name a package module imports must be used.
+"""Every function and method defined in the package must run when the golden
+cases replay, and every name a package module imports must be used.
 
-A definition counts as reached when its name is referenced anywhere in
-``src/`` other than its own ``def``/``class`` line: as a bare name, an
-attribute, or an imported name.  A reference from ``tests/`` does not count,
-since a definition that only tests call serves no command and no suite.  The
-exceptions are the paper constructions in ``TEST_ONLY``, each waiting for the
-suite or command that will reach it; a second test fails when one of them is
-no longer defined or is now referenced from ``src/``, so the list cannot go
-stale.  Dunder methods are exempt, since Python calls them implicitly.  The
-match is by name only, so it can miss dead code that shares a name with live
-code, but it never flags live code.
+``traced_calls`` replays the ``CASES`` of ``tests/test_golden.py`` in a fresh
+interpreter under ``sys.setprofile`` and records the code of every call.  A
+fresh interpreter, because in this one earlier tests may already have filled
+the ``functools.cache`` of a function, which then runs no more.  Each
+non-dunder function and method of ``src/genform`` must be among those calls.
+A definition is named by its module and qualified name, such as
+``ring.Polynomial.terms`` or ``gvector.quaternion_triple.<locals>.tensor``,
+and matched to the code that ran by its file, first line (its first
+decorator's) and name, since Python 3.10 code has no qualified name.  Dunder
+methods are exempt, since Python calls them implicitly.  A call from a test
+does not count: a definition that only tests call serves no command and no
+suite.
+
+The exceptions are ``UNRUN``, each with what will reach it.  A second test
+fails when one of them is no longer defined or now runs, so the list cannot
+go stale.
 
 An imported name counts as used when its module reads it as a bare name
 (an attribute access ``conn.x`` reads ``conn``), or when it is listed in the
@@ -19,61 +25,99 @@ are exempt.
 """
 
 import ast
+import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "genform"
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Paper constructions that only tests reach today, with what is to reach them
-# (the numbered items of ROADMAP.md).  Their helpers are reached from them.
-TEST_ONLY = {
-    "recover_hamiltonian": "the hamiltonian identity suite (item 11)",
-    "is_kernel_field": "the hamiltonian identity suite (item 11)",
-    "embedded_consistency_check": "the hamiltonian identity suite (item 11)",
-    "quaternion_triple": "a check of the gvector suite",
-    "validate_quaternion_triple": "a check of the gvector suite",
-    "general_gd": "the cover command",
-    "rescaled_soul": "the cover command",
-    "cov_deriv_vf_along": "the connection suite",
-    "torsion_free_alpha": "the sympy.diffgeom torsion oracle (item 10)",
+# Definitions that no golden case runs, with what is to reach them (the
+# numbered items of ROADMAP.md).
+UNRUN = {
+    # paper constructions still waiting for a caller
+    "hamiltonian.recover_hamiltonian": "the hamiltonian identity suite (item 11)",
+    "gvector.quaternion_triple": "a check of the gvector suite",
+    "gvector.validate_quaternion_triple": "a check of the gvector suite",
+    "cover.general_gd": "the cover command",
+    "cover.rescaled_soul": "the cover command",
+    "connection.cov_deriv_vf_along": "the connection suite",
+    "randgen.FormRandom.torsion_free_alpha": "the sympy.diffgeom torsion oracle (item 10)",
+    # helpers that only those constructions reach
+    "exterior.poincare_antiderivative": "recover_hamiltonian",
+    "connection.field_from_components": "cov_deriv_vf_along",
+    "cover.lift_genform": "general_gd",
+    "exterior.Tensor11.matmul": "validate_quaternion_triple",
+    "ring.ExpPoly.sum_products": "general_gd, the one wedge of forms over ExpPoly",
+    "gvector.quaternion_triple.<locals>.tensor": "quaternion_triple",
+    # read by the benchmark, which no golden case runs
+    "ring.Polynomial.terms": "perfbench/spans.py, which counts terms with it",
+    "suites._record": "a failing check; perfbench/spans.py's PRIVATE wraps it",
 }
 
-
-def _scan() -> tuple[list[tuple[str, int, str]], set[str]]:
-    """The (path, line, name) of every non-dunder definition in the package,
-    and every name that ``src/`` references."""
-    defined: list[tuple[str, int, str]] = []
-    used: set[str] = set()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
-            elif isinstance(node, DEFINITIONS) and PACKAGE in path.parents:
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append((str(path.relative_to(ROOT)), node.lineno, node.name))
-    return sorted(defined), used
+_TRACE = """
+import pathlib, sys, tempfile
+calls = set()
+def profile(frame, event, arg):
+    if event == "call":
+        calls.add(frame.f_code)
+sys.setprofile(profile)
+import test_golden
+with tempfile.TemporaryDirectory() as tmp:
+    for name in test_golden.CASES:
+        test_golden.run_case(name, pathlib.Path(tmp))
+sys.setprofile(None)
+print(sorted({(code.co_filename, code.co_firstlineno, code.co_name) for code in calls}))
+"""
 
 
-def unreferenced_definitions() -> list[str]:
-    defined, used = _scan()
-    return [f"{where}:{line} {name}" for where, line, name in defined
-            if name not in used and name not in TEST_ONLY]
+def definitions() -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> qualified name of every non-dunder
+    function and method in the package."""
+    found: dict[tuple[str, int, str], str] = {}
+
+    def walk(node: ast.AST, path: pathlib.Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[str(path), first, child.name] = prefix + child.name
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path, f"{path.stem}.")
+    return found
 
 
-def test_no_unreferenced_definitions():
-    assert unreferenced_definitions() == []
+@functools.cache
+def traced_calls() -> frozenset[tuple[str, int, str]]:
+    """(file, first line, name) of every code that ran while the golden
+    cases replayed in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACE], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(tuple(call) for call in ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-def test_test_only_list_is_current():
-    defined, used = _scan()
-    names = {name for _, _, name in defined}
-    assert sorted(TEST_ONLY.keys() - names) == [], "no longer defined"
-    assert sorted(TEST_ONLY.keys() & used) == [], "now reached from src/"
+def unrun_definitions() -> list[str]:
+    ran = traced_calls()
+    return sorted(name for key, name in definitions().items() if key not in ran)
+
+
+def test_every_definition_runs():
+    assert sorted(set(unrun_definitions()) - UNRUN.keys()) == []
+
+
+def test_unrun_list_is_current():
+    assert sorted(UNRUN.keys() - set(definitions().values())) == [], "no longer defined"
+    assert sorted(UNRUN.keys() - set(unrun_definitions())) == [], "now runs"
 
 
 def _exported(tree: ast.Module) -> set[str]:

@@ -83,7 +83,7 @@ def test_super_d_examples():
     eps = Fraction(3, 2)
     m = SuperFunction(n, eps, {1 << n: Polynomial.one(n)})
     assert super_d(m).terms == {0: Polynomial.const(n, eps)}
-    f = SuperFunction.from_poly(Polynomial.var(n, 1), eps)
+    f = SuperFunction(n, eps, {0: Polynomial.var(n, 1)})
     assert super_d(f).terms == {0b01: Polynomial.one(n)}
     rnd = FormRandom(2, n, eps)
     for _ in range(10):
@@ -109,7 +109,7 @@ def test_super_interior_examples():
     a = GenForm.from_ordinary(OrdinaryForm.basis(n, (1,)), eps)
     assert from_super(got) == gv_interior(pure, a)
     # i_V(1) = 0
-    one = SuperFunction.from_poly(Polynomial.one(n), eps)
+    one = SuperFunction(n, eps, {0: Polynomial.one(n)})
     assert super_interior(pure, one).is_zero()
 
 
@@ -144,7 +144,7 @@ def test_super_lie_on_constant_with_pure_field():
     eps = Fraction(2)
     rnd = FormRandom(5, n, eps)
     pure = GenVectorField.pure(rnd.tensor(), eps)
-    one = SuperFunction.from_poly(Polynomial.one(n), eps)
+    one = SuperFunction(n, eps, {0: Polynomial.one(n)})
     assert super_lie(pure, one).is_zero()
 
 
