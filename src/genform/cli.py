@@ -1,10 +1,11 @@
 """Batch verification harness.
 
 Subcommands run the randomized identity suites, the oscillator integration,
-and the fixture-driven symbolic constructions, and emit JSON reports.  Exit
-codes: 0 all residuals zero / within tolerance, 1 a failed suite, construction
-or check (with its report), 2 a usage error or an ``InputError``, decided in
-``main`` alone.  Any other exception is an engine fault and propagates.
+and the fixture-driven symbolic constructions, each filling in the JSON report
+that ``main`` alone writes and turns into the exit code: 0 all residuals zero
+/ within tolerance, 1 a failed suite, check or ``ConstructionError`` (with its
+report), 2 a usage error or an ``InputError`` (no report).  Any other
+exception is an engine fault and propagates.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import sys
 from fractions import Fraction
 
 from . import connection as conn
-from .cover import CoverError, canonicalize, cover_from_json, glue_validate, ideal_residual
+from .cover import canonicalize, cover_from_json, glue_validate, ideal_residual
 from .exterior import (OrdinaryForm, json_dim, json_field, mat_is_zero, mat_sub,
                        poly_matrix_from_json)
 from .gform import gd
 from .gvector import gv_interior
 from .hamiltonian import (
-    IntegrationError,
-    SymplecticError,
     gauge_shift,
     hamiltonian_vf,
     integrate_hamilton,
@@ -36,7 +35,7 @@ from .hamiltonian import (
     rk4_order_estimate,
     step_count,
 )
-from .ring import InputError, Polynomial, format_rational, parse_rational
+from .ring import ConstructionError, InputError, Polynomial, format_rational, parse_rational
 from .suites import SCHEMA_VERSION, SUITE_NAMES, run_suite
 
 EXIT_PASS = 0
@@ -84,7 +83,7 @@ def _default_seed(value: int | None) -> int:
         raise InputError(f"GENFORM_SEED: {exc}") from None
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args, report: dict) -> None:
     for flag, value in (("--dim", args.dim), ("--trials", args.trials)):
         if value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
@@ -92,17 +91,14 @@ def cmd_identities(args) -> int:
     seed = _default_seed(args.seed)
     epsilon = _rational("--epsilon", args.epsilon)
     reports = [run_suite(name, args.dim, epsilon, args.trials, seed) for name in names]
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "identities",
+    report.update({
         "dim": args.dim,
         "epsilon": args.epsilon,
         "trials": args.trials,
         "seed": seed,
         "suites": reports,
         "pass": all(r["pass"] for r in reports),
-    }
-    return _finish(report, args.out)
+    })
 
 
 def _initial_values(flag: str, text: str | None, default: float, l: int) -> list[float]:
@@ -120,7 +116,7 @@ def _initial_values(flag: str, text: str | None, default: float, l: int) -> list
     return values * l if len(values) == 1 else values
 
 
-def cmd_oscillator(args) -> int:
+def cmd_oscillator(args, report: dict) -> None:
     if args.l < 1:
         raise InputError(f"--l must be at least 1, got {args.l}")
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt), ("--tol", args.tol)):
@@ -135,26 +131,21 @@ def cmd_oscillator(args) -> int:
     epsilon, v0 = _rational("--epsilon", args.epsilon), _rational("--v0", args.v0)
     q0 = _initial_values("--q0", args.q0, 1.0, args.l)
     p0 = _initial_values("--p0", args.p0, 0.0, args.l)
-    try:
-        traj = integrate_hamilton(epsilon, v0, args.l, q0, p0, args.t_end, args.dt)
-        # at least 16 coarse steps, so that the estimate sees the asymptotic regime
-        order = rk4_order_estimate(epsilon, v0, q0[0], p0[0], args.t_end,
-                                   min(args.dt * 8, args.t_end / 16))
-    except IntegrationError as exc:
-        raise InputError(f"integration failed: {exc}") from None
-    if args.out:
-        with open(args.out, "w") as fh:
+    traj = integrate_hamilton(epsilon, v0, args.l, q0, p0, args.t_end, args.dt)
+    # at least 16 coarse steps, so that the estimate sees the asymptotic regime
+    order = rk4_order_estimate(epsilon, v0, q0[0], p0[0], args.t_end,
+                               min(args.dt * 8, args.t_end / 16))
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write("\n".join(traj.csv_lines()) + "\n")
-    report: dict = {
-        "schema": SCHEMA_VERSION,
-        "command": "oscillator",
+    report.update({
         "epsilon": args.epsilon,
         "v0": args.v0,
         "l": args.l,
         "dt": args.dt,
         "t_end": args.t_end,
         "steps": len(traj.times) - 1,
-    }
+    })
     # every component against the closed form from its own initial values
     max_err = max(max_abs_error(traj, oscillator_closed_form(epsilon, v0, q0[c], p0[c]), c)
                   for c in range(args.l))
@@ -162,19 +153,12 @@ def cmd_oscillator(args) -> int:
     report["order_estimate"] = order
     # no order when an error is exactly 0: the run then stands on max_err alone
     report["pass"] = max_err < args.tol and (order is None or order >= 3.8)
-    return _finish(report, args.report)
 
 
-def cmd_hamiltonian(args) -> int:
+def cmd_hamiltonian(args, report: dict) -> None:
     prob = problem_from_json(_read_fixture(args.fixture))
-    report: dict = {"schema": SCHEMA_VERSION, "command": "hamiltonian",
-                    "fixture": args.fixture}
-    try:
-        field = hamiltonian_vf(prob)
-    except SymplecticError as exc:
-        report["pass"] = False
-        report["error"] = str(exc)
-        return _finish(report, args.out)
+    report["fixture"] = args.fixture
+    field = hamiltonian_vf(prob)
     # hamiltonian_vf verified i_V s = -dH, so L_V s = d i_V s + i_V ds = d(-dH) + i_V ds
     dH = gd(prob.hamiltonian)
     lie_s = gd(-dH) + gv_interior(field, gd(prob.symplectic.s))
@@ -191,10 +175,9 @@ def cmd_hamiltonian(args) -> int:
     report["pass"] = (report["defining_relation_zero"]
                       and report["lie_derivative_of_s_zero"]
                       and report["gauge_shift_ok"])
-    return _finish(report, args.out)
 
 
-def cmd_connection_thm(args) -> int:
+def cmd_connection_thm(args, report: dict) -> None:
     data = _read_fixture(args.fixture)
     n = json_dim(data)
     case = json_field(data, "case", str, args.case)
@@ -210,19 +193,13 @@ def cmd_connection_thm(args) -> int:
         raise InputError("case ii sets chi = q/eps: its fixture gives no chi")
     chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
            else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
-    report: dict = {"schema": SCHEMA_VERSION, "command": "connection-thm",
-                    "fixture": args.fixture, "case": args.case}
-    try:
-        if args.case == "i":
-            mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-            formula = conn.case_i_curvature_formula(mc)
-        else:
-            mc = conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
-            formula = conn.case_ii_curvature_formula(mc)
-    except conn.ConnectionError as exc:
-        report["pass"] = False
-        report["error"] = str(exc)
-        return _finish(report, args.out)
+    report.update({"fixture": args.fixture, "case": args.case})
+    if args.case == "i":
+        mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+        formula = conn.case_i_curvature_formula(mc)
+    else:
+        mc = conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
+        formula = conn.case_ii_curvature_formula(mc)
     curv = conn.curvature(mc.A)
     # Q, q and F_cal as the construction computed (and, for Q, verified) them
     report["nonmetricity_zero"] = mat_is_zero(mc.Q)
@@ -237,14 +214,12 @@ def cmd_connection_thm(args) -> int:
     report["pass"] = (report["nonmetricity_zero"]
                       and report["curvature_formula_match"]
                       and report.get("ordinary_metric_corollary", True))
-    return _finish(report, args.out)
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args, report: dict) -> None:
     epsilon = _rational("--epsilon", args.epsilon)
     cover = cover_from_json(_read_fixture(args.fixture))
-    report: dict = {"schema": SCHEMA_VERSION, "command": "cover",
-                    "fixture": args.fixture}
+    report["fixture"] = args.fixture
     ideal_ok = True
     for chart in cover.charts:
         res1, res2 = ideal_residual(chart.theta(), chart.phi())
@@ -253,20 +228,12 @@ def cmd_cover(args) -> int:
     report["ideal_residual_zero"] = ideal_ok
     glue = glue_validate(cover)
     report["glue"] = glue.to_json()
-    if not (glue.ok and ideal_ok):
-        report["pass"] = False
-        return _finish(report, args.out)
-    try:
-        canon = canonicalize(cover, epsilon)
-    except CoverError as exc:
-        report["pass"] = False
-        report["error"] = str(exc)
-        return _finish(report, args.out)
-    report["case"] = canon.case
-    report["dm_tilde"] = format_rational(canon.dm_tilde)
-    report["glued"] = canon.glued
-    report["pass"] = canon.glued
-    return _finish(report, args.out)
+    report["pass"] = glue.ok and ideal_ok
+    if report["pass"]:
+        canon = canonicalize(cover, glue, epsilon)  # it raises unless the basis glues
+        report["case"] = canon.case
+        report["dm_tilde"] = format_rational(canon.dm_tilde)
+        report["glued"] = True
 
 
 @functools.cache
@@ -296,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_osc.add_argument("--q0", default=None, help="comma-separated initial q")
     p_osc.add_argument("--p0", default=None, help="comma-separated initial p")
     p_osc.add_argument("--tol", type=float, default=1e-6)
-    p_osc.add_argument("--out", default=None, help="CSV trajectory path")
-    p_osc.add_argument("--report", default=None, help="JSON report path")
+    p_osc.add_argument("--out", dest="csv", metavar="OUT", help="CSV trajectory path")
+    p_osc.add_argument("--report", dest="out", metavar="REPORT", help="JSON report path")
     p_osc.set_defaults(func=cmd_oscillator)
 
     p_ham = sub.add_parser("hamiltonian", help="construct a Hamiltonian field from a fixture")
@@ -324,11 +291,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    report: dict = {"schema": SCHEMA_VERSION, "command": args.command}
     try:
-        return args.func(args)
+        args.func(args, report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ConstructionError as exc:
+        report["pass"] = False
+        report["error"] = str(exc)
+    return _finish(report, args.out)
 
 
 if __name__ == "__main__":

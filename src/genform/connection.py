@@ -35,8 +35,9 @@ by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact.
 A broken hypothesis (an asymmetric metric, an inexact inverse, torsion, a
-non-metric alpha_lc, eps = 0) raises ``InputError``; ``ConnectionError``
-means that a construction itself failed.
+non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2);
+``ConstructionError`` means that a construction itself failed on input that
+met them (exit 1, with the report).
 Both constructions return a ``MetricConnection``: A and g together with the
 pieces they computed on the way, the ordinary curvature F_cal, the ordinary
 non-metricity q, gamma F_cal and its gamma-adjoint (eps != 0) and the
@@ -57,15 +58,11 @@ from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordina
                        mat_sub, transpose, wedge_dot, wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
-from .ring import InputError, Polynomial, Scalar
+from .ring import ConstructionError, InputError, Polynomial, Scalar
 
 FormMatrix = tuple[tuple[OrdinaryForm, ...], ...]
 GenMatrix = tuple[tuple[GenForm, ...], ...]
 PolyMatrix = tuple[tuple[Polynomial, ...], ...]
-
-
-class ConnectionError(ValueError):
-    pass
 
 
 # -- matrix helpers ---------------------------------------------------------------
@@ -148,14 +145,14 @@ class GenConnection:
         entries = _as_tuple(entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
-            raise ConnectionError("connection matrix must be square")
+            raise ConstructionError("connection matrix must be square")
         eps = Fraction(epsilon) if epsilon is not None else entries[0][0].epsilon
         A = cls(n, eps, entries)
         for row in entries:
             for e in row:
-                GenForm._require_compatible(A, e, ConnectionError)
+                GenForm._require_compatible(A, e, ConstructionError)
                 if not e.is_zero() and e.degree != 1:
-                    raise ConnectionError("entries must have degree 1")
+                    raise ConstructionError("entries must have degree 1")
         return A
 
     @classmethod
@@ -209,7 +206,7 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
     """DP = dP + A P + (-1)^(p+1) P A for homogeneous (1,1)-valued degree p."""
     degrees = {e.degree for row in P for e in row if not e.is_zero()}
     if len(degrees) > 1:
-        raise ConnectionError(f"mixed degrees {sorted(degrees)}")
+        raise ConstructionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
     a, s = A.entries, 1 if p % 2 else -1
     return _signed_sum(gwedge_sum, [(1, a, P), (s, P, a)], mat_gd(P))
@@ -220,7 +217,7 @@ def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> 
     inverse, which is verified (``exterior.inverse_defect``)."""
     G, G_inv = _as_tuple(G), _as_tuple(G_inv)
     if inverse_defect(G_inv, G) is not None:
-        raise ConnectionError("G_inv is not an exact inverse of G")
+        raise ConstructionError("G_inv is not an exact inverse of G")
     G, G_inv = _gen_scalars(G, A.epsilon), _gen_scalars(G_inv, A.epsilon)
     AG = mat_mul(A.entries, G, gwedge_dot)
     return GenConnection.build(mat_mul(G_inv, mat_add(mat_gd(G), AG), gwedge_dot), A.epsilon)
@@ -252,7 +249,7 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
     """Inverse of field_components; the inputs must be degree-0."""
     for comp in comps:
         if not comp.is_zero() and comp.degree != 0:
-            raise ConnectionError(f"component of degree {comp.degree}, expected 0")
+            raise ConstructionError(f"component of degree {comp.degree}, expected 0")
     zero = Polynomial.zero(comps[0].dim)
     v = VectorField([comp.body.components.get((), zero) for comp in comps])
     return GenVectorField(v.dim, epsilon, v, Tensor11.from_row_forms([c.soul for c in comps]))
@@ -260,7 +257,7 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
 
 def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
     """Dv^m = d v^m + A^m_n v^n, one degree-1 extended form per index."""
-    GenForm._require_compatible(A, V, ConnectionError)
+    GenForm._require_compatible(A, V, ConstructionError)
     comps = _column(field_components(V))
     return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge_dot)))[0]
 
@@ -337,7 +334,7 @@ def metric_inverse(g: GenMetric) -> GenMatrix:
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
-    GenForm._require_compatible(A, g, ConnectionError)
+    GenForm._require_compatible(A, g, ConstructionError)
     a, gm = A.entries, g.entries
     return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_gd(gm))
 
@@ -404,7 +401,7 @@ def _verified(A: GenConnection, g: GenMetric, fcal: FormMatrix, q: FormMatrix,
               fcal_low: FormMatrix | None, fcal_adj: FormMatrix | None) -> MetricConnection:
     Q = nonmetricity(A, g)
     if not mat_is_zero(Q):
-        raise ConnectionError("construction failed: non-metricity residual nonzero")
+        raise ConstructionError("construction failed: non-metricity residual nonzero")
     return MetricConnection(A, g, fcal, q, Q, fcal_low, fcal_adj)
 
 

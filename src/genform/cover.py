@@ -27,11 +27,8 @@ from fractions import Fraction
 
 from .exterior import OrdinaryForm, ext_d, json_dim, json_field, wedge
 from .gform import GenForm
-from .ring import ExpPoly, InputError, Polynomial, Scalar, format_rational, parse_rational
-
-
-class CoverError(ValueError):
-    pass
+from .ring import (ConstructionError, ExpPoly, InputError, Polynomial, Scalar, format_rational,
+                   parse_rational)
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class ExpConstant:
 
     def inverse(self) -> "ExpConstant":
         if self.r == 0:
-            raise CoverError("zero constant has no inverse")
+            raise ConstructionError("zero constant has no inverse")
         return ExpConstant(1 / self.r, -self.s)
 
     def __eq__(self, other):
@@ -136,7 +133,7 @@ def general_gd(a: GenForm, theta: ExpPoly, phi: OrdinaryForm) -> GenForm:
     general derivative dm = theta - phi m; requires the ideal to close."""
     res1, res2 = ideal_residual(theta, phi)
     if not (res1.is_zero() and res2.is_zero()):
-        raise CoverError("theta/phi violate the integrability ideal")
+        raise ConstructionError("theta/phi violate the integrability ideal")
     a = lift_genform(a)
     phi = lift_form(phi)
     theta_term = a.soul.scale(theta)
@@ -199,7 +196,6 @@ def glue_validate(cover: CoverData) -> GlueReport:
 @dataclass
 class CanonReport:
     case: str
-    glued: bool
     dm_tilde: Fraction
     constants: dict[str, str]
 
@@ -225,42 +221,44 @@ def _propagate_case_i_constants(cover: CoverData) -> dict[str, ExpConstant]:
     return constants
 
 
-def canonicalize(cover: CoverData, epsilon: Scalar) -> CanonReport:
+def canonicalize(cover: CoverData, glue: GlueReport, epsilon: Scalar) -> CanonReport:
     """Rescale m chart by chart and verify the result is a single global
-    basis with constant derivative (0 in case i, epsilon in case ii)."""
+    basis with constant derivative (0 in case i, epsilon in case ii).  glue is
+    ``glue_validate(cover)``; ConstructionError unless it is ok, epsilon fits the
+    case (in case i, theta = 0 leaves d(u m) no body) and the basis checks."""
     eps = Fraction(epsilon)
-    glue = glue_validate(cover)
     if not glue.ok:
-        raise CoverError(f"cover does not glue: {glue.to_json()}")
+        raise ConstructionError(f"cover does not glue: {glue.to_json()}")
     if glue.case == "ii":
         if eps == 0:
-            raise CoverError("case (ii) needs a non-zero epsilon")
+            raise ConstructionError("case (ii) needs a non-zero epsilon")
         constants = {c.id: c.tau.scale(1 / eps) for c in cover.charts}
         dm_tilde = eps
     else:
+        if eps != 0:
+            raise ConstructionError("case (i) needs a zero epsilon")
         constants = _propagate_case_i_constants(cover)
         dm_tilde = Fraction(0)
     # consistency of the chosen constants: c_I = c_J exp(tau_IJ)
     for i, j, tau_ij in cover.overlaps:
         if constants[i] != constants[j].times_exp(tau_ij):
-            raise CoverError(f"constants fail gluing on ({i}, {j})")
+            raise ConstructionError(f"constants fail gluing on ({i}, {j})")
     # scaling factor u_I with m-tilde = u_I m must be one global object
     scalings: list[ExpPoly] = []
     for chart in cover.charts:
         c_inv = constants[chart.id].inverse()
         scalings.append(ExpPoly.exp(chart.xi + Polynomial.const(cover.dim, c_inv.s),
                                     Polynomial.const(cover.dim, c_inv.r)))
-    glued = all(u == scalings[0] for u in scalings[1:])
-    if not glued:
-        raise CoverError("rescaled basis does not glue")
+    if not all(u == scalings[0] for u in scalings[1:]):
+        raise ConstructionError("rescaled basis does not glue")
     # d m-tilde = tau_I c_I^-1 must be the announced constant on every chart
     for chart in cover.charts:
         observed = (chart.tau.scale(constants[chart.id].inverse().r)
                     .times_exp(constants[chart.id].inverse().s))
         if observed != ExpConstant(dm_tilde, Fraction(0)):
-            raise CoverError(f"d m-tilde on chart {chart.id} is {observed}, "
-                             f"expected {dm_tilde}")
-    return CanonReport(glue.case, glued, dm_tilde, {k: str(v) for k, v in constants.items()})
+            raise ConstructionError(f"d m-tilde on chart {chart.id} is {observed}, "
+                                    f"expected {dm_tilde}")
+    return CanonReport(glue.case, dm_tilde, {k: str(v) for k, v in constants.items()})
 
 
 def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:

@@ -97,7 +97,7 @@ class GenForm:
         the only attributes read of either side; the message names the one
         that differs.  ``GenVectorField`` and ``SuperFunction`` share this
         check, and ``connection`` and ``hamiltonian`` call it with
-        ``ConnectionError`` and ``InputError``."""
+        ``ConstructionError`` and ``InputError``."""
         if self.dim != other.dim:
             raise error(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.epsilon is not other.epsilon and self.epsilon != other.epsilon:

@@ -50,11 +50,7 @@ from .exterior import (
 )
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
-from .ring import InputError, Polynomial, Scalar, parse_rational, poly_dot
-
-
-class SymplecticError(ValueError):
-    pass
+from .ring import ConstructionError, InputError, Polynomial, Scalar, parse_rational, poly_dot
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
 
     residual = gv_interior(field, s.s) + dH
     if not residual.is_zero():
-        raise SymplecticError(f"defining relation violated: residual {residual}")
+        raise ConstructionError(f"defining relation violated: residual {residual}")
     return field
 
 
@@ -138,23 +134,19 @@ def recover_hamiltonian(s: GenSymplectic, field: GenVectorField) -> GenForm:
     n, eps = s.dim, s.epsilon
     soul_target = -w.soul
     if not ext_d(soul_target).is_zero():
-        raise SymplecticError("soul of i_X s is not closed")
+        raise ConstructionError("soul of i_X s is not closed")
     k_prime = poincare_antiderivative(soul_target)
     body_target = -w.body + k_prime.scale(eps)
     if not ext_d(body_target).is_zero():
-        raise SymplecticError("body candidate is not closed")
+        raise ConstructionError("body candidate is not closed")
     h_prime = poincare_antiderivative(body_target)
     K = GenForm(n, eps, 0, h_prime, k_prime)
     if not (w + gd(K)).is_zero():
-        raise SymplecticError("recovered zero-form fails the defining relation")
+        raise ConstructionError("recovered zero-form fails the defining relation")
     return K
 
 
 # -- numeric integration ---------------------------------------------------------
-
-
-class IntegrationError(RuntimeError):
-    pass
 
 
 MAX_STEPS = 1_000_000  # steps of one integration, every state kept in memory
@@ -221,7 +213,7 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
                        t_end: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 for the oscillator h = sum of (q_a^2 + p_a^2) / 2:
     dq_a = p_a, dp_a = -q_a + 2 eps v0 p_a (see the module docstring).  The
-    first step whose state leaves the float range raises IntegrationError."""
+    first step whose state leaves the float range raises InputError."""
     steps = step_count(t_end, dt)
     if len(q0) != l or len(p0) != l:
         raise ValueError("initial state length mismatch")
@@ -232,7 +224,7 @@ def integrate_hamilton(epsilon: Scalar, v0: Scalar, l: int,
         if not (math.isfinite(columns[-2][-1]) and math.isfinite(columns[-1][-1])):
             steps, overflow = len(columns[-1]) - 1, True  # later pairs need not run past it
     if overflow:
-        raise IntegrationError(f"state overflow at t = {steps * dt:.6g}")
+        raise InputError(f"integration failed: state overflow at t = {steps * dt:.6g}")
     states = list(zip(*columns[::2], *columns[1::2]))
     columns.clear()  # free the columns before the times are built
     return Trajectory(l, [count * dt for count in range(steps + 1)], states)

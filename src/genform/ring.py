@@ -111,6 +111,11 @@ class InputError(ValueError):
     construction: the command line exits 2 on it alone."""
 
 
+class ConstructionError(ValueError):
+    """A construction or check that failed on input that met its hypotheses:
+    the command line exits 1 on it alone, with its report."""
+
+
 def _ratio(text: str) -> tuple[int, int]:
     """The numerator and positive denominator, as written, of ``int`` or
     ``int/posint``, i.e. ``[+-]?digits(/digits)?`` with surrounding whitespace

@@ -177,8 +177,8 @@ def test_criterion_10_appendix():
         ok = ok and r1.is_zero() and r2.is_zero()
     report = glue_validate(cover)
     ok = ok and report.ok and report.case == "ii"
-    canon = canonicalize(cover, Fraction(2))
-    ok = ok and canon.glued and canon.dm_tilde == Fraction(2)
+    canon = canonicalize(cover, report, Fraction(2))  # raises unless the basis glues
+    ok = ok and canon.dm_tilde == Fraction(2)
     with open(FIXTURES / "broken_triple.json") as fh:
         broken = cover_from_json(json.load(fh))
     ok = ok and not glue_validate(broken).ok

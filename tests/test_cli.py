@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import pathlib
 
@@ -6,7 +8,7 @@ import pytest
 from genform import cli, connection, gvector, hamiltonian
 from genform.cli import build_parser, main
 from genform.hamiltonian import Trajectory, step_count
-from genform.ring import MAX_EXPONENT, InputError
+from genform.ring import MAX_EXPONENT, ConstructionError, InputError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -163,6 +165,19 @@ def test_cover_case_i(tmp_path):
     assert read(rep)["dm_tilde"] == "0"
 
 
+@pytest.mark.parametrize("epsilon", ["1", "-1/2"])
+def test_case_i_cover_with_nonzero_epsilon_exits_1(epsilon, tmp_path):
+    # theta = 0 in case i: no rescaling gives a constant dm-tilde = epsilon != 0
+    rep = tmp_path / "cover_i.json"
+    code = run(["cover", "--fixture", FIXTURES / "case_i_cover.json", f"--epsilon={epsilon}",
+                "--out", rep])
+    assert code == 1
+    report = read(rep)
+    assert report["pass"] is False
+    assert report["error"] == "case (i) needs a zero epsilon"
+    assert report["glue"]["case"] == "i" and "dm_tilde" not in report
+
+
 def test_cover_broken_triple(tmp_path):
     rep = tmp_path / "broken.json"
     code = run(["cover", "--fixture", FIXTURES / "broken_triple.json",
@@ -302,6 +317,84 @@ def test_engine_fault_after_reading_propagates_instead_of_exiting_2(module, name
     with pytest.raises(ValueError, match="^engine fault$") as raised:
         run(argv + ["--out", tmp_path / "out"])
     assert not isinstance(raised.value, InputError)
+
+
+# a construction that each fixture command calls, and the keys its report holds
+# before that construction runs
+CONSTRUCTIONS = {
+    "hamiltonian": (cli, "hamiltonian_vf", ["hamiltonian", "--fixture", "hamiltonian_n2.json"],
+                    set()),
+    "connection-thm-i": (connection, "metric_connection_eps0",
+                         ["connection-thm", "--case", "i", "--fixture", "connection_case_i.json"],
+                         {"case"}),
+    "connection-thm-ii": (connection, "metric_connection_eps",
+                          ["connection-thm", "--case", "ii",
+                           "--fixture", "connection_case_ii.json"], {"case"}),
+    "cover": (cli, "canonicalize",
+              ["cover", "--epsilon", "2", "--fixture", "two_chart.json"],
+              {"ideal_residual_zero", "glue"}),
+}
+
+
+def _failing_construction(monkeypatch, name, error):
+    """argv of CONSTRUCTIONS[name] with its construction patched to raise error."""
+    module, attr, argv, _ = CONSTRUCTIONS[name]
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(module, attr, fail)
+    return [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_construction_error_exits_1_with_the_report_so_far(name, monkeypatch, tmp_path,
+                                                           capsys):
+    argv = _failing_construction(monkeypatch, name, ConstructionError("boom"))
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", out]) == 1
+    report = read(out)
+    assert set(report) == {"schema", "command", "fixture", "pass", "error"} | CONSTRUCTIONS[name][3]
+    assert report["command"] == argv[0] and report["fixture"] == argv[-1]
+    assert report["pass"] is False and report["error"] == "boom"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_input_error_from_a_construction_exits_2_without_a_report(name, monkeypatch, tmp_path,
+                                                                  capsys):
+    argv = _failing_construction(monkeypatch, name, InputError("boom"))
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+def test_two_exception_classes_and_one_construction_error_handler():
+    """The package defines InputError (exit 2) and ConstructionError (exit 1)
+    and no other exception class, and only cli.main catches ConstructionError."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (FIXTURES.parent / "src" / "genform").glob("*.py")}
+    bases = {(module, node.name): {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+             for module, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    errors = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    defined: set = set()
+    while True:  # classes that derive from an exception class, transitively
+        more = {key for key, names in bases.items() if names & errors and key not in defined}
+        if not more:
+            break
+        defined |= more
+        errors |= {name for _, name in more}
+    assert defined == {("ring", "InputError"), ("ring", "ConstructionError")}
+    handlers = {(module, func.name)
+                for module, tree in trees.items()
+                for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                and "ConstructionError" in ast.dump(node.type)}
+    assert handlers == {("cli", "main")}
 
 
 def test_hamiltonian_rejects_malformed_rationals_and_short_k(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 import genform.connection as conn
 from genform import cli
 from genform.connection import (
-    ConnectionError,
     GenConnection,
     bianchi_residual,
     case_i_curvature_formula,
@@ -36,7 +35,7 @@ from genform.exterior import OrdinaryForm, Tensor11, VectorField, poly_matrix_fr
 from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
-from genform.ring import InputError, Polynomial
+from genform.ring import ConstructionError, InputError, Polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1, 2)]
@@ -156,7 +155,7 @@ def test_cov_ext_d_rejects_mixed_degrees():
     A = rnd.connection()
     P = [[GenForm.one(n, Fraction(1)), GenForm.from_ordinary(OrdinaryForm.basis(n, (1,)), Fraction(1))],
          [GenForm.one(n, Fraction(1)), GenForm.one(n, Fraction(1))]]
-    with pytest.raises(ConnectionError):
+    with pytest.raises(ConstructionError):
         cov_ext_d_tensor(A, tuple(map(tuple, P)))
 
 
@@ -191,7 +190,7 @@ def test_transform_rejects_bad_inverse(wrong):
     G = ((one, x1), (zero, one))
     # the exact inverse is ((one, -x1), (zero, one))
     G_inv = G if wrong == "G itself" else ((one, -x1), (zero, one + x1))
-    with pytest.raises(ConnectionError):
+    with pytest.raises(ConstructionError):
         transform_connection(zero_connection(n, Fraction(0)), G, G_inv)
 
 
@@ -456,7 +455,7 @@ def test_case_ii_free_antisymmetric_part(n, eps):
     assert mc.A.entries != base.A.entries
     diagonal = [[zero] * n for _ in range(n)]
     diagonal[0][0] = _nonzero_two_form(rnd)
-    with pytest.raises(ConnectionError):
+    with pytest.raises(ConstructionError):
         metric_connection_eps(gamma, alpha, gamma_inv, eps, diagonal)
 
 
@@ -627,7 +626,7 @@ def _broken_construction(monkeypatch, case: str) -> None:
                                         ("ii", "connection_case_ii")])
 def test_nonzero_residual_still_raises_and_fails_the_command(case, name, monkeypatch, tmp_path):
     _broken_construction(monkeypatch, case)
-    with pytest.raises(ConnectionError, match="non-metricity residual nonzero"):
+    with pytest.raises(ConstructionError, match="non-metricity residual nonzero"):
         _fixture_construction(name)
     out = tmp_path / "report.json"
     assert cli.main(["connection-thm", "--fixture", str(FIXTURES / f"{name}.json"),

@@ -7,7 +7,6 @@ import pytest
 from genform.cover import (
     ChartData,
     CoverData,
-    CoverError,
     ExpConstant,
     canonicalize,
     cover_from_json,
@@ -21,7 +20,7 @@ from genform.cover import (
 from genform.exterior import OrdinaryForm, ext_d
 from genform.gform import GenForm, gd
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, InputError, Polynomial
+from genform.ring import ConstructionError, ExpPoly, InputError, Polynomial
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,7 +91,7 @@ def test_general_gd_squares_to_zero():
 def test_general_gd_rejects_broken_ideal():
     dim = 1
     x = Polynomial.var(dim, 1)
-    with pytest.raises(CoverError):
+    with pytest.raises(ConstructionError):
         general_gd(GenForm.minus_one(dim, Fraction(0)),
                    ExpPoly.from_poly(x), OrdinaryForm.zero(dim, 1))
 
@@ -110,10 +109,9 @@ def test_two_chart_fixture_validates_case_ii():
     report = glue_validate(cover)
     assert report.ok
     assert report.case == "ii"
-    canon = canonicalize(cover, Fraction(2))
+    canon = canonicalize(cover, report, Fraction(2))
     assert canon.case == "ii"
     assert canon.dm_tilde == Fraction(2)
-    assert canon.glued
     # the announced constants: c1 = e^3/2, c2 = 1/2
     assert canon.constants["1"] == "1/2*e^3"
     assert canon.constants["2"] == "1/2"
@@ -123,8 +121,17 @@ def test_case_i_fixture():
     cover = load("case_i_cover.json")
     report = glue_validate(cover)
     assert report.ok and report.case == "i"
-    canon = canonicalize(cover, Fraction(0))
-    assert canon.dm_tilde == 0 and canon.glued
+    canon = canonicalize(cover, report, Fraction(0))
+    assert canon.dm_tilde == 0
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(-1, 2)])
+def test_case_i_canonicalize_requires_zero_epsilon(epsilon):
+    # theta = 0 in case i, so d(u m) = (du - u phi) m has no body: no rescaling
+    # gives dm-tilde = epsilon != 0
+    cover = load("case_i_cover.json")
+    with pytest.raises(ConstructionError, match=r"^case \(i\) needs a zero epsilon$"):
+        canonicalize(cover, glue_validate(cover), epsilon)
 
 
 def test_single_chart_identity_rescale():
@@ -132,7 +139,7 @@ def test_single_chart_identity_rescale():
                                     ExpConstant(Fraction(2), Fraction(0))),), ())
     report = glue_validate(cover)
     assert report.ok and report.case == "ii"
-    canon = canonicalize(cover, Fraction(2))
+    canon = canonicalize(cover, report, Fraction(2))
     # c = tau/eps = 1: the rescaling is the identity and dm = eps as before
     assert canon.constants["only"] == "1"
     assert canon.dm_tilde == Fraction(2)
@@ -143,8 +150,8 @@ def test_broken_triple_rejected():
     report = glue_validate(cover)
     assert not report.ok
     assert report.cocycle_failures
-    with pytest.raises(CoverError):
-        canonicalize(cover, Fraction(1))
+    with pytest.raises(ConstructionError, match="^cover does not glue"):
+        canonicalize(cover, report, Fraction(1))
 
 
 def test_mixed_zero_nonzero_tau_rejected():
@@ -178,8 +185,8 @@ def test_overlap_mismatch_detected():
 
 def test_case_ii_canonicalize_requires_epsilon():
     cover = load("two_chart.json")
-    with pytest.raises(CoverError):
-        canonicalize(cover, Fraction(0))
+    with pytest.raises(ConstructionError, match=r"^case \(ii\) needs a non-zero epsilon$"):
+        canonicalize(cover, glue_validate(cover), Fraction(0))
 
 
 def test_rescaling_gauge_freedom():
@@ -198,7 +205,7 @@ def test_transformed_derivative_dual_path():
     # express a in the rescaled basis and differentiate there; transport back
     cover = load("two_chart.json")
     eps = Fraction(2)
-    canon = canonicalize(cover, eps)
+    canonicalize(cover, glue_validate(cover), eps)  # raises unless the rescaled basis glues
     rnd = FormRandom(3, 1, Fraction(0))
     for chart in cover.charts:
         c = chart.tau.scale(1 / eps)
@@ -219,7 +226,6 @@ def test_transformed_derivative_dual_path():
             soul = ext_d(alpha_tilde).scale(u)
             assert direct.body == body
             assert direct.soul == soul
-    assert canon.glued
 
 
 def test_cover_json_errors():

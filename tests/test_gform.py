@@ -21,7 +21,7 @@ from genform.gform import (
 from genform.gvector import GenVectorField, gv_interior
 from genform.hamiltonian import GenHamiltonianProblem, symplectic_validate
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, InputError, Polynomial
+from genform.ring import ConstructionError, ExpPoly, InputError, Polynomial
 from genform.superspace import SuperFunction
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
@@ -271,9 +271,9 @@ def _hamiltonian_site(dim: int, eps: Fraction):
     return lambda: GenHamiltonianProblem(symplectic, h)
 
 
-@pytest.mark.parametrize("site, error", [(_connection_site, conn.ConnectionError),
-                                         (_nonmetricity_site, conn.ConnectionError),
-                                         (_build_site, conn.ConnectionError),
+@pytest.mark.parametrize("site, error", [(_connection_site, ConstructionError),
+                                         (_nonmetricity_site, ConstructionError),
+                                         (_build_site, ConstructionError),
                                          (_hamiltonian_site, InputError)])
 def test_context_checks_name_the_attribute_that_differs(site, error):
     """``cov_deriv_vf``, ``nonmetricity``, ``GenConnection.build`` and

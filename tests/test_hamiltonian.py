@@ -13,7 +13,6 @@ from genform.gform import GenForm, gd
 from genform.gvector import GenVectorField, gv_bracket, gv_interior, gv_lie
 from genform.hamiltonian import (
     GenHamiltonianProblem,
-    IntegrationError,
     gauge_shift,
     hamiltonian_vf,
     integrate_hamilton,
@@ -330,7 +329,7 @@ def integrate_hamilton_reference(epsilon, v0, l, q0, p0, t_end, dt):
         state = [s + dt / 6.0 * (a + 2 * b + 2 * c + d)
                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
         if not all(math.isfinite(x) for x in state):
-            raise IntegrationError(f"state overflow at t = {(step + 1) * dt:.6g}")
+            raise InputError(f"integration failed: state overflow at t = {(step + 1) * dt:.6g}")
         times.append((step + 1) * dt)
         states.append(tuple(state))
     return times, states
@@ -341,7 +340,7 @@ def _outcome(integrate, *args):
     or the exception's type and message."""
     try:
         times, states = integrate(*args)
-    except IntegrationError as exc:
+    except InputError as exc:
         return type(exc), str(exc)
     return times, [struct.pack(f"<{len(s)}d", *s) for s in states]
 
@@ -382,6 +381,6 @@ def test_overflow_is_reported_at_the_first_step_of_any_pair():
     t = 2.5 and the second, from 1e307, at t = 0.5, which the error names."""
     outcome = _assert_bit_identical(Fraction(2), Fraction(2), 3, [1e300, 1e307, 1.0],
                                     [0.0, 0.0, 0.0], 3.0, 0.25)
-    assert outcome == (IntegrationError, "state overflow at t = 0.5")
+    assert outcome == (InputError, "integration failed: state overflow at t = 0.5")
     assert _outcome(_integrate, 2, 2, 1, [1e300], [0.0], 3.0, 0.25) == (
-        IntegrationError, "state overflow at t = 2.5")
+        InputError, "integration failed: state overflow at t = 2.5")

@@ -550,8 +550,8 @@ def test_an_axis_out_of_range_raises_before_and_after_the_partials_are_kept(dim)
 # -- the text boundary against the Fraction-based reference --------------------
 
 
-def reference_parse(dim: int, text) -> tuple[int, list]:
-    """The Fraction-based reader: (den, [(exponents, numerator)] in term order),
+def reference_parse(dim: int, text) -> tuple[int, dict]:
+    """The Fraction-based reader: (den, {exponents: numerator}),
     or InputError with the message of the ring's own reader."""
     if not isinstance(text, str):
         raise InputError(f"polynomial must be a string, got {text!r}")
@@ -583,7 +583,7 @@ def reference_parse(dim: int, text) -> tuple[int, list]:
             if e > MAX_EXPONENT:
                 raise InputError(f"exponent {e!r} in {exps} is not an int in 0..{MAX_EXPONENT}")
     den = math.lcm(*(c.denominator for c in live.values()))
-    return den, [(exps, int(c * den)) for exps, c in live.items()]
+    return den, {exps: int(c * den) for exps, c in live.items()}
 
 
 def reference_str(p: Polynomial) -> str:
@@ -630,9 +630,9 @@ def _outcome(read, dim: int, text):
         return "InputError", str(error)
 
 
-def _packed_parse(dim: int, text) -> tuple[int, list]:
+def _packed_parse(dim: int, text) -> tuple[int, dict]:
     p = Polynomial.parse(dim, text)
-    return p.den, [(ring._unpack(key, dim), num) for key, num in p._nums.items()]
+    return p.den, {ring._unpack(key, dim): num for key, num in p._nums.items()}
 
 
 _TEXTS = [
