@@ -21,7 +21,9 @@ they stay an independent path.  A polynomial matrix that multiplies forms
 is lifted once to its matrix of 0-forms, ordinary or extended, and goes
 through the same sums.  The two paths share that summation and the ring
 kernel ``Polynomial.sum_products`` under it, which their own tests compare
-with one product at a time.  No transpose assumes a symmetric metric.
+with one product at a time.  No transpose assumes a symmetric metric; only
+``_raise_both``, which raises both indices of a symmetric x, forms one
+triangle of its symmetric result and mirrors it.
 A ``GenMetric`` holds gamma (the bodies of g) and gamma^-1 as 0-forms, lifted
 once they are judged and before anything is built from them.  The ordinary
 non-metricity q = D gamma is ``cov_d_lowered`` on gamma's 0-forms, so the
@@ -127,8 +129,14 @@ def _signed_sum(total: Callable, products: Sequence[tuple],
 
 def _raise_both(gamma_inv: FormMatrix, x: FormMatrix) -> FormMatrix:
     """x^{mn} = gamma^{mr} x_{rs} gamma^{ns}, i.e. gamma^-1 x gamma^-T, for
-    gamma^-1 lifted to 0-forms."""
-    return mat_mul(mat_mul(gamma_inv, x, wedge_dot), transpose(gamma_inv), wedge_dot)
+    gamma^-1 lifted to 0-forms and a symmetric x, which both callers pass:
+    chi (judged by ``metric_validate``, or set to q / eps) and q = D gamma of
+    a symmetric gamma.  The result is then symmetric: M = gamma^-1 x is
+    formed in full, then only the entries i <= j of M gamma^-T (row i of M
+    times row j of gamma^-1), which are mirrored below the diagonal."""
+    left, n = mat_mul(gamma_inv, x, wedge_dot), len(x)
+    upper = {(i, j): wedge_dot(left[i], gamma_inv[j]) for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
 
 # -- connection -------------------------------------------------------------------

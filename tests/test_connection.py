@@ -693,17 +693,51 @@ def composed_case_i_soul(mc):
     return conn._scale_matrix(soul, Fraction(1, 2))
 
 
+def composed_raise_both(gamma_inv, x):
+    """gamma^-1 x gamma^-T as two full matrix products."""
+    return conn.mat_mul(conn.mat_mul(gamma_inv, x, wedge_dot), conn.transpose(gamma_inv),
+                        wedge_dot)
+
+
 def composed_case_ii_soul(mc):
     gamma_inv = mc.g.gamma_inv
     fcal_up = conn.mat_mul(mc.fcal, gamma_inv, wedge_dot)
     soul = conn.mat_sub(conn.transpose(conn.mat_mul(mc.q, fcal_up, wedge_dot)),
-                        conn.mat_mul(conn._raise_both(gamma_inv, mc.q),
+                        conn.mat_mul(composed_raise_both(gamma_inv, mc.q),
                                      conn.transpose(mc.fcal_low), wedge_dot))
     return conn._scale_matrix(soul, Fraction(-1, 2) / mc.A.epsilon)
 
 
 def souls(m):
     return tuple(tuple(e.soul for e in row) for row in m)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_raise_both_equals_the_full_product_on_a_symmetric_x(dim):
+    rnd = FormRandom(70 + dim, dim, Fraction(1))
+    for _ in range(3):
+        gamma_inv = conn._scalar_forms(rnd.metric_pieces()[1])
+        chi = rnd.symmetric_one_forms()
+        raised = conn._raise_both(gamma_inv, chi)
+        assert not conn.mat_is_zero(raised)
+        assert raised == composed_raise_both(gamma_inv, chi)
+
+
+def test_raise_both_mirrors_the_upper_triangle():
+    """On a non-symmetric x, outside ``_raise_both``'s precondition, the
+    entries i <= j are still those of gamma^-1 x gamma^-T and each is
+    mirrored below the diagonal.  A triangle mirrored the other way equals
+    this one on every symmetric x; here it does not."""
+    for dim in (2, 3):
+        rnd = FormRandom(75 + dim, dim, Fraction(1))
+        gamma_inv = conn._scalar_forms(rnd.metric_pieces()[1])
+        x = tuple(tuple(rnd.form(1) for _ in range(dim)) for _ in range(dim))
+        full = composed_raise_both(gamma_inv, x)
+        assert full != conn.transpose(full)
+        raised = conn._raise_both(gamma_inv, x)
+        for i in range(dim):
+            for j in range(i, dim):
+                assert raised[i][j] == raised[j][i] == full[i][j]
 
 
 def test_nonmetricities_transpose_a_non_symmetric_metric():

@@ -341,7 +341,7 @@ def test_kept_kernel_data_leaves_value_hash_and_terms_alone():
     for p, twin in zip((a, b), twins):
         assert twin._kernel is None
         assert p == twin and hash(p) == hash(twin)
-        assert list(p.terms.items()) == list(twin.terms.items())
+        assert dict(p.terms) == dict(twin.terms)
 
 
 def test_sum_products_rejects_no_terms_and_mixed_dimensions():

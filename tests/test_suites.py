@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from genform import cli, suites
-from genform.exterior import mat_identity, vf_bracket
-from genform.gform import GenForm, gpullback
+from genform import connection as conn
+from genform.exterior import OrdinaryForm, mat_identity, mat_sub, transpose, vf_bracket
+from genform.gform import GenForm, gpullback, gwedge
+from genform.randgen import FormRandom
+from genform.ring import Polynomial
 from genform.suites import SUITE_NAMES, run_suite, run_trial
 from genform.superspace import SuperFunction, super_d
 
@@ -70,7 +73,7 @@ CASES_PER_TRIAL = {
                 "modified_lie_scalar_case", "embed_zero_reduces"),
     "connection": ("curvature_expansion", "bianchi", "bianchi_via_cov_d",
                    "curvature_conjugation", "cov_deriv_expansion", "nonmetricity_expansion",
-                   "metric_inverse_two_sided", "metric_inverse_two_sided"),
+                   "metric_inverse_two_sided", "metric_inverse_symmetric"),
 }
 
 
@@ -180,3 +183,83 @@ def test_engine_exception_is_a_failure_record(monkeypatch, tmp_path, capsys):
     assert report["pass"] is False
     assert [(f["case"], f["trial"], f["residual"]) for f in report["suites"][0]["failures"]] == [
         ("exception", t, "ValueError: body degree 1 != 2") for t in range(trials)]
+
+
+def test_a_metric_inverse_wrong_on_one_side_fails_both_metric_cases(monkeypatch):
+    # g_up g = I is the one product checked; a g_up wrong on one side of the
+    # diagonal breaks it and also its symmetry, the check that stands for
+    # g g_up = I, whose record is g_up - g_up^T
+    made = []
+    metric_inverse = conn.metric_inverse
+
+    def one_sided(g):
+        """g^-1 with the soul of entry (1, 2) alone off by dx1."""
+        rows = [list(row) for row in metric_inverse(g)]
+        rows[0][1] += GenForm(g.dim, g.epsilon, 0, OrdinaryForm.zero(g.dim, 0),
+                              OrdinaryForm.basis(g.dim, (1,)))
+        made.append(tuple(map(tuple, rows)))
+        return made[-1]
+
+    monkeypatch.setattr(conn, "metric_inverse", one_sided)
+    for trial in range(3):
+        failures = run_trial("connection", 2, Fraction(1), 3, trial)
+        g_up = made[-1]
+        assert [f["case"] for f in failures] == ["metric_inverse_two_sided",
+                                                 "metric_inverse_symmetric"]
+        assert failures[1]["residual"] == str(mat_sub(g_up, transpose(g_up)))
+
+
+def _sides(rnd):
+    """Two unequal extended 1-forms a, b and a twin of a built on another path."""
+    a, b = rnd.genform(1), rnd.genform(1)
+    twin = gwedge(a, GenForm.one(rnd.dim, rnd.epsilon))
+    assert twin is not a and twin == a and a != b
+    return a, b, twin
+
+
+def _raise(*args):
+    raise AssertionError("a check of equal sides subtracted")
+
+
+def test_equal_sides_record_nothing_and_subtract_nothing(monkeypatch):
+    rnd = FormRandom(11, 2, Fraction(1))
+    a, b, twin = _sides(rnd)
+    monkeypatch.setattr(GenForm, "__sub__", _raise)
+    monkeypatch.setattr(Polynomial, "_plus", _raise)
+    failures = []
+    suites._check(failures, "form", 0, rnd, twin, a)
+    suites._check(failures, "matrix", 0, rnd, ((twin, b), (b, a)), ((a, b), (b, twin)))
+    assert failures == []
+
+
+def test_unequal_sides_record_their_difference():
+    rnd = FormRandom(12, 2, Fraction(1, 2))
+    a, b, twin = _sides(rnd)
+    failures = []
+    suites._check(failures, "form", 4, rnd, a, b)
+    suites._check(failures, "matrix", 4, rnd, ((a, b),), ((twin, a),))
+    inputs = {"epsilon": "1/2", "dim": 2}
+    assert failures == [
+        {"case": "form", "trial": 4, "inputs": inputs, "residual": str(a - b)},
+        {"case": "matrix", "trial": 4, "inputs": inputs,
+         "residual": str(mat_sub(((a, b),), ((twin, a),)))}]
+
+
+@pytest.mark.parametrize("dim, epsilon, error", [
+    (3, Fraction(1), "dimension mismatch: 2 vs 3"),
+    (2, Fraction(2), "epsilon mismatch: 1 vs 2"),
+])
+def test_a_mismatch_of_two_sides_ends_the_trial_in_an_exception_record(dim, epsilon, error,
+                                                                       monkeypatch):
+    # sides of another dim or epsilon are unequal, so they are subtracted, and
+    # the subtraction's ValueError becomes the trial's one record
+    other = GenForm.one(dim, epsilon)
+
+    def body(rnd, degree, check):
+        a = GenForm.one(2, rnd.epsilon)
+        check("form", a, other)
+
+    monkeypatch.setitem(suites.SUITES, "cartan", body)
+    assert [(f["case"], f["trial"], f["residual"])
+            for f in run_trial("cartan", 2, Fraction(1), 0, 0)] == [
+        ("exception", 0, f"ValueError: {error}")]
