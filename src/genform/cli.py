@@ -5,7 +5,8 @@ and the fixture-driven symbolic constructions, each filling in the JSON report
 that ``main`` alone writes and turns into the exit code: 0 all residuals zero
 / within tolerance, 1 a failed suite, check or ``ConstructionError`` (with its
 report), 2 a usage error or an ``InputError`` (no report).  Any other
-exception is an engine fault and propagates.
+exception is an engine fault and propagates.  All outside input is read
+here: argv, ``GENFORM_SEED`` and the fixtures, by the ``*_from_json`` readers.
 """
 
 from __future__ import annotations
@@ -17,23 +18,24 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import connection as conn
-from .cover import canonicalize, cover_from_json, glue_validate, ideal_residual
-from .exterior import (OrdinaryForm, json_dim, json_field, mat_is_zero, mat_sub,
-                       poly_matrix_from_json)
-from .gform import gd
+from .cover import ChartData, CoverData, ExpConstant, canonicalize, glue_validate, ideal_residual
+from .exterior import OrdinaryForm, mat_is_zero
+from .gform import GenForm, gd
 from .gvector import gv_interior
 from .hamiltonian import (
+    GenHamiltonianProblem,
     gauge_shift,
     hamiltonian_vf,
     integrate_hamilton,
     max_abs_error,
     max_l,
     oscillator_closed_form,
-    problem_from_json,
     rk4_order_estimate,
     step_count,
+    symplectic_validate,
 )
 from .ring import ConstructionError, InputError, Polynomial, format_rational, parse_rational
 from .suites import SCHEMA_VERSION, SUITE_NAMES, run_suite
@@ -81,6 +83,150 @@ def _default_seed(value: int | None) -> int:
         return int(env) if env else 0
     except ValueError as exc:
         raise InputError(f"GENFORM_SEED: {exc}") from None
+
+
+# -- fixture readers: the JSON schema of every fixture -----------------------------
+
+
+_REQUIRED = object()
+_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def json_field(data, key: str, kind: type, default=_REQUIRED):
+    """``data[key]`` of a JSON object, checked to be a ``kind`` (a JSON
+    integer is an ``int`` but not a boolean).  InputError when data is not an
+    object, a key without default is missing or the value has another type."""
+    if not isinstance(data, dict):
+        raise InputError(f"expected a JSON object, got {data!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise InputError(f"missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def json_dim(data) -> int:
+    """The positive integer ``data["dim"]``."""
+    dim = json_field(data, "dim", int)
+    if dim < 1:
+        raise InputError(f"dim must be positive, got {dim}")
+    return dim
+
+
+def _json_matrix(dim: int, data, cell: Callable) -> tuple[tuple, ...]:
+    """A JSON dim x dim matrix, each entry read by ``cell``; InputError for
+    any other shape."""
+    if not (isinstance(data, list) and len(data) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in data)):
+        raise InputError(f"matrix must be {dim} x {dim}")
+    return tuple(tuple(cell(entry) for entry in row) for row in data)
+
+
+def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
+    """A JSON dim x dim matrix of polynomial strings in dim variables."""
+    return _json_matrix(dim, data, functools.partial(Polynomial.parse, dim))
+
+
+def form_from_json(data: dict, shape: tuple[int, int] | None = None) -> OrdinaryForm:
+    """The form of a JSON {"dim", "degree", "components"}; InputError unless it
+    is well formed and, where ``shape`` = (dim, degree) is given, of that shape."""
+    dim = json_dim(data)
+    degree = json_field(data, "degree", int)
+    if shape not in (None, (dim, degree)):
+        raise InputError(f"expected a {shape[1]}-form on R^{shape[0]}, "
+                         f"got a {degree}-form on R^{dim}")
+    comps = {}
+    for key, text in json_field(data, "components", dict).items():
+        try:
+            idxs = json.loads(key)
+        except ValueError:
+            idxs = None
+        if not (isinstance(idxs, list)
+                and all(isinstance(i, int) and not isinstance(i, bool) for i in idxs)):
+            raise InputError(f"component key {key!r} is not an array of integers")
+        comps[tuple(idxs)] = Polynomial.parse(dim, text)
+    if comps and not 0 <= degree <= dim:
+        raise InputError(f"a {degree}-form on R^{dim} has no components")
+    return OrdinaryForm(dim, degree, comps)
+
+
+def hamiltonian_from_json(data: dict) -> GenHamiltonianProblem:
+    """Schema: dim, epsilon, omega (form JSON), upsilon (form JSON),
+    omega_inv (matrix of poly strings), h (poly string), k (list of poly
+    strings)."""
+    n = json_dim(data)
+    eps = parse_rational(json_field(data, "epsilon", str))
+    omega = form_from_json(json_field(data, "omega", dict), (n, 2))
+    upsilon = (form_from_json(data["upsilon"], (n, 3)) if "upsilon" in data
+               else OrdinaryForm.zero(n, 3))
+    s = GenForm(n, eps, 2, omega, upsilon)
+    inv = poly_matrix_from_json(n, json_field(data, "omega_inv", list))
+    sympl = symplectic_validate(s, inv)
+    h = Polynomial.parse(n, json_field(data, "h", str))
+    k = json_field(data, "k", list)
+    if len(k) != n:
+        raise InputError(f"k must list {n} polynomials")
+    soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t) for b, t in enumerate(k, start=1)})
+    hamiltonian = GenForm(n, eps, 0, OrdinaryForm.from_scalar(h), soul)
+    return GenHamiltonianProblem(sympl, hamiltonian)
+
+
+def connection_from_json(data: dict, case: str) -> conn.MetricConnection:
+    """The construction of ``case``.  Schema: dim, gamma, gamma_inv; optional
+    case (must be ``case``), epsilon ("0"), alpha (Levi-Civita) and, in case i
+    only, chi (zero).  Matrices are of poly strings or one-form JSON."""
+    n = json_dim(data)
+    given = json_field(data, "case", str, case)
+    if given != case:
+        raise InputError(f"fixture is for case {given!r}, not --case {case}")
+    epsilon = parse_rational(json_field(data, "epsilon", str, "0"))
+    if case == "i" and epsilon != 0:
+        raise InputError(f"case i needs epsilon 0 in the fixture, got {format_rational(epsilon)}")
+    gamma = poly_matrix_from_json(n, json_field(data, "gamma", list))
+    gamma_inv = poly_matrix_from_json(n, json_field(data, "gamma_inv", list))
+    one_form = functools.partial(form_from_json, shape=(n, 1))
+    alpha = _json_matrix(n, data["alpha"], one_form) if "alpha" in data else None
+    if case == "ii":
+        if "chi" in data:
+            raise InputError("case ii sets chi = q/eps: its fixture gives no chi")
+        return conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
+    chi = (_json_matrix(n, data["chi"], one_form) if "chi" in data
+           else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
+    return conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+
+
+def _string_triples(data, key: str) -> list[tuple[str, str, str]]:
+    """The optional array ``data[key]`` of three-string arrays."""
+    rows = json_field(data, key, list, [])
+    if not all(isinstance(row, list) and len(row) == 3
+               and all(isinstance(x, str) for x in row) for row in rows):
+        raise InputError(f"{key!r} must be an array of three-string arrays")
+    return [tuple(row) for row in rows]
+
+
+def cover_from_json(data: dict) -> CoverData:
+    """Schema: {"dim": n, "charts": [{"id", "xi", "tau": {"r", "s"}}],
+    "overlaps": [[I, J, rational]], "triples": [[I, J, K]]}, every leaf a
+    string; overlaps and triples may be left out."""
+    dim = json_dim(data)
+    charts = []
+    for c in json_field(data, "charts", list):
+        tau = json_field(c, "tau", dict)
+        charts.append(ChartData(
+            json_field(c, "id", str), Polynomial.parse(dim, json_field(c, "xi", str)),
+            ExpConstant(parse_rational(json_field(tau, "r", str)),
+                        parse_rational(json_field(tau, "s", str)))))
+    if not charts:
+        raise InputError("a cover needs at least one chart")
+    ids = [c.id for c in charts]
+    if len(set(ids)) != len(ids):
+        raise InputError("chart ids must be distinct")
+    overlaps = tuple((i, j, parse_rational(t)) for i, j, t in _string_triples(data, "overlaps"))
+    triples = tuple(_string_triples(data, "triples"))
+    return CoverData(dim, tuple(charts), overlaps, triples)
 
 
 def cmd_identities(args, report: dict) -> None:
@@ -156,7 +302,7 @@ def cmd_oscillator(args, report: dict) -> None:
 
 
 def cmd_hamiltonian(args, report: dict) -> None:
-    prob = problem_from_json(_read_fixture(args.fixture))
+    prob = hamiltonian_from_json(_read_fixture(args.fixture))
     report["fixture"] = args.fixture
     field = hamiltonian_vf(prob)
     # hamiltonian_vf verified i_V s = -dH, so L_V s = d i_V s + i_V ds = d(-dH) + i_V ds
@@ -179,38 +325,19 @@ def cmd_hamiltonian(args, report: dict) -> None:
 
 def cmd_connection_thm(args, report: dict) -> None:
     data = _read_fixture(args.fixture)
-    n = json_dim(data)
-    case = json_field(data, "case", str, args.case)
-    if case != args.case:
-        raise InputError(f"fixture is for case {case!r}, not --case {args.case}")
-    epsilon = parse_rational(json_field(data, "epsilon", str, "0"))
-    if case == "i" and epsilon != 0:
-        raise InputError(f"case i needs epsilon 0 in the fixture, got {format_rational(epsilon)}")
-    gamma = poly_matrix_from_json(n, json_field(data, "gamma", list))
-    gamma_inv = poly_matrix_from_json(n, json_field(data, "gamma_inv", list))
-    alpha = conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data else None
-    if case == "ii" and "chi" in data:
-        raise InputError("case ii sets chi = q/eps: its fixture gives no chi")
-    chi = (conn.matrix_of_forms_from_json(n, data["chi"]) if "chi" in data
-           else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
     report.update({"fixture": args.fixture, "case": args.case})
-    if args.case == "i":
-        mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-        formula = conn.case_i_curvature_formula(mc)
-    else:
-        mc = conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
-        formula = conn.case_ii_curvature_formula(mc)
+    mc = connection_from_json(data, args.case)
+    formula = (conn.case_i_curvature_formula(mc) if args.case == "i"
+               else conn.case_ii_curvature_formula(mc))
     curv = conn.curvature(mc.A)
     # Q, q and F_cal as the construction computed (and, for Q, verified) them
     report["nonmetricity_zero"] = mat_is_zero(mc.Q)
-    report["curvature_formula_match"] = mat_is_zero(mat_sub(curv, formula))
+    report["curvature_formula_match"] = curv == formula
     if args.case == "ii" and mat_is_zero(mc.q):
-        body_only = all(e.soul.is_zero() for row in curv for e in row)
-        bodies_match = all(curv[i][j].body == mc.fcal[i][j]
-                           for i in range(n) for j in range(n))
-        alpha_match = all(mc.A.entries[i][j].soul.is_zero()
-                          for i in range(n) for j in range(n))
-        report["ordinary_metric_corollary"] = body_only and bodies_match and alpha_match
+        # an ordinary metric: A = alpha and F = F_cal, neither with a soul
+        report["ordinary_metric_corollary"] = (
+            all(e.soul.is_zero() for m in (curv, mc.A.entries) for row in m for e in row)
+            and tuple(tuple(e.body for e in row) for row in curv) == mc.fcal)
     report["pass"] = (report["nonmetricity_zero"]
                       and report["curvature_formula_match"]
                       and report.get("ordinary_metric_corollary", True))

@@ -35,7 +35,8 @@ Levi-Civita construction: for eps = 0 the soul of the connection is fixed by
 the metric soul (beta_sym = D chi / 2), for eps != 0 the metric soul is fixed
 by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
-fixtures use metrics whose inverse is polynomial so everything stays exact.
+fixtures use metrics whose inverse is polynomial so everything stays exact,
+and ``cli.connection_from_json`` reads them.
 A broken hypothesis (an asymmetric metric, an inexact inverse, torsion, a
 non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2);
 ``ConstructionError`` means that a construction itself failed on input that
@@ -55,9 +56,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .exterior import (OrdinaryForm, Tensor11, VectorField, _json_rows, coordinate_partial, ext_d,
-                       form_from_json, inverse_defect, mat_add, mat_is_zero, mat_mul, mat_neg,
-                       mat_sub, transpose, wedge_dot, wedge_sum)
+from .exterior import (OrdinaryForm, Tensor11, VectorField, coordinate_partial, ext_d,
+                       inverse_defect, mat_add, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
+                       wedge_dot, wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
 from .ring import ConstructionError, InputError, Polynomial, Scalar
@@ -502,11 +503,3 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     return _gen_matrix(A.dim, A.epsilon, 2, _scale_matrix(body, Fraction(1, 2)),
                        _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
 
-
-# -- fixture loading -------------------------------------------------------------------
-
-
-def matrix_of_forms_from_json(dim: int, data) -> FormMatrix:
-    """A JSON dim x dim matrix of one-forms on R^dim, as alpha and chi are."""
-    return tuple(tuple(form_from_json(cell, (dim, 1)) for cell in row)
-                 for row in _json_rows(dim, data))

@@ -18,6 +18,7 @@ faithful.
 Rescaling m by c_I^-1 exp(xi_I) produces a single global basis: d m-tilde = 0
 when every tau_I vanishes (case i), and with c_I = tau_I / eps it equals the
 constant eps (case ii), recovering the constant-derivative calculus.
+``cli.cover_from_json`` reads a cover from a fixture.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .exterior import OrdinaryForm, ext_d, json_dim, json_field, wedge
+from .exterior import OrdinaryForm, ext_d, wedge
 from .gform import GenForm
-from .ring import (ConstructionError, ExpPoly, InputError, Polynomial, Scalar, format_rational,
-                   parse_rational)
+from .ring import ConstructionError, ExpPoly, InputError, Polynomial, Scalar, format_rational
 
 
 @dataclass(frozen=True)
@@ -268,36 +268,3 @@ def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:
                          Polynomial.const(a.dim, c.r))
     return lift_form(a.soul).scale(factor)
 
-
-# -- fixture loading ----------------------------------------------------------------
-
-
-def _string_triples(data, key: str) -> list[tuple[str, str, str]]:
-    """The optional array ``data[key]`` of three-string arrays."""
-    rows = json_field(data, key, list, [])
-    if not all(isinstance(row, list) and len(row) == 3
-               and all(isinstance(x, str) for x in row) for row in rows):
-        raise InputError(f"{key!r} must be an array of three-string arrays")
-    return [tuple(row) for row in rows]
-
-
-def cover_from_json(data: dict) -> CoverData:
-    """Schema: {"dim": n, "charts": [{"id", "xi", "tau": {"r", "s"}}],
-    "overlaps": [[I, J, rational]], "triples": [[I, J, K]]}, every leaf a
-    string; overlaps and triples may be left out."""
-    dim = json_dim(data)
-    charts = []
-    for c in json_field(data, "charts", list):
-        tau = json_field(c, "tau", dict)
-        charts.append(ChartData(
-            json_field(c, "id", str), Polynomial.parse(dim, json_field(c, "xi", str)),
-            ExpConstant(parse_rational(json_field(tau, "r", str)),
-                        parse_rational(json_field(tau, "s", str)))))
-    if not charts:
-        raise InputError("a cover needs at least one chart")
-    ids = [c.id for c in charts]
-    if len(set(ids)) != len(ids):
-        raise InputError("chart ids must be distinct")
-    overlaps = tuple((i, j, parse_rational(t)) for i, j, t in _string_triples(data, "overlaps"))
-    triples = tuple(_string_triples(data, "triples"))
-    return CoverData(dim, tuple(charts), overlaps, triples)

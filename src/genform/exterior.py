@@ -8,7 +8,7 @@ product and Lie derivative are all exact.
 
 Coefficients are normally ``Polynomial``; everything except ``pullback`` and
 the homotopy inverse also works verbatim with ``ExpPoly`` coefficients, which
-the chart-gluing module relies on.
+the chart-gluing module relies on.  The JSON readers of forms are in ``cli``.
 
 Every product of forms groups its coefficient pairs by one rule,
 ``wedge_sum``: the dots, ``wedge``, the interior product, ``gform.gwedge_sum``
@@ -28,7 +28,6 @@ negative merge sign the same way.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
@@ -266,11 +265,13 @@ def mat_identity(n: int, one, zero) -> tuple[tuple, ...]:
 
 
 def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True))
+                 for ra, rb in zip(a, b, strict=True))
 
 
 def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True))
+                 for ra, rb in zip(a, b, strict=True))
 
 
 def mat_neg(a: Sequence[Sequence]) -> tuple[tuple, ...]:
@@ -282,8 +283,8 @@ def mat_is_zero(a: Sequence[Sequence]) -> bool:
 
 
 def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """(m^T)_ij = m_ji."""
-    return tuple(zip(*m))
+    """(m^T)_ij = m_ji; ValueError unless the rows of m have one length."""
+    return tuple(zip(*m, strict=True))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], dot: Callable) -> tuple[tuple, ...]:
@@ -574,70 +575,3 @@ def poincare_antiderivative(a: OrdinaryForm) -> OrdinaryForm:
     euler = VectorField([Polynomial.var(a.dim, k) for k in range(1, a.dim + 1)])
     return interior(euler, OrdinaryForm._canonical(a.dim, a.degree, weighted))
 
-
-# -- JSON encoding -------------------------------------------------------------
-
-
-_REQUIRED = object()
-_JSON_TYPES = {int: "integer", str: "string", list: "array", dict: "object"}
-
-
-def json_field(data, key: str, kind: type, default=_REQUIRED):
-    """``data[key]`` of a JSON object, checked to be a ``kind`` (a JSON
-    integer is an ``int`` but not a boolean).  InputError when data is not an
-    object, a key without default is missing or the value has another type."""
-    if not isinstance(data, dict):
-        raise InputError(f"expected a JSON object, got {data!r}")
-    if key not in data:
-        if default is _REQUIRED:
-            raise InputError(f"missing key {key!r}")
-        return default
-    value = data[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InputError(f"{key!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-def json_dim(data) -> int:
-    """The positive integer ``data["dim"]``."""
-    dim = json_field(data, "dim", int)
-    if dim < 1:
-        raise InputError(f"dim must be positive, got {dim}")
-    return dim
-
-
-def _json_rows(dim: int, data) -> list:
-    """The rows of a JSON dim x dim matrix; InputError for any other shape."""
-    if not (isinstance(data, list) and len(data) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in data)):
-        raise InputError(f"matrix must be {dim} x {dim}")
-    return data
-
-
-def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
-    """A JSON dim x dim matrix of polynomial strings in dim variables."""
-    return tuple(tuple(Polynomial.parse(dim, cell) for cell in row)
-                 for row in _json_rows(dim, data))
-
-
-def form_from_json(data: dict, shape: tuple[int, int] | None = None) -> OrdinaryForm:
-    """The form of a JSON {"dim", "degree", "components"}; InputError unless it
-    is well formed and, where ``shape`` = (dim, degree) is given, of that shape."""
-    dim = json_dim(data)
-    degree = json_field(data, "degree", int)
-    if shape not in (None, (dim, degree)):
-        raise InputError(f"expected a {shape[1]}-form on R^{shape[0]}, "
-                         f"got a {degree}-form on R^{dim}")
-    comps = {}
-    for key, text in json_field(data, "components", dict).items():
-        try:
-            idxs = json.loads(key)
-        except ValueError:
-            idxs = None
-        if not (isinstance(idxs, list)
-                and all(isinstance(i, int) and not isinstance(i, bool) for i in idxs)):
-            raise InputError(f"component key {key!r} is not an array of integers")
-        comps[tuple(idxs)] = Polynomial.parse(dim, text)
-    if comps and not 0 <= degree <= dim:
-        raise InputError(f"a {degree}-form on R^{dim} has no components")
-    return OrdinaryForm(dim, degree, comps)

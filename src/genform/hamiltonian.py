@@ -12,7 +12,8 @@ Y the totally antisymmetric coefficient array of Upsilon.  So eps k - dh is
 the body of -dH, and S is the antisymmetric coefficient matrix of the two-form
 (i_v Upsilon + dk) / 2.  The returned representative has zero kernel
 component (v^a_b Omega_{ag} antisymmetric in b, g); the defining relation is
-re-verified exactly after construction.
+re-verified exactly after construction.  ``cli.hamiltonian_from_json``
+reads a problem from a fixture.
 
 The numeric side integrates the reduced equations of the scalar-extension
 example,  dq/dt = dh/dp,  dp/dt = -(dh/dq - 2 eps v0 p),  with classical RK4
@@ -38,19 +39,15 @@ from .exterior import (
     VectorField,
     _hooks,
     ext_d,
-    form_from_json,
     interior,
     inverse_defect,
-    json_dim,
-    json_field,
     mat_mul,
     poincare_antiderivative,
-    poly_matrix_from_json,
     transpose,
 )
 from .gform import GenForm, gd
 from .gvector import GenVectorField, gv_interior
-from .ring import ConstructionError, InputError, Polynomial, Scalar, parse_rational, poly_dot
+from .ring import ConstructionError, InputError, Polynomial, Scalar, poly_dot
 
 
 @dataclass(frozen=True)
@@ -273,26 +270,3 @@ def rk4_order_estimate(epsilon: Scalar, v0: Scalar, q0: float, p0: float,
         return None
     return math.log2(err_coarse / err_fine)
 
-
-# -- fixture loading -------------------------------------------------------------
-
-
-def problem_from_json(data: dict) -> GenHamiltonianProblem:
-    """Schema: dim, epsilon, omega (form JSON), upsilon (form JSON),
-    omega_inv (matrix of poly strings), h (poly string), k (list of poly
-    strings)."""
-    n = json_dim(data)
-    eps = parse_rational(json_field(data, "epsilon", str))
-    omega = form_from_json(json_field(data, "omega", dict), (n, 2))
-    upsilon = (form_from_json(data["upsilon"], (n, 3)) if "upsilon" in data
-               else OrdinaryForm.zero(n, 3))
-    s = GenForm(n, eps, 2, omega, upsilon)
-    inv = poly_matrix_from_json(n, json_field(data, "omega_inv", list))
-    sympl = symplectic_validate(s, inv)
-    h = Polynomial.parse(n, json_field(data, "h", str))
-    k = json_field(data, "k", list)
-    if len(k) != n:
-        raise InputError(f"k must list {n} polynomials")
-    soul = OrdinaryForm(n, 1, {(b,): Polynomial.parse(n, t) for b, t in enumerate(k, start=1)})
-    hamiltonian = GenForm(n, eps, 0, OrdinaryForm.from_scalar(h), soul)
-    return GenHamiltonianProblem(sympl, hamiltonian)

@@ -462,8 +462,8 @@ class Polynomial:
           branch.  Each polynomial computes its extent (``_extent``)
           and each of its fiber encodings (``_fibers``, one per stride of
           x1 and slot width) once, and keeps them for its lifetime: one
-          connection trial at dim 4 (seed 0, eps = 1) peaks at about 123 MB
-          instead of 105 MB (max RSS, measured 2026-10-18).
+          connection trial at dim 4 (seed 0, eps = 1) peaks at about 97 MB
+          instead of 85 MB (max RSS, measured 2026-10-19).
         """
         if not terms:
             raise ValueError("sum_products needs at least one (s, a, b) triple")

@@ -7,7 +7,8 @@ import math
 import pathlib
 from fractions import Fraction
 
-from genform.cover import canonicalize, cover_from_json, glue_validate, ideal_residual
+from genform.cli import connection_from_json, cover_from_json, hamiltonian_from_json, poly_matrix_from_json
+from genform.cover import canonicalize, glue_validate, ideal_residual
 from genform.gform import gd, gwedge
 from genform.gvector import GenVectorField, gv_bracket, gv_interior, gv_lie, quaternion_triple, validate_quaternion_triple
 from genform.hamiltonian import (
@@ -16,11 +17,10 @@ from genform.hamiltonian import (
     integrate_hamilton,
     max_abs_error,
     oscillator_closed_form,
-    problem_from_json,
     rk4_order_estimate,
 )
 from genform.randgen import FormRandom
-from genform.exterior import Tensor11, poly_matrix_from_json
+from genform.exterior import Tensor11
 from genform.suites import run_suite
 import genform.connection as conn
 
@@ -98,7 +98,7 @@ def test_criterion_06_hamiltonian_fixtures():
     ok = True
     for name in ("hamiltonian_n2.json", "hamiltonian_n4.json"):
         with open(FIXTURES / name) as fh:
-            prob = problem_from_json(json.load(fh))
+            prob = hamiltonian_from_json(json.load(fh))
         field = hamiltonian_vf(prob)
         s = prob.symplectic.s
         ok = ok and (gv_interior(field, s) + gd(prob.hamiltonian)).is_zero()
@@ -130,39 +130,24 @@ def test_criterion_08_connection_suite():
 def test_criterion_09_fundamental_theorem():
     ok = True
     with open(FIXTURES / "connection_case_i.json") as fh:
-        data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    chi = conn.matrix_of_forms_from_json(n, data["chi"])
-    alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    mc = conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+        mc = connection_from_json(json.load(fh), "i")
     ok = ok and conn.mat_is_zero(conn.nonmetricity(mc.A, mc.g))
     ok = ok and conn.mat_is_zero(conn.mat_sub(conn.curvature(mc.A),
                                               conn.case_i_curvature_formula(mc)))
 
     with open(FIXTURES / "connection_case_ii.json") as fh:
-        data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    eps = Fraction(data["epsilon"])
-    mc2 = conn.metric_connection_eps(gamma, alpha, gamma_inv, eps)
+        mc2 = connection_from_json(json.load(fh), "ii")
     ok = ok and conn.mat_is_zero(conn.nonmetricity(mc2.A, mc2.g))
 
     with open(FIXTURES / "connection_case_ii_ordinary.json") as fh:
         data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    alpha = conn.levi_civita_connection(gamma, gamma_inv)
-    mc3 = conn.metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
-    A3 = mc3.A
+    mc3 = connection_from_json(data, "ii")
+    A3, n = mc3.A, data["dim"]
     ok = ok and conn.mat_is_zero(conn.nonmetricity(A3, mc3.g))
     ok = ok and all(e.soul.is_zero() for row in A3.entries for e in row)
     F = conn.curvature(A3)
-    fcal = conn.ordinary_curvature(alpha)
+    fcal = conn.ordinary_curvature(conn.levi_civita_connection(
+        poly_matrix_from_json(n, data["gamma"]), poly_matrix_from_json(n, data["gamma_inv"])))
     ok = ok and all(F[i][j].soul.is_zero() and F[i][j].body == fcal[i][j]
                     for i in range(n) for j in range(n))
     _report(9, "compatibility theorem: zero non-metricity, ordinary corollary", ok)

@@ -101,7 +101,7 @@ def test_hamiltonian_fixtures(tmp_path):
 @pytest.mark.parametrize("name", ["hamiltonian_n2.json", "hamiltonian_n4.json"])
 def test_hamiltonian_contracts_the_field_with_s_once(name, tmp_path, monkeypatch):
     # hamiltonian_vf's residual contracts V with s; L_V s reuses that -dH
-    s = hamiltonian.problem_from_json(read(FIXTURES / name)).symplectic.s
+    s = cli.hamiltonian_from_json(read(FIXTURES / name)).symplectic.s
     forms = []
     contract = gvector.gv_interior
 

@@ -31,7 +31,7 @@ from genform.connection import (
     torsion,
     transform_connection,
 )
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, poly_matrix_from_json, wedge_dot
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, wedge_dot
 from genform.gform import GenForm, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
@@ -528,22 +528,11 @@ def test_trivial_flat_case_ii():
 
 def test_bundled_fixtures_load_and_verify():
     with open(FIXTURES / "connection_case_i.json") as fh:
-        data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    chi = conn.matrix_of_forms_from_json(n, data["chi"])
-    alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
+        mc = cli.connection_from_json(json.load(fh), "i")
     assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
 
     with open(FIXTURES / "connection_case_ii.json") as fh:
-        data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    alpha = conn.matrix_of_forms_from_json(n, data["alpha"])
-    mc = metric_connection_eps(gamma, alpha, gamma_inv, Fraction(2))
+        mc = cli.connection_from_json(json.load(fh), "ii")
     assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
     assert not conn.mat_is_zero(mc.q)
 
@@ -552,19 +541,9 @@ def test_bundled_fixtures_load_and_verify():
 
 
 def _fixture_construction(name):
-    """Run the construction of ``fixtures/<name>.json`` as ``connection-thm``
-    does: alpha defaults to the Levi-Civita connection and chi to zero."""
-    with open(FIXTURES / f"{name}.json") as fh:
-        data = json.load(fh)
-    n = data["dim"]
-    gamma = poly_matrix_from_json(n, data["gamma"])
-    gamma_inv = poly_matrix_from_json(n, data["gamma_inv"])
-    alpha = (conn.matrix_of_forms_from_json(n, data["alpha"]) if "alpha" in data
-             else levi_civita_connection(gamma, gamma_inv))
-    if data["case"] == "i":
-        chi = conn.matrix_of_forms_from_json(n, data["chi"])
-        return metric_connection_eps0(gamma, chi, alpha, gamma_inv)
-    return metric_connection_eps(gamma, alpha, gamma_inv, Fraction(data["epsilon"]))
+    """The construction of ``fixtures/<name>.json``, read as ``connection-thm`` reads it."""
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    return cli.connection_from_json(data, data["case"])
 
 
 def _random_constructions():

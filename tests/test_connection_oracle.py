@@ -27,7 +27,7 @@ from sympy.diffgeom import (CoordSystem, Manifold, Patch, TensorProduct,  # noqa
                             metric_to_Christoffel_2nd, metric_to_Riemann_components)
 
 from genform.connection import levi_civita_connection, ordinary_curvature  # noqa: E402
-from genform.exterior import poly_matrix_from_json  # noqa: E402
+from genform.cli import poly_matrix_from_json  # noqa: E402
 from genform.randgen import FormRandom  # noqa: E402
 from genform.ring import Polynomial  # noqa: E402
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from genform.cli import cover_from_json
 from genform.cover import (
     ChartData,
     CoverData,
     ExpConstant,
     canonicalize,
-    cover_from_json,
     general_gd,
     glue_validate,
     ideal_residual,

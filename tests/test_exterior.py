@@ -7,6 +7,7 @@ from functools import reduce
 
 import pytest
 
+from genform.cli import form_from_json, json_dim, json_field, poly_matrix_from_json
 from genform.exterior import (
     OrdinaryForm,
     Tensor11,
@@ -15,15 +16,13 @@ from genform.exterior import (
     _hooks,
     coordinate_partial,
     ext_d,
-    form_from_json,
     interior,
-    json_dim,
-    json_field,
     lie,
+    mat_add,
     mat_mul,
+    mat_sub,
     merge_indices,
     poincare_antiderivative,
-    poly_matrix_from_json,
     pullback,
     transpose,
     vf_bracket,
@@ -544,6 +543,17 @@ def test_transpose():
     m = ((1, 2, 3), (4, 5, 6))
     assert transpose(m) == ((1, 4), (2, 5), (3, 6))
     assert transpose(transpose(m)) == m
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: mat_add(((1, 2), (3, 4)), ((1, 2),)),
+    lambda: mat_sub(((1, 2), (3, 4)), ((1,), (2,))),
+    lambda: transpose(((1, 2), (3,))),
+])
+def test_matrix_helpers_pair_rows_and_entries_strictly(bad):
+    # a plain zip would cut each pair to the shorter one
+    with pytest.raises(ValueError):
+        bad()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genform.cli import hamiltonian_from_json
 from genform.exterior import OrdinaryForm, Tensor11, VectorField, ext_d
 from genform.gform import GenForm, gd
 from genform.gvector import GenVectorField, gv_bracket, gv_interior, gv_lie
@@ -18,7 +19,6 @@ from genform.hamiltonian import (
     integrate_hamilton,
     max_abs_error,
     oscillator_closed_form,
-    problem_from_json,
     recover_hamiltonian,
     rk4_order_estimate,
     step_count,
@@ -253,7 +253,7 @@ def test_bracket_of_hamiltonian_fields_is_hamiltonian():
 def test_fixture_n2_and_n4():
     for name in ("hamiltonian_n2.json", "hamiltonian_n4.json"):
         with open(FIXTURES / name) as fh:
-            prob = problem_from_json(json.load(fh))
+            prob = hamiltonian_from_json(json.load(fh))
         field = hamiltonian_vf(prob)
         assert (gv_interior(field, prob.symplectic.s) + gd(prob.hamiltonian)).is_zero()
         assert gv_lie(field, prob.symplectic.s).is_zero()

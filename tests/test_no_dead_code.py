@@ -21,7 +21,8 @@ go stale.
 An imported name counts as used when its module reads it as a bare name
 (an attribute access ``conn.x`` reads ``conn``), or when it is listed in the
 module's ``__all__``, the package's re-exports.  ``from __future__`` imports
-are exempt.
+are exempt.  ``cli``, the home of the fixture format, alone imports ``json``
+and defines ``*_from_json`` readers.
 """
 
 import ast
@@ -151,3 +152,13 @@ def unused_imports() -> list[str]:
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_only_cli_reads_the_fixture_format():
+    json_users = {path.stem for path in PACKAGE.rglob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Import) and "json" in [a.name for a in node.names]
+                  or isinstance(node, ast.ImportFrom) and node.module == "json"}
+    assert json_users == {"cli"}
+    readers = [name for name in definitions().values() if name.endswith("_from_json")]
+    assert readers and all(name.startswith("cli.") for name in readers), readers

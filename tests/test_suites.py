@@ -245,19 +245,20 @@ def test_unequal_sides_record_their_difference():
          "residual": str(mat_sub(((a, b),), ((twin, a),)))}]
 
 
-@pytest.mark.parametrize("dim, epsilon, error", [
-    (3, Fraction(1), "dimension mismatch: 2 vs 3"),
-    (2, Fraction(2), "epsilon mismatch: 1 vs 2"),
+@pytest.mark.parametrize("sides, error", [
+    pytest.param(lambda a, b: (a, GenForm.one(3, Fraction(1))), "dimension mismatch: 2 vs 3",
+                 id="dim"),
+    pytest.param(lambda a, b: (a, GenForm.one(2, Fraction(2))), "epsilon mismatch: 1 vs 2",
+                 id="epsilon"),
+    pytest.param(lambda a, b: (((a,),), ((a, b), (b, a))),
+                 "zip() argument 2 is longer than argument 1", id="shape"),
 ])
-def test_a_mismatch_of_two_sides_ends_the_trial_in_an_exception_record(dim, epsilon, error,
-                                                                       monkeypatch):
-    # sides of another dim or epsilon are unequal, so they are subtracted, and
-    # the subtraction's ValueError becomes the trial's one record
-    other = GenForm.one(dim, epsilon)
-
+def test_a_mismatch_of_two_sides_ends_the_trial_in_an_exception_record(sides, error, monkeypatch):
+    # sides of another dim, epsilon or matrix shape are unequal, so they are
+    # subtracted, and the subtraction's ValueError becomes the trial's one record
     def body(rnd, degree, check):
         a = GenForm.one(2, rnd.epsilon)
-        check("form", a, other)
+        check("form", *sides(a, a + a))
 
     monkeypatch.setitem(suites.SUITES, "cartan", body)
     assert [(f["case"], f["trial"], f["residual"])
