@@ -41,13 +41,13 @@ A broken hypothesis (an asymmetric metric, an inexact inverse, torsion, a
 non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2);
 ``ConstructionError`` means that a construction itself failed on input that
 met them (exit 1, with the report).
-Both constructions return a ``MetricConnection``: A and g together with the
-pieces they computed on the way, the ordinary curvature F_cal, the ordinary
-non-metricity q, gamma F_cal and its gamma-adjoint (eps != 0) and the
-non-metricity Q of the result, which they verified to be zero.  The closed-form curvature formulas
-and the ``connection-thm`` command read these pieces instead of computing
-them again; the mechanical ``curvature(A)`` that the formulas are compared
-with is still computed from A alone.
+Both constructions verify that the non-metricity Q of their result is zero
+and return a ``MetricConnection``: A and g together with the pieces they
+computed on the way, the ordinary curvature F_cal, the ordinary
+non-metricity q and, for eps != 0, gamma F_cal and its gamma-adjoint.  The
+closed-form curvature formulas and the ``connection-thm`` command read these
+pieces instead of computing them again; the mechanical ``curvature(A)`` that
+the formulas are compared with is still computed from A alone.
 """
 
 from __future__ import annotations
@@ -150,13 +150,12 @@ class GenConnection:
     entries: GenMatrix  # degree-1 extended forms
 
     @classmethod
-    def build(cls, entries, epsilon: Scalar | None = None) -> "GenConnection":
+    def build(cls, entries, epsilon: Scalar) -> "GenConnection":
         entries = _as_tuple(entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ConstructionError("connection matrix must be square")
-        eps = Fraction(epsilon) if epsilon is not None else entries[0][0].epsilon
-        A = cls(n, eps, entries)
+        A = cls(n, Fraction(epsilon), entries)
         for row in entries:
             for e in row:
                 GenForm._require_compatible(A, e, ConstructionError)
@@ -393,25 +392,23 @@ def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatr
 
 
 class MetricConnection(NamedTuple):
-    """A compatibility construction's result with the pieces it computed on
-    the way, for the curvature formulas and the CLI to read instead of
-    recomputing."""
+    """A compatibility construction's result, whose non-metricity Q = 0 it
+    verified, with the pieces it computed on the way, for the curvature
+    formulas and the CLI to read instead of recomputing."""
 
     A: GenConnection
     g: GenMetric
     fcal: FormMatrix  # F_cal = d alpha + alpha alpha
     q: FormMatrix  # ordinary non-metricity of alpha, zero for eps = 0
-    Q: GenMatrix  # non-metricity of A in g, verified zero
     fcal_low: FormMatrix | None  # F_cal_{nl} = gamma_{ns} F_cal^s_l; eps != 0 only
     fcal_adj: FormMatrix | None  # gamma^{ml} F_cal_{nl}, F_cal's gamma-adjoint; eps != 0 only
 
 
 def _verified(A: GenConnection, g: GenMetric, fcal: FormMatrix, q: FormMatrix,
               fcal_low: FormMatrix | None, fcal_adj: FormMatrix | None) -> MetricConnection:
-    Q = nonmetricity(A, g)
-    if not mat_is_zero(Q):
+    if not mat_is_zero(nonmetricity(A, g)):
         raise ConstructionError("construction failed: non-metricity residual nonzero")
-    return MetricConnection(A, g, fcal, q, Q, fcal_low, fcal_adj)
+    return MetricConnection(A, g, fcal, q, fcal_low, fcal_adj)
 
 
 def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMatrix,

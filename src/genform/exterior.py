@@ -76,7 +76,7 @@ class OrdinaryForm:
         self.degree = degree
         self._d = self._hooks = None
         clean: dict[IndexTuple, Coefficient] = {}
-        if components and 0 <= degree <= dim:
+        if components:
             for idxs, coeff in components.items():
                 idxs = tuple(idxs)
                 if len(idxs) != degree:
@@ -187,9 +187,6 @@ class OrdinaryForm:
             return True  # a single zero form, whatever its nominal degree
         return self.degree == other.degree and self.components == other.components
 
-    def __hash__(self):
-        raise TypeError("OrdinaryForm is not hashable")
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -240,9 +237,6 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField([a + b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self) -> "VectorField":
-        return VectorField([-c for c in self.components])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField([a - b for a, b in zip(self.components, other.components)])
@@ -373,9 +367,6 @@ class Tensor11:
 
     def __add__(self, other: "Tensor11") -> "Tensor11":
         return Tensor11(mat_add(self.components, other.components))
-
-    def __neg__(self) -> "Tensor11":
-        return Tensor11(mat_neg(self.components))
 
     def __sub__(self, other: "Tensor11") -> "Tensor11":
         return Tensor11(mat_sub(self.components, other.components))

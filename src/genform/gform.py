@@ -140,9 +140,6 @@ class GenForm:
         return (self.degree == other.degree
                 and self.body == other.body and self.soul == other.soul)
 
-    def __hash__(self):
-        raise TypeError("GenForm is not hashable")
-
     def __str__(self):
         if self.is_zero():
             return "0"

@@ -86,9 +86,6 @@ class GenVectorField:
         self._require_compatible(other)
         return GenVectorField(self.dim, self.epsilon, self.v - other.v, self.vt - other.vt)
 
-    def __neg__(self) -> "GenVectorField":
-        return GenVectorField(self.dim, self.epsilon, -self.v, -self.vt)
-
     def __eq__(self, other):
         if not isinstance(other, GenVectorField):
             return NotImplemented
@@ -278,7 +275,6 @@ def validate_quaternion_triple(js: Sequence[Tensor11]) -> None:
                (1, 0): (2, -1), (2, 1): (0, -1), (0, 2): (1, -1)}
     for (i, j), (k, sign) in eps_sym.items():
         product = js[i].matmul(js[j])
-        expected = js[k] if sign > 0 else -js[k]
-        if product != expected:
+        if not (product - js[k] if sign > 0 else product + js[k]).is_zero():
             raise AssertionError(f"J{i + 1} J{j + 1} != {sign:+d} J{k + 1}")
 

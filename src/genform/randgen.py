@@ -37,14 +37,12 @@ class FormRandom:
         # the packed keys of the monomials of total degree <= 2, packed once
         self._keys = [_pack(e) for e in itertools.product(range(3), repeat=dim) if sum(e) <= 2]
 
-    def poly(self, allow_zero: bool = True) -> Polynomial:
+    def poly(self) -> Polynomial:
         terms = {}
         for key in self._keys:
             if self.rng.random() < 0.5:
                 continue
             terms[key] = self.rng.choice(COEFF_POOL)
-        if not terms and not allow_zero:
-            terms[0] = self.rng.choice(COEFF_POOL)
         # the pool's values are nonzero and reduced, so their numerators over
         # the lcm of their denominators are canonical, as the constructor
         # would build them

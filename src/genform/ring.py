@@ -270,7 +270,7 @@ class Polynomial:
     """Immutable sparse polynomial with rational coefficients, stored as
     integer numerators on packed exponent keys over one denominator."""
 
-    __slots__ = ("dim", "den", "_nums", "_kernel", "_hash", "_partials")
+    __slots__ = ("dim", "den", "_nums", "_kernel", "_partials")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, Scalar]):
         def rationals():
@@ -283,7 +283,7 @@ class Polynomial:
 
         poly = Polynomial._packed(dim, rationals())
         self.dim, self.den, self._nums = dim, poly.den, poly._nums
-        self._kernel = self._hash = self._partials = None
+        self._kernel = self._partials = None
 
     @classmethod
     def _packed(cls, dim: int, terms: Iterable[tuple[Exponent, int, int]]) -> "Polynomial":
@@ -317,7 +317,7 @@ class Polynomial:
         poly.dim = dim
         poly.den = den
         poly._nums = nums
-        poly._kernel = poly._hash = poly._partials = None
+        poly._kernel = poly._partials = None
         return poly
 
     @property
@@ -406,9 +406,7 @@ class Polynomial:
         ``-``.  The sign rides on other's scale factor, so a difference
         builds no negated copy of other."""
         if not isinstance(other, Polynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Polynomial.const(self.dim, other)
+            return NotImplemented
         self._require_same_dim(other)
         if not other._nums:
             return self
@@ -427,16 +425,8 @@ class Polynomial:
     def __add__(self, other):
         return self._plus(other, 1)
 
-    def __radd__(self, other):
-        return self._plus(other, 1)
-
     def __sub__(self, other):
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self + other
-        return NotImplemented
 
     def __neg__(self):
         # negating every numerator keeps the form canonical
@@ -522,14 +512,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.dim)
-        for _ in range(power):
-            result = result * self
-        return result
-
     def partial(self, axis: int) -> "Polynomial":
         """Formal partial derivative with respect to x_axis (1-based), formed
         on first use and kept in ``_partials`` for the polynomial's lifetime."""
@@ -561,9 +543,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, self.den, frozenset(self._nums.items())))
-        return self._hash
+        if self._nums.keys() <= {0}:  # a constant equals its value, so hashes as it
+            return hash(Fraction(self._nums.get(0, 0), self.den))
+        return hash((self.dim, self.den, frozenset(self._nums.items())))
 
     def __str__(self):
         if not self._nums:
@@ -741,6 +723,8 @@ class ExpPoly:
         return self.dim == coerced.dim and self.terms == coerced.terms
 
     def __hash__(self):
+        if all(q.is_zero() for q in self.terms):  # equals, so hashes as, its coefficient
+            return hash(next(iter(self.terms.values()), 0))
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __str__(self):

@@ -97,9 +97,6 @@ class SuperFunction:
     def __sub__(self, other: "SuperFunction") -> "SuperFunction":
         return self._plus(other, -1)
 
-    def __neg__(self) -> "SuperFunction":
-        return SuperFunction(self.dim, self.epsilon, {m: -c for m, c in self.terms.items()})
-
     def mul(self, other: "SuperFunction") -> "SuperFunction":
         """Graded-commutative product with transposition-counted signs."""
         self._require_compatible(other)

@@ -32,6 +32,7 @@ from genform.exterior import (
 )
 from genform.randgen import COEFF_POOL, FormRandom
 from genform.ring import ExpPoly, InputError, Polynomial, compose_all, poly_dot
+from test_ring import nonzero_poly
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -152,7 +153,8 @@ def _cubic_form(rnd: FormRandom, degree: int) -> OrdinaryForm:
     """Random form whose coefficients carry a cubic monomial as well."""
     base = rnd.form(degree)
     scale = Fraction(0) if rnd.rng.random() < 0.25 else rnd.rng.choice(COEFF_POOL)
-    bump = Polynomial.var(rnd.dim, 1) ** 3 * scale
+    x1 = Polynomial.var(rnd.dim, 1)
+    bump = x1 * x1 * x1 * scale
     return base + OrdinaryForm(rnd.dim, degree,
                                {idxs: bump for idxs in base.components})
 
@@ -251,7 +253,7 @@ def test_pullback_matches_the_wedge_chain_reference(dim):
             forms = [target.form(degree), OrdinaryForm.zero(dim, degree)]
             if 0 <= degree <= dim:  # a component for sure, on the first `degree` axes
                 forms.append(OrdinaryForm.basis(dim, range(1, degree + 1),
-                                                target.poly(allow_zero=False)))
+                                                nonzero_poly(target)))
             for a in forms:
                 got, want = pullback(phi, a), reference_pullback(phi, a)
                 assert (got.dim, got.degree, got.components) == (want.dim, want.degree,
@@ -286,7 +288,7 @@ def test_poincare_antiderivative_example_and_errors():
 def test_interior_hands_the_kernel_no_zero_component(monkeypatch):
     n = 3
     rnd = FormRandom(56, n, Fraction(0))
-    v = VectorField([rnd.poly(False), Polynomial.zero(n), rnd.poly(False)])
+    v = VectorField([nonzero_poly(rnd), Polynomial.zero(n), nonzero_poly(rnd)])
     a = rnd.form(2)
     want = reduce(operator.add, (interior(coordinate_field(n, r), a).scale(v.component(r))
                                  for r in range(1, n + 1)))
@@ -350,6 +352,10 @@ def test_invalid_components_rejected():
         OrdinaryForm(n, 1, {(3,): Polynomial.one(n)})
     with pytest.raises(ValueError):
         OrdinaryForm(n, 2, {(1,): Polynomial.one(n)})
+    # a component at a degree outside 0..dim is rejected too, not dropped
+    for degree, idxs in ((3, (1, 2, 3)), (-1, (1,)), (-1, ())):
+        with pytest.raises(InputError):
+            OrdinaryForm(n, degree, {idxs: Polynomial.one(n)})
 
 
 @pytest.mark.parametrize("change", [{"dim": 2.0}, {"dim": -1}, {"degree": 1.5}, {"degree": None},
@@ -440,7 +446,7 @@ def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
     comps = {}
     for k, (idxs, c) in enumerate(form.components.items()):
         comps[idxs] = (c if k % 2 else
-                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(rnd.poly(allow_zero=False)))
+                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(nonzero_poly(rnd)))
     return OrdinaryForm(form.dim, form.degree, comps)
 
 

@@ -23,6 +23,7 @@ from genform.hamiltonian import GenHamiltonianProblem, symplectic_validate
 from genform.randgen import FormRandom
 from genform.ring import ConstructionError, ExpPoly, InputError, Polynomial
 from genform.superspace import SuperFunction
+from test_ring import nonzero_poly
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -57,6 +58,12 @@ def test_unit_of_zero_forms():
         a = rnd.genform()
         assert gwedge(a, one) == a
         assert gwedge(one, a) == a
+
+
+def test_forms_are_unhashable():
+    for form in (OrdinaryForm.constant(2, 1), GenForm.one(2, Fraction(1))):
+        with pytest.raises(TypeError):
+            hash(form)
 
 
 def test_dm_equals_epsilon():
@@ -245,13 +252,13 @@ def test_epsilon_mismatch_rejected():
 
 
 def _connection_site(dim: int, eps: Fraction):
-    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)])
+    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)], 1)
     V = GenVectorField.ordinary(VectorField.zero(dim), eps)
     return lambda: conn.cov_deriv_vf(A, V)
 
 
 def _nonmetricity_site(dim: int, eps: Fraction):
-    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)])
+    A = conn.GenConnection.build([[GenForm.zero(2, 1, 1)] * 2 for _ in range(2)], 1)
     eye = mat_identity(dim, Polynomial.one(dim), Polynomial.zero(dim))
     chi = [[OrdinaryForm.zero(dim, 1)] * dim for _ in range(dim)]
     g = conn.metric_validate(eye, chi, eye, eps)
@@ -368,7 +375,7 @@ def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
     comps = {}
     for k, (idxs, c) in enumerate(form.components.items()):
         comps[idxs] = (c if k % 2 else
-                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(rnd.poly(allow_zero=False)))
+                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(nonzero_poly(rnd)))
     return OrdinaryForm(form.dim, form.degree, comps)
 
 

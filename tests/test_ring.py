@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections.abc import Mapping
@@ -26,6 +27,13 @@ def eval_exact(p: Polynomial, point) -> Fraction:
     return total
 
 
+def nonzero_poly(rnd) -> Polynomial:
+    """The next nonzero polynomial that ``rnd.poly()`` draws."""
+    while (p := rnd.poly()).is_zero():
+        pass
+    return p
+
+
 def eval_float(f: Polynomial | ExpPoly, point) -> float:
     """f at a float point: per term of a polynomial, float(coefficient) times
     float(x) ** e over its nonzero exponents in variable order, summed from
@@ -45,8 +53,8 @@ def eval_float(f: Polynomial | ExpPoly, point) -> float:
 
 
 def test_difference_of_squares():
-    x1 = Polynomial.var(2, 1)
-    assert (x1 + 1) * (x1 - 1) == x1 * x1 - Polynomial.one(2)
+    x1, one = Polynomial.var(2, 1), Polynomial.one(2)
+    assert (x1 + one) * (x1 - one) == x1 * x1 - one
 
 
 def test_additive_identity():
@@ -66,6 +74,20 @@ def test_exp_product_collapses_to_constant():
         want = eval_float(a, [float(point[0])]) * eval_float(b, [float(point[0])])
         assert abs(got - want) < 1e-9
         assert abs(got - 6.0) < 1e-9
+
+
+def test_equal_values_hash_alike():
+    # a constant polynomial equals its value, and an ExpPoly without
+    # exponentials its coefficient, so each hashes as that
+    for dim in (1, 3):
+        for value in (0, 3, Fraction(-5, 2)):
+            p = Polynomial.const(dim, value)
+            values = (value, Fraction(value), p, ExpPoly.from_poly(p))
+            for x, y in itertools.combinations(values, 2):
+                assert x == y and hash(x) == hash(y)
+            assert len(set(values)) == 1
+        x1 = Polynomial.var(dim, 1)
+        assert ExpPoly.from_poly(x1) == x1 and hash(ExpPoly.from_poly(x1)) == hash(x1)
 
 
 def test_partial_power_rule():
@@ -217,13 +239,18 @@ def test_compose():
 
 
 def test_scalar_minus_polynomial():
-    x1 = Polynomial.var(2, 1)
-    assert 1 - x1 == Polynomial.parse(2, "1 + -1*x1")
-    assert Fraction(1, 2) - x1 == -(x1 - Fraction(1, 2))
-    assert 3 - Polynomial.const(2, 3) == Polynomial.zero(2)
-    assert Fraction(2, 3) - Polynomial.zero(2) == Polynomial.const(2, Fraction(2, 3))
-    with pytest.raises(TypeError):
-        "1" - x1
+    # a scalar enters a sum as its constant polynomial
+    x1, half = Polynomial.var(2, 1), Polynomial.const(2, Fraction(1, 2))
+    assert Polynomial.one(2) - x1 == Polynomial.parse(2, "1 + -1*x1")
+    assert half - x1 == -(x1 - half)
+    assert Polynomial.const(2, 3) - Polynomial.const(2, 3) == Polynomial.zero(2)
+    assert (Polynomial.const(2, Fraction(2, 3)) - Polynomial.zero(2)
+            == Polynomial.const(2, Fraction(2, 3)))
+    for scalar in ("1", 1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            scalar - x1
+        with pytest.raises(TypeError):
+            x1 + scalar
 
 
 def test_parse_rational_grammar_is_strict():
@@ -249,8 +276,8 @@ def test_terms_is_a_read_only_mapping_view():
     assert isinstance(p.terms, Mapping)
     assert len(p.terms) == 2
     assert len(Polynomial.zero(3).terms) == 0
-    x1 = Polynomial.var(3, 1)
-    assert len(((x1 + 1) * (x1 - 1)).terms) == 2
+    x1, one = Polynomial.var(3, 1), Polynomial.one(3)
+    assert len(((x1 + one) * (x1 - one)).terms) == 2
     with pytest.raises(TypeError):
         p.terms[(0, 0, 2)] = Fraction(1)
     assert p.terms == {(2, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1)}
@@ -271,9 +298,10 @@ def test_exponent_limit():
     with pytest.raises(ValueError):
         top * Polynomial.var(2, 1)
     with pytest.raises(ValueError):
-        (top + Polynomial.var(2, 2)) * (Polynomial.var(2, 1) + 1)
+        (top + Polynomial.var(2, 2)) * (Polynomial.var(2, 1) + Polynomial.one(2))
+    half = Polynomial.parse(2, f"1*x1^{MAX_EXPONENT // 2 + 1}")
     with pytest.raises(ValueError):
-        Polynomial.parse(2, f"1*x1^{MAX_EXPONENT // 2 + 1}") ** 2
+        half * half
     # in a sum of products too, even when the overflowing terms cancel
     x1 = Polynomial.var(2, 1)
     with pytest.raises(ValueError):
