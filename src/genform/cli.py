@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from typing import Callable
 
 from . import connection as conn
 from .cover import ChartData, CoverData, ExpConstant, canonicalize, glue_validate, ideal_residual
-from .exterior import OrdinaryForm, mat_is_zero
+from .exterior import OrdinaryForm, mat_identity, mat_is_zero, mat_map
 from .gform import GenForm, gd
 from .gvector import gv_interior
 from .hamiltonian import (
@@ -122,7 +123,7 @@ def _json_matrix(dim: int, data, cell: Callable) -> tuple[tuple, ...]:
     if not (isinstance(data, list) and len(data) == dim
             and all(isinstance(row, list) and len(row) == dim for row in data)):
         raise InputError(f"matrix must be {dim} x {dim}")
-    return tuple(tuple(cell(entry) for entry in row) for row in data)
+    return mat_map(cell, data)
 
 
 def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
@@ -191,8 +192,8 @@ def connection_from_json(data: dict, case: str) -> conn.MetricConnection:
         if "chi" in data:
             raise InputError("case ii sets chi = q/eps: its fixture gives no chi")
         return conn.metric_connection_eps(gamma, alpha, gamma_inv, epsilon)
-    chi = (_json_matrix(n, data["chi"], one_form) if "chi" in data
-           else tuple(tuple(OrdinaryForm.zero(n, 1) for _ in range(n)) for _ in range(n)))
+    zero = OrdinaryForm.zero(n, 1)
+    chi = _json_matrix(n, data["chi"], one_form) if "chi" in data else mat_identity(n, zero, zero)
     return conn.metric_connection_eps0(gamma, chi, alpha, gamma_inv)
 
 
@@ -314,7 +315,7 @@ def cmd_hamiltonian(args, report: dict) -> None:
     report["gauge_shift_ok"] = gauge_residual.is_zero()
     report["field"] = {
         "v": [str(c) for c in field.v.components],
-        "vt": [[str(c) for c in row] for row in field.vt.components],
+        "vt": mat_map(str, field.vt.components),
     }
     report["pass"] = (report["defining_relation_zero"]
                       and report["lie_derivative_of_s_zero"]
@@ -332,9 +333,10 @@ def cmd_connection_thm(args, report: dict) -> None:
     report["curvature_formula_match"] = curv == formula
     if args.case == "ii" and mat_is_zero(mc.q):
         # an ordinary metric: A = alpha and F = F_cal, neither with a soul
+        souls = operator.attrgetter("soul")
         report["ordinary_metric_corollary"] = (
-            all(e.soul.is_zero() for m in (curv, mc.A.entries) for row in m for e in row)
-            and tuple(tuple(e.body for e in row) for row in curv) == mc.fcal)
+            mat_is_zero(mat_map(souls, curv)) and mat_is_zero(mat_map(souls, mc.A.entries))
+            and mat_map(operator.attrgetter("body"), curv) == mc.fcal)
     report["pass"] = (report["nonmetricity_zero"]
                       and report["curvature_formula_match"]
                       and report.get("ordinary_metric_corollary", True))

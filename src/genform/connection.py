@@ -9,21 +9,23 @@ body/soul component formulas, and the two paths must agree exactly.
 A single matrix product on either path is one ``exterior.mat_mul`` under a
 row-times-column sum that accumulates each entry's coefficients once:
 ``gform.gwedge_dot`` on the matrix path and ``exterior.wedge_dot`` on the
-component path; an inverse is judged by ``exterior.inverse_defect``.  A signed sum
-of matrix products, such as D t = d t + alpha t -+ t alpha or
-Q = dg - gA - (g^T A)^T, is one ``_signed_sum``: it gives each entry's
-products to one ``gform.gwedge_sum`` or ``exterior.wedge_sum`` and adds the
-derivative term once.  A product enters as X Y or, marked, as (X Y)^T, and
-the caller passes a transposed factor as ``transpose(X)``, so the summed
-index is chosen in that one helper.  ``mat_mul`` and the matrix
-compositions that the tests compare the signed sums with do not use it, so
-they stay an independent path.  A polynomial matrix that multiplies forms
-is lifted once to its matrix of 0-forms, ordinary or extended, and goes
-through the same sums.  The two paths share that summation and the ring
-kernel ``Polynomial.sum_products`` under it, which their own tests compare
-with one product at a time.  No transpose assumes a symmetric metric; only
-``_raise_both``, which raises both indices of a symmetric x, forms one
-triangle of its symmetric result and mirrors it.
+component path; a matrix times a vector is one such dot per row, and an
+inverse is judged by ``exterior.inverse_defect``.  A signed sum of matrix
+products, such as D t = d t + alpha t -+ t alpha or Q = dg - gA - (g^T A)^T,
+is one ``_signed_sum``: it gives each entry's products to one
+``gform.gwedge_sum`` or ``exterior.wedge_sum`` and adds the derivative term
+once.  A product enters as X Y or, marked, as (X Y)^T, and the caller passes
+a transposed factor as ``transpose(X)``, so the summed index is chosen in
+that one helper.  ``mat_mul`` and the matrix compositions that the tests
+compare the signed sums with do not use it, so they stay an independent
+path.  Everything entrywise is one ``exterior.mat_map``: a sum, d of each
+entry, a scaling, the split into bodies and souls (``_split``), the
+assembly from them (``partial(GenForm, n, eps, degree)``) and the lift of a
+polynomial matrix that multiplies forms to its 0-forms.  The two paths
+share that summation and the ring kernel ``Polynomial.sum_products`` under
+it, which their own tests compare with one product at a time.  No transpose
+assumes a symmetric metric; only ``_raise_both``, which raises both indices
+of a symmetric x, forms one triangle of its symmetric result and mirrors it.
 A ``GenMetric`` holds gamma (the bodies of g) and gamma^-1 as 0-forms, lifted
 once they are judged and before anything is built from them.  The ordinary
 non-metricity q = D gamma is ``cov_d_lowered`` on gamma's 0-forms, so the
@@ -37,8 +39,9 @@ by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact,
 and ``cli.connection_from_json`` reads them.
-A broken hypothesis (an asymmetric metric, an inexact inverse, torsion, a
-non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2);
+A broken hypothesis (a gamma, gamma^-1 or chi that is not n x n, an
+asymmetric metric, an inexact inverse, torsion, a non-metric alpha_lc,
+eps = 0) raises ``InputError`` (exit 2);
 ``ConstructionError`` means that a construction itself failed on input that
 met them (exit 1, with the report).
 Both constructions verify that the non-metricity Q of their result is zero
@@ -52,13 +55,15 @@ the formulas are compared with is still computed from A alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .exterior import (OrdinaryForm, Tensor11, VectorField, coordinate_partial, ext_d,
-                       inverse_defect, mat_add, mat_is_zero, mat_mul, mat_neg, mat_sub, transpose,
-                       wedge_dot, wedge_sum)
+                       inverse_defect, mat_is_zero, mat_map, mat_mul, transpose, wedge_dot,
+                       wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
 from .ring import ConstructionError, InputError, Polynomial, Scalar
@@ -71,42 +76,13 @@ PolyMatrix = tuple[tuple[Polynomial, ...], ...]
 # -- matrix helpers ---------------------------------------------------------------
 
 
-def _as_tuple(matrix) -> tuple:
-    return tuple(tuple(row) for row in matrix)
-
-
-def mat_gd(a: GenMatrix) -> GenMatrix:
-    return tuple(tuple(gd(x) for x in row) for row in a)
-
-
-def mat_ext_d(a: FormMatrix) -> FormMatrix:
-    return tuple(tuple(ext_d(x) for x in row) for row in a)
-
-
 def _scale_matrix(m, factor):
-    return tuple(tuple(x.scale(factor) for x in row) for row in m)
-
-
-def _scalar_forms(m: PolyMatrix) -> FormMatrix:
-    """m lifted entrywise to 0-forms."""
-    return tuple(tuple(OrdinaryForm.from_scalar(x) for x in row) for row in m)
-
-
-def _gen_scalars(m: PolyMatrix, epsilon: Scalar) -> GenMatrix:
-    """m lifted entrywise to extended 0-forms."""
-    return tuple(tuple(GenForm.from_scalar(x, epsilon) for x in row) for row in m)
+    return mat_map(lambda x: x.scale(factor), m)
 
 
 def _split(m: GenMatrix) -> tuple[FormMatrix, FormMatrix]:
     """The bodies and the souls of m, as two matrices."""
-    return (tuple(tuple(e.body for e in row) for row in m),
-            tuple(tuple(e.soul for e in row) for row in m))
-
-
-def _gen_matrix(n: int, epsilon: Scalar, degree: int,
-                body: FormMatrix, soul: FormMatrix) -> GenMatrix:
-    return tuple(tuple(GenForm(n, epsilon, degree, b, s) for b, s in zip(rb, rs))
-                 for rb, rs in zip(body, soul))
+    return mat_map(lambda e: e.body, m), mat_map(lambda e: e.soul, m)
 
 
 def _signed_sum(total: Callable, products: Sequence[tuple],
@@ -151,7 +127,7 @@ class GenConnection:
 
     @classmethod
     def build(cls, entries, epsilon: Scalar) -> "GenConnection":
-        entries = _as_tuple(entries)
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ConstructionError("connection matrix must be square")
@@ -165,30 +141,31 @@ class GenConnection:
 
     @classmethod
     def from_parts(cls, alpha: FormMatrix, beta: FormMatrix, epsilon: Scalar) -> "GenConnection":
-        return cls.build(_gen_matrix(len(alpha), epsilon, 1, alpha, beta), epsilon)
+        return cls.build(mat_map(partial(GenForm, len(alpha), epsilon, 1), alpha, beta), epsilon)
 
 
 def curvature(A: GenConnection) -> GenMatrix:
     """F = dA + A A."""
-    return mat_add(mat_gd(A.entries), mat_mul(A.entries, A.entries, gwedge_dot))
+    return mat_map(operator.add, mat_map(gd, A.entries), mat_mul(A.entries, A.entries, gwedge_dot))
 
 
 def ordinary_curvature(alpha: FormMatrix) -> FormMatrix:
     """F_cal = d alpha + alpha alpha."""
-    return mat_add(mat_ext_d(alpha), mat_mul(alpha, alpha, wedge_dot))
+    return mat_map(operator.add, mat_map(ext_d, alpha), mat_mul(alpha, alpha, wedge_dot))
 
 
 def cov_d_tensor_ordinary(alpha: FormMatrix, t: FormMatrix, degree: int) -> FormMatrix:
     """D t = d t + alpha t - (-1)^p t alpha on (1,1)-valued ordinary p-forms."""
     s = 1 if degree % 2 else -1
-    return _signed_sum(wedge_sum, [(1, alpha, t), (s, t, alpha)], mat_ext_d(t))
+    return _signed_sum(wedge_sum, [(1, alpha, t), (s, t, alpha)], mat_map(ext_d, t))
 
 
 def curvature_expansion(A: GenConnection) -> GenMatrix:
     """Component path: F = F_cal + eps beta + (D beta) m."""
     alpha, beta = _split(A.entries)
-    body = mat_add(ordinary_curvature(alpha), _scale_matrix(beta, A.epsilon))
-    return _gen_matrix(A.dim, A.epsilon, 2, body, cov_d_tensor_ordinary(alpha, beta, 2))
+    body = mat_map(operator.add, ordinary_curvature(alpha), _scale_matrix(beta, A.epsilon))
+    return mat_map(partial(GenForm, A.dim, A.epsilon, 2), body,
+                   cov_d_tensor_ordinary(alpha, beta, 2))
 
 
 def bianchi_residual(A: GenConnection, F: GenMatrix) -> GenMatrix:
@@ -202,12 +179,12 @@ def bianchi_residual(A: GenConnection, F: GenMatrix) -> GenMatrix:
     such as ``curvature_expansion(A)``, both are identically zero (Bianchi).
     """
     eps, (alpha, beta), (fb, fs) = A.epsilon, _split(A.entries), _split(F)
-    dfb = mat_ext_d(fb)
+    dfb = mat_map(ext_d, fb)
     body = _signed_sum(wedge_sum, [(1, alpha, fb), (-1, fb, alpha)],
-                       mat_sub(dfb, _scale_matrix(fs, eps)) if eps else dfb)
+                       mat_map(operator.sub, dfb, _scale_matrix(fs, eps)) if eps else dfb)
     soul = _signed_sum(wedge_sum, [(1, alpha, fs), (1, beta, fb), (-1, fb, beta), (1, fs, alpha)],
-                       mat_ext_d(fs))
-    return _gen_matrix(A.dim, eps, 3, body, soul)
+                       mat_map(ext_d, fs))
+    return mat_map(partial(GenForm, A.dim, eps, 3), body, soul)
 
 
 def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
@@ -217,33 +194,27 @@ def cov_ext_d_tensor(A: GenConnection, P: GenMatrix) -> GenMatrix:
         raise ConstructionError(f"mixed degrees {sorted(degrees)}")
     p = degrees.pop() if degrees else 0
     a, s = A.entries, 1 if p % 2 else -1
-    return _signed_sum(gwedge_sum, [(1, a, P), (s, P, a)], mat_gd(P))
+    return _signed_sum(gwedge_sum, [(1, a, P), (s, P, a)], mat_map(gd, P))
 
 
 def transform_connection(A: GenConnection, G: PolyMatrix, G_inv: PolyMatrix) -> GenConnection:
     """Gauge transport A -> G^-1 dG + G^-1 A G; the caller supplies the exact
     inverse, which is verified (``exterior.inverse_defect``)."""
-    G, G_inv = _as_tuple(G), _as_tuple(G_inv)
     if inverse_defect(G_inv, G) is not None:
         raise ConstructionError("G_inv is not an exact inverse of G")
-    G, G_inv = _gen_scalars(G, A.epsilon), _gen_scalars(G_inv, A.epsilon)
-    AG = mat_mul(A.entries, G, gwedge_dot)
-    return GenConnection.build(mat_mul(G_inv, mat_add(mat_gd(G), AG), gwedge_dot), A.epsilon)
+    lift = partial(GenForm.from_scalar, epsilon=A.epsilon)
+    G, G_inv = mat_map(lift, G), mat_map(lift, G_inv)
+    dG_AG = mat_map(operator.add, mat_map(gd, G), mat_mul(A.entries, G, gwedge_dot))
+    return GenConnection.build(mat_mul(G_inv, dG_AG, gwedge_dot), A.epsilon)
 
 
 def conjugate_matrix(F: GenMatrix, G: PolyMatrix, G_inv: PolyMatrix) -> GenMatrix:
     """G^-1 F G, with G and G^-1 lifted to extended 0-forms."""
-    eps = F[0][0].epsilon
-    return mat_mul(_gen_scalars(G_inv, eps), mat_mul(F, _gen_scalars(G, eps), gwedge_dot),
-                   gwedge_dot)
+    lift = partial(GenForm.from_scalar, epsilon=F[0][0].epsilon)
+    return mat_mul(mat_map(lift, G_inv), mat_mul(F, mat_map(lift, G), gwedge_dot), gwedge_dot)
 
 
 # -- covariant derivatives of fields ------------------------------------------------
-
-
-def _column(entries: Sequence) -> tuple[tuple, ...]:
-    """The n x 1 matrix with the given entries."""
-    return transpose((tuple(entries),))
 
 
 def field_components(V: GenVectorField) -> tuple[GenForm, ...]:
@@ -264,10 +235,10 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
 
 
 def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
-    """Dv^m = d v^m + A^m_n v^n, one degree-1 extended form per index."""
+    """Dv^m = d v^m + A^m_n v^n, one degree-1 extended form (one dot) per row m."""
     GenForm._require_compatible(A, V, ConstructionError)
-    comps = _column(field_components(V))
-    return transpose(mat_add(mat_gd(comps), mat_mul(A.entries, comps, gwedge_dot)))[0]
+    comps = field_components(V)
+    return tuple(gd(c) + gwedge_dot(row, comps) for c, row in zip(comps, A.entries))
 
 
 def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
@@ -306,45 +277,49 @@ class GenMetric:
         return _split(self.entries)[1]
 
 
-def _symmetric(matrix, name: str) -> tuple:
-    """matrix as a tuple of rows; InputError naming it unless it is symmetric."""
-    matrix = _as_tuple(matrix)
+def _symmetric(matrix, name: str) -> None:
+    """InputError naming the square matrix unless it is symmetric."""
     for i in range(len(matrix)):
         for j in range(len(matrix)):
             if matrix[i][j] != matrix[j][i]:
                 raise InputError(f"{name} not symmetric at ({i + 1},{j + 1})")
-    return matrix
 
 
-def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> tuple[FormMatrix, FormMatrix]:
-    """gamma and gamma^-1 as 0-forms, once gamma is symmetric with gamma^-1 its
-    exact two-sided inverse (``exterior.inverse_defect``)."""
-    gamma = _symmetric(gamma, "gamma")
-    if inverse_defect(_as_tuple(gamma_inv), gamma) is not None:
+def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix,
+                  **more: Sequence[Sequence]) -> tuple[FormMatrix, FormMatrix]:
+    """gamma and gamma^-1 as 0-forms, once they and ``more`` are n x n,
+    n = len(gamma), and gamma is symmetric with gamma^-1 its exact
+    two-sided inverse (``exterior.inverse_defect``)."""
+    n = len(gamma)
+    for name, matrix in dict(gamma=gamma, gamma_inv=gamma_inv, **more).items():
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise InputError(f"{name} must be {n} x {n}")
+    _symmetric(gamma, "gamma")
+    if inverse_defect(gamma_inv, gamma) is not None:
         raise InputError("gamma_inv is not an exact inverse")
-    return _scalar_forms(gamma), _scalar_forms(gamma_inv)
+    return mat_map(OrdinaryForm.from_scalar, gamma), mat_map(OrdinaryForm.from_scalar, gamma_inv)
 
 
 def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
                     epsilon: Scalar) -> GenMetric:
-    """``_judged_gamma``, then chi's symmetry."""
-    gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
-    chi, n = _symmetric(chi, "chi"), len(gamma_forms)
-    return GenMetric(n, Fraction(epsilon), _gen_matrix(n, epsilon, 0, gamma_forms, chi),
-                     gamma_inv_forms)
+    """``_judged_gamma``, which also checks chi's shape, then chi's symmetry."""
+    gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv, chi=chi)
+    _symmetric(chi, "chi")
+    entries = mat_map(partial(GenForm, len(gamma), epsilon, 0), gamma_forms, chi)
+    return GenMetric(len(gamma), Fraction(epsilon), entries, gamma_inv_forms)
 
 
 def metric_inverse(g: GenMetric) -> GenMatrix:
     """g^{mn} = gamma^{mn} - chi^{mn} m with indices raised by gamma."""
-    return _gen_matrix(g.dim, g.epsilon, 0, g.gamma_inv,
-                       mat_neg(_raise_both(g.gamma_inv, g.chi())))
+    return mat_map(partial(GenForm, g.dim, g.epsilon, 0), g.gamma_inv,
+                   mat_map(operator.neg, _raise_both(g.gamma_inv, g.chi())))
 
 
 def nonmetricity(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Q_{mn} = d g_{mn} - g_{ml} A^l_n - g_{ln} A^l_m."""
     GenForm._require_compatible(A, g, ConstructionError)
     a, gm = A.entries, g.entries
-    return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_gd(gm))
+    return _signed_sum(gwedge_sum, [(-1, gm, a), (-1, transpose(gm), a, True)], mat_map(gd, gm))
 
 
 def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
@@ -352,25 +327,25 @@ def cov_d_lowered(alpha: FormMatrix, t: FormMatrix) -> FormMatrix:
     (0,2)-valued forms of any homogeneous degree; q = D gamma on gamma's 0-forms."""
     alpha_t = transpose(alpha)
     return _signed_sum(wedge_sum, [(-1, alpha_t, t), (-1, alpha_t, transpose(t), True)],
-                       mat_ext_d(t))
+                       mat_map(ext_d, t))
 
 
 def nonmetricity_expansion(A: GenConnection, g: GenMetric) -> GenMatrix:
     """Component path: Q = (q - eps chi) + [D chi - (beta_{mn} + beta_{nm})] m
     with beta_{mn} = gamma_{ml} beta^l_n."""
     (alpha, beta), (gamma, chi) = _split(A.entries), _split(g.entries)
-    body = mat_sub(cov_d_lowered(alpha, gamma), _scale_matrix(chi, A.epsilon))
+    body = mat_map(operator.sub, cov_d_lowered(alpha, gamma), _scale_matrix(chi, A.epsilon))
     beta_low = mat_mul(gamma, beta, wedge_dot)
-    soul = mat_sub(mat_sub(cov_d_lowered(alpha, chi), beta_low), transpose(beta_low))
-    return _gen_matrix(A.dim, A.epsilon, 1, body, soul)
+    soul = mat_map(lambda d, b, bt: d - b - bt, cov_d_lowered(alpha, chi), beta_low,
+                   transpose(beta_low))
+    return mat_map(partial(GenForm, A.dim, A.epsilon, 1), body, soul)
 
 
 def torsion(alpha: FormMatrix) -> tuple[OrdinaryForm, ...]:
     """T^m = alpha^m_n ^ dx^n; zero in the coordinate frame iff the
     Christoffel array is symmetric in its lower indices."""
-    n = len(alpha)
-    dx = _column(OrdinaryForm.basis(n, (j,)) for j in range(1, n + 1))
-    return transpose(mat_mul(alpha, dx, wedge_dot))[0]
+    dx = [OrdinaryForm.basis(len(alpha), (j,)) for j in range(1, len(alpha) + 1)]
+    return tuple(wedge_dot(row, dx) for row in alpha)
 
 
 def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatrix:
@@ -384,8 +359,10 @@ def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatr
     # (s, nu): d_nu theta_s, so its transpose holds d_s theta_nu
     grad = tuple(tuple(coordinate_partial(theta, axis) for axis in range(1, n + 1))
                  for theta in Tensor11(gamma).row_forms())
-    low = mat_sub(mat_add(grad, mat_ext_d(_scalar_forms(gamma))), transpose(grad))
-    return mat_mul(_scalar_forms(gamma_inv), _scale_matrix(low, Fraction(1, 2)), wedge_dot)
+    low = mat_map(lambda g, p, gt: g + ext_d(OrdinaryForm.from_scalar(p)) - gt,
+                  grad, gamma, transpose(grad))
+    return mat_mul(mat_map(OrdinaryForm.from_scalar, gamma_inv), _scale_matrix(low, Fraction(1, 2)),
+                   wedge_dot)
 
 
 # -- the compatibility constructions -------------------------------------------------
@@ -423,8 +400,7 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     non-metricity.
     """
     g = metric_validate(gamma, chi, gamma_inv, 0)
-    alpha_lc = (levi_civita_connection(gamma, gamma_inv) if alpha_lc is None
-                else _as_tuple(alpha_lc))
+    alpha_lc = levi_civita_connection(gamma, gamma_inv) if alpha_lc is None else alpha_lc
     if not all(t.is_zero() for t in torsion(alpha_lc)):
         raise InputError("alpha_lc has torsion")
     q = cov_d_lowered(alpha_lc, g.gamma())
@@ -433,7 +409,7 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     dchi = cov_d_lowered(alpha_lc, g.chi())
     beta = mat_mul(g.gamma_inv, _scale_matrix(dchi, Fraction(1, 2)), wedge_dot)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), wedge_dot))
+        beta = mat_map(operator.add, beta, mat_mul(g.gamma_inv, beta_tilde, wedge_dot))
     A = GenConnection.from_parts(alpha_lc, beta, 0)
     return _verified(A, g, ordinary_curvature(alpha_lc), q, None, None)
 
@@ -456,19 +432,19 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     if eps == 0:
         raise InputError("case ii needs a nonzero epsilon")
     gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
-    alpha = levi_civita_connection(gamma, gamma_inv) if alpha is None else _as_tuple(alpha)
+    alpha = levi_civita_connection(gamma, gamma_inv) if alpha is None else alpha
     if not all(t.is_zero() for t in torsion(alpha)):
         raise InputError("alpha has torsion")
     q = cov_d_lowered(alpha, gamma_forms)
     # chi = q / eps needs no symmetry check: D t of a symmetric t is symmetric
     chi, n = _scale_matrix(q, 1 / eps), len(gamma_forms)
-    g = GenMetric(n, eps, _gen_matrix(n, eps, 0, gamma_forms, chi), gamma_inv_forms)
+    g = GenMetric(n, eps, mat_map(partial(GenForm, n, eps, 0), gamma_forms, chi), gamma_inv_forms)
     fcal = ordinary_curvature(alpha)
     fcal_low = mat_mul(g.gamma(), fcal, wedge_dot)
     fcal_adj = mat_mul(g.gamma_inv, transpose(fcal_low), wedge_dot)
-    beta = _scale_matrix(mat_add(fcal, fcal_adj), Fraction(-1, 2) / eps)
+    beta = _scale_matrix(mat_map(operator.add, fcal, fcal_adj), Fraction(-1, 2) / eps)
     if beta_tilde is not None:
-        beta = mat_add(beta, mat_mul(g.gamma_inv, _as_tuple(beta_tilde), wedge_dot))
+        beta = mat_map(operator.add, beta, mat_mul(g.gamma_inv, beta_tilde, wedge_dot))
     A = GenConnection.from_parts(alpha, beta, eps)
     return _verified(A, g, fcal, q, fcal_low, fcal_adj)
 
@@ -479,7 +455,7 @@ def case_i_curvature_formula(mc: MetricConnection) -> GenMatrix:
     A, g, fcal = mc.A, mc.g, mc.fcal
     chi_up = mat_mul(g.gamma_inv, g.chi(), wedge_dot)
     soul = _signed_sum(wedge_sum, [(1, fcal, chi_up), (-1, chi_up, fcal)])
-    return _gen_matrix(A.dim, A.epsilon, 2, fcal, _scale_matrix(soul, Fraction(1, 2)))
+    return mat_map(partial(GenForm, A.dim, A.epsilon, 2), fcal, _scale_matrix(soul, Fraction(1, 2)))
 
 
 def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
@@ -494,9 +470,9 @@ def case_ii_curvature_formula(mc: MetricConnection) -> GenMatrix:
     """
     A, fcal, fcal_low, q, gamma_inv = mc.A, mc.fcal, mc.fcal_low, mc.q, mc.g.gamma_inv
     fcal_up = mat_mul(fcal, gamma_inv, wedge_dot)  # F_cal^{lm} = F_cal^l_s gamma^{sm}
-    body = mat_sub(fcal, mc.fcal_adj)
+    body = mat_map(operator.sub, fcal, mc.fcal_adj)
     q_up = _raise_both(gamma_inv, q)
     soul = _signed_sum(wedge_sum, [(1, q, fcal_up, True), (-1, q_up, transpose(fcal_low))])
-    return _gen_matrix(A.dim, A.epsilon, 2, _scale_matrix(body, Fraction(1, 2)),
-                       _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
+    return mat_map(partial(GenForm, A.dim, A.epsilon, 2), _scale_matrix(body, Fraction(1, 2)),
+                   _scale_matrix(soul, Fraction(-1, 2) / A.epsilon))
 

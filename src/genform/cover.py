@@ -19,6 +19,10 @@ Rescaling m by c_I^-1 exp(xi_I) produces a single global basis: d m-tilde = 0
 when every tau_I vanishes (case i), and with c_I = tau_I / eps it equals the
 constant eps (case ii), recovering the constant-derivative calculus.
 ``cli.cover_from_json`` reads a cover from a fixture.
+
+Polynomial coefficients are coerced, not lifted: ``ExpPoly``'s operators
+take a ``Polynomial`` as the term with exponent 0, so phi = d xi stays a
+polynomial one-form and a product with theta comes out over ExpPoly.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ class ChartData:
                            Polynomial.const(self.xi.dim, self.tau.r))
 
     def phi(self) -> OrdinaryForm:
-        """d xi as a one-form over ExpPoly coefficients."""
-        return lift_form(ext_d(OrdinaryForm.from_scalar(self.xi)))
+        """d xi, a polynomial one-form."""
+        return ext_d(OrdinaryForm.from_scalar(self.xi))
 
 
 @dataclass(frozen=True)
@@ -107,24 +111,11 @@ class CoverData:
         raise InputError(f"no overlap listed for ({i}, {j})")
 
 
-def lift_form(form: OrdinaryForm) -> OrdinaryForm:
-    """Re-coefficient a polynomial form over ExpPoly."""
-    comps = {}
-    for idxs, coeff in form.components.items():
-        comps[idxs] = coeff if isinstance(coeff, ExpPoly) else ExpPoly.from_poly(coeff)
-    return OrdinaryForm(form.dim, form.degree, comps)
-
-
-def lift_genform(a: GenForm) -> GenForm:
-    return GenForm(a.dim, a.epsilon, a.degree, lift_form(a.body), lift_form(a.soul))
-
-
 # -- the differential ideal ------------------------------------------------------
 
 
 def ideal_residual(theta: ExpPoly, phi: OrdinaryForm) -> tuple[OrdinaryForm, OrdinaryForm]:
     """(d theta + theta phi, d phi); both vanish iff d^2 m = 0."""
-    phi = lift_form(phi)
     return ext_d(OrdinaryForm.from_scalar(theta)) + phi.scale(theta), ext_d(phi)
 
 
@@ -134,8 +125,6 @@ def general_gd(a: GenForm, theta: ExpPoly, phi: OrdinaryForm) -> GenForm:
     res1, res2 = ideal_residual(theta, phi)
     if not (res1.is_zero() and res2.is_zero()):
         raise ConstructionError("theta/phi violate the integrability ideal")
-    a = lift_genform(a)
-    phi = lift_form(phi)
     theta_term = a.soul.scale(theta)
     if (a.degree + 1) % 2:
         theta_term = -theta_term
@@ -266,5 +255,5 @@ def rescaled_soul(a: GenForm, chart: ChartData, c: ExpConstant) -> OrdinaryForm:
     basis m-tilde."""
     factor = ExpPoly.exp(Polynomial.const(a.dim, c.s) - chart.xi,
                          Polynomial.const(a.dim, c.r))
-    return lift_form(a.soul).scale(factor)
+    return a.soul.scale(factor)
 

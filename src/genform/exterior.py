@@ -24,10 +24,15 @@ again reads the kept result.  ``a - b`` is one signed sum
 (``OrdinaryForm._plus``): a component of b is subtracted from its partner in
 a, and negated only where a has none, and ``ext_d`` subtracts a partial of
 negative merge sign the same way.
+
+A matrix of polynomials or (extended) forms is a tuple of rows: ``mat_map``
+is its one entrywise rule (a sum, d or a lift of each entry), ``mat_mul``
+its one product, and a matrix times a vector is one dot per row.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
@@ -258,18 +263,12 @@ def mat_identity(n: int, one, zero) -> tuple[tuple, ...]:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def mat_add(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True))
-                 for ra, rb in zip(a, b, strict=True))
-
-
-def mat_sub(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True))
-                 for ra, rb in zip(a, b, strict=True))
-
-
-def mat_neg(a: Sequence[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(-x for x in row) for row in a)
+def mat_map(f: Callable, *ms: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """The matrix whose entry (i, j) is f of the (i, j) entries of ms, such
+    as ``mat_map(operator.sub, a, b)`` or ``mat_map(ext_d, a)``: the one
+    entrywise rule.  ValueError unless all of ms have one shape."""
+    return tuple(tuple(f(*xs) for xs in zip(*rows, strict=True))
+                 for rows in zip(*ms, strict=True))
 
 
 def mat_is_zero(a: Sequence[Sequence]) -> bool:
@@ -366,18 +365,17 @@ class Tensor11:
         return mat_is_zero(self.components)
 
     def __add__(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_add(self.components, other.components))
+        return Tensor11(mat_map(operator.add, self.components, other.components))
 
     def __sub__(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_sub(self.components, other.components))
+        return Tensor11(mat_map(operator.sub, self.components, other.components))
 
     def matmul(self, other: "Tensor11") -> "Tensor11":
         return Tensor11(mat_mul(self.components, other.components, poly_dot))
 
     def apply(self, v: VectorField) -> VectorField:
-        """Contract the down index with a vector field: (t v)^a = t^a_b v^b."""
-        column = transpose((v.components,))
-        return VectorField(transpose(mat_mul(self.components, column, poly_dot))[0])
+        """Contract the down index with v: (t v)^a = t^a_b v^b, one dot per row."""
+        return VectorField([poly_dot(row, v.components) for row in self.components])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor11):

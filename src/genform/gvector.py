@@ -24,6 +24,7 @@ the supported composition law.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .exterior import (
@@ -35,6 +36,7 @@ from .exterior import (
     ext_d,
     interior,
     lie,
+    mat_map,
     transpose,
     vf_bracket,
     wedge_dot,
@@ -211,7 +213,7 @@ def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     jv, jw = ([[c.partial(b) for b in axes] for c in x] for x in (v, w))
     products = [(1, jw, vt), (-1, vt, jw), (-1, jv, wt), (1, wt, jv)]  # (s, X, Y): s X Y
     if V.epsilon:
-        eps_vt = [[x * V.epsilon for x in row] for row in vt]
+        eps_vt = mat_map(lambda x: x * V.epsilon, vt)
         products += [(1, eps_vt, wt), (-1, wt, eps_vt)]
     products = [(s, x, transpose(y)) for s, x, y in products]  # Y by columns
 
@@ -260,13 +262,10 @@ def modified_lie(V: GenVectorField, a: GenForm) -> GenForm:
 def quaternion_triple() -> tuple[Tensor11, Tensor11, Tensor11]:
     """Constant (1,1) tensors J1, J2, J3 on R^4 (left multiplication by the
     imaginary units on the coordinates) with Ji Jj = e_ijk Jk for i != j."""
-    def tensor(rows: list[list[int]]) -> Tensor11:
-        return Tensor11([[Polynomial.const(4, v) for v in row] for row in rows])
-
-    j1 = tensor([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    j2 = tensor([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-    j3 = tensor([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    return j1, j2, j3
+    return tuple(Tensor11(mat_map(partial(Polynomial.const, 4), rows)) for rows in (
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]))
 
 
 def validate_quaternion_triple(js: Sequence[Tensor11]) -> None:

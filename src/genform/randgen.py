@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 from .connection import GenConnection
-from .exterior import (OrdinaryForm, Tensor11, VectorField, mat_add, mat_identity, mat_mul,
-                       mat_sub, transpose)
+from .exterior import OrdinaryForm, Tensor11, VectorField, mat_identity, mat_map, mat_mul, transpose
 from .gform import GenForm
 from .gvector import GenVectorField
 from .ring import Polynomial, _pack, poly_dot
@@ -102,8 +102,8 @@ class FormRandom:
         # (I + N)^-1 = I - N (I - N (I - ...)), which ends because N^n = 0
         inv = eye
         for _ in range(n - 1):
-            inv = mat_sub(eye, mat_mul(nil, inv, poly_dot))
-        return mat_add(eye, nil), inv
+            inv = mat_map(operator.sub, eye, mat_mul(nil, inv, poly_dot))
+        return mat_map(operator.add, eye, nil), inv
 
     def metric_pieces(self) -> tuple[tuple[tuple[Polynomial, ...], ...],
                                      tuple[tuple[Polynomial, ...], ...]]:

@@ -34,12 +34,13 @@ through the metric products, where a dim-4 trial peaks in memory.
 
 from __future__ import annotations
 
+import operator
 import time
 from fractions import Fraction
 from typing import Callable
 
 from . import connection as conn
-from .exterior import interior, mat_identity, mat_is_zero, mat_mul, mat_sub, transpose, vf_bracket
+from .exterior import interior, mat_identity, mat_is_zero, mat_map, mat_mul, transpose, vf_bracket
 from .gform import (
     GenForm,
     gd,
@@ -104,14 +105,14 @@ def _check(failures: list[dict], case: str, trial: int, rnd: FormRandom, lhs,
            rhs=None) -> None:
     """Record the residual of one identity unless it holds.  Given two sides,
     the identity holds when they are structurally equal, and no residual is
-    built; sides that differ give the residual lhs - rhs (``mat_sub`` for a
-    matrix, a tuple of rows).  Given one, lhs is the residual.  A residual is
+    built; sides that differ give the residual lhs - rhs (``mat_map(operator.sub, ...)``
+    for a matrix, a tuple of rows).  Given one, lhs is the residual.  A residual is
     recorded unless it is zero: a matrix when every entry is, anything else by
     its own ``.is_zero()``."""
     if rhs is not None:
         if lhs == rhs:
             return
-        lhs = mat_sub(lhs, rhs) if isinstance(lhs, tuple) else lhs - rhs
+        lhs = mat_map(operator.sub, lhs, rhs) if isinstance(lhs, tuple) else lhs - rhs
     if not (mat_is_zero(lhs) if isinstance(lhs, tuple) else lhs.is_zero()):
         _record(failures, case, trial, rnd, lhs)
 

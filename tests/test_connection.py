@@ -2,7 +2,7 @@ import json
 import operator
 import pathlib
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
@@ -31,8 +31,8 @@ from genform.connection import (
     torsion,
     transform_connection,
 )
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, wedge_dot
-from genform.gform import GenForm, gwedge, gwedge_dot
+from genform.exterior import OrdinaryForm, Tensor11, VectorField, ext_d, wedge_dot
+from genform.gform import GenForm, gd, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
 from genform.ring import ConstructionError, InputError, Polynomial
@@ -85,7 +85,8 @@ def test_curvature_dual_path_random():
         rnd = FormRandom(1, 2, eps)
         for _ in range(10):
             A = rnd.connection()
-            assert conn.mat_is_zero(conn.mat_sub(curvature(A), curvature_expansion(A)))
+            assert conn.mat_is_zero(conn.mat_map(operator.sub, curvature(A),
+                                                 curvature_expansion(A)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -108,7 +109,8 @@ def flipped_fs_alpha(A, P):
     got = bianchi_residual(A, P)
     bodies = tuple(tuple(e.body for e in row) for row in got)
     twice = conn._scale_matrix(conn.mat_mul(souls(P), conn._split(A.entries)[0], wedge_dot), 2)
-    return conn._gen_matrix(A.dim, A.epsilon, 3, bodies, conn.mat_sub(souls(got), twice))
+    return conn.mat_map(partial(GenForm, A.dim, A.epsilon, 3), bodies,
+                        conn.mat_map(operator.sub, souls(got), twice))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -143,10 +145,10 @@ def test_cov_ext_d_degree_zero_sign():
     P = tuple(tuple(GenForm(n, Fraction(1), 0, OrdinaryForm.from_scalar(rnd.poly()),
                             rnd.form(1)) for _ in range(n)) for _ in range(n))
     got = cov_ext_d_tensor(A, P)
-    want = conn.mat_add(conn.mat_gd(P),
-                        conn.mat_sub(conn.mat_mul(A.entries, P, gwedge_dot),
+    want = conn.mat_map(operator.add, conn.mat_map(gd, P),
+                        conn.mat_map(operator.sub, conn.mat_mul(A.entries, P, gwedge_dot),
                                      conn.mat_mul(P, A.entries, gwedge_dot)))
-    assert conn.mat_is_zero(conn.mat_sub(got, want))
+    assert conn.mat_is_zero(conn.mat_map(operator.sub, got, want))
 
 
 def test_cov_ext_d_rejects_mixed_degrees():
@@ -166,7 +168,7 @@ def test_identity_transform_is_noop():
     eye = tuple(tuple(Polynomial.one(n) if i == j else Polynomial.zero(n)
                       for j in range(n)) for i in range(n))
     A2 = transform_connection(A, eye, eye)
-    assert conn.mat_is_zero(conn.mat_sub(A2.entries, A.entries))
+    assert conn.mat_is_zero(conn.mat_map(operator.sub, A2.entries, A.entries))
 
 
 def test_flat_transform_of_zero_connection():
@@ -201,8 +203,8 @@ def test_curvature_conjugation_random():
             A = rnd.connection()
             G, G_inv = rnd.unipotent()
             A2 = transform_connection(A, G, G_inv)
-            assert conn.mat_is_zero(conn.mat_sub(
-                curvature(A2), conn.conjugate_matrix(curvature(A), G, G_inv)))
+            assert conn.mat_is_zero(conn.mat_map(
+                operator.sub, curvature(A2), conn.conjugate_matrix(curvature(A), G, G_inv)))
 
 
 def test_cov_deriv_examples():
@@ -308,6 +310,35 @@ def test_metric_validate_rejects_asymmetry_and_bad_inverse():
                         ((one, zero), (zero, one)), Fraction(0))
 
 
+_ONE, _ZERO, _ZERO_FORM = Polynomial.one(2), Polynomial.zero(2), OrdinaryForm.zero(2, 1)
+_EYE = ((_ONE, _ZERO), (_ZERO, _ONE))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: metric_validate(_EYE, ((_ZERO_FORM,),), _EYE, 0),
+                 "chi must be 2 x 2", id="chi 1x1"),
+    pytest.param(lambda: metric_validate(_EYE, ((_ZERO_FORM,) * 3,) * 2, _EYE, 0),
+                 "chi must be 2 x 2", id="chi 2x3"),
+    pytest.param(lambda: metric_validate(_EYE, ((_ZERO_FORM,) * 2, (_ZERO_FORM,)), _EYE, 0),
+                 "chi must be 2 x 2", id="chi ragged"),
+    # its 2 x 2 block is symmetric, so only the shape is wrong
+    pytest.param(lambda: metric_validate(((_ONE, _ZERO, _ONE), (_ZERO, _ONE, _ZERO)),
+                                         ((_ZERO_FORM,) * 2,) * 2, _EYE, 0),
+                 "gamma must be 2 x 2", id="gamma 2x3"),
+    pytest.param(lambda: metric_validate(_EYE, ((_ZERO_FORM,) * 2,) * 2,
+                                         ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO)), 0),
+                 "gamma_inv must be 2 x 2", id="gamma_inv 2x3"),
+    pytest.param(lambda: metric_connection_eps(((_ONE, _ZERO, _ONE), (_ZERO, _ONE, _ZERO)),
+                                               None, _EYE, 1),
+                 "gamma must be 2 x 2", id="case ii gamma 2x3"),
+])
+def test_metric_matrices_of_the_wrong_shape_are_rejected(build, message):
+    """gamma, gamma^-1 and chi must each be n x n, n = len(gamma): a
+    matrix of another shape is bad input, not cut to size or an IndexError."""
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def test_nonmetricity_examples():
     n = 2
     eps = Fraction(1)
@@ -343,7 +374,7 @@ def test_nonmetricity_dual_path_random():
             gamma, gamma_inv = rnd.metric_pieces()
             chi = rnd.symmetric_one_forms()
             g = metric_validate(gamma, chi, gamma_inv, eps)
-            assert conn.mat_is_zero(conn.mat_sub(nonmetricity(A, g),
+            assert conn.mat_is_zero(conn.mat_map(operator.sub, nonmetricity(A, g),
                                                  nonmetricity_expansion(A, g)))
 
 
@@ -353,7 +384,8 @@ def test_levi_civita_properties():
         gamma, gamma_inv = rnd.metric_pieces()
         alpha = levi_civita_connection(gamma, gamma_inv)
         assert all(t.is_zero() for t in torsion(alpha))
-        assert conn.mat_is_zero(conn.cov_d_lowered(alpha, conn._scalar_forms(gamma)))
+        gamma_forms = conn.mat_map(OrdinaryForm.from_scalar, gamma)
+        assert conn.mat_is_zero(conn.cov_d_lowered(alpha, gamma_forms))
 
 
 def christoffel_reference(gamma, gamma_inv):
@@ -398,7 +430,7 @@ def test_case_i_construction_and_curvature():
         chi = rnd.symmetric_one_forms()
         mc = metric_connection_eps0(gamma, chi, alpha, gamma_inv)
         assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
-        assert conn.mat_is_zero(conn.mat_sub(curvature(mc.A),
+        assert conn.mat_is_zero(conn.mat_map(operator.sub, curvature(mc.A),
                                              case_i_curvature_formula(mc)))
 
 
@@ -465,7 +497,8 @@ def test_case_i_rejects_non_metric_alpha():
     gamma, gamma_inv = rnd.metric_pieces()
     chi = rnd.symmetric_one_forms()
     bad_alpha = rnd.torsion_free_alpha()
-    if conn.mat_is_zero(conn.cov_d_lowered(bad_alpha, conn._scalar_forms(gamma))):
+    if conn.mat_is_zero(conn.cov_d_lowered(bad_alpha,
+                                           conn.mat_map(OrdinaryForm.from_scalar, gamma))):
         pytest.skip("random alpha happened to be metric")
     with pytest.raises(InputError):
         metric_connection_eps0(gamma, chi, bad_alpha, gamma_inv)
@@ -479,7 +512,7 @@ def test_case_ii_construction_and_curvature():
             alpha = rnd.torsion_free_alpha()
             mc = metric_connection_eps(gamma, alpha, gamma_inv, eps)
             assert conn.mat_is_zero(nonmetricity(mc.A, mc.g))
-            assert conn.mat_is_zero(conn.mat_sub(curvature(mc.A),
+            assert conn.mat_is_zero(conn.mat_map(operator.sub, curvature(mc.A),
                                                  case_ii_curvature_formula(mc)))
 
 
@@ -620,29 +653,31 @@ def test_nonzero_residual_still_raises_and_fails_the_command(case, name, monkeyp
 def composed_cov_d_tensor_ordinary(alpha, t, degree):
     second = conn.mat_mul(t, alpha, wedge_dot)
     if degree % 2 == 0:
-        second = conn.mat_neg(second)
-    return conn.mat_add(conn.mat_add(conn.mat_ext_d(t), conn.mat_mul(alpha, t, wedge_dot)), second)
+        second = conn.mat_map(operator.neg, second)
+    return conn.mat_map(lambda d, a, b: d + a + b, conn.mat_map(ext_d, t),
+                        conn.mat_mul(alpha, t, wedge_dot), second)
 
 
 def composed_cov_ext_d_tensor(A, P, p):
     second = conn.mat_mul(P, A.entries, gwedge_dot)
     if p % 2 == 0:
-        second = conn.mat_neg(second)
-    return conn.mat_add(conn.mat_add(conn.mat_gd(P), conn.mat_mul(A.entries, P, gwedge_dot)),
-                        second)
+        second = conn.mat_map(operator.neg, second)
+    return conn.mat_map(lambda d, a, b: d + a + b, conn.mat_map(gd, P),
+                        conn.mat_mul(A.entries, P, gwedge_dot), second)
 
 
 def composed_nonmetricity(A, g):
     gA = conn.mat_mul(g.entries, A.entries, gwedge_dot)
     gtA = conn.mat_mul(conn.transpose(g.entries), A.entries, gwedge_dot)
-    return conn.mat_sub(conn.mat_sub(conn.mat_gd(g.entries), gA), conn.transpose(gtA))
+    return conn.mat_map(lambda d, a, b: d - a - b, conn.mat_map(gd, g.entries), gA,
+                        conn.transpose(gtA))
 
 
 def composed_nonmetricity_ordinary(alpha, gamma):
     """q = d gamma - gamma alpha - (gamma^T alpha)^T for gamma's 0-forms."""
     gamma_alpha = conn.mat_mul(gamma, alpha, wedge_dot)
     gammat_alpha = conn.mat_mul(conn.transpose(gamma), alpha, wedge_dot)
-    return conn.mat_sub(conn.mat_sub(conn.mat_ext_d(gamma), gamma_alpha),
+    return conn.mat_map(lambda d, a, b: d - a - b, conn.mat_map(ext_d, gamma), gamma_alpha,
                         conn.transpose(gammat_alpha))
 
 
@@ -650,23 +685,24 @@ def composed_cov_d_lowered(alpha, t):
     alpha_t = conn.transpose(alpha)
     first = conn.mat_mul(alpha_t, t, wedge_dot)
     second = conn.mat_mul(alpha_t, conn.transpose(t), wedge_dot)
-    return conn.mat_sub(conn.mat_sub(conn.mat_ext_d(t), first), conn.transpose(second))
+    return conn.mat_map(lambda d, a, b: d - a - b, conn.mat_map(ext_d, t), first,
+                        conn.transpose(second))
 
 
 def composed_cov_deriv_vf_expansion(A, V):
-    v = conn._column(V.v.component_forms())
-    theta = conn._column(V.vt.row_forms())
+    v = conn.transpose((V.v.component_forms(),))
+    theta = conn.transpose((V.vt.row_forms(),))
     alpha, beta = conn._split(A.entries)
-    body = conn.mat_sub(conn.mat_add(conn.mat_ext_d(v), conn.mat_mul(alpha, v, wedge_dot)),
-                        conn._scale_matrix(theta, A.epsilon))
-    soul = conn.mat_add(conn.mat_add(conn.mat_ext_d(theta), conn.mat_mul(alpha, theta, wedge_dot)),
-                        conn.mat_mul(beta, v, wedge_dot))
-    return conn.transpose(conn._gen_matrix(A.dim, A.epsilon, 1, body, soul))[0]
+    body = conn.mat_map(lambda d, a, t: d + a - t, conn.mat_map(ext_d, v),
+                        conn.mat_mul(alpha, v, wedge_dot), conn._scale_matrix(theta, A.epsilon))
+    soul = conn.mat_map(lambda d, a, b: d + a + b, conn.mat_map(ext_d, theta),
+                        conn.mat_mul(alpha, theta, wedge_dot), conn.mat_mul(beta, v, wedge_dot))
+    return conn.transpose(conn.mat_map(partial(GenForm, A.dim, A.epsilon, 1), body, soul))[0]
 
 
 def composed_case_i_soul(mc):
     chi_up = conn.mat_mul(mc.g.gamma_inv, mc.g.chi(), wedge_dot)
-    soul = conn.mat_sub(conn.mat_mul(mc.fcal, chi_up, wedge_dot),
+    soul = conn.mat_map(operator.sub, conn.mat_mul(mc.fcal, chi_up, wedge_dot),
                         conn.mat_mul(chi_up, mc.fcal, wedge_dot))
     return conn._scale_matrix(soul, Fraction(1, 2))
 
@@ -680,7 +716,7 @@ def composed_raise_both(gamma_inv, x):
 def composed_case_ii_soul(mc):
     gamma_inv = mc.g.gamma_inv
     fcal_up = conn.mat_mul(mc.fcal, gamma_inv, wedge_dot)
-    soul = conn.mat_sub(conn.transpose(conn.mat_mul(mc.q, fcal_up, wedge_dot)),
+    soul = conn.mat_map(operator.sub, conn.transpose(conn.mat_mul(mc.q, fcal_up, wedge_dot)),
                         conn.mat_mul(composed_raise_both(gamma_inv, mc.q),
                                      conn.transpose(mc.fcal_low), wedge_dot))
     return conn._scale_matrix(soul, Fraction(-1, 2) / mc.A.epsilon)
@@ -694,7 +730,7 @@ def souls(m):
 def test_raise_both_equals_the_full_product_on_a_symmetric_x(dim):
     rnd = FormRandom(70 + dim, dim, Fraction(1))
     for _ in range(3):
-        gamma_inv = conn._scalar_forms(rnd.metric_pieces()[1])
+        gamma_inv = conn.mat_map(OrdinaryForm.from_scalar, rnd.metric_pieces()[1])
         chi = rnd.symmetric_one_forms()
         raised = conn._raise_both(gamma_inv, chi)
         assert not conn.mat_is_zero(raised)
@@ -708,7 +744,7 @@ def test_raise_both_mirrors_the_upper_triangle():
     this one on every symmetric x; here it does not."""
     for dim in (2, 3):
         rnd = FormRandom(75 + dim, dim, Fraction(1))
-        gamma_inv = conn._scalar_forms(rnd.metric_pieces()[1])
+        gamma_inv = conn.mat_map(OrdinaryForm.from_scalar, rnd.metric_pieces()[1])
         x = tuple(tuple(rnd.form(1) for _ in range(dim)) for _ in range(dim))
         full = composed_raise_both(gamma_inv, x)
         assert full != conn.transpose(full)
@@ -726,10 +762,12 @@ def test_nonmetricities_transpose_a_non_symmetric_metric():
         for eps in EPSILONS:
             rnd = FormRandom(85 + dim, dim, eps)
             A = rnd.connection()
-            gamma = conn._scalar_forms([[rnd.poly() for _ in range(dim)] for _ in range(dim)])
+            gamma = conn.mat_map(OrdinaryForm.from_scalar,
+                                 [[rnd.poly() for _ in range(dim)] for _ in range(dim)])
             chi = tuple(tuple(rnd.form(1) for _ in range(dim)) for _ in range(dim))
             assert gamma != conn.transpose(gamma) and chi != conn.transpose(chi)
-            g = conn.GenMetric(dim, eps, conn._gen_matrix(dim, eps, 0, gamma, chi), gamma)
+            g = conn.GenMetric(dim, eps, conn.mat_map(partial(GenForm, dim, eps, 0), gamma, chi),
+                               gamma)
             alpha = conn._split(A.entries)[0]
             assert (conn.cov_d_lowered(alpha, gamma)
                     == composed_nonmetricity_ordinary(alpha, gamma))

@@ -13,8 +13,6 @@ from genform.cover import (
     general_gd,
     glue_validate,
     ideal_residual,
-    lift_form,
-    lift_genform,
     rescaled_soul,
 )
 from genform.exterior import OrdinaryForm, ext_d
@@ -63,7 +61,7 @@ def test_general_gd_reduces_to_gd():
     rnd = FormRandom(1, dim, eps)
     for degree in range(-1, dim + 1):
         a = rnd.genform(degree)
-        assert general_gd(a, theta, phi) == lift_genform(gd(a))
+        assert general_gd(a, theta, phi) == gd(a)
 
 
 def test_general_gd_of_m():
@@ -74,7 +72,7 @@ def test_general_gd_of_m():
     m = GenForm.minus_one(dim, Fraction(0))
     dm = general_gd(m, theta, phi)
     assert dm.body == OrdinaryForm.from_scalar(theta)
-    assert dm.soul == -lift_form(phi)
+    assert dm.soul == -phi
 
 
 def test_general_gd_squares_to_zero():
@@ -222,7 +220,7 @@ def test_transformed_derivative_dual_path():
             theta_term = alpha_tilde.scale(dm_tilde)
             if (a.degree + 1) % 2:
                 theta_term = -theta_term
-            body = ext_d(lift_form(a.body)) + theta_term
+            body = ext_d(a.body) + theta_term
             soul = ext_d(alpha_tilde).scale(u)
             assert direct.body == body
             assert direct.soul == soul

@@ -18,9 +18,8 @@ from genform.exterior import (
     ext_d,
     interior,
     lie,
-    mat_add,
+    mat_map,
     mat_mul,
-    mat_sub,
     merge_indices,
     poincare_antiderivative,
     pullback,
@@ -551,9 +550,18 @@ def test_transpose():
     assert transpose(transpose(m)) == m
 
 
+def test_mat_map_applies_f_to_the_entries_of_one_two_or_three_matrices():
+    a, b, c = ((1, 2), (3, 4)), ((10, 20), (30, 40)), ((5, 6), (7, 8))
+    assert mat_map(operator.neg, a) == ((-1, -2), (-3, -4))
+    assert mat_map(operator.sub, b, a) == ((9, 18), (27, 36))
+    assert mat_map(lambda x, y, z: x * y - z, a, b, c) == ((5, 34), (83, 152))
+
+
 @pytest.mark.parametrize("bad", [
-    lambda: mat_add(((1, 2), (3, 4)), ((1, 2),)),
-    lambda: mat_sub(((1, 2), (3, 4)), ((1,), (2,))),
+    lambda: mat_map(operator.add, ((1, 2), (3, 4)), ((1, 2),)),
+    lambda: mat_map(operator.sub, ((1, 2), (3, 4)), ((1,), (2,))),
+    lambda: mat_map(lambda x, y, z: x, ((1, 2),), ((1, 2),), ((1, 2), (3, 4))),
+    lambda: mat_map(lambda x, y, z: x, ((1, 2),), ((1, 2),), ((1,),)),
     lambda: transpose(((1, 2), (3,))),
 ])
 def test_matrix_helpers_pair_rows_and_entries_strictly(bad):

@@ -23,14 +23,10 @@ from genform.hamiltonian import GenHamiltonianProblem, symplectic_validate
 from genform.randgen import FormRandom
 from genform.ring import ConstructionError, ExpPoly, InputError, Polynomial
 from genform.superspace import SuperFunction
+from test_exterior import coordinate_field
 from test_ring import nonzero_poly
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
-
-
-def coordinate_field(n: int, index: int) -> VectorField:
-    """d/dx^index."""
-    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def test_m_squared_is_zero():

@@ -22,13 +22,9 @@ from genform.gvector import (
 from genform.randgen import FormRandom
 from genform.ring import ExpPoly, Polynomial
 from genform.superspace import from_super, super_interior, super_lie, to_super
+from test_exterior import coordinate_field
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
-
-
-def coordinate_field(n: int, index: int) -> VectorField:
-    """d/dx^index."""
-    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def elementary_tensor(n, up, down, value=1):

@@ -26,14 +26,10 @@ from genform.hamiltonian import (
 )
 from genform.randgen import FormRandom
 from genform.ring import InputError, Polynomial
+from test_exterior import coordinate_field
 from test_ring import eval_float
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def coordinate_field(n: int, index: int) -> VectorField:
-    """d/dx^index."""
-    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def standard_omega(n=2):

@@ -30,15 +30,11 @@ from genform.randgen import COEFF_POOL, EPSILON_POOL, FormRandom
 from genform.ring import ExpPoly, Polynomial
 from genform.superspace import (SuperFunction, blade_mul, super_d, super_interior,
                                 super_lie_expansion)
+from test_exterior import coordinate_field
 from test_ring import nonzero_poly
 
 # factors that give the operands of one difference different denominators
 SCALES = (1, -1, Fraction(1, 3), Fraction(-5, 4), 6)
-
-
-def coordinate_field(n: int, index: int) -> VectorField:
-    """d/dx^index."""
-    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def copy_form(a: OrdinaryForm) -> OrdinaryForm:

@@ -49,10 +49,8 @@ UNRUN = {
     # helpers that only those constructions reach
     "exterior.poincare_antiderivative": "recover_hamiltonian",
     "connection.field_from_components": "cov_deriv_vf_along",
-    "cover.lift_genform": "general_gd",
     "exterior.Tensor11.matmul": "validate_quaternion_triple",
-    "ring.ExpPoly.sum_products": "general_gd, the one wedge of forms over ExpPoly",
-    "gvector.quaternion_triple.<locals>.tensor": "quaternion_triple",
+    "ring.ExpPoly.sum_products": "a wedge of forms over ExpPoly, which no command forms",
     # read by the benchmark, which no golden case runs
     "ring.Polynomial.terms": "perfbench/spans.py, which counts terms with it",
     "suites._record": "a failing check; perfbench/spans.py's PRIVATE wraps it",

@@ -1,11 +1,12 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
 
 from genform import cli, suites
 from genform import connection as conn
-from genform.exterior import OrdinaryForm, mat_identity, mat_sub, transpose, vf_bracket
+from genform.exterior import OrdinaryForm, mat_identity, mat_map, transpose, vf_bracket
 from genform.gform import GenForm, gpullback, gwedge
 from genform.randgen import FormRandom
 from genform.ring import Polynomial
@@ -206,7 +207,7 @@ def test_a_metric_inverse_wrong_on_one_side_fails_both_metric_cases(monkeypatch)
         g_up = made[-1]
         assert [f["case"] for f in failures] == ["metric_inverse_two_sided",
                                                  "metric_inverse_symmetric"]
-        assert failures[1]["residual"] == str(mat_sub(g_up, transpose(g_up)))
+        assert failures[1]["residual"] == str(mat_map(operator.sub, g_up, transpose(g_up)))
 
 
 def _sides(rnd):
@@ -242,7 +243,7 @@ def test_unequal_sides_record_their_difference():
     assert failures == [
         {"case": "form", "trial": 4, "inputs": inputs, "residual": str(a - b)},
         {"case": "matrix", "trial": 4, "inputs": inputs,
-         "residual": str(mat_sub(((a, b),), ((twin, a),)))}]
+         "residual": str(mat_map(operator.sub, ((a, b),), ((twin, a),)))}]
 
 
 @pytest.mark.parametrize("sides, error", [

@@ -17,13 +17,9 @@ from genform.superspace import (
     super_lie_expansion,
     to_super,
 )
+from test_exterior import coordinate_field
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
-
-
-def coordinate_field(n: int, index: int) -> VectorField:
-    """d/dx^index."""
-    return VectorField([Polynomial.const(n, int(i == index)) for i in range(1, n + 1)])
 
 
 def test_blade_mul_signs():
