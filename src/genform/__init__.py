@@ -11,7 +11,6 @@ the general exterior derivative.  All coefficients are exact rationals.
 
 from .exterior import (
     OrdinaryForm,
-    Tensor11,
     VectorField,
     ext_d,
     interior,
@@ -39,7 +38,6 @@ __all__ = [
     "OrdinaryForm",
     "Polynomial",
     "SuperFunction",
-    "Tensor11",
     "VectorField",
     "d_split",
     "embed_generalized",

@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import connection as conn
 from .cover import ChartData, CoverData, ExpConstant, canonicalize, glue_validate, ideal_residual
-from .exterior import OrdinaryForm, mat_identity, mat_is_zero, mat_map
+from .exterior import OrdinaryForm, mat_identity, mat_is_zero, mat_map, square_matrix
 from .gform import GenForm, gd
 from .gvector import gv_interior
 from .hamiltonian import (
@@ -119,11 +119,10 @@ def json_dim(data) -> int:
 
 def _json_matrix(dim: int, data, cell: Callable) -> tuple[tuple, ...]:
     """A JSON dim x dim matrix, each entry read by ``cell``; InputError for
-    any other shape."""
-    if not (isinstance(data, list) and len(data) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in data)):
-        raise InputError(f"matrix must be {dim} x {dim}")
-    return mat_map(cell, data)
+    anything but a list of rows and for any other shape."""
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise InputError("matrix must be a JSON list of rows")
+    return mat_map(cell, square_matrix(data, "matrix", InputError, dim))
 
 
 def poly_matrix_from_json(dim: int, data) -> tuple[tuple[Polynomial, ...], ...]:
@@ -315,7 +314,7 @@ def cmd_hamiltonian(args, report: dict) -> None:
     report["gauge_shift_ok"] = gauge_residual.is_zero()
     report["field"] = {
         "v": [str(c) for c in field.v.components],
-        "vt": mat_map(str, field.vt.components),
+        "vt": mat_map(str, field.vt),
     }
     report["pass"] = (report["defining_relation_zero"]
                       and report["lie_derivative_of_s_zero"]

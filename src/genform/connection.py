@@ -40,10 +40,11 @@ ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact,
 and ``cli.connection_from_json`` reads them.
 A broken hypothesis (a gamma, gamma^-1 or chi that is not n x n, an
-asymmetric metric, an inexact inverse, torsion, a non-metric alpha_lc,
-eps = 0) raises ``InputError`` (exit 2);
-``ConstructionError`` means that a construction itself failed on input that
-met them (exit 1, with the report).
+alpha (alpha_lc) or beta_tilde that is not an n x n matrix of one-forms or
+two-forms on R^n, an asymmetric metric, an inexact inverse, torsion, a
+non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2), each shape
+judged by ``exterior.square_matrix``; ``ConstructionError`` means that a
+construction itself failed on input that met them (exit 1, with the report).
 Both constructions verify that the non-metricity Q of their result is zero
 and return a ``MetricConnection``: A and g together with the pieces they
 computed on the way, the ordinary curvature F_cal, the ordinary
@@ -61,9 +62,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
-from .exterior import (OrdinaryForm, Tensor11, VectorField, coordinate_partial, ext_d,
-                       inverse_defect, mat_is_zero, mat_map, mat_mul, transpose, wedge_dot,
-                       wedge_sum)
+from .exterior import (OrdinaryForm, VectorField, coordinate_partial, ext_d, from_row_forms,
+                       inverse_defect, mat_is_zero, mat_map, mat_mul, row_forms, square_matrix,
+                       transpose, wedge_dot, wedge_sum)
 from .gform import GenForm, gd, gwedge_dot, gwedge_sum
 from .gvector import GenVectorField, gv_interior
 from .ring import ConstructionError, InputError, Polynomial, Scalar
@@ -127,11 +128,8 @@ class GenConnection:
 
     @classmethod
     def build(cls, entries, epsilon: Scalar) -> "GenConnection":
-        entries = tuple(map(tuple, entries))
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ConstructionError("connection matrix must be square")
-        A = cls(n, Fraction(epsilon), entries)
+        entries = square_matrix(entries, "connection matrix", ConstructionError, len(entries))
+        A = cls(len(entries), Fraction(epsilon), entries)
         for row in entries:
             for e in row:
                 GenForm._require_compatible(A, e, ConstructionError)
@@ -221,7 +219,7 @@ def field_components(V: GenVectorField) -> tuple[GenForm, ...]:
     """The degree-0 extended components v^m + theta^m m, with theta^m =
     v^m_n dx^n the row one-forms of the tensor part."""
     return tuple(GenForm(V.dim, V.epsilon, 0, c, theta)
-                 for c, theta in zip(V.v.component_forms(), V.vt.row_forms()))
+                 for c, theta in zip(V.v.component_forms(), V.row_forms()))
 
 
 def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVectorField:
@@ -231,7 +229,7 @@ def field_from_components(comps: Sequence[GenForm], epsilon: Scalar) -> GenVecto
             raise ConstructionError(f"component of degree {comp.degree}, expected 0")
     zero = Polynomial.zero(comps[0].dim)
     v = VectorField([comp.body.components.get((), zero) for comp in comps])
-    return GenVectorField(v.dim, epsilon, v, Tensor11.from_row_forms([c.soul for c in comps]))
+    return GenVectorField(v.dim, epsilon, v, from_row_forms([c.soul for c in comps]))
 
 
 def cov_deriv_vf(A: GenConnection, V: GenVectorField) -> tuple[GenForm, ...]:
@@ -246,7 +244,7 @@ def cov_deriv_vf_expansion(A: GenConnection, V: GenVectorField) -> tuple[GenForm
     body = D v^m - eps theta^m,  soul = D theta^m + beta^m_n v^n,
     where D is covariant with respect to alpha; the soul's products
     alpha^m_n theta^n and beta^m_n v^n are one dot."""
-    v, theta = V.v.component_forms(), V.vt.row_forms()
+    v, theta = V.v.component_forms(), V.row_forms()
     alpha, beta = _split(A.entries)
     return tuple(GenForm(A.dim, A.epsilon, 1,
                          ext_d(v[m]) + wedge_dot(alpha[m], v) - theta[m].scale(A.epsilon),
@@ -290,14 +288,23 @@ def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix,
     """gamma and gamma^-1 as 0-forms, once they and ``more`` are n x n,
     n = len(gamma), and gamma is symmetric with gamma^-1 its exact
     two-sided inverse (``exterior.inverse_defect``)."""
-    n = len(gamma)
     for name, matrix in dict(gamma=gamma, gamma_inv=gamma_inv, **more).items():
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise InputError(f"{name} must be {n} x {n}")
+        square_matrix(matrix, name, InputError, len(gamma))
     _symmetric(gamma, "gamma")
     if inverse_defect(gamma_inv, gamma) is not None:
         raise InputError("gamma_inv is not an exact inverse")
     return mat_map(OrdinaryForm.from_scalar, gamma), mat_map(OrdinaryForm.from_scalar, gamma_inv)
+
+
+def _judged_forms(m: FormMatrix | None, name: str, n: int, degree: int) -> FormMatrix | None:
+    """m once it is n x n and each entry is a form on R^n, of the given
+    degree where nonzero; None stays None.  InputError otherwise."""
+    if m is None:
+        return None
+    m = square_matrix(m, name, InputError, n)
+    if any(e.dim != n or not e.is_zero() and e.degree != degree for row in m for e in row):
+        raise InputError(f"{name} entries must be {degree}-forms on R^{n}")
+    return m
 
 
 def metric_validate(gamma: PolyMatrix, chi: FormMatrix, gamma_inv: PolyMatrix,
@@ -358,7 +365,7 @@ def levi_civita_connection(gamma: PolyMatrix, gamma_inv: PolyMatrix) -> FormMatr
     n = len(gamma)
     # (s, nu): d_nu theta_s, so its transpose holds d_s theta_nu
     grad = tuple(tuple(coordinate_partial(theta, axis) for axis in range(1, n + 1))
-                 for theta in Tensor11(gamma).row_forms())
+                 for theta in row_forms(gamma))
     low = mat_map(lambda g, p, gt: g + ext_d(OrdinaryForm.from_scalar(p)) - gt,
                   grad, gamma, transpose(grad))
     return mat_mul(mat_map(OrdinaryForm.from_scalar, gamma_inv), _scale_matrix(low, Fraction(1, 2)),
@@ -399,6 +406,9 @@ def metric_connection_eps0(gamma: PolyMatrix, chi: FormMatrix, alpha_lc: FormMat
     canonical choice.  The result is verified to have exactly zero
     non-metricity.
     """
+    n = len(gamma)
+    alpha_lc = _judged_forms(alpha_lc, "alpha_lc", n, 1)
+    beta_tilde = _judged_forms(beta_tilde, "beta_tilde", n, 2)
     g = metric_validate(gamma, chi, gamma_inv, 0)
     alpha_lc = levi_civita_connection(gamma, gamma_inv) if alpha_lc is None else alpha_lc
     if not all(t.is_zero() for t in torsion(alpha_lc)):
@@ -431,6 +441,8 @@ def metric_connection_eps(gamma: PolyMatrix, alpha: FormMatrix,
     eps = Fraction(epsilon)
     if eps == 0:
         raise InputError("case ii needs a nonzero epsilon")
+    alpha = _judged_forms(alpha, "alpha", len(gamma), 1)
+    beta_tilde = _judged_forms(beta_tilde, "beta_tilde", len(gamma), 2)
     gamma_forms, gamma_inv_forms = _judged_gamma(gamma, gamma_inv)
     alpha = levi_civita_connection(gamma, gamma_inv) if alpha is None else alpha
     if not all(t.is_zero() for t in torsion(alpha)):

@@ -18,21 +18,24 @@ composed coefficients with the Jacobian minors) all hand their pairs to it.
 Forms and fields are values, and keep what is derived from them, like the
 partials of a ``Polynomial``: ``ext_d(a)`` and the hooks ``_hooks(a)`` are
 formed once per form and kept on it (``_d``, ``_hooks``), and
-``VectorField.component_forms`` and ``Tensor11.row_forms`` once per field or
-tensor.  An identity trial that differentiates or contracts the same form
-again reads the kept result.  ``a - b`` is one signed sum
+``VectorField.component_forms`` and ``gvector.GenVectorField.row_forms``
+once per field.  An identity trial that differentiates or contracts the same
+form again reads the kept result.  ``a - b`` is one signed sum
 (``OrdinaryForm._plus``): a component of b is subtracted from its partner in
 a, and negated only where a has none, and ``ext_d`` subtracts a partial of
 negative merge sign the same way.
 
 A matrix of polynomials or (extended) forms is a tuple of rows: ``mat_map``
 is its one entrywise rule (a sum, d or a lift of each entry), ``mat_mul``
-its one product, and a matrix times a vector is one dot per row.
+its one product, ``square_matrix`` its one n x n rule, and a matrix times a
+vector is one dot per row.  A (1,1) tensor t^a_b, such as the tensor part
+vt of an extended vector field, is such an n x n polynomial matrix;
+``row_forms`` turns it into its one-forms theta^a = t^a_b dx^b and
+``from_row_forms`` back.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
@@ -271,6 +274,16 @@ def mat_map(f: Callable, *ms: Sequence[Sequence]) -> tuple[tuple, ...]:
                  for rows in zip(*ms, strict=True))
 
 
+def square_matrix(m: Sequence[Sequence], name: str, error: type[Exception],
+                  n: int) -> tuple[tuple, ...]:
+    """m as a tuple of rows once it is n x n: the one square rule.  Otherwise
+    ``error`` names the matrix, as in "gamma must be 2 x 2"."""
+    rows = tuple(map(tuple, m))
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise error(f"{name} must be {n} x {n}")
+    return rows
+
+
 def mat_is_zero(a: Sequence[Sequence]) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
@@ -305,85 +318,29 @@ def inverse_defect(left: Sequence[Sequence], right: Sequence[Sequence]) -> tuple
     = I gives det(left) det(right) = 1, so right left = I as well.
     ValueError unless both are square of one size."""
     n = len(left)
-    if len(right) != n or any(len(row) != n for row in (*left, *right)):
-        raise ValueError("inverse check: matrices are not square of one size")
+    square_matrix(left, "left", ValueError, n)
+    square_matrix(right, "right", ValueError, n)
     product = mat_mul(left, right, poly_dot)
     return next(((i + 1, j + 1) for i in range(n) for j in range(n)
                  if product[i][j] != int(i == j)), None)
 
 
-class Tensor11:
-    """(1,1) tensor field t^a_b: a shape-checked n x n polynomial matrix
-    whose arithmetic is the matrix helpers above."""
+def row_forms(m: Sequence[Sequence[Polynomial]]) -> tuple[OrdinaryForm, ...]:
+    """theta^a = m^a_b dx^b, one one-form per row of the n x n polynomial
+    matrix m, such as the tensor part of an extended vector field."""
+    n = len(m)
+    return tuple(OrdinaryForm._canonical(n, 1, {(b,): c for b, c in enumerate(row, 1)})
+                 for row in m)
 
-    __slots__ = ("dim", "components", "_rows")
 
-    def __init__(self, components: Sequence[Sequence[Polynomial]]):
-        rows = tuple(tuple(row) for row in components)
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
-            raise ValueError("tensor matrix must be square")
-        if any(c.dim != dim for row in rows for c in row):
-            raise ValueError("entry dimension must match matrix size")
-        self.dim = dim
-        self.components = rows
-        self._rows: tuple[OrdinaryForm, ...] | None = None
-
-    @classmethod
-    def zero(cls, dim: int) -> "Tensor11":
-        return cls.identity(dim, 0)
-
-    @classmethod
-    def identity(cls, dim: int, scalar: Polynomial | Scalar = 1) -> "Tensor11":
-        if not isinstance(scalar, Polynomial):
-            scalar = Polynomial.const(dim, scalar)
-        return cls(mat_identity(dim, scalar, Polynomial.zero(dim)))
-
-    @classmethod
-    def from_row_forms(cls, rows: Sequence[OrdinaryForm]) -> "Tensor11":
-        """Inverse of ``row_forms``: t^a_b is the dx^b coefficient of rows[a]."""
-        dim = len(rows)
-        if any(not row.is_zero() and row.degree != 1 for row in rows):
-            raise ValueError("tensor rows must be one-forms")
-        zero = Polynomial.zero(dim)
-        return cls([[row.components.get((b,), zero) for b in range(1, dim + 1)] for row in rows])
-
-    def row_forms(self) -> tuple[OrdinaryForm, ...]:
-        """theta^a = t^a_b dx^b, one one-form per up index, formed on first
-        use and kept on the tensor."""
-        if self._rows is None:
-            self._rows = tuple(
-                OrdinaryForm._canonical(self.dim, 1, {(b,): c for b, c in enumerate(row, 1)})
-                for row in self.components)
-        return self._rows
-
-    def entry(self, up: int, down: int) -> Polynomial:
-        """t^up_down with 1-based indices."""
-        return self.components[up - 1][down - 1]
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.components)
-
-    def __add__(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_map(operator.add, self.components, other.components))
-
-    def __sub__(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_map(operator.sub, self.components, other.components))
-
-    def matmul(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(mat_mul(self.components, other.components, poly_dot))
-
-    def apply(self, v: VectorField) -> VectorField:
-        """Contract the down index with v: (t v)^a = t^a_b v^b, one dot per row."""
-        return VectorField([poly_dot(row, v.components) for row in self.components])
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor11):
-            return NotImplemented
-        return self.dim == other.dim and self.components == other.components
-
-    def __repr__(self):
-        return f"Tensor11({[[str(c) for c in row] for row in self.components]})"
+def from_row_forms(rows: Sequence[OrdinaryForm]) -> tuple[tuple[Polynomial, ...], ...]:
+    """Inverse of ``row_forms``: m^a_b is the dx^b coefficient of rows[a];
+    ValueError unless every row is a one-form."""
+    n = len(rows)
+    if any(not row.is_zero() and row.degree != 1 for row in rows):
+        raise ValueError("rows must be one-forms")
+    zero = Polynomial.zero(n)
+    return tuple(tuple(row.components.get((b,), zero) for b in range(1, n + 1)) for row in rows)
 
 
 # -- exterior operations ------------------------------------------------------

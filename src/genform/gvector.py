@@ -2,12 +2,15 @@
 
     V = (v^r + v^r_s dx^s m) d/dx^r
 
-i.e. an ordinary vector field v plus a (1,1) tensor field vt.  The interior
+i.e. an ordinary vector field v plus a (1,1) tensor field vt, an n x n
+polynomial matrix (a tuple of rows) judged by ``exterior.square_matrix``, the
+one n x n rule.  Its row one-forms theta^a = v^a_b dx^b are formed on first
+use and kept on the field (``GenVectorField.row_forms``).  The interior
 product lowers degree by one and acquires an extra soul term from vt.  It is
 built on the hooks i_{d/dx^a} of ``exterior``, the one index-removal rule:
-the body contracts them with v^a, the soul wedges them with the row one-forms
-of vt.  The Lie derivative is the anticommutator with d; the bracket is
-fixed by requiring [L_V, L_W] = L_[V,W] on every form.
+the body contracts them with v^a, the soul wedges them with theta^a.  The Lie
+derivative is the anticommutator with d; the bracket is fixed by requiring
+[L_V, L_W] = L_[V,W] on every form.
 
 The special case vt = v0 * identity recovers the scalar-extended vector fields
 of the Hamiltonian example, including their modified Lie derivative built from
@@ -23,58 +26,76 @@ the supported composition law.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
 from .exterior import (
     OrdinaryForm,
-    Tensor11,
     VectorField,
     _hooks,
     coordinate_partial,
     ext_d,
+    from_row_forms,
     interior,
     lie,
+    mat_identity,
+    mat_is_zero,
     mat_map,
+    mat_mul,
+    row_forms,
+    square_matrix,
     transpose,
     vf_bracket,
     wedge_dot,
     wedge_sum,
 )
 from .gform import GenForm, gd
-from .ring import Polynomial, Scalar
+from .ring import Polynomial, Scalar, poly_dot
+
+PolyMatrix = tuple[tuple[Polynomial, ...], ...]
 
 
 class GenVectorField:
-    __slots__ = ("dim", "epsilon", "v", "vt")
+    __slots__ = ("dim", "epsilon", "v", "vt", "_rows")
 
-    def __init__(self, dim: int, epsilon: Scalar, v: VectorField, vt: Tensor11):
-        if v.dim != dim or vt.dim != dim:
+    def __init__(self, dim: int, epsilon: Scalar, v: VectorField,
+                 vt: Sequence[Sequence[Polynomial]]):
+        vt = square_matrix(vt, "vt", ValueError, dim)
+        if v.dim != dim or any(c.dim != dim for row in vt for c in row):
             raise ValueError("component dimension mismatch")
         self.dim = dim
         self.epsilon = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
         self.v = v
         self.vt = vt
+        self._rows: tuple[OrdinaryForm, ...] | None = None
 
     @classmethod
     def ordinary(cls, v: VectorField, epsilon: Scalar) -> "GenVectorField":
-        return cls(v.dim, epsilon, v, Tensor11.zero(v.dim))
+        zero = Polynomial.zero(v.dim)
+        return cls(v.dim, epsilon, v, mat_identity(v.dim, zero, zero))
 
     @classmethod
-    def pure(cls, vt: Tensor11, epsilon: Scalar) -> "GenVectorField":
-        return cls(vt.dim, epsilon, VectorField.zero(vt.dim), vt)
+    def pure(cls, vt: Sequence[Sequence[Polynomial]], epsilon: Scalar) -> "GenVectorField":
+        return cls(len(vt), epsilon, VectorField.zero(len(vt)), vt)
 
     def pure_part(self) -> "GenVectorField":
         return GenVectorField.pure(self.vt, self.epsilon)
 
+    def row_forms(self) -> tuple[OrdinaryForm, ...]:
+        """theta^a = v^a_b dx^b, formed on first use and kept on the field."""
+        if self._rows is None:
+            self._rows = row_forms(self.vt)
+        return self._rows
+
     def is_zero(self) -> bool:
-        return self.v.is_zero() and self.vt.is_zero()
+        return self.v.is_zero() and mat_is_zero(self.vt)
 
     def scalar_extension(self) -> Polynomial | None:
         """Return v0 when vt = v0 * identity, else None."""
-        v0 = self.vt.entry(1, 1)
-        if self.vt == Tensor11.identity(self.dim, v0):
+        v0 = self.vt[0][0]
+        if self.vt == mat_identity(self.dim, v0, Polynomial.zero(self.dim)):
             return v0
         return None
 
@@ -82,11 +103,13 @@ class GenVectorField:
 
     def __add__(self, other: "GenVectorField") -> "GenVectorField":
         self._require_compatible(other)
-        return GenVectorField(self.dim, self.epsilon, self.v + other.v, self.vt + other.vt)
+        return GenVectorField(self.dim, self.epsilon, self.v + other.v,
+                              mat_map(operator.add, self.vt, other.vt))
 
     def __sub__(self, other: "GenVectorField") -> "GenVectorField":
         self._require_compatible(other)
-        return GenVectorField(self.dim, self.epsilon, self.v - other.v, self.vt - other.vt)
+        return GenVectorField(self.dim, self.epsilon, self.v - other.v,
+                              mat_map(operator.sub, self.vt, other.vt))
 
     def __eq__(self, other):
         if not isinstance(other, GenVectorField):
@@ -95,14 +118,14 @@ class GenVectorField:
                 and self.v == other.v and self.vt == other.vt)
 
     def __repr__(self):
-        return f"GenVectorField(v={self.v!r}, vt={self.vt!r})"
+        return f"GenVectorField(v={self.v!r}, vt={mat_map(str, self.vt)})"
 
 
 def embed_generalized(v: VectorField, v0: Polynomial | Scalar, epsilon: Scalar) -> GenVectorField:
     """Scalar-extended field: vt = v0 * identity."""
     if not isinstance(v0, Polynomial):
         v0 = Polynomial.const(v.dim, v0)
-    return GenVectorField(v.dim, epsilon, v, Tensor11.identity(v.dim, v0))
+    return GenVectorField(v.dim, epsilon, v, mat_identity(v.dim, v0, Polynomial.zero(v.dim)))
 
 
 # -- interior product ----------------------------------------------------------
@@ -124,7 +147,7 @@ def gv_interior(V: GenVectorField, a: GenForm) -> GenForm:
     hooks, components, sign = _hooks(a.body), V.v.component_forms(), _sign(a.degree - 1)
     body = wedge_dot(components, hooks)
     soul = wedge_sum([(1, c, h) for c, h in zip(components, _hooks(a.soul))]
-                     + [(sign, t, h) for t, h in zip(V.vt.row_forms(), hooks)])
+                     + [(sign, t, h) for t, h in zip(V.row_forms(), hooks)])
     return GenForm(a.dim, a.epsilon, a.degree - 1, body, soul)
 
 
@@ -139,7 +162,7 @@ def gv_anticommutator_closed_form(V: GenVectorField, W: GenVectorField, a: GenFo
     V._require_compatible(W)
     v, w = V.v.components, W.v.components
     u = VectorField([Polynomial.sum_products([(1, x, y) for x, y in zip(vrow + wrow, w + v)])
-                     for vrow, wrow in zip(V.vt.components, W.vt.components)])
+                     for vrow, wrow in zip(V.vt, W.vt)])
     sign = _sign(a.degree - 1)
     return GenForm(a.dim, a.epsilon, a.degree - 2, soul=wedge_sum(
         [(sign, c, h) for c, h in zip(u.component_forms(), _hooks(a.body))]))
@@ -151,7 +174,7 @@ def xi_type_pair(v: VectorField, w: VectorField,
     two-form: the row one-forms of vt are i_v Xi^a; such pairs anticommute."""
     def build(u: VectorField) -> GenVectorField:
         return GenVectorField(u.dim, epsilon, u,
-                              Tensor11.from_row_forms([interior(u, x) for x in xi]))
+                              from_row_forms([interior(u, x) for x in xi]))
 
     return build(v), build(w)
 
@@ -178,7 +201,7 @@ def gv_lie_expansion(V: GenVectorField, a: GenForm) -> GenForm:
     """
     V._require_compatible(a)
     n, p, eps = a.dim, a.degree, a.epsilon
-    theta, hooks = V.vt.row_forms(), _hooks(a.body)
+    theta, hooks = V.row_forms(), _hooks(a.body)
     eps_theta = [t.scale(eps) for t in theta]
     body = lie(V.v, a.body) + wedge_sum([(-1, t, h) for t, h in zip(eps_theta, hooks)])
     grads = [coordinate_partial(a.body, axis) for axis in range(1, n + 1)]
@@ -208,7 +231,7 @@ def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     at eps = 0.
     """
     V._require_compatible(W)
-    v, w, vt, wt = V.v.components, W.v.components, V.vt.components, W.vt.components
+    v, w, vt, wt = V.v.components, W.v.components, V.vt, W.vt
     axes = range(1, V.dim + 1)
     jv, jw = ([[c.partial(b) for b in axes] for c in x] for x in (v, w))
     products = [(1, jw, vt), (-1, vt, jw), (-1, jv, wt), (1, wt, jv)]  # (s, X, Y): s X Y
@@ -225,7 +248,7 @@ def gv_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
                for x, y in zip(rows[c], cols[a])])
 
     return GenVectorField(V.dim, V.epsilon, vf_bracket(V.v, W.v),
-                          Tensor11([[entry(c, a) for a in range(V.dim)] for c in range(V.dim)]))
+                          [[entry(c, a) for a in range(V.dim)] for c in range(V.dim)])
 
 
 # -- splitting of d and the modified Lie derivative ------------------------------
@@ -259,21 +282,21 @@ def modified_lie(V: GenVectorField, a: GenForm) -> GenForm:
 # -- quaternionic fixture --------------------------------------------------------
 
 
-def quaternion_triple() -> tuple[Tensor11, Tensor11, Tensor11]:
+def quaternion_triple() -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Constant (1,1) tensors J1, J2, J3 on R^4 (left multiplication by the
     imaginary units on the coordinates) with Ji Jj = e_ijk Jk for i != j."""
-    return tuple(Tensor11(mat_map(partial(Polynomial.const, 4), rows)) for rows in (
+    return tuple(mat_map(partial(Polynomial.const, 4), rows) for rows in (
         [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
         [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
         [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]))
 
 
-def validate_quaternion_triple(js: Sequence[Tensor11]) -> None:
+def validate_quaternion_triple(js: Sequence[PolyMatrix]) -> None:
     """Check Ji Jj = e_ijk Jk for all i != j by direct multiplication."""
     eps_sym = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),
                (1, 0): (2, -1), (2, 1): (0, -1), (0, 2): (1, -1)}
     for (i, j), (k, sign) in eps_sym.items():
-        product = js[i].matmul(js[j])
-        if not (product - js[k] if sign > 0 else product + js[k]).is_zero():
+        product = mat_mul(js[i], js[j], poly_dot)
+        if not mat_is_zero(mat_map(operator.sub if sign > 0 else operator.add, product, js[k])):
             raise AssertionError(f"J{i + 1} J{j + 1} != {sign:+d} J{k + 1}")
 

@@ -35,14 +35,15 @@ from typing import Callable, Sequence
 
 from .exterior import (
     OrdinaryForm,
-    Tensor11,
     VectorField,
     _hooks,
     ext_d,
+    from_row_forms,
     interior,
     inverse_defect,
     mat_mul,
     poincare_antiderivative,
+    square_matrix,
     transpose,
 )
 from .gform import GenForm, gd
@@ -74,12 +75,10 @@ def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -
         raise InputError(f"dimension {n} is odd")
     if s.degree != 2:
         raise InputError(f"degree {s.degree} != 2")
+    inv = square_matrix(omega_inv, "omega_inv", InputError, n)
     if not gd(s).is_zero():
         raise InputError("form is not closed")
-    inv = tuple(tuple(row) for row in omega_inv)
-    if len(inv) != n or any(len(row) != n for row in inv):
-        raise InputError("inverse matrix has wrong shape")
-    omega = Tensor11.from_row_forms(_hooks(s.body)).components  # hook a of T is T_ab dx^b
+    omega = from_row_forms(_hooks(s.body))  # hook a of T is T_ab dx^b
     defect = inverse_defect(inv, transpose(omega))  # W^{ag} Omega_{bg}
     if defect is not None:
         raise InputError("inverse check failed at entry ({},{})".format(*defect))
@@ -104,12 +103,12 @@ def hamiltonian_vf(prob: GenHamiltonianProblem) -> GenVectorField:
     n = s.dim
     dH = gd(prob.hamiltonian)  # body dh - eps k, soul dk
     zero = Polynomial.zero(n)
-    v = Tensor11(s.omega_inv).apply(
-        VectorField([-dH.body.components.get((b,), zero) for b in range(1, n + 1)]))
+    minus_dh = [-dH.body.components.get((b,), zero) for b in range(1, n + 1)]
+    v = VectorField([poly_dot(row, minus_dh) for row in s.omega_inv])
     half = (interior(v, s.s.soul) + dH.soul).scale(Fraction(1, 2))  # hook b is S_bg dx^g
-    S = Tensor11.from_row_forms(_hooks(half)).components
+    S = from_row_forms(_hooks(half))
     vt = mat_mul(s.omega_inv, transpose(S), poly_dot)  # W^{ag} S_{bg}
-    field = GenVectorField(n, s.epsilon, v, Tensor11(vt))
+    field = GenVectorField(n, s.epsilon, v, vt)
 
     residual = gv_interior(field, s.s) + dH
     if not residual.is_zero():

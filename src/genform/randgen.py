@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .connection import GenConnection
-from .exterior import OrdinaryForm, Tensor11, VectorField, mat_identity, mat_map, mat_mul, transpose
+from .exterior import OrdinaryForm, VectorField, mat_identity, mat_map, mat_mul, transpose
 from .gform import GenForm
 from .gvector import GenVectorField
 from .ring import Polynomial, _pack, poly_dot
@@ -71,9 +71,9 @@ class FormRandom:
     def vector_field(self) -> VectorField:
         return VectorField([self.poly() for _ in range(self.dim)])
 
-    def tensor(self) -> Tensor11:
-        return Tensor11([[self.poly() for _ in range(self.dim)]
-                         for _ in range(self.dim)])
+    def tensor(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """An n x n polynomial matrix, such as the tensor part of a field."""
+        return tuple(tuple(self.poly() for _ in range(self.dim)) for _ in range(self.dim))
 
     def gen_vector_field(self) -> GenVectorField:
         return GenVectorField(self.dim, self.epsilon, self.vector_field(), self.tensor())

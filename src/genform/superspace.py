@@ -240,7 +240,7 @@ def super_interior(V, f: SuperFunction) -> SuperFunction:
         df = f.odd_derivative(r - 1)
         _add_blade_product(groups, 0, V.v.component(r), df)
         for s in range(1, n + 1):
-            _add_blade_product(groups, (1 << (s - 1)) | mu, V.vt.entry(r, s), df)
+            _add_blade_product(groups, (1 << (s - 1)) | mu, V.vt[r - 1][s - 1], df)
     return _sum_groups(n, f.epsilon, groups)
 
 
@@ -263,7 +263,7 @@ def super_lie_expansion(V, f: SuperFunction) -> SuperFunction:
         va, fa, dfa = V.v.component(a), f.coordinate_partial(a), f.odd_derivative(a - 1)
         _add_blade_product(groups, 0, va, fa)
         for b in range(1, n + 1):
-            zb, vab = 1 << (b - 1), V.vt.entry(a, b)
+            zb, vab = 1 << (b - 1), V.vt[a - 1][b - 1]
             if not dfa.is_zero():  # else d_b v^a - eps v^a_b would be formed for nothing
                 _add_blade_product(groups, zb, va.partial(b) - eps * vab, dfa)
                 for c in range(1, n + 1):

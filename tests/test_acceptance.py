@@ -21,7 +21,7 @@ from genform.hamiltonian import (
     rk4_order_estimate,
 )
 from genform.randgen import FormRandom
-from genform.exterior import Tensor11
+from genform.exterior import mat_map
 from genform.suites import run_suite
 import genform.connection as conn
 
@@ -79,7 +79,7 @@ def test_criterion_05_so3_example():
     validate_quaternion_triple(js)
 
     def scaled(j, c):
-        return Tensor11([[x * c for x in row] for row in j.components])
+        return mat_map(lambda x: x * c, j)
 
     ok = True
     for eps in (Fraction(1), Fraction(2), Fraction(-1, 2)):

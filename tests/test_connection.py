@@ -31,7 +31,7 @@ from genform.connection import (
     torsion,
     transform_connection,
 )
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, ext_d, wedge_dot
+from genform.exterior import OrdinaryForm, VectorField, ext_d, wedge_dot
 from genform.gform import GenForm, gd, gwedge, gwedge_dot
 from genform.gvector import GenVectorField
 from genform.randgen import FormRandom
@@ -218,7 +218,7 @@ def test_cov_deriv_examples():
     # A = 0, pure V with v^1_2 = 1: Dv^1 = -dx2 (body), zero soul
     rows = [[Polynomial.zero(n)] * n for _ in range(n)]
     rows[0][1] = Polynomial.one(n)
-    Vp = GenVectorField.pure(Tensor11(rows), eps)
+    Vp = GenVectorField.pure(rows, eps)
     dv = cov_deriv_vf(A, Vp)
     assert dv[0].body == -OrdinaryForm.basis(n, (2,))
     assert dv[0].soul.is_zero()
@@ -312,6 +312,7 @@ def test_metric_validate_rejects_asymmetry_and_bad_inverse():
 
 _ONE, _ZERO, _ZERO_FORM = Polynomial.one(2), Polynomial.zero(2), OrdinaryForm.zero(2, 1)
 _EYE = ((_ONE, _ZERO), (_ZERO, _ONE))
+_ZEROS, _DX1 = ((_ZERO_FORM,) * 2,) * 2, OrdinaryForm.basis(2, (1,))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -331,10 +332,24 @@ _EYE = ((_ONE, _ZERO), (_ZERO, _ONE))
     pytest.param(lambda: metric_connection_eps(((_ONE, _ZERO, _ONE), (_ZERO, _ONE, _ZERO)),
                                                None, _EYE, 1),
                  "gamma must be 2 x 2", id="case ii gamma 2x3"),
+    pytest.param(lambda: metric_connection_eps0(_EYE, _ZEROS, ((_ZERO_FORM,) * 3,) * 2, _EYE),
+                 "alpha_lc must be 2 x 2", id="case i alpha 2x3"),
+    pytest.param(lambda: metric_connection_eps(_EYE, ((_ZERO_FORM,),), _EYE, 1),
+                 "alpha must be 2 x 2", id="case ii alpha 1x1"),
+    pytest.param(lambda: metric_connection_eps(_EYE, ((OrdinaryForm.basis(3, (1,)),) * 2,) * 2,
+                                               _EYE, 1),
+                 r"alpha entries must be 1-forms on R\^2", id="case ii alpha of dim-3 forms"),
+    pytest.param(lambda: metric_connection_eps(_EYE, _ZEROS, _EYE, 1,
+                                               ((OrdinaryForm.zero(2, 2),) * 3,) * 2),
+                 "beta_tilde must be 2 x 2", id="case ii beta_tilde 2x3"),
+    pytest.param(lambda: metric_connection_eps0(_EYE, _ZEROS, None, _EYE, ((_DX1,) * 2,) * 2),
+                 r"beta_tilde entries must be 2-forms on R\^2", id="case i beta_tilde of 1-forms"),
 ])
 def test_metric_matrices_of_the_wrong_shape_are_rejected(build, message):
-    """gamma, gamma^-1 and chi must each be n x n, n = len(gamma): a
-    matrix of another shape is bad input, not cut to size or an IndexError."""
+    """gamma, gamma^-1 and chi must each be n x n, n = len(gamma), and so
+    must alpha (alpha_lc) and beta_tilde, with one-forms and two-forms on R^n
+    for entries: a matrix of another shape is bad input, not cut to size, an
+    IndexError or a ValueError from a product."""
     with pytest.raises(InputError, match=message):
         build()
 
@@ -691,7 +706,7 @@ def composed_cov_d_lowered(alpha, t):
 
 def composed_cov_deriv_vf_expansion(A, V):
     v = conn.transpose((V.v.component_forms(),))
-    theta = conn.transpose((V.vt.row_forms(),))
+    theta = conn.transpose((V.row_forms(),))
     alpha, beta = conn._split(A.entries)
     body = conn.mat_map(lambda d, a, t: d + a - t, conn.mat_map(ext_d, v),
                         conn.mat_mul(alpha, v, wedge_dot), conn._scale_matrix(theta, A.epsilon))

@@ -10,19 +10,23 @@ import pytest
 from genform.cli import form_from_json, json_dim, json_field, poly_matrix_from_json
 from genform.exterior import (
     OrdinaryForm,
-    Tensor11,
     VectorField,
     _d_table,
     _hooks,
     coordinate_partial,
     ext_d,
+    from_row_forms,
     interior,
+    inverse_defect,
     lie,
+    mat_identity,
     mat_map,
     mat_mul,
     merge_indices,
     poincare_antiderivative,
     pullback,
+    row_forms,
+    square_matrix,
     transpose,
     vf_bracket,
     wedge,
@@ -304,12 +308,13 @@ def test_interior_hands_the_kernel_no_zero_component(monkeypatch):
 
 
 def test_tensor_matmul_and_apply():
+    # a (1,1) tensor is a polynomial matrix: t v is one dot per row
     n = 2
-    x1 = Polynomial.var(n, 1)
-    t = Tensor11([[Polynomial.zero(n), x1], [Polynomial.one(n), Polynomial.zero(n)]])
-    vec = VectorField([Polynomial.one(n), Polynomial.const(n, 2)])
-    assert t.apply(vec) == VectorField([x1 * 2, Polynomial.one(n)])
-    assert t.matmul(Tensor11.identity(n)) == t
+    x1, one, zero = Polynomial.var(n, 1), Polynomial.one(n), Polynomial.zero(n)
+    t = ((zero, x1), (one, zero))
+    vec = VectorField([one, Polynomial.const(n, 2)])
+    assert VectorField([poly_dot(row, vec.components) for row in t]) == VectorField([x1 * 2, one])
+    assert mat_mul(t, mat_identity(n, one, zero), poly_dot) == t
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -317,13 +322,13 @@ def test_tensor_row_forms_round_trip(dim):
     rnd = FormRandom(40 + dim, dim, Fraction(0))
     for _ in range(10):
         t = rnd.tensor()
-        rows = t.row_forms()
+        rows = row_forms(t)
         assert all(row.degree == 1 for row in rows)
         assert [[row.components.get((b,), Polynomial.zero(dim)) for b in range(1, dim + 1)]
-                for row in rows] == [list(r) for r in t.components]
-        assert Tensor11.from_row_forms(rows) == t
+                for row in rows] == [list(r) for r in t]
+        assert from_row_forms(rows) == t
     with pytest.raises(ValueError):
-        Tensor11.from_row_forms([OrdinaryForm.constant(dim, 1)] * dim)
+        from_row_forms([OrdinaryForm.constant(dim, 1)] * dim)
 
 
 def test_lie_on_functions_is_the_directional_derivative():
@@ -568,6 +573,23 @@ def test_matrix_helpers_pair_rows_and_entries_strictly(bad):
     # a plain zip would cut each pair to the shorter one
     with pytest.raises(ValueError):
         bad()
+
+
+def test_square_matrix_is_the_one_n_by_n_rule():
+    assert square_matrix([[1, 2], [3, 4]], "m", ValueError, 2) == ((1, 2), (3, 4))
+    assert square_matrix([], "m", ValueError, 0) == ()
+    for bad, n in [([[1, 2]], 1), ([[1], [2]], 2), ([[1, 2], [3]], 2), ([[1, 2], [3, 4]], 3),
+                   ([[1]], 2)]:
+        for error in (ValueError, InputError):
+            with pytest.raises(error, match=f"m must be {n} x {n}"):
+                square_matrix(bad, "m", error, n)
+    one, zero = Polynomial.one(2), Polynomial.zero(2)
+    eye = ((one, zero), (zero, one))
+    assert inverse_defect(eye, eye) is None
+    with pytest.raises(ValueError, match="right must be 2 x 2"):
+        inverse_defect(eye, ((one, zero),))
+    with pytest.raises(ValueError, match="left must be 2 x 2"):
+        inverse_defect(((one,), (zero,)), eye)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

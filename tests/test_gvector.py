@@ -1,8 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, _hooks, vf_bracket, wedge_dot
+from genform.exterior import (OrdinaryForm, VectorField, _hooks, mat_identity, mat_is_zero,
+                              mat_map, mat_mul, vf_bracket, wedge_dot)
 from genform.gform import GenForm, gd, ginterior_ordinary, glie_ordinary, gwedge
 from genform.gvector import (
     GenVectorField,
@@ -20,7 +22,7 @@ from genform.gvector import (
     xi_type_pair,
 )
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, Polynomial
+from genform.ring import ExpPoly, Polynomial, poly_dot
 from genform.superspace import from_super, super_interior, super_lie, to_super
 from test_exterior import coordinate_field
 
@@ -30,7 +32,7 @@ EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 def elementary_tensor(n, up, down, value=1):
     rows = [[Polynomial.zero(n)] * n for _ in range(n)]
     rows[up - 1][down - 1] = Polynomial.const(n, value)
-    return Tensor11(rows)
+    return rows
 
 
 def test_interior_kills_minus_one():
@@ -211,7 +213,7 @@ def test_bracket_ordinary_and_antisymmetry():
     V = GenVectorField.ordinary(v, Fraction(2))
     W = GenVectorField.ordinary(w, Fraction(2))
     br = gv_bracket(V, W)
-    assert br.vt.is_zero()
+    assert mat_is_zero(br.vt)
     assert br.v == vf_bracket(v, w)
     U = rnd.gen_vector_field()
     assert gv_bracket(U, U).is_zero()
@@ -230,33 +232,36 @@ def test_bracket_jacobi():
             assert total.is_zero()
 
 
-def scaled_tensor(t: Tensor11, c) -> Tensor11:
+def scaled_tensor(t, c):
     """c * t, entry by entry."""
-    return Tensor11([[x * c for x in row] for row in t.components])
+    return mat_map(lambda x: x * c, t)
 
 
 def composite_bracket(V: GenVectorField, W: GenVectorField) -> GenVectorField:
     """[V, W] as built before the signed sums: every piece of
-    v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt] is a Tensor11 of
-    its own, and the commutators are Tensor11.matmul products."""
+    v(wt) - w(vt) + [J(w), vt] - [J(v), wt] + eps [vt, wt] is a matrix of
+    its own, and the commutators are ``mat_mul`` products."""
     v, w = V.v, W.v
 
     def along(u: VectorField, p: Polynomial) -> Polynomial:
         return sum((c * p.partial(b) for b, c in enumerate(u.components, 1)),
                    Polynomial.zero(u.dim))
 
-    def derivative(u: VectorField, t: Tensor11) -> Tensor11:
-        return Tensor11([[along(u, x) for x in row] for row in t.components])
+    def derivative(u: VectorField, t):
+        return mat_map(lambda x: along(u, x), t)
 
-    def jacobian(u: VectorField) -> Tensor11:
-        return Tensor11([[c.partial(a) for a in range(1, u.dim + 1)] for c in u.components])
+    def jacobian(u: VectorField):
+        return [[c.partial(a) for a in range(1, u.dim + 1)] for c in u.components]
 
-    def commutator(s: Tensor11, t: Tensor11) -> Tensor11:
-        return s.matmul(t) - t.matmul(s)
+    def commutator(s, t):
+        return mat_map(operator.sub, mat_mul(s, t, poly_dot), mat_mul(t, s, poly_dot))
 
-    vt = (derivative(v, W.vt) - derivative(w, V.vt)
-          + commutator(jacobian(w), V.vt) - commutator(jacobian(v), W.vt)
-          + scaled_tensor(commutator(V.vt, W.vt), V.epsilon))
+    vt = derivative(v, W.vt)
+    for op, t in [(operator.sub, derivative(w, V.vt)),
+                  (operator.add, commutator(jacobian(w), V.vt)),
+                  (operator.sub, commutator(jacobian(v), W.vt)),
+                  (operator.add, scaled_tensor(commutator(V.vt, W.vt), V.epsilon))]:
+        vt = mat_map(op, vt, t)
     vw = VectorField([along(v, wc) - along(w, vc)
                       for vc, wc in zip(v.components, w.components)])
     return GenVectorField(V.dim, V.epsilon, vw, vt)
@@ -277,9 +282,9 @@ def test_quaternion_triple_validates():
     js = quaternion_triple()
     validate_quaternion_triple(js)
     # square of each is minus the identity (standard complex-structure triple)
-    minus_i = Tensor11.identity(4, -1)
+    minus_i = mat_identity(4, Polynomial.const(4, -1), Polynomial.zero(4))
     for j in js:
-        assert j.matmul(j) == minus_i
+        assert mat_mul(j, j, poly_dot) == minus_i
 
 
 def test_so3_example_nonzero_epsilon():
@@ -324,7 +329,7 @@ def test_embed_generalized():
     n = 3
     v = coordinate_field(n, 2)
     V = embed_generalized(v, Fraction(0), Fraction(1))
-    assert V.vt.is_zero()
+    assert mat_is_zero(V.vt)
     V2 = embed_generalized(v, Polynomial.var(n, 1), Fraction(1))
     assert V2.scalar_extension() == Polynomial.var(n, 1)
     rnd = FormRandom(13, n, Fraction(1))
@@ -342,7 +347,7 @@ def test_embedded_fields_use_general_machinery():
             v0, w0 = rnd.poly(), rnd.poly()
             V = embed_generalized(v, v0, eps)
             W = embed_generalized(w, w0, eps)
-            generic_V = GenVectorField(n, eps, v, Tensor11.identity(n, v0))
+            generic_V = GenVectorField(n, eps, v, mat_identity(n, v0, Polynomial.zero(n)))
             assert gv_interior(V, a) == gv_interior(generic_V, a)
             assert gv_lie(V, a) == gv_lie(generic_V, a)
             br = gv_bracket(V, W)
@@ -430,6 +435,20 @@ def test_lie_leibniz_general_fields():
         V = rnd.gen_vector_field()
         assert gv_lie(V, gwedge(a, b)) == (
             gwedge(gv_lie(V, a), b) + gwedge(a, gv_lie(V, b)))
+
+
+@pytest.mark.parametrize("vt, message", [
+    pytest.param(lambda p: [[p] * 3] * 2, "vt must be 3 x 3", id="2x3"),
+    pytest.param(lambda p: [[p] * 2] * 3, "vt must be 3 x 3", id="3x2"),
+    pytest.param(lambda p: [[p] * 3, [p] * 3, [p] * 2], "vt must be 3 x 3", id="ragged"),
+    pytest.param(lambda p: [[Polynomial.one(2)] * 3] * 3, "component dimension mismatch",
+                 id="entries of dim 2"),
+])
+def test_gen_vector_field_judges_its_tensor_part(vt, message):
+    # vt is an n x n matrix of polynomials in n variables, n = dim
+    v = FormRandom(20, 3, Fraction(1)).vector_field()
+    with pytest.raises(ValueError, match=message):
+        GenVectorField(3, Fraction(1), v, vt(Polynomial.one(3)))
 
 
 @pytest.mark.parametrize("change", [{"count": 1}, {"count": 4}, {"dim": 2}, {"epsilon": "x"}])

@@ -2,8 +2,8 @@
 superspace oracle and the canonical random draws.
 
 - ``ext_d``, ``gd``, ``exterior._hooks``, ``VectorField.component_forms`` and
-  ``Tensor11.row_forms`` form their result on first use and keep it on their
-  argument: a repeated call returns the same object, and that object equals
+  ``GenVectorField.row_forms`` form their result on first use and keep it on
+  their argument: a repeated call returns the same object, and that object equals
   a fresh computation on a copy built by the validating constructor.
 - ``a - b`` is one signed sum in each of ``Polynomial``, ``OrdinaryForm``,
   ``GenForm`` and ``SuperFunction``, and componentwise in ``VectorField`` and
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genform import superspace
-from genform.exterior import OrdinaryForm, Tensor11, VectorField, _hooks, ext_d
+from genform.exterior import OrdinaryForm, VectorField, _hooks, ext_d
 from genform.gform import GenForm, gd
 from genform.gvector import GenVectorField
 from genform.randgen import COEFF_POOL, EPSILON_POOL, FormRandom
@@ -78,11 +78,11 @@ def test_a_repeated_derivation_returns_the_kept_object(dim):
                 assert da == gd(copy_genform(a))
                 # d d a = 0 is formed on d a: a result keeps nothing of its own
                 assert gd(da).is_zero() and gd(da) is not da
-    v, t = rnd.vector_field(), rnd.tensor()
-    forms, rows = v.component_forms(), t.row_forms()
-    assert v.component_forms() is forms and t.row_forms() is rows
+    v, V = rnd.vector_field(), rnd.gen_vector_field()
+    forms, rows = v.component_forms(), V.row_forms()
+    assert v.component_forms() is forms and V.row_forms() is rows and V._rows is rows
     assert forms == VectorField(list(v.components)).component_forms()
-    assert rows == Tensor11([list(row) for row in t.components]).row_forms()
+    assert rows == GenVectorField(dim, V.epsilon, V.v, [list(row) for row in V.vt]).row_forms()
     assert [f.degree for f in forms] == [0] * dim and [r.degree for r in rows] == [1] * dim
 
 
@@ -100,7 +100,7 @@ def _scaled(kind: str, x, factor):
     if kind == "vector":
         return VectorField([c * factor for c in x.components])
     if kind == "genvector":
-        vt = Tensor11([[c * factor for c in row] for row in x.vt.components])
+        vt = [[c * factor for c in row] for row in x.vt]
         return GenVectorField(x.dim, x.epsilon, _scaled("vector", x.v, factor), vt)
     return SuperFunction(x.dim, x.epsilon, {m: c * factor for m, c in x.terms.items()})
 
@@ -147,8 +147,7 @@ def _same(x, y) -> bool:
         return x == y and all(map(_same, x.components, y.components))
     if isinstance(x, GenVectorField):
         return (x == y and _same(x.v, y.v)
-                and all(map(_same, itertools.chain(*x.vt.components),
-                            itertools.chain(*y.vt.components))))
+                and all(map(_same, itertools.chain(*x.vt), itertools.chain(*y.vt))))
     return x == y
 
 

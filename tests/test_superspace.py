@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from genform.exterior import OrdinaryForm, Tensor11, VectorField
+from genform.exterior import OrdinaryForm
 from genform.gform import GenForm, gd, ginterior_ordinary, glie_ordinary, gwedge
 from genform.gvector import GenVectorField, gv_interior, gv_lie
 from genform.randgen import FormRandom
@@ -94,10 +94,9 @@ def test_super_interior_examples():
     f = SuperFunction(n, eps, {0b11: Polynomial.one(n)})  # z1 z2
     assert super_interior(d1, f).terms == {0b10: Polynomial.one(n)}
     # pure field with v^1_2 = 1 acting on z1 gives z2 mu with positive sign
-    vt = Tensor11.zero(n)
-    rows = [list(r) for r in vt.components]
+    rows = [[Polynomial.zero(n)] * n for _ in range(n)]
     rows[0][1] = Polynomial.one(n)
-    pure = GenVectorField.pure(Tensor11(rows), eps)
+    pure = GenVectorField.pure(rows, eps)
     z1 = SuperFunction(n, eps, {0b01: Polynomial.one(n)})
     got = super_interior(pure, z1)
     assert got.terms == {0b10 | (1 << n): Polynomial.one(n)}
