@@ -39,12 +39,13 @@ by the connection (chi = q / eps) and the symmetric part of beta by the
 ordinary curvature.  Supplied base connections must be torsion free; bundled
 fixtures use metrics whose inverse is polynomial so everything stays exact,
 and ``cli.connection_from_json`` reads them.
-A broken hypothesis (a gamma, gamma^-1 or chi that is not n x n, an
-alpha (alpha_lc) or beta_tilde that is not an n x n matrix of one-forms or
-two-forms on R^n, an asymmetric metric, an inexact inverse, torsion, a
-non-metric alpha_lc, eps = 0) raises ``InputError`` (exit 2), each shape
-judged by ``exterior.square_matrix``; ``ConstructionError`` means that a
-construction itself failed on input that met them (exit 1, with the report).
+A broken hypothesis (a gamma, gamma^-1 or chi that is not n x n or whose
+entries do not have dim n, an alpha (alpha_lc) or beta_tilde that is not an
+n x n matrix of one-forms or two-forms on R^n, an asymmetric metric, an
+inexact inverse, torsion, a non-metric alpha_lc, eps = 0) raises
+``InputError`` (exit 2), each shape judged by ``exterior.square_matrix``;
+``ConstructionError`` means that a construction itself failed on input that
+met them (exit 1, with the report).
 Both constructions verify that the non-metricity Q of their result is zero
 and return a ``MetricConnection``: A and g together with the pieces they
 computed on the way, the ordinary curvature F_cal, the ordinary
@@ -286,10 +287,12 @@ def _symmetric(matrix, name: str) -> None:
 def _judged_gamma(gamma: PolyMatrix, gamma_inv: PolyMatrix,
                   **more: Sequence[Sequence]) -> tuple[FormMatrix, FormMatrix]:
     """gamma and gamma^-1 as 0-forms, once they and ``more`` are n x n,
-    n = len(gamma), and gamma is symmetric with gamma^-1 its exact
-    two-sided inverse (``exterior.inverse_defect``)."""
+    n = len(gamma), with entries of dim n, and gamma is symmetric with
+    gamma^-1 its exact two-sided inverse (``exterior.inverse_defect``)."""
+    n = len(gamma)
     for name, matrix in dict(gamma=gamma, gamma_inv=gamma_inv, **more).items():
-        square_matrix(matrix, name, InputError, len(gamma))
+        if any(e.dim != n for row in square_matrix(matrix, name, InputError, n) for e in row):
+            raise InputError(f"{name} entries must have dim {n}")
     _symmetric(gamma, "gamma")
     if inverse_defect(gamma_inv, gamma) is not None:
         raise InputError("gamma_inv is not an exact inverse")

@@ -6,14 +6,19 @@ coefficients.  Any p-form with p < 0 or p > n is the zero form.  Signs come
 from transposition counting when index tuples merge, so wedge, d, interior
 product and Lie derivative are all exact.
 
-Coefficients are normally ``Polynomial``; everything except ``pullback`` and
-the homotopy inverse also works verbatim with ``ExpPoly`` coefficients, which
-the chart-gluing module relies on.  The JSON readers of forms are in ``cli``.
+Coefficients are normally ``Polynomial``.  The chart-gluing module also
+forms ``ExpPoly`` coefficients, and a form with them keeps what it uses:
+``+``, ``-``, negation, ``scale``, ``ext_d``, the hooks, ``coordinate_partial``
+and equality.  Its products (``wedge``, ``interior``, ``lie``), like
+``pullback`` and the homotopy inverse, take polynomial coefficients only.
+The JSON readers of forms are in ``cli``.
 
 Every product of forms groups its coefficient pairs by one rule,
 ``wedge_sum``: the dots, ``wedge``, the interior product, ``gform.gwedge_sum``
 (one call for the body, one for the soul) and ``pullback`` (one dot of the
-composed coefficients with the Jacobian minors) all hand their pairs to it.
+composed coefficients with the Jacobian minors) all hand their pairs to it,
+and it hands each group to ``Polynomial.sum_products``, the one function that
+multiplies the coefficients of forms.
 
 Forms and fields are values, and keep what is derived from them, like the
 partials of a ``Polynomial``: ``ext_d(a)`` and the hooks ``_hooks(a)`` are
@@ -40,8 +45,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
 
-from .ring import (Coefficient, ExpPoly, InputError, Polynomial, Scalar, _add_term, compose_all,
-                   poly_dot)
+from .ring import Coefficient, InputError, Polynomial, Scalar, _add_term, compose_all, poly_dot
 
 IndexTuple = tuple[int, ...]
 
@@ -346,21 +350,12 @@ def from_row_forms(rows: Sequence[OrdinaryForm]) -> tuple[tuple[Polynomial, ...]
 # -- exterior operations ------------------------------------------------------
 
 
-def _sum_products(triples: Sequence[tuple[int, Coefficient, Coefficient]]) -> Coefficient:
-    """sum of s * a * b over (s, a, b) triples: the integer kernel
-    ``Polynomial.sum_products`` when every operand is a Polynomial, else
-    ``ExpPoly.sum_products``."""
-    for _, a, b in triples:
-        if type(a) is not Polynomial or type(b) is not Polynomial:
-            return ExpPoly.sum_products(triples)
-    return Polynomial.sum_products(triples)
-
-
 def wedge_sum(triples: Sequence[tuple[int, OrdinaryForm, OrdinaryForm]]) -> OrdinaryForm:
     """sum of s * a ^ b over at least one (s, a, b) triple, s = +1 or -1,
     each output coefficient accumulated once: the signed coefficient pairs of
     every triple are grouped by merged index tuple and each group is summed
-    by one kernel call.
+    by one ``Polynomial.sum_products`` call, so the coefficients must be
+    polynomials.
 
     The result is the left fold of + over the signed wedges: of the terms'
     common degree when nonzero, of the last term's degree when zero.
@@ -390,7 +385,7 @@ def wedge_sum(triples: Sequence[tuple[int, OrdinaryForm, OrdinaryForm]]) -> Ordi
                 raise ValueError(f"degree mismatch: {degree} vs {a.degree + b.degree}")
             degree = a.degree + b.degree
     components = {idxs: c for idxs, group in groups.items()
-                  if not (c := _sum_products(group)).is_zero()}
+                  if not (c := Polynomial.sum_products(group)).is_zero()}
     _, a, b = triples[-1]
     return OrdinaryForm._canonical(dim, degree if components else a.degree + b.degree, components)
 

@@ -52,7 +52,7 @@ from .exterior import (
     wedge_sum,
 )
 from .gform import GenForm, gd
-from .ring import Polynomial, Scalar, poly_dot
+from .ring import InputError, Polynomial, Scalar, poly_dot
 
 PolyMatrix = tuple[tuple[Polynomial, ...], ...]
 
@@ -292,11 +292,12 @@ def quaternion_triple() -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
 
 
 def validate_quaternion_triple(js: Sequence[PolyMatrix]) -> None:
-    """Check Ji Jj = e_ijk Jk for all i != j by direct multiplication."""
+    """Check Ji Jj = e_ijk Jk for all i != j by direct multiplication;
+    InputError names the first product that breaks it."""
     eps_sym = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),
                (1, 0): (2, -1), (2, 1): (0, -1), (0, 2): (1, -1)}
     for (i, j), (k, sign) in eps_sym.items():
         product = mat_mul(js[i], js[j], poly_dot)
         if not mat_is_zero(mat_map(operator.sub if sign > 0 else operator.add, product, js[k])):
-            raise AssertionError(f"J{i + 1} J{j + 1} != {sign:+d} J{k + 1}")
+            raise InputError(f"J{i + 1} J{j + 1} != {sign:+d} J{k + 1}")
 

@@ -68,14 +68,17 @@ class GenSymplectic:
 
 
 def symplectic_validate(s: GenForm, omega_inv: Sequence[Sequence[Polynomial]]) -> GenSymplectic:
-    """Check degree, even dimension, closure and the inverse convention
-    W^{ag} Omega_{bg} = delta^a_b; raise InputError otherwise."""
+    """Check degree, even dimension, omega_inv's shape and entry dim, closure
+    and the inverse convention W^{ag} Omega_{bg} = delta^a_b; raise
+    InputError otherwise."""
     n = s.dim
     if n % 2:
         raise InputError(f"dimension {n} is odd")
     if s.degree != 2:
         raise InputError(f"degree {s.degree} != 2")
     inv = square_matrix(omega_inv, "omega_inv", InputError, n)
+    if any(c.dim != n for row in inv for c in row):
+        raise InputError(f"omega_inv entries must have dim {n}")
     if not gd(s).is_zero():
         raise InputError("form is not closed")
     omega = from_row_forms(_hooks(s.body))  # hook a of T is T_ab dx^b

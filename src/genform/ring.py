@@ -33,9 +33,10 @@ result is constructed.  Results of the ring operations go through
 ``OrdinaryForm._canonical``: both drop zeros but skip the checks of the
 public constructors, which outside input still passes.
 
-One kernel does every polynomial product: ``Polynomial.sum_products`` sums
-s*a*b over (s, a, b) triples with s = +-1 over the lcm of the pairs'
-denominators and canonicalizes once.  ``a * b`` is its one-triple case.  A
+One kernel does every polynomial product, and so multiplies every pair of
+form coefficients: ``Polynomial.sum_products`` sums s*a*b over (s, a, b)
+triples with s = +-1 over the lcm of the pairs' denominators and
+canonicalizes once.  ``a * b`` is its one-triple case.  A
 signed sum of products of forms (``exterior.wedge_sum`` and its all-plus
 case, the row-times-column dot) hands each output coefficient's triples to
 one kernel call, and so does every composite operation built on it:
@@ -83,6 +84,11 @@ when their exponents are structurally identical; this syntactic convention is
 closed under +, * and partial differentiation, which is all the gluing
 constructions downstream require.  Constant parts of q stay inside q, so
 r*e^s is representable exactly as the single term (coeff r, exponent s).
+``ExpPoly``'s ``*`` serves ``OrdinaryForm.scale`` alone, where the cover
+constructions scale a form by theta; it is not a kernel of the form
+products, which hand every coefficient group to ``Polynomial.sum_products``,
+so a form with ``ExpPoly`` coefficients is added, differentiated, scaled and
+hooked but never wedged.  An ``ExpPoly`` is not hashable.
 """
 
 from __future__ import annotations
@@ -696,21 +702,6 @@ class ExpPoly:
                 _add_term(out, q1 + q2, p1 * p2)
         return ExpPoly(self.dim, out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    @staticmethod
-    def sum_products(terms: Sequence[tuple[int, Coefficient, Coefficient]]) -> Coefficient:
-        """sum of s * a * b over at least one (s, a, b) triple, s = +1 or -1,
-        of Polynomial or ExpPoly operands, by their own ``*`` and ``+``."""
-        total = None
-        for s, a, b in terms:
-            product = a * b if s > 0 else -(a * b)
-            total = product if total is None else total + product
-        if total is None:
-            raise ValueError("sum_products needs at least one (s, a, b) triple")
-        return total
-
     def partial(self, axis: int) -> "ExpPoly":
         """d(p e^q) = (dp + p dq) e^q, termwise; the exponents stay distinct."""
         return ExpPoly(self.dim, {q: p.partial(axis) + p * q.partial(axis)
@@ -721,11 +712,6 @@ class ExpPoly:
         if coerced is None:
             return NotImplemented
         return self.dim == coerced.dim and self.terms == coerced.terms
-
-    def __hash__(self):
-        if all(q.is_zero() for q in self.terms):  # equals, so hashes as, its coefficient
-            return hash(next(iter(self.terms.values()), 0))
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:

@@ -313,6 +313,7 @@ def test_metric_validate_rejects_asymmetry_and_bad_inverse():
 _ONE, _ZERO, _ZERO_FORM = Polynomial.one(2), Polynomial.zero(2), OrdinaryForm.zero(2, 1)
 _EYE = ((_ONE, _ZERO), (_ZERO, _ONE))
 _ZEROS, _DX1 = ((_ZERO_FORM,) * 2,) * 2, OrdinaryForm.basis(2, (1,))
+_EYE_OF_DIM_3 = ((Polynomial.one(3), Polynomial.zero(3)), (Polynomial.zero(3), Polynomial.one(3)))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -344,12 +345,22 @@ _ZEROS, _DX1 = ((_ZERO_FORM,) * 2,) * 2, OrdinaryForm.basis(2, (1,))
                  "beta_tilde must be 2 x 2", id="case ii beta_tilde 2x3"),
     pytest.param(lambda: metric_connection_eps0(_EYE, _ZEROS, None, _EYE, ((_DX1,) * 2,) * 2),
                  r"beta_tilde entries must be 2-forms on R\^2", id="case i beta_tilde of 1-forms"),
+    # gamma = gamma^-1 = I of polynomials in 3 variables, with a 2 x 2 chi
+    pytest.param(lambda: metric_validate(_EYE_OF_DIM_3, _ZEROS, _EYE_OF_DIM_3, 0),
+                 "gamma entries must have dim 2", id="gamma of dim-3 entries"),
+    pytest.param(lambda: metric_connection_eps0(_EYE_OF_DIM_3, _ZEROS, None, _EYE_OF_DIM_3),
+                 "gamma entries must have dim 2", id="case i gamma of dim-3 entries"),
+    pytest.param(lambda: metric_connection_eps(_EYE_OF_DIM_3, None, _EYE_OF_DIM_3, 1),
+                 "gamma entries must have dim 2", id="case ii gamma of dim-3 entries"),
+    pytest.param(lambda: metric_validate(_EYE, ((OrdinaryForm.zero(3, 0),) * 2,) * 2, _EYE, 0),
+                 "chi entries must have dim 2", id="chi of dim-3 entries"),
 ])
 def test_metric_matrices_of_the_wrong_shape_are_rejected(build, message):
-    """gamma, gamma^-1 and chi must each be n x n, n = len(gamma), and so
-    must alpha (alpha_lc) and beta_tilde, with one-forms and two-forms on R^n
-    for entries: a matrix of another shape is bad input, not cut to size, an
-    IndexError or a ValueError from a product."""
+    """gamma, gamma^-1 and chi must each be n x n, n = len(gamma), with
+    entries of dim n, and so must alpha (alpha_lc) and beta_tilde, with
+    one-forms and two-forms on R^n for entries: a matrix of another shape is
+    bad input, not cut to size, an IndexError or a ValueError from a
+    product."""
     with pytest.raises(InputError, match=message):
         build()
 

@@ -445,23 +445,12 @@ def reference_wedge(a: OrdinaryForm, b: OrdinaryForm) -> OrdinaryForm:
                         out if 0 <= a.degree + b.degree <= a.dim else {})
 
 
-def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
-    """form with every other coefficient c replaced by c exp(q) + exp(q')."""
-    comps = {}
-    for k, (idxs, c) in enumerate(form.components.items()):
-        comps[idxs] = (c if k % 2 else
-                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(nonzero_poly(rnd)))
-    return OrdinaryForm(form.dim, form.degree, comps)
-
-
 def random_entry(rnd: FormRandom, degree: int) -> OrdinaryForm:
     """A random form of the given degree, or a zero form of any degree from
-    -1 to dim + 1, or one with ExpPoly coefficients."""
-    draw = rnd.rng.random()
-    if draw < 0.25:
+    -1 to dim + 1."""
+    if rnd.rng.random() < 0.25:
         return OrdinaryForm.zero(rnd.dim, rnd.rng.randint(-1, rnd.dim + 1))
-    form = rnd.form(degree)
-    return with_exp_coefficients(form, rnd) if draw < 0.45 else form
+    return rnd.form(degree)
 
 
 def random_row_and_column(rnd: FormRandom, left, right) -> tuple[list, list]:

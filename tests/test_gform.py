@@ -21,10 +21,9 @@ from genform.gform import (
 from genform.gvector import GenVectorField, gv_interior
 from genform.hamiltonian import GenHamiltonianProblem, symplectic_validate
 from genform.randgen import FormRandom
-from genform.ring import ConstructionError, ExpPoly, InputError, Polynomial
+from genform.ring import ConstructionError, InputError, Polynomial
 from genform.superspace import SuperFunction
 from test_exterior import coordinate_field
-from test_ring import nonzero_poly
 
 EPSILONS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 
@@ -366,26 +365,12 @@ def reference_gwedge(a: GenForm, b: GenForm) -> GenForm:
     return GenForm(a.dim, a.epsilon, a.degree + b.degree, wedge(a.body, b.body), soul)
 
 
-def with_exp_coefficients(form: OrdinaryForm, rnd: FormRandom) -> OrdinaryForm:
-    """form with every other coefficient c replaced by c exp(q) + exp(q')."""
-    comps = {}
-    for k, (idxs, c) in enumerate(form.components.items()):
-        comps[idxs] = (c if k % 2 else
-                       ExpPoly.exp(rnd.poly(), c) + ExpPoly.exp(nonzero_poly(rnd)))
-    return OrdinaryForm(form.dim, form.degree, comps)
-
-
 def random_entry(rnd: FormRandom, degree: int) -> GenForm:
     """A random extended form of the given degree, or a zero one of any
-    degree from -1 to dim + 1, or one with ExpPoly coefficients."""
-    draw = rnd.rng.random()
-    if draw < 0.25:
+    degree from -1 to dim + 1."""
+    if rnd.rng.random() < 0.25:
         return GenForm.zero(rnd.dim, rnd.epsilon, rnd.rng.randint(-1, rnd.dim + 1))
-    a = rnd.genform(degree)
-    if draw < 0.45:
-        return GenForm(a.dim, a.epsilon, a.degree, with_exp_coefficients(a.body, rnd),
-                       with_exp_coefficients(a.soul, rnd))
-    return a
+    return rnd.genform(degree)
 
 
 def zero_like(x: GenForm | OrdinaryForm) -> GenForm | OrdinaryForm:

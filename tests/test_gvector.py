@@ -22,7 +22,7 @@ from genform.gvector import (
     xi_type_pair,
 )
 from genform.randgen import FormRandom
-from genform.ring import ExpPoly, Polynomial, poly_dot
+from genform.ring import ExpPoly, InputError, Polynomial, poly_dot
 from genform.superspace import from_super, super_interior, super_lie, to_super
 from test_exterior import coordinate_field
 
@@ -75,12 +75,19 @@ def test_interior_theta_hook_example():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hooks_are_contractions_with_the_coordinate_fields(n):
     """The hooks are selected from the components.  Two references that do
-    not use them: for polynomial forms, the superspace interior product with
-    d/dx^a, which differentiates by the odd generator z^a; for every form,
-    the Euler identity sum_a dx^a ^ i_{d/dx^a} rho = deg(rho) rho."""
+    not use them: the superspace interior product with d/dx^a, which
+    differentiates by the odd generator z^a, and the Euler identity
+    sum_a dx^a ^ i_{d/dx^a} rho = deg(rho) rho.  A form with ExpPoly
+    coefficients, which is hooked but never wedged, has the hooks of its
+    polynomial twin with each coefficient c read as c exp(x1)."""
     eps = Fraction(1)
     rnd = FormRandom(n, n, eps)
     x1 = Polynomial.var(n, 1)
+
+    def times_exp_x1(form: OrdinaryForm) -> OrdinaryForm:
+        return OrdinaryForm(n, form.degree, {idxs: ExpPoly.exp(x1, c)
+                                             for idxs, c in form.components.items()})
+
     dx = [OrdinaryForm.basis(n, (a,)) for a in range(1, n + 1)]
     for degree in range(n + 1):
         forms = [rnd.form(degree) for _ in range(3)]
@@ -89,14 +96,14 @@ def test_hooks_are_contractions_with_the_coordinate_fields(n):
             want = [from_super(super_interior(
                 GenVectorField.ordinary(coordinate_field(n, a), eps), super_rho))
                 for a in range(1, n + 1)]
-            assert _hooks(rho) == tuple(w.body for w in want)
-            assert all(w.soul.is_zero() for w in want)
-        forms.append(OrdinaryForm(n, degree, {idxs: ExpPoly.exp(x1, c) for idxs, c
-                                              in forms[0].components.items()}))
-        for rho in forms:
             hooks = _hooks(rho)
+            assert hooks == tuple(w.body for w in want)
+            assert all(w.soul.is_zero() for w in want)
             assert [h.degree for h in hooks] == [degree - 1] * n
             assert wedge_dot(dx, hooks) == rho.scale(degree)
+        exp_hooks = _hooks(times_exp_x1(forms[0]))
+        assert [h.degree for h in exp_hooks] == [degree - 1] * n
+        assert exp_hooks == tuple(map(times_exp_x1, _hooks(forms[0])))
 
 
 def test_interior_leibniz():
@@ -285,6 +292,12 @@ def test_quaternion_triple_validates():
     minus_i = mat_identity(4, Polynomial.const(4, -1), Polynomial.zero(4))
     for j in js:
         assert mat_mul(j, j, poly_dot) == minus_i
+
+
+def test_a_wrong_quaternion_triple_is_rejected():
+    j1, j2, j3 = quaternion_triple()
+    with pytest.raises(InputError, match=r"J1 J2 != \+1 J3"):
+        validate_quaternion_triple((j1, j2, mat_map(operator.neg, j3)))
 
 
 def test_so3_example_nonzero_epsilon():

@@ -92,6 +92,16 @@ def test_validate_rejects_odd_dim_and_bad_inverse():
         symplectic_validate(s2, [[Polynomial.one(n)] * n] * n)
 
 
+def test_validate_rejects_omega_inv_entries_of_another_dim():
+    # a 2 x 2 omega_inv of polynomials in 3 variables is bad input, not a
+    # dimension mismatch in the product of the inverse check
+    n = 2
+    s = GenForm(n, Fraction(0), 2, standard_omega(n), OrdinaryForm.zero(n, 3))
+    z, o = Polynomial.zero(3), Polynomial.one(3)
+    with pytest.raises(InputError, match="omega_inv entries must have dim 2"):
+        symplectic_validate(s, [[z, o], [-o, z]])
+
+
 def test_validate_rejects_not_closed():
     n = 4
     x4 = Polynomial.var(n, 4)

@@ -5,14 +5,16 @@ cases replay, and every name a package module imports must be used.
 interpreter under ``sys.setprofile`` and records the code of every call.  A
 fresh interpreter, because in this one earlier tests may already have filled
 the ``functools.cache`` of a function, which then runs no more.  Each
-non-dunder function and method of ``src/genform`` must be among those calls.
+function and method of ``src/genform`` must be among those calls, the
+operator dunders included: ``sys.setprofile`` sees the implicit calls of
+``a + b``, ``-a``, ``a == b`` or ``hash(a)`` like any other.
 A definition is named by its module and qualified name, such as
 ``ring.Polynomial.terms`` or ``gvector.quaternion_triple.<locals>.tensor``,
 and matched to the code that ran by its file, first line (its first
-decorator's) and name, since Python 3.10 code has no qualified name.  Dunder
-methods are exempt, since Python calls them implicitly.  A call from a test
-does not count: a definition that only tests call serves no command and no
-suite.
+decorator's) and name, since Python 3.10 code has no qualified name.  Only
+the printing dunders ``__str__`` and ``__repr__`` are exempt, since failure
+records and error messages print through them.  A call from a test does not
+count: a definition that only tests call serves no command and no suite.
 
 The exceptions are ``UNRUN``, each with what will reach it.  A second test
 fails when one of them is no longer defined or now runs, so the list cannot
@@ -50,7 +52,15 @@ UNRUN = {
     # helpers that only those constructions reach
     "exterior.poincare_antiderivative": "recover_hamiltonian",
     "connection.field_from_components": "cov_deriv_vf_along",
-    "ring.ExpPoly.sum_products": "a wedge of forms over ExpPoly, which no command forms",
+    # ExpPoly's signed sums: general_gd adds and negates its theta terms
+    "ring.ExpPoly.__radd__": "cover.general_gd",
+    "ring.ExpPoly.__neg__": "cover.general_gd",
+    "ring.ExpPoly.__sub__": "cover.general_gd",
+    "ring.ExpPoly.__rsub__": "cover.general_gd",
+    # the residual lhs - rhs of a failing two-sided check (suites._check)
+    "exterior.VectorField.__sub__": "a failing gvector check on two fields, in GenVectorField's",
+    "gvector.GenVectorField.__sub__": "a failing gvector check on two fields",
+    "superspace.SuperFunction.__sub__": "a failing super check on two superfunctions",
     # read by the benchmark, which no golden case runs
     "ring.Polynomial.terms": "perfbench/spans.py, which counts terms with it",
     "suites._record": "a failing check; perfbench/spans.py's PRIVATE wraps it",
@@ -72,15 +82,18 @@ print(sorted({(code.co_filename, code.co_firstlineno, code.co_name) for code in 
 """
 
 
+PRINTING = {"__str__", "__repr__"}
+
+
 def definitions() -> dict[tuple[str, int, str], str]:
-    """(file, first line, name) -> qualified name of every non-dunder
-    function and method in the package."""
+    """(file, first line, name) -> qualified name of every function and
+    method in the package but the printing dunders."""
     found: dict[tuple[str, int, str], str] = {}
 
     def walk(node: ast.AST, path: pathlib.Path, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not (child.name.startswith("__") and child.name.endswith("__")):
+                if child.name not in PRINTING:
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     found[str(path), first, child.name] = prefix + child.name
                 walk(child, path, f"{prefix}{child.name}.<locals>.")

@@ -239,11 +239,19 @@ def test_unequal_sides_record_their_difference():
     failures = []
     suites._check(failures, "form", 4, rnd, a, b)
     suites._check(failures, "matrix", 4, rnd, ((a, b),), ((twin, a),))
+    # the gvector suite also compares extended vector fields, and the super
+    # suite superfunctions: only a failing check subtracts them
+    V, W = rnd.gen_vector_field(), rnd.gen_vector_field()
+    f, g = rnd.superfunction(), rnd.superfunction()
+    suites._check(failures, "fields", 4, rnd, V, W)
+    suites._check(failures, "superfunctions", 4, rnd, f, g)
     inputs = {"epsilon": "1/2", "dim": 2}
     assert failures == [
         {"case": "form", "trial": 4, "inputs": inputs, "residual": str(a - b)},
         {"case": "matrix", "trial": 4, "inputs": inputs,
-         "residual": str(mat_map(operator.sub, ((a, b),), ((twin, a),)))}]
+         "residual": str(mat_map(operator.sub, ((a, b),), ((twin, a),)))},
+        {"case": "fields", "trial": 4, "inputs": inputs, "residual": str(V - W)},
+        {"case": "superfunctions", "trial": 4, "inputs": inputs, "residual": str(f - g)}]
 
 
 @pytest.mark.parametrize("sides, error", [
